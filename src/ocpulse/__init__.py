@@ -25,7 +25,6 @@ from .propagation import (
     free_propagator,
     pulse_propagator,
     pulse_propagators,
-    step_hamiltonian,
 )
 from .metrics import (
     TARGET_PI_Y,

@@ -9,7 +9,10 @@ here, together with its Choi/Kraus form, the nearest Pauli-channel
 probabilities, and the exponential identity-decay fit that defines the
 pulse-error time constant and the asymptotic echo amplitude.  Averaging is
 always over *powered* propagators; averaging first and powering the mean
-destroys the dephasing physics.
+destroys the dephasing physics.  Each point's cycle is a rotation by theta
+about an axis r, so U_p^n is taken in closed form as the rotation by
+n theta about r (no repeated products), and n -> infinity keeps only the
+projector r r^T.
 """
 
 from __future__ import annotations
@@ -20,10 +23,7 @@ import numpy as np
 
 from .propagation import cycle_propagators
 from .pulses import EnsembleDistribution, PulseWaveform
-from .su2 import PAULIS, quaternions, renormalize_unitary, rotation_matrices
-
-# Re-unitarize accumulated propagator powers this often.
-_RENORM_EVERY = 1024
+from .su2 import PAULIS, Z_AXIS, expm_rotvec, rotation_matrices, rotation_vectors
 
 
 @dataclass(frozen=True)
@@ -65,44 +65,28 @@ def transfer_of_unitaries(U: np.ndarray, weights=None) -> np.ndarray:
     return out
 
 
-def _powered_cycles(p, tau, d, n):
-    """U_cycle^n per ensemble point by binary exponentiation."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    base = cycle_propagators(p, tau, d.offsets, d.rf_scales)
-    result = np.broadcast_to(np.eye(2, dtype=complex), base.shape).copy()
-    k = n
-    while k:
-        if k & 1:
-            result = base @ result
-        base = base @ base
-        k >>= 1
-    return result
-
-
 def build_superoperator(
     p: PulseWaveform | None, tau: float, d: EnsembleDistribution, n: int
 ) -> SuperoperatorMatrix:
     """Averaged n-cycle channel: power each point's cycle, then average."""
-    powered = _powered_cycles(p, tau, d, n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rotvec = rotation_vectors(cycle_propagators(p, tau, d.offsets, d.rf_scales))
+    powered = expm_rotvec(rotvec, n)
     return SuperoperatorMatrix(transfer_of_unitaries(powered, d.weights), n)
 
 
 def superoperator_sequence(
     p: PulseWaveform | None, tau: float, d: EnsembleDistribution, n_max: int
 ) -> list:
-    """Channels for n = 1 .. n_max via one accumulated product sweep."""
+    """Channels for n = 1 .. n_max, each from closed-form cycle powers."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    base = cycle_propagators(p, tau, d.offsets, d.rf_scales)
-    acc = base.copy()
-    out = [SuperoperatorMatrix(transfer_of_unitaries(acc, d.weights), 1)]
-    for n in range(2, n_max + 1):
-        acc = base @ acc
-        if n % _RENORM_EVERY == 0:
-            acc = renormalize_unitary(acc)
-        out.append(SuperoperatorMatrix(transfer_of_unitaries(acc, d.weights), n))
-    return out
+    rotvec = rotation_vectors(cycle_propagators(p, tau, d.offsets, d.rf_scales))
+    return [
+        SuperoperatorMatrix(transfer_of_unitaries(expm_rotvec(rotvec, n), d.weights), n)
+        for n in range(1, n_max + 1)
+    ]
 
 
 def choi_matrix(s: SuperoperatorMatrix) -> np.ndarray:
@@ -177,11 +161,9 @@ def asymptotic_channel(
     canonical z axis is used for them, which only matters if such a point
     carries visible weight.
     """
-    U = cycle_propagators(p, tau, d.offsets, d.rf_scales)
-    q = quaternions(U)
-    v = q[:, 1:]
-    norms = np.linalg.norm(v, axis=-1, keepdims=True)
-    axes = np.where(norms < 1e-12, np.array([0.0, 0.0, 1.0]), v / np.maximum(norms, 1e-300))
+    rotvec = rotation_vectors(cycle_propagators(p, tau, d.offsets, d.rf_scales))
+    theta = np.linalg.norm(rotvec, axis=-1, keepdims=True)
+    axes = np.where(theta < 2e-12, Z_AXIS, rotvec / np.maximum(theta, 1e-300))
     block = np.einsum("p,pi,pj->ij", d.weights, axes, axes)
     out = np.zeros((4, 4))
     out[0, 0] = 1.0
@@ -297,8 +279,8 @@ def fit_pauli_model(
     probs = np.asarray(per_cycle_probs, dtype=float)
     if probs.ndim != 2 or probs.shape[1] != 4 or probs.shape[0] < 3:
         raise ValueError("need at least 3 cycles of (p_I, p_x, p_y, p_z) samples")
-    if t_c <= 0.0:
-        raise ValueError("cycle time must be positive")
+    if not 0.0 < t_c < np.inf:
+        raise ValueError(f"cycle time must be positive and finite, got {t_c}")
     n_max = probs.shape[0]
     tail = max(1, int(round(tail_fraction * n_max)))
     c_i, c_x, c_y, c_z = probs[-tail:].mean(axis=0)

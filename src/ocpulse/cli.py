@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from .channel import (
     asymptotic_channel,
-    build_superoperator,
     cycle_time,
     fit_pauli_model,
     pauli_probabilities,

@@ -2,9 +2,10 @@
 
 Controls are the Cartesian pair u1 = A cos(phi), u2 = A sin(phi) per step.
 The objective is the ensemble-averaged trace overlap with a target unitary;
-its exact first-order gradient comes from one forward and one backward
-propagator sweep per ensemble point.  Steps follow the averaged gradient
-with a backtracking line search, so the fidelity history is monotone.
+its exact first-order gradient comes from one forward sweep of
+Cayley-Klein step products per ensemble point.  Steps follow the averaged
+gradient with a backtracking line search, so the fidelity history is
+monotone.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pulses import EnsembleDistribution, PulseWaveform
-from .propagation import free_propagator, step_propagators
-from .su2 import trace_overlap
+from .propagation import forward_products, free_propagator, pulse_propagators, step_propagators
+from .su2 import ck_inv, ck_mul, trace_overlap
 
 
 class Termination(enum.Enum):
@@ -73,66 +74,47 @@ class GrapeReport:
     termination: Termination
 
 
+def _su2_target(target) -> np.ndarray:
+    """The target with its global phase removed, so that det = 1."""
+    target = np.asarray(target, dtype=complex)
+    return target / np.sqrt(np.linalg.det(target))
+
+
 def _ensemble_fidelity(p: PulseWaveform, d: EnsembleDistribution, target):
     """Averaged fidelity of a waveform without the gradient sweep."""
-    steps = step_propagators(p, d.offsets, d.rf_scales)
-    U = free_propagator(d.offsets, p.pre_delay)
-    for j in range(steps.shape[0]):
-        U = steps[j] @ U
-    U = free_propagator(d.offsets, p.post_delay) @ U
+    U = pulse_propagators(p, d.offsets, d.rf_scales)
     return float(np.dot(d.weights, trace_overlap(U, target)))
 
 
 def _fidelity_and_gradients_raw(p: PulseWaveform, d: EnsembleDistribution, target):
-    """Pointwise fidelities (P,) and exact gradients (P, N, 2) wrt (u1, u2).
+    """Pointwise fidelities (P,) and first-order gradients (P, N, 2) wrt (u1, u2).
 
-    Forward products X_j include the pre-delay; backward products fold the
-    post-delay into the target, so guard delays are part of the objective.
+    ``target`` must lie in SU(2).  With X_j the product through step j
+    (pre-delay included) and M = target^dag U_total (post-delay included),
+    t = Tr(M)/2 is real, the fidelity is t^2, and
+    dF/du_k(j) = dt omega1 t Tr(sigma_k X_j M X_j^dag) / (2i): the k = x, y
+    components of X_j M X_j^dag are Im b and Re b of its Cayley-Klein pair.
     """
-    n, P = p.n_steps, d.n_points
     steps = step_propagators(p, d.offsets, d.rf_scales)
-
-    X = np.empty((n, P, 2, 2), dtype=complex)
-    acc = free_propagator(d.offsets, p.pre_delay)
-    for j in range(n):
-        acc = steps[j] @ acc
-        X[j] = acc
-    U_total = free_propagator(d.offsets, p.post_delay) @ acc
-
-    B = np.empty((n, P, 2, 2), dtype=complex)
-    acc = (
-        free_propagator(d.offsets, p.post_delay).conj().swapaxes(-1, -2)
-        @ np.broadcast_to(target, (P, 2, 2))
-    )
-    B[n - 1] = acc
-    for j in range(n - 1, 0, -1):
-        acc = steps[j].conj().swapaxes(-1, -2) @ acc
-        B[j - 1] = acc
-
-    # t = Tr(target^dag U)/2; fidelity |t|^2.
-    t = 0.5 * np.einsum("pij,pij->p", U_total, np.conj(np.broadcast_to(target, (P, 2, 2))))
-    fids = np.abs(t) ** 2
-
-    # C_j = X_j B_j^dag;  Tr(B_j^dag sigma_k X_j) = Tr(sigma_k C_j).
-    C = np.einsum("npab,npcb->npac", X, np.conj(B))
-    tx = C[..., 0, 1] + C[..., 1, 0]
-    ty = 1j * (C[..., 0, 1] - C[..., 1, 0])
-    # dPhi/du_k(j) = -dt (omega1/2) Re{ i Tr(B_j^dag sigma_k X_j) conj(t) }
-    pref = -p.dt * 0.5 * d.rf_scales[None, :]
-    gx = pref * np.real(1j * tx * np.conj(t)[None, :])
-    gy = pref * np.real(1j * ty * np.conj(t)[None, :])
-    grads = np.stack([gx, gy], axis=-1).transpose(1, 0, 2)
-    return fids, grads
+    pre = free_propagator(d.offsets, p.pre_delay)[..., 0, :]
+    post = free_propagator(d.offsets, p.post_delay)[..., 0, :]
+    U = ck_mul(post, forward_products(steps, pre))
+    M = ck_mul(ck_inv(target[0]), U)
+    t = M[:, 0].real
+    b = ck_mul(ck_mul(steps, M), ck_inv(steps))[..., 1]
+    grads = (p.dt * d.rf_scales * t)[:, None] * np.stack([b.imag, b.real], axis=-1)
+    return t**2, grads.transpose(1, 0, 2)
 
 
 def fidelity_and_gradients(p: PulseWaveform, point, target):
     """Fidelity and (n_steps, 2) gradient wrt (u1, u2) at one ensemble point.
 
-    ``point`` is (delta_omega, omega1_scale).
+    ``point`` is (delta_omega, omega1_scale); ``target`` is any 2x2 unitary
+    (its global phase does not matter).
     """
     delta_omega, omega1_scale = point
     d = EnsembleDistribution.single_point(delta_omega, omega1_scale)
-    fids, grads = _fidelity_and_gradients_raw(p, d, target)
+    fids, grads = _fidelity_and_gradients_raw(p, d, _su2_target(target))
     return float(fids[0]), grads[0]
 
 
@@ -169,6 +151,7 @@ def grape_ascend(
     if np.max(p0.amplitudes) > p0.a_max * (1.0 + 1e-12) or np.min(p0.amplitudes) < 0.0:
         raise ValueError("initial amplitudes must lie in [0, a_max]")
 
+    target = _su2_target(target)
     u = p0.cartesian_controls()
     u1, u2 = u[:, 0].copy(), u[:, 1].copy()
     p = p0

@@ -12,10 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagation import IsochromatPropagators, PulseWaveform, pulse_propagators
+from .propagation import TARGET_PI_Y, IsochromatPropagators, PulseWaveform, pulse_propagators
 from .su2 import SIGMA_X, SIGMA_Y, Y_AXIS, Z_AXIS, axis_angle, expm_su2, trace_overlap
-
-TARGET_PI_Y = expm_su2(Y_AXIS, np.pi)
 
 # sin(theta/2) below this leaves the rotation axis numerically undefined.
 _DEGENERATE_SIN = 1e-9

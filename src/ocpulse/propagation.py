@@ -10,6 +10,12 @@ convention: the propagator of "p1 then p2" is U(p2) @ U(p1).  An ideal
 refocusing pulse is represented by ``None`` wherever a waveform is
 accepted; it acts as an instantaneous exp(-i pi/2 Y) at every ensemble
 point.
+
+Steps are held as Cayley-Klein pairs (a, b), the first row of
+U = [[a, b], [-conj(b), conj(a)]] (see :mod:`ocpulse.su2`).  One kernel,
+:func:`forward_products`, multiplies them in time order; it serves the
+pulse product, the optimizer's probe and gradient sweeps, and the Bloch
+trajectory.  Public propagators are returned as (P, 2, 2) matrices.
 """
 
 from __future__ import annotations
@@ -19,26 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pulses import EnsembleDistribution, PulseWaveform
-from .su2 import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    Y_AXIS,
-    expm_rotvec,
-    expm_su2,
-    rotation_matrices,
-)
+from .su2 import Y_AXIS, ck_expm, ck_matrix, ck_mul, expm_su2, rotation_matrices
 
-IDEAL_PI_Y = expm_su2(Y_AXIS, np.pi)
-
-
-def step_hamiltonian(
-    amp: float, phase: float, delta_omega: float, omega1_scale: float = 1.0
-) -> np.ndarray:
-    """Rotating-frame Hamiltonian of one waveform step, rad/s units."""
-    wx = omega1_scale * amp * np.cos(phase)
-    wy = omega1_scale * amp * np.sin(phase)
-    return 0.5 * (wx * SIGMA_X + wy * SIGMA_Y + delta_omega * SIGMA_Z)
+# The ideal refocusing pulse, exp(-i pi/2 Y); also the optimizer's target.
+TARGET_PI_Y = expm_su2(Y_AXIS, np.pi)
 
 
 def free_propagator(delta_omega, duration: float) -> np.ndarray:
@@ -52,7 +42,7 @@ def free_propagator(delta_omega, duration: float) -> np.ndarray:
 
 
 def step_propagators(p: PulseWaveform, offsets, rf_scales) -> np.ndarray:
-    """Per-step propagators over ensemble points, shape (n_steps, P, 2, 2)."""
+    """Per-step Cayley-Klein pairs over ensemble points, (n_steps, P, 2)."""
     offsets, rf_scales = np.broadcast_arrays(
         np.atleast_1d(np.asarray(offsets, dtype=float)),
         np.atleast_1d(np.asarray(rf_scales, dtype=float)),
@@ -62,7 +52,20 @@ def step_propagators(p: PulseWaveform, offsets, rf_scales) -> np.ndarray:
     wy = amps * np.sin(p.phases)[:, None]
     wz = np.broadcast_to(offsets[None, :], wx.shape)
     omega = np.stack([wx, wy, wz], axis=-1)
-    return expm_rotvec(omega, p.dt)
+    return ck_expm(omega, p.dt)
+
+
+def forward_products(steps: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Running products S_j ... S_0 start of Cayley-Klein pairs, in place.
+
+    ``steps`` (n_steps, P, 2) is overwritten so that steps[j] holds the
+    product through step j.  Returns the whole product (``start`` for an
+    empty sequence).
+    """
+    x = start
+    for s in steps:
+        s[...] = x = ck_mul(s, x)
+    return x
 
 
 def pulse_propagators(p: PulseWaveform | None, offsets, rf_scales) -> np.ndarray:
@@ -70,12 +73,11 @@ def pulse_propagators(p: PulseWaveform | None, offsets, rf_scales) -> np.ndarray
     offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
     rf_scales = np.atleast_1d(np.asarray(rf_scales, dtype=float))
     if p is None:
-        return np.broadcast_to(IDEAL_PI_Y, offsets.shape + (2, 2)).copy()
+        return np.broadcast_to(TARGET_PI_Y, offsets.shape + (2, 2)).copy()
+    pre = free_propagator(offsets, p.pre_delay)[..., 0, :]
+    post = free_propagator(offsets, p.post_delay)[..., 0, :]
     steps = step_propagators(p, offsets, rf_scales)
-    U = free_propagator(offsets, p.pre_delay)
-    for j in range(steps.shape[0]):
-        U = steps[j] @ U
-    return free_propagator(offsets, p.post_delay) @ U
+    return ck_matrix(ck_mul(post, forward_products(steps, pre)))
 
 
 def pulse_propagator(
@@ -94,8 +96,8 @@ def cycle_propagators(
     pulse edge (guard delays count as part of the pulse).  For an ideal
     pulse the cycle propagator is exactly -I at every offset.
     """
-    if tau < 0.0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+    if not 0.0 <= tau < np.inf:
+        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
     offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
     Up = pulse_propagators(p, offsets, rf_scales)
     f1 = free_propagator(offsets, tau)
@@ -113,8 +115,8 @@ def half_cycle_propagators(
     p: PulseWaveform | None, tau: float, offsets, rf_scales
 ) -> np.ndarray:
     """Echo-to-echo propagators F(tau) U_pulse F(tau), shape (P, 2, 2)."""
-    if tau < 0.0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+    if not 0.0 <= tau < np.inf:
+        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
     offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
     Up = pulse_propagators(p, offsets, rf_scales)
     f1 = free_propagator(offsets, tau)
@@ -188,15 +190,9 @@ def bloch_trajectory(
         raise ValueError("m_in must be a 3-vector")
     if abs(np.linalg.norm(m) - 1.0) > 1e-9:
         raise ValueError("m_in must be unit length")
+    pre = free_propagator(delta_omega, p.pre_delay)[0]
+    post = free_propagator(delta_omega, p.post_delay)[0]
     steps = step_propagators(p, [delta_omega], [omega1_scale])[:, 0]
-    rot = rotation_matrices(steps)
-    out = np.empty((p.n_steps + 3, 3))
-    out[0] = m
-    m = rotation_matrices(free_propagator(delta_omega, p.pre_delay)) @ m
-    out[1] = m
-    for j in range(p.n_steps):
-        m = rot[j] @ m
-        out[2 + j] = m
-    m = rotation_matrices(free_propagator(delta_omega, p.post_delay)) @ m
-    out[-1] = m
-    return out
+    last = ck_mul(post, forward_products(steps, pre))
+    pairs = np.concatenate([[[1.0, 0.0], pre], steps, [last]])
+    return rotation_matrices(ck_matrix(pairs)) @ m

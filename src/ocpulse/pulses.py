@@ -156,9 +156,10 @@ def waveform_template(
 class EnsembleDistribution:
     """Weighted static ensemble of (resonance offset, RF scale) points.
 
-    ``offsets`` are angular offsets Delta-omega in rad/s, ``rf_scales`` are
-    dimensionless B1 multipliers, ``weights`` are strictly positive and sum
-    to one.  Point order is significant and preserved by every consumer.
+    ``offsets`` are finite angular offsets Delta-omega in rad/s,
+    ``rf_scales`` are positive, finite B1 multipliers, ``weights`` are
+    strictly positive and sum to one.  Point order is significant and
+    preserved by every consumer.
     """
 
     offsets: np.ndarray
@@ -173,8 +174,12 @@ class EnsembleDistribution:
             raise ValueError("offsets, rf_scales, weights must be 1-d and equal length")
         if offs.shape[0] == 0:
             raise ValueError("distribution must contain at least one point")
-        if np.any(weights <= 0.0):
-            raise ValueError("weights must be strictly positive")
+        if not np.all(np.isfinite(offs)):
+            raise ValueError("offsets must be finite")
+        if not np.all((scales > 0.0) & np.isfinite(scales)):
+            raise ValueError("rf_scales must be positive and finite")
+        if not np.all(weights > 0.0):
+            raise ValueError("weights must be strictly positive (and not nan)")
         if abs(weights.sum() - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
         pairs = set(zip(offs.tolist(), scales.tolist()))

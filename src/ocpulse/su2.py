@@ -4,6 +4,11 @@ Closed-form SU(2) exponentials, canonical axis-angle decomposition, and the
 trace-overlap fidelity used throughout the optimizer and simulators.
 Operators are plain ``(2, 2)`` complex ndarrays; most helpers also accept
 batches of shape ``(..., 2, 2)``.
+
+Bulk propagation stores an SU(2) element by its Cayley-Klein pair: the
+first row (a, b) of U = [[a, b], [-conj(b), conj(a)]], shape ``(..., 2)``.
+Powers of a rotation come from its rotation vector theta * r: U^n is the
+rotation by n theta about the same axis r.
 """
 
 from __future__ import annotations
@@ -69,19 +74,11 @@ def expm_su2(axis, angle: float) -> np.ndarray:
         if angle == 0.0:
             return ID2.copy()
         raise ValueError("degenerate axis: zero-norm axis with nonzero angle")
-    n = axis / norm
-    c = np.cos(0.5 * angle)
-    s = np.sin(0.5 * angle)
-    return np.array(
-        [
-            [c - 1j * s * n[2], -s * (1j * n[0] + n[1])],
-            [s * (-1j * n[0] + n[1]), c + 1j * s * n[2]],
-        ]
-    )
+    return expm_rotvec(axis * (angle / norm), 1.0)
 
 
-def expm_rotvec(omega, duration) -> np.ndarray:
-    """Batched exp(-i duration/2 omega.sigma) for rotation vectors omega.
+def ck_expm(omega, duration) -> np.ndarray:
+    """Cayley-Klein pairs of exp(-i duration/2 omega.sigma), batched.
 
     Parameters
     ----------
@@ -92,21 +89,45 @@ def expm_rotvec(omega, duration) -> np.ndarray:
 
     Returns
     -------
-    (..., 2, 2) complex ndarray; exactly unitary up to rounding.
+    (..., 2) complex ndarray; |a|^2 + |b|^2 = 1 up to rounding.
     """
     omega = np.asarray(omega, dtype=float)
-    w = np.linalg.norm(omega, axis=-1)
-    half = 0.5 * w * np.asarray(duration)
-    c = np.cos(half)
-    # sin(half)/w, smooth through w = 0 (limit duration/2).
+    half = 0.5 * np.linalg.norm(omega, axis=-1) * np.asarray(duration)
+    # sin(half)/|omega|, smooth through omega = 0 (limit duration/2).
     k = 0.5 * np.asarray(duration) * np.sinc(half / np.pi)
-    ox, oy, oz = omega[..., 0], omega[..., 1], omega[..., 2]
-    out = np.empty(np.broadcast(c, ox).shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = c - 1j * k * oz
-    out[..., 0, 1] = -k * (1j * ox + oy)
-    out[..., 1, 0] = k * (-1j * ox + oy)
-    out[..., 1, 1] = c + 1j * k * oz
+    out = np.empty(np.broadcast(half, omega[..., 0]).shape + (2,), dtype=complex)
+    a, b = out[..., 0], out[..., 1]
+    a.real, a.imag = np.cos(half), -k * omega[..., 2]
+    b.real, b.imag = -k * omega[..., 1], -k * omega[..., 0]
     return out
+
+
+def ck_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cayley-Klein pair of the product x @ y, elementwise over the batch."""
+    xa, xb, ya, yb = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
+    out = np.empty(np.broadcast(xa, ya).shape + (2,), dtype=complex)
+    out[..., 0] = xa * ya - xb * yb.conj()
+    out[..., 1] = xa * yb + xb * ya.conj()
+    return out
+
+
+def ck_inv(x: np.ndarray) -> np.ndarray:
+    """Cayley-Klein pair of the inverse (conjugate transpose)."""
+    return np.stack([x[..., 0].conj(), -x[..., 1]], axis=-1)
+
+
+def ck_matrix(x: np.ndarray) -> np.ndarray:
+    """(..., 2, 2) matrices [[a, b], [-conj(b), conj(a)]] of pairs (..., 2)."""
+    a, b = x[..., 0], x[..., 1]
+    return np.stack([x, np.stack([-b.conj(), a.conj()], axis=-1)], axis=-2)
+
+
+def expm_rotvec(omega, duration) -> np.ndarray:
+    """Batched exp(-i duration/2 omega.sigma) as (..., 2, 2) matrices.
+
+    Same arguments as :func:`ck_expm`; exactly unitary up to rounding.
+    """
+    return ck_matrix(ck_expm(omega, duration))
 
 
 def quaternions(U: np.ndarray) -> np.ndarray:
@@ -188,6 +209,36 @@ def rotation_matrices(U: np.ndarray) -> np.ndarray:
     )
 
 
+def rotation_vectors(U: np.ndarray) -> np.ndarray:
+    """Rotation vectors theta * r of unitaries, batched (..., 3).
+
+    U ~ exp(-i theta/2 r.sigma) up to global phase, with theta in [0, pi]
+    (the canonical sign of :func:`quaternions`); the identity maps to 0.
+    ``expm_rotvec(rotation_vectors(U), n)`` is U^n up to global phase.
+    """
+    q = quaternions(U)
+    s = np.linalg.norm(q[..., 1:], axis=-1, keepdims=True)
+    theta = 2.0 * np.arctan2(s, q[..., :1])
+    return q[..., 1:] * (theta / np.maximum(s, np.finfo(float).tiny))
+
+
+def rotate_vectors(rotvec, n, m) -> np.ndarray:
+    """Bloch vectors m after n turns by rotation vectors theta r (Rodrigues).
+
+    R^n m = (r.m) r + cos(n theta) (m - (r.m) r) + sin(n theta) r x m, the
+    SO(3) action of ``expm_rotvec(rotvec, n)``.  rotvec and m broadcast
+    against each other; n is a 1-d sequence of counts, so the result has
+    shape (len(n), ..., 3).
+    """
+    rotvec, m = np.asarray(rotvec, dtype=float), np.asarray(m, dtype=float)
+    theta = np.linalg.norm(rotvec, axis=-1, keepdims=True)
+    r = rotvec / np.maximum(theta, np.finfo(float).tiny)
+    along = np.sum(r * m, axis=-1, keepdims=True) * r
+    turns = np.reshape(np.asarray(n, dtype=float), (-1,) + (1,) * max(rotvec.ndim, m.ndim))
+    phi = turns * theta
+    return along + np.cos(phi) * (m - along) + np.sin(phi) * np.cross(r, m)
+
+
 def trace_overlap(A: np.ndarray, B: np.ndarray):
     """|Tr(A B^dag)|^2 / 4; equals 1 iff A and B agree up to global phase.
 
@@ -204,13 +255,3 @@ def unitarity_error(U: np.ndarray) -> float:
     g = np.einsum("...ji,...jk->...ik", np.conj(U), U)
     return float(np.max(np.abs(g - ID2)))
 
-
-def renormalize_unitary(U: np.ndarray) -> np.ndarray:
-    """One Newton-Schulz step U (3 I - U^dag U)/2 toward the unitary manifold.
-
-    Adequate for the rounding-level drift of long propagator products; not a
-    substitute for a polar decomposition on badly non-unitary input.
-    """
-    U = np.asarray(U)
-    g = np.einsum("...ji,...jk->...ik", np.conj(U), U)
-    return 0.5 * (U @ (3.0 * ID2 - g))

@@ -19,6 +19,7 @@ from ocpulse.channel import (
     transfer_of_unitaries,
 )
 from ocpulse.echo_train import simulate_train
+from ocpulse.propagation import cycle_propagators
 from ocpulse.pulses import EnsembleDistribution, PulseWaveform, hard_pulse
 from ocpulse.su2 import PAULIS, expm_su2
 
@@ -68,15 +69,30 @@ def test_transfer_is_trace_preserving_and_unital():
     assert np.allclose(R[:, 0], [1, 0, 0, 0], atol=1e-14)
 
 
+def _explicit_power(U, w, n):
+    """Weighted mean over points of matrix_power(transfer of U_k, n)."""
+    return sum(wk * np.linalg.matrix_power(transfer_of_unitaries(Uk), n) for wk, Uk in zip(w, U))
+
+
 def test_sequence_matches_powered_build():
+    # closed-form powers against explicit per-point matrix powers, out past
+    # 1024 cycles; the ideal cycle is -I (no axis) and the hard pulse's
+    # on-resonance cycle is (pi about y)^2
     rng = np.random.default_rng(1)
-    p = PulseWaveform(1e-5, rng.uniform(0, A_MAX, 10), rng.uniform(0, 2 * np.pi, 10), A_MAX)
-    d = EnsembleDistribution.product(2 * np.pi * np.array([-3e3, 1e3, 6e3]), [0.95, 1.05])
-    seq = superoperator_sequence(p, TAU, d, 7)
-    assert [s.n_cycles for s in seq] == list(range(1, 8))
-    for n in (1, 3, 7):
-        direct = build_superoperator(p, TAU, d, n)
-        assert np.allclose(seq[n - 1].entries, direct.entries, atol=1e-12)
+    random_pulse = PulseWaveform(
+        1e-5, rng.uniform(0, A_MAX, 10), rng.uniform(0, 2 * np.pi, 10), A_MAX)
+    d = EnsembleDistribution.product(2 * np.pi * np.array([-3e3, 0.0, 6e3]), [0.95, 1.0])
+    for p in (random_pulse, None, HARD):
+        U = cycle_propagators(p, TAU, d.offsets, d.rf_scales)
+        seq = superoperator_sequence(p, TAU, d, 4096)
+        assert [s.n_cycles for s in seq] == list(range(1, 4097))
+        for n in (1, 7, 1000, 4096):
+            expect = _explicit_power(U, d.weights, n)
+            assert np.allclose(seq[n - 1].entries, expect, atol=1e-11)
+            direct = build_superoperator(p, TAU, d, n)
+            assert np.allclose(direct.entries, expect, atol=1e-11)
+        if p is None:
+            assert np.allclose(seq[-1].entries, np.eye(4), atol=1e-11)
 
 
 def test_input_validation():
@@ -248,6 +264,9 @@ def test_fit_input_validation():
         fit_pauli_model(np.zeros((2, 4)), 4e-3)
     with pytest.raises(ValueError, match="cycle time"):
         fit_pauli_model(np.zeros((5, 4)), 0.0)
+    for t_c in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="cycle time must be positive and finite"):
+            fit_pauli_model(np.full((5, 4), 0.25), t_c)
 
 
 def test_hard_pulse_m_infinity_matches_train_tail(analysis_distribution, hard_channel):

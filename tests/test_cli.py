@@ -263,6 +263,19 @@ def test_missing_outdir_errors(monkeypatch):
     assert exc.value.code == 2
 
 
+def test_bad_distribution_file_is_rejected(tmp_path, capsys):
+    # json writes nan as NaN, which json.loads reads back as a float nan
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"points": [
+        {"offset_hz": 0.0, "rf_scale": 1.0, "weight": 0.5},
+        {"offset_hz": float("nan"), "rf_scale": 1.0, "weight": 0.5},
+    ]}))
+    rc = main(["analyze-channel", "--pulse", "hard", "--distribution", str(bad),
+               "--cycles", "3", "-o", str(tmp_path / "out")])
+    assert rc == 2
+    assert "error: offsets must be finite" in capsys.readouterr().err
+
+
 def test_bad_range_argument(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--include-hard", "-o", str(tmp_path), "--sweep-khz", "2:1:1"])

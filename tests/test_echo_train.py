@@ -3,8 +3,8 @@ import pytest
 
 from ocpulse.echo_train import EchoTrainResult, echo_visibility_sweep, simulate_train
 from ocpulse.propagation import half_cycle_propagators
-from ocpulse.pulses import EnsembleDistribution, hard_pulse
-from ocpulse.su2 import rotation_matrices
+from ocpulse.pulses import EnsembleDistribution, PulseWaveform, hard_pulse
+from ocpulse.su2 import quaternions, rotation_matrices
 
 A_MAX = 2 * np.pi * 5000.0
 TAU = 1e-3  # echo spacing 2 ms
@@ -114,3 +114,31 @@ def test_visibility_rows_layout():
     assert rows[3] == (KHZ, 1.0, 3, pytest.approx(1.0))
     with pytest.raises(ValueError, match="1-based"):
         echo_visibility_sweep(None, TAU, [0.0], [1.0], echo_indices=(0, 1))
+
+
+@pytest.mark.parametrize("pulse", ["hard", "random", "ideal"])
+def test_echo_500_matches_explicit_rotation_loop(pulse):
+    # closed-form echo powers against 500 explicit rotation-matrix steps;
+    # the hard pulse's on-resonance half cycle is a pi rotation about y,
+    # whose quaternion has q0 = 0 and takes the sign tie-break
+    rng = np.random.default_rng(3)
+    p = {
+        "hard": HARD,
+        "random": PulseWaveform(
+            1e-5, rng.uniform(0, A_MAX, 10), rng.uniform(0, 2 * np.pi, 10), A_MAX),
+        "ideal": None,
+    }[pulse]
+    offsets, scales = np.array([-3.0, 0.0, 1.7]) * KHZ, np.array([0.95, 1.0])
+    d = EnsembleDistribution.product(offsets, scales)
+    half = half_cycle_propagators(p, TAU, d.offsets, d.rf_scales)
+    if pulse == "hard":
+        assert abs(quaternions(half[3])[0]) < 1e-12
+    rot = rotation_matrices(half)
+    m = np.tile([0.0, 1.0, 0.0], (d.n_points, 1))
+    for _ in range(500):
+        m = np.einsum("pij,pj->pi", rot, m)
+    train = simulate_train(p, TAU, d, "y", n_echoes=500)
+    assert np.allclose(train.bloch[-1], m, atol=1e-11)
+    sweep = echo_visibility_sweep(p, TAU, offsets, scales, echo_indices=(500, 1))
+    assert np.allclose(sweep.retained[..., 0], m[:, 1].reshape(3, 2), atol=1e-11)
+    assert np.allclose(sweep.retained[..., 1], train.bloch[0, :, 1].reshape(3, 2), atol=1e-14)

@@ -206,3 +206,27 @@ def test_multistart_threaded_matches_serial():
         assert np.array_equal(a.final_waveform.amplitudes, b.final_waveform.amplitudes)
     with pytest.raises(ValueError, match="n_starts"):
         multistart_reports(d, TARGET_PI_Y, cfg, 0, 9, template=tmpl)
+
+
+def test_global_phase_of_target_does_not_matter():
+    # the gradient works in SU(2); a U(2) target is reduced to det = 1 once
+    # at the entry points, so a global phase changes nothing
+    rng = np.random.default_rng(8)
+    p0 = random_waveform(waveform_template(12, 1e-5, A_MAX), rng)
+    d = EnsembleDistribution.product(2 * np.pi * np.array([-2e3, 0.0, 2e3]), [0.9, 1.1])
+    cfg = GrapeConfig(max_iterations=15)
+    results = []
+    for target in (TARGET_PI_Y, 1j * TARGET_PI_Y, -TARGET_PI_Y):
+        f, g = fidelity_and_gradients(p0, (2 * np.pi * 1e3, 1.05), target)
+        results.append((f, g, grape_ascend(p0, d, target, cfg)))
+    f0, g0, r0 = results[0]
+    assert r0.iterations > 0
+    for f, g, r in results[1:]:
+        assert f == pytest.approx(f0, abs=1e-12)
+        assert np.allclose(g, g0, rtol=0, atol=1e-12 * np.max(np.abs(g0)))
+        assert r.iterations == r0.iterations and r.termination == r0.termination
+        assert np.allclose(r.fidelity_history, r0.fidelity_history, rtol=0, atol=1e-12)
+        assert np.allclose(r.step_sizes, r0.step_sizes, rtol=1e-12, atol=0)
+        assert np.allclose(r.final_waveform.amplitudes, r0.final_waveform.amplitudes,
+                           rtol=1e-12, atol=0)
+        assert np.allclose(r.final_waveform.phases, r0.final_waveform.phases, rtol=0, atol=1e-12)

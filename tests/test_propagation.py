@@ -8,16 +8,33 @@ from ocpulse.su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, expm_su2, rotation_matrices
 A_MAX = 2 * np.pi * 5000.0
 
 
-def test_step_hamiltonian_components():
-    H = prop.step_hamiltonian(A_MAX, 0.0, 0.0)
-    assert np.allclose(H, 0.5 * A_MAX * SIGMA_X)
-    H = prop.step_hamiltonian(A_MAX, np.pi / 2, 0.0)
-    assert np.allclose(H, 0.5 * A_MAX * SIGMA_Y, atol=1e-12 * A_MAX)
-    H = prop.step_hamiltonian(0.0, 0.0, 2 * np.pi * 800.0)
-    assert np.allclose(H, 0.5 * 2 * np.pi * 800.0 * SIGMA_Z)
-    # rf scale multiplies only the transverse part
-    H = prop.step_hamiltonian(A_MAX, 0.0, 1e3, omega1_scale=0.5)
-    assert np.allclose(H, 0.25 * A_MAX * SIGMA_X + 0.5e3 * SIGMA_Z)
+def _expm_hamiltonian(H, dt):
+    """exp(-i H dt) of a Hermitian 2x2 H by eigendecomposition."""
+    evals, evecs = np.linalg.eigh(H)
+    return (evecs * np.exp(-1j * evals * dt)) @ evecs.conj().T
+
+
+def test_step_propagators_match_hamiltonian_exponential():
+    # H = (dw / 2) Z + (s A / 2)(cos(phi) X + sin(phi) Y): phase 0 drives
+    # x, phase pi/2 drives y, the offset drives z, and the rf scale s
+    # multiplies only the transverse part
+    dt = 3e-6
+    cases = [
+        (A_MAX, 0.0, 0.0, 1.0, 0.5 * A_MAX * SIGMA_X),
+        (A_MAX, np.pi / 2, 0.0, 1.0, 0.5 * A_MAX * SIGMA_Y),
+        (0.0, 0.0, 2 * np.pi * 800.0, 1.0, 0.5 * 2 * np.pi * 800.0 * SIGMA_Z),
+        (A_MAX, 0.0, 1e3, 0.5, 0.25 * A_MAX * SIGMA_X + 0.5e3 * SIGMA_Z),
+        (A_MAX, 2.1, -2e4, 1.1, 0.55 * A_MAX * (np.cos(2.1) * SIGMA_X + np.sin(2.1) * SIGMA_Y)
+         - 1e4 * SIGMA_Z),
+    ]
+    for amp, phase, dw, scale, H in cases:
+        p = PulseWaveform(dt, [amp], [phase], A_MAX)
+        pair = prop.step_propagators(p, [dw], [scale])
+        assert pair.shape == (1, 1, 2)
+        U = _expm_hamiltonian(H, dt)
+        # Cayley-Klein storage: the pair is the first row of the SU(2) step
+        assert np.allclose(pair[0, 0], U[0], atol=1e-14)
+        assert np.allclose(U[1], [-np.conj(U[0, 1]), np.conj(U[0, 0])], atol=1e-14)
 
 
 def test_free_propagator_matches_z_rotation():
@@ -64,13 +81,16 @@ def test_pulse_propagator_is_ordered_step_product():
         pre_delay=1e-5, post_delay=3e-5,
     )
     offs = np.array([0.0, 2 * np.pi * 3e3, -2 * np.pi * 7e3])
-    steps = prop.step_propagators(p, offs, np.ones(3))
-    assert steps.shape == (6, 3, 2, 2)
-    U = prop.free_propagator(offs, p.pre_delay)
-    for j in range(6):
-        U = steps[j] @ U  # later steps multiply from the left
-    U = prop.free_propagator(offs, p.post_delay) @ U
-    assert np.allclose(prop.pulse_propagators(p, offs, np.ones(3)), U, atol=1e-13)
+    assert prop.step_propagators(p, offs, np.ones(3)).shape == (6, 3, 2)
+    got = prop.pulse_propagators(p, offs, np.ones(3))
+    for i, dw in enumerate(offs):
+        U = expm_su2([0, 0, 1], dw * p.pre_delay)
+        for amp, phase in zip(p.amplitudes, p.phases):
+            omega = np.array([amp * np.cos(phase), amp * np.sin(phase), dw])
+            w = np.linalg.norm(omega)
+            U = expm_su2(omega / w, w * p.dt) @ U  # later steps multiply from the left
+        U = expm_su2([0, 0, 1], dw * p.post_delay) @ U
+        assert np.allclose(got[i], U, atol=1e-13)
 
 
 def test_offset_sign_symmetry_for_x_phase_pulses():
@@ -87,8 +107,8 @@ def test_ideal_pulse_sentinel():
     offs = 2 * np.pi * np.array([-5e3, 0.0, 1e3])
     U = prop.pulse_propagators(None, offs, np.ones(3))
     for i in range(3):
-        assert np.allclose(U[i], prop.IDEAL_PI_Y)
-    assert np.allclose(prop.IDEAL_PI_Y, expm_su2([0, 1, 0], np.pi))
+        assert np.array_equal(U[i], prop.TARGET_PI_Y)
+    assert np.allclose(prop.TARGET_PI_Y, expm_su2([0, 1, 0], np.pi))
 
 
 def test_ideal_cycle_is_minus_identity_everywhere():
@@ -119,6 +139,12 @@ def test_negative_tau_rejected():
         prop.cycle_propagators(None, -1e-3, [0.0], [1.0])
     with pytest.raises(ValueError, match="tau"):
         prop.half_cycle_propagators(None, -1e-3, [0.0], [1.0])
+    # nan < 0 is false, so non-finite values need their own check
+    for tau in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            prop.cycle_propagators(None, tau, [0.0], [1.0])
+        with pytest.raises(ValueError, match="tau must be finite"):
+            prop.half_cycle_propagators(None, tau, [0.0], [1.0])
 
 
 def test_ensemble_propagators_pointwise():

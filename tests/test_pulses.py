@@ -165,6 +165,23 @@ def test_distribution_validation():
         EnsembleDistribution(np.zeros(2), np.ones(2), np.full(2, 0.5))
 
 
+@pytest.mark.parametrize(
+    "offsets, rf_scales, weights, message",
+    [
+        ([0.0, np.nan], [1.0, 1.0], [0.5, 0.5], "offsets must be finite"),
+        ([0.0, np.inf], [1.0, 1.0], [0.5, 0.5], "offsets must be finite"),
+        ([0.0, 1.0], [1.0, np.nan], [0.5, 0.5], "rf_scales must be positive and finite"),
+        ([0.0, 1.0], [1.0, -0.9], [0.5, 0.5], "rf_scales must be positive and finite"),
+        ([0.0, 1.0], [1.0, 0.0], [0.5, 0.5], "rf_scales must be positive and finite"),
+        ([0.0, 1.0], [1.0, 1.0], [1.0, np.nan], "weights must be strictly positive"),
+    ],
+    ids=["nan-offset", "inf-offset", "nan-rf", "negative-rf", "zero-rf", "nan-weight"],
+)
+def test_distribution_rejects_bad_points(offsets, rf_scales, weights, message):
+    with pytest.raises(ValueError, match=message):
+        EnsembleDistribution(np.array(offsets), np.array(rf_scales), np.array(weights))
+
+
 def test_distribution_product_order_and_weights():
     d = EnsembleDistribution.product([-1.0, 1.0], [0.9, 1.0, 1.1])
     assert d.n_points == 6

@@ -8,11 +8,16 @@ from ocpulse.su2 import (
     ID2,
     SIGMA_Y,
     axis_angle,
+    ck_expm,
+    ck_inv,
+    ck_matrix,
+    ck_mul,
     expm_rotvec,
     expm_su2,
     quaternions,
-    renormalize_unitary,
+    rotate_vectors,
     rotation_matrices,
+    rotation_vectors,
     trace_overlap,
     unitarity_error,
 )
@@ -129,11 +134,41 @@ def test_long_products_stay_unitary():
     assert unitarity_error(U) < 1e-10
 
 
-def test_renormalize_unitary_reduces_drift():
-    U = expm_su2([0, 1, 0], 0.8) * (1 + 3e-9)
-    before = unitarity_error(U)
-    after = unitarity_error(renormalize_unitary(U))
-    assert after < before * 1e-3
+def test_cayley_klein_pairs_multiply_like_matrices():
+    rng = np.random.default_rng(3)
+    x = ck_expm(rng.normal(size=(4, 3)), 0.7)
+    y = ck_expm(rng.normal(size=(4, 3)), 1.3)
+    X, Y = ck_matrix(x), ck_matrix(y)
+    assert np.array_equal(X[:, 0, :], x)
+    assert np.allclose(ck_matrix(ck_mul(x, y)), X @ Y, atol=1e-14)
+    assert np.allclose(ck_matrix(ck_inv(x)), X.conj().swapaxes(-1, -2), atol=1e-15)
+    assert np.allclose(np.linalg.det(X), 1.0, atol=1e-14)
+
+
+def test_rotation_vectors_power_in_closed_form():
+    rng = np.random.default_rng(4)
+    rotvec = rng.normal(size=(6, 3))
+    rotvec *= (rng.uniform(0.1, 3.0, 6) / np.linalg.norm(rotvec, axis=1))[:, None]
+    U = expm_rotvec(rotvec, 1.0) * np.exp(1j * rng.uniform(0, 2 * np.pi, 6))[:, None, None]
+    assert np.allclose(rotation_vectors(U), rotvec, atol=1e-13)
+    R = rotation_matrices(U)
+    for n in (1, 5, 33):
+        expect = np.stack([np.linalg.matrix_power(r, n) for r in R])
+        assert np.allclose(rotation_matrices(expm_rotvec(rotation_vectors(U), n)), expect, atol=1e-12)
+    # the identity has no axis; its rotation vector is zero, not nan
+    assert np.array_equal(rotation_vectors(-ID2), np.zeros(3))
+
+
+def test_rotate_vectors_is_the_so3_action_of_powers():
+    rng = np.random.default_rng(5)
+    rotvec = rng.normal(size=(8, 3))
+    m = rng.normal(size=(8, 3))
+    out = rotate_vectors(rotvec, [1, 3, 40], m)
+    assert out.shape == (3, 8, 3)
+    for turns, got in zip((1, 3, 40), out):
+        R = rotation_matrices(expm_rotvec(rotvec, turns))
+        assert np.allclose(got, np.einsum("pij,pj->pi", R, m), atol=1e-12)
+    assert np.allclose(rotate_vectors(np.zeros(3), [5], m)[0], m, atol=1e-15)
 
 
 def test_quaternions_canonical_sign():
