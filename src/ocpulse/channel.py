@@ -10,9 +10,17 @@ probabilities, and the exponential identity-decay fit that defines the
 pulse-error time constant and the asymptotic echo amplitude.  Averaging is
 always over *powered* propagators; averaging first and powering the mean
 destroys the dephasing physics.  Each point's cycle is a rotation by theta
-about an axis r, so U_p^n is taken in closed form as the rotation by
-n theta about r (no repeated products), and n -> infinity keeps only the
-projector r r^T.
+about an axis r, whose n-th power turns Bloch vectors by
+
+    R_p^n = r r^T + cos(n theta) (I - r r^T) + sin(n theta) [r]x
+
+so the averaged Bloch block is sum_p w_p r r^T plus two weighted sums over
+points, of cos(n theta) and sin(n theta), against fixed per-point 3x3
+terms.  Those sums are matrix products over points, taken for blocks of
+counts at a time: no per-point matrix is formed for any count, and memory
+stays linear in the number of points whatever n_max is.  As n -> infinity
+the oscillating sums average out and each point keeps r r^T (or I for a
+cycle that is the identity).
 """
 
 from __future__ import annotations
@@ -23,7 +31,11 @@ import numpy as np
 
 from .propagation import cycle_propagators
 from .pulses import EnsembleDistribution, PulseWaveform
-from .su2 import PAULIS, Z_AXIS, expm_rotvec, rotation_matrices, rotation_vectors
+from .su2 import PAULIS, rotation_vectors
+
+# Counts x points evaluated at once when summing cycle powers (about 8 MB
+# per float array); the count block shrinks as the ensemble grows.
+_POWER_BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -45,24 +57,65 @@ class SuperoperatorMatrix:
         object.__setattr__(self, "entries", entries)
 
 
-def transfer_of_unitaries(U: np.ndarray, weights=None) -> np.ndarray:
-    """(4, 4) transfer matrix of a weighted mixture of unitary conjugations.
+def _axes_and_angles(U: np.ndarray):
+    """Unit rotation axes (P, 3) and angles (P,) of unitaries; the axis of an
+    identity (theta = 0) is the zero vector."""
+    rotvec = rotation_vectors(np.asarray(U).reshape(-1, 2, 2))
+    theta = np.linalg.norm(rotvec, axis=-1)
+    return rotvec / np.maximum(theta, np.finfo(float).tiny)[:, None], theta
 
-    The identity row and column are exact by construction; the 3x3 Bloch
-    block is the weighted mean rotation matrix.
-    """
-    U = np.asarray(U)
-    batch = U.reshape(-1, 2, 2)
-    R3 = rotation_matrices(batch)
-    if weights is None:
-        block = R3.mean(axis=0)
-    else:
-        w = np.asarray(weights, dtype=float).reshape(-1)
-        block = np.einsum("p,pij->ij", w, R3)
-    out = np.zeros((4, 4))
-    out[0, 0] = 1.0
-    out[1:, 1:] = block
+
+def _embed(block: np.ndarray) -> np.ndarray:
+    """(..., 4, 4) transfer matrices with identity row/column around (..., 3, 3)."""
+    out = np.zeros(block.shape[:-2] + (4, 4))
+    out[..., 0, 0] = 1.0
+    out[..., 1:, 1:] = block
     return out
+
+
+def transfer_of_unitaries(U: np.ndarray, weights=None, n=1) -> np.ndarray:
+    """Transfer matrix of a weighted mixture of n-fold unitary conjugations.
+
+    Each U_p is a rotation by theta about r, and its n-th power acts on
+    Bloch vectors as r r^T + cos(n theta) (I - r r^T) + sin(n theta) [r]x.
+    The weighted 3x3 block is therefore
+
+        sum w r r^T + sum w cos(n theta) (I - r r^T) + sum w sin(n theta) [r]x
+
+    where the two oscillating sums are (counts, P) @ (P, 9) products over
+    points, evaluated for blocks of counts so that memory stays O(P).  The
+    identity row and column are exact by construction.
+
+    Parameters
+    ----------
+    U : (..., 2, 2) complex ndarray
+        Unitaries, flattened to P points.
+    weights : (P,) array_like, optional
+        Mixture weights; the plain mean when omitted.
+    n : int or 1-d sequence of ints
+        Power of each unitary.  A scalar gives a (4, 4) matrix, a sequence
+        of counts a stack (len(n), 4, 4).
+    """
+    r, theta = _axes_and_angles(U)
+    P = theta.shape[0]
+    w = np.full(P, 1.0 / P) if weights is None else np.asarray(weights, dtype=float).reshape(-1)
+    rr = r[:, :, None] * r[:, None, :]
+    cross = np.zeros((P, 3, 3))
+    cross[:, [2, 0, 1], [1, 2, 0]] = r
+    cross[:, [1, 2, 0], [2, 0, 1]] = -r
+    fixed = (w @ rr.reshape(P, 9)).reshape(3, 3)
+    w_cos = w[:, None] * (np.eye(3) - rr).reshape(P, 9)
+    w_sin = w[:, None] * cross.reshape(P, 9)
+
+    counts = np.asarray(n, dtype=float)
+    flat = counts.reshape(-1)
+    blocks = np.empty((flat.size, 9))
+    step = max(1, _POWER_BLOCK_ELEMENTS // max(P, 1))
+    for i in range(0, flat.size, step):
+        phase = np.multiply.outer(flat[i:i + step], theta)
+        blocks[i:i + step] = np.cos(phase) @ w_cos + np.sin(phase) @ w_sin
+    out = _embed(fixed + blocks.reshape(-1, 3, 3))
+    return out[0] if counts.ndim == 0 else out
 
 
 def build_superoperator(
@@ -71,22 +124,19 @@ def build_superoperator(
     """Averaged n-cycle channel: power each point's cycle, then average."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rotvec = rotation_vectors(cycle_propagators(p, tau, d.offsets, d.rf_scales))
-    powered = expm_rotvec(rotvec, n)
-    return SuperoperatorMatrix(transfer_of_unitaries(powered, d.weights), n)
+    U = cycle_propagators(p, tau, d.offsets, d.rf_scales)
+    return SuperoperatorMatrix(transfer_of_unitaries(U, d.weights, n), n)
 
 
 def superoperator_sequence(
     p: PulseWaveform | None, tau: float, d: EnsembleDistribution, n_max: int
 ) -> list:
-    """Channels for n = 1 .. n_max, each from closed-form cycle powers."""
+    """Channels for n = 1 .. n_max, all from one closed-form weighted sum."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    rotvec = rotation_vectors(cycle_propagators(p, tau, d.offsets, d.rf_scales))
-    return [
-        SuperoperatorMatrix(transfer_of_unitaries(expm_rotvec(rotvec, n), d.weights), n)
-        for n in range(1, n_max + 1)
-    ]
+    U = cycle_propagators(p, tau, d.offsets, d.rf_scales)
+    R = transfer_of_unitaries(U, d.weights, np.arange(1, n_max + 1))
+    return [SuperoperatorMatrix(entries, n) for n, entries in enumerate(R, start=1)]
 
 
 def choi_matrix(s: SuperoperatorMatrix) -> np.ndarray:
@@ -156,19 +206,18 @@ def asymptotic_channel(
     """n -> infinity channel: per point rho -> (rho + (r.sigma) rho (r.sigma))/2
     with r the cycle rotation axis, then weight averaged.
 
-    The per-point Bloch block is the rank-one projector r r^T.  Points
-    whose cycle is numerically the identity have no defined axis; the
-    canonical z axis is used for them, which only matters if such a point
-    carries visible weight.
+    The per-point Bloch block is the rank-one projector r r^T, the limit of
+    the n-average of the closed form once the cos and sin terms wash out.
+    A point whose cycle is numerically the identity (theta below 2e-12,
+    e.g. every point of the ideal pulse, whose cycle is -I) has no axis and
+    never dephases, so it contributes the identity.
     """
-    rotvec = rotation_vectors(cycle_propagators(p, tau, d.offsets, d.rf_scales))
-    theta = np.linalg.norm(rotvec, axis=-1, keepdims=True)
-    axes = np.where(theta < 2e-12, Z_AXIS, rotvec / np.maximum(theta, 1e-300))
+    r, theta = _axes_and_angles(cycle_propagators(p, tau, d.offsets, d.rf_scales))
+    still = theta < 2e-12
+    axes = np.where(still[:, None], 0.0, r)
     block = np.einsum("p,pi,pj->ij", d.weights, axes, axes)
-    out = np.zeros((4, 4))
-    out[0, 0] = 1.0
-    out[1:, 1:] = block
-    return SuperoperatorMatrix(out, None)
+    block += d.weights[still].sum() * np.eye(3)
+    return SuperoperatorMatrix(_embed(block), None)
 
 
 def cycle_time(p: PulseWaveform | None, tau: float) -> float:

@@ -56,6 +56,9 @@ DEFAULT_AMAX_KHZ = 5.0
 DEFAULT_GUARD_US = 6.0
 DEFAULT_TAU_MS = 1.0
 DEFAULT_RF_LIST = "0.9,0.95,1.0,1.05,1.1"
+# Largest lo:hi:step range accepted on the command line (1 Hz steps over
+# +/-50 kHz).
+MAX_RANGE_POINTS = 100_001
 
 
 def _floats(text: str) -> list[float]:
@@ -73,15 +76,21 @@ def _ints(text: str) -> list[int]:
 
 
 def _range(text: str) -> np.ndarray:
-    """lo:hi:step, endpoints included (within rounding)."""
+    """lo:hi:step, endpoints included (within rounding), at most MAX_RANGE_POINTS."""
     try:
         lo, hi, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad range {text!r}, want lo:hi:step") from exc
+    if not all(np.isfinite([lo, hi, step])):
+        raise argparse.ArgumentTypeError(f"bad range {text!r}: values must be finite")
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"bad range {text!r}")
-    n = int(round((hi - lo) / step)) + 1
-    return lo + step * np.arange(n)
+    n = (hi - lo) / step + 1
+    if not n <= MAX_RANGE_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"bad range {text!r}: {n:.3g} points, more than the cap of {MAX_RANGE_POINTS}"
+        )
+    return lo + step * np.arange(int(round(n)))
 
 
 def _outdir(args, parser) -> Path:
@@ -400,9 +409,10 @@ def cmd_analyze(args, parser) -> int:
         return 2
     tau = args.tau_ms * 1e-3
     seq = superoperator_sequence(pulse, tau, d, args.cycles)
-    probs = np.array([pauli_probabilities(s)[0] for s in seq])
-    fit = fit_pauli_model(probs, cycle_time(pulse, tau), superoperators=seq)
+    probs, residuals = zip(*(pauli_probabilities(s) for s in seq))
+    fit = fit_pauli_model(np.array(probs), cycle_time(pulse, tau), superoperators=seq)
     payload = channel_fit_to_dict(fit)
+    payload["offdiag_residual"] = list(residuals)
     outputs = ["channel.json"]
     params = {
         "pulse": args.pulse, "label": label, "tau_ms": args.tau_ms,

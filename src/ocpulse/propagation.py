@@ -16,6 +16,8 @@ U = [[a, b], [-conj(b), conj(a)]] (see :mod:`ocpulse.su2`).  One kernel,
 :func:`forward_products`, multiplies them in time order; it serves the
 pulse product, the optimizer's probe and gradient sweeps, and the Bloch
 trajectory.  Public propagators are returned as (P, 2, 2) matrices.
+:func:`pulse_propagators` runs that product over fixed chunks of ensemble
+points, so its memory does not grow with n_steps x P.
 """
 
 from __future__ import annotations
@@ -29,6 +31,13 @@ from .su2 import Y_AXIS, ck_expm, ck_matrix, ck_mul, expm_su2, rotation_matrices
 
 # The ideal refocusing pulse, exp(-i pi/2 Y); also the optimizer's target.
 TARGET_PI_Y = expm_su2(Y_AXIS, np.pi)
+
+# Ensemble points propagated together by pulse_propagators: about 6 MB of
+# step pairs for a 100-step pulse.  Chunk-sized complex temporaries stay
+# below the 256 KiB from which numpy reuses temporaries in place, where a
+# complex product can round differently; so a point's propagator does not
+# depend on the ensemble size.
+POINT_CHUNK = 2048
 
 
 def free_propagator(delta_omega, duration: float) -> np.ndarray:
@@ -69,15 +78,26 @@ def forward_products(steps: np.ndarray, start: np.ndarray) -> np.ndarray:
 
 
 def pulse_propagators(p: PulseWaveform | None, offsets, rf_scales) -> np.ndarray:
-    """Total pulse propagators including guard delays, shape (P, 2, 2)."""
+    """Total pulse propagators including guard delays, shape (P, 2, 2).
+
+    The ensemble is propagated POINT_CHUNK points at a time (in one pass
+    when it is smaller), so the step array never exceeds
+    (n_steps, POINT_CHUNK, 2).  Points are independent: each point's result
+    is the same, to the bit, as when it is propagated alone.
+    """
     offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
     rf_scales = np.atleast_1d(np.asarray(rf_scales, dtype=float))
     if p is None:
         return np.broadcast_to(TARGET_PI_Y, offsets.shape + (2, 2)).copy()
-    pre = free_propagator(offsets, p.pre_delay)[..., 0, :]
-    post = free_propagator(offsets, p.post_delay)[..., 0, :]
-    steps = step_propagators(p, offsets, rf_scales)
-    return ck_matrix(ck_mul(post, forward_products(steps, pre)))
+    offsets, rf_scales = np.broadcast_arrays(offsets, rf_scales)
+    out = np.empty(offsets.shape + (2,), dtype=complex)
+    for i in range(0, offsets.shape[0], POINT_CHUNK):
+        chunk = slice(i, i + POINT_CHUNK)
+        pre = free_propagator(offsets[chunk], p.pre_delay)[..., 0, :]
+        post = free_propagator(offsets[chunk], p.post_delay)[..., 0, :]
+        steps = step_propagators(p, offsets[chunk], rf_scales[chunk])
+        out[chunk] = ck_mul(post, forward_products(steps, pre))
+    return ck_matrix(out)
 
 
 def pulse_propagator(

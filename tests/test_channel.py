@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from ocpulse.channel import (
 from ocpulse.echo_train import simulate_train
 from ocpulse.propagation import cycle_propagators
 from ocpulse.pulses import EnsembleDistribution, PulseWaveform, hard_pulse
-from ocpulse.su2 import PAULIS, expm_su2
+from ocpulse.su2 import PAULIS, expm_su2, rotation_matrices
 
 A_MAX = 2 * np.pi * 5000.0
 TAU = 1e-3
@@ -70,8 +72,34 @@ def test_transfer_is_trace_preserving_and_unital():
 
 
 def _explicit_power(U, w, n):
-    """Weighted mean over points of matrix_power(transfer of U_k, n)."""
-    return sum(wk * np.linalg.matrix_power(transfer_of_unitaries(Uk), n) for wk, Uk in zip(w, U))
+    """Weighted mean over points of matrix_power(transfer of U_k, n), with
+    each point's transfer matrix built from its quaternion rotation matrix."""
+    R = np.zeros((len(U), 4, 4))
+    R[:, 0, 0] = 1.0
+    R[:, 1:, 1:] = rotation_matrices(U)
+    return sum(wk * np.linalg.matrix_power(Rk, n) for wk, Rk in zip(w, R))
+
+
+def test_transfer_counts_match_single_calls_and_matrix_powers(monkeypatch):
+    # stacked counts against per-count calls and explicit per-point matrix
+    # powers; 18 count x point elements over 6 points make blocks of 3
+    # counts and a ragged last block (the default puts all in one block,
+    # as test_sequence_matches_powered_build covers)
+    monkeypatch.setattr(channel, "_POWER_BLOCK_ELEMENTS", 18)
+    rng = np.random.default_rng(5)
+    random_pulse = PulseWaveform(
+        1e-5, rng.uniform(0, A_MAX, 10), rng.uniform(0, 2 * np.pi, 10), A_MAX)
+    d = EnsembleDistribution.product(2 * np.pi * np.array([-3e3, 0.0, 6e3]), [0.95, 1.0])
+    counts = np.array([1, 7, 1000, 4096])
+    for p in (random_pulse, None, HARD):
+        U = cycle_propagators(p, TAU, d.offsets, d.rf_scales)
+        stacked = transfer_of_unitaries(U, d.weights, counts)
+        assert stacked.shape == (4, 4, 4)
+        for n, got in zip(counts, stacked):
+            single = transfer_of_unitaries(U, d.weights, n)
+            assert single.shape == (4, 4)
+            assert np.allclose(got, single, rtol=0.0, atol=1e-15)
+            assert np.allclose(got, _explicit_power(U, d.weights, n), rtol=0.0, atol=1e-11)
 
 
 def test_sequence_matches_powered_build():
@@ -93,6 +121,23 @@ def test_sequence_matches_powered_build():
             assert np.allclose(direct.entries, expect, atol=1e-11)
         if p is None:
             assert np.allclose(seq[-1].entries, np.eye(4), atol=1e-11)
+
+
+def test_sequence_memory_stays_linear_in_points():
+    # 1000 cycles over 33,621 points: the parent's per-n matrices and
+    # one-pass pulse product peaked at 363 MiB; measured here about 29 MiB
+    rng = np.random.default_rng(10)
+    p = PulseWaveform(1e-5, rng.uniform(0, A_MAX, 100), rng.uniform(0, 2 * np.pi, 100), A_MAX)
+    d = EnsembleDistribution.product(
+        np.linspace(-2 * np.pi * 8e3, 2 * np.pi * 8e3, 1601), np.linspace(0.9, 1.1, 21))
+    tracemalloc.start()
+    try:
+        seq = superoperator_sequence(p, TAU, d, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(seq) == 1000
+    assert peak < 48 * 2**20
 
 
 def test_input_validation():
@@ -182,6 +227,18 @@ def test_asymptotic_channel_pure_y_axis():
     s = asymptotic_channel(HARD, TAU, d)
     assert s.n_cycles is None
     assert np.allclose(s.entries, np.diag([1.0, 0.0, 1.0, 0.0]), atol=1e-12)
+
+
+def test_asymptotic_channel_of_identity_cycles_is_identity():
+    # every ideal cycle is -I, and so is the hard pulse's on resonance at
+    # rf 1: such points never dephase, so n -> infinity keeps the identity
+    d = EnsembleDistribution.product(2 * np.pi * np.array([-3e3, 0.0, 6e3]), [0.95, 1.0])
+    seq = superoperator_sequence(None, TAU, d, 50)
+    asym = asymptotic_channel(None, TAU, d)
+    assert np.allclose(asym.entries, np.eye(4), rtol=0.0, atol=1e-15)
+    assert np.max(np.abs(seq[-1].entries - asym.entries)) <= 1e-12
+    on_resonance = asymptotic_channel(HARD, TAU, EnsembleDistribution.single_point(0.0, 1.0))
+    assert np.allclose(on_resonance.entries, np.eye(4), rtol=0.0, atol=1e-12)
 
 
 def test_asymptotic_matches_ergodic_mean_single_point():

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from importlib.metadata import entry_points
 from pathlib import Path
 
@@ -16,8 +17,9 @@ import numpy as np
 import pytest
 
 from ocpulse import fileio
+from ocpulse.channel import superoperator_sequence
 from ocpulse.cli import main
-from ocpulse.pulses import hard_pulse, symmetrize_excitation
+from ocpulse.pulses import EnsembleDistribution, hard_pulse, symmetrize_excitation
 
 A_MAX = 2 * np.pi * 5000.0
 ROOT = Path(__file__).resolve().parents[1]
@@ -200,6 +202,38 @@ def test_analyze_ideal_pulse_never_decays(tmp_path, capsys):
     assert "inf" in capsys.readouterr().out
 
 
+def test_analyze_ideal_pulse_asymptote_is_the_identity(tmp_path):
+    # every ideal cycle is -I, so the n -> infinity channel keeps the
+    # identity and the 10-cycle channel is already there
+    out = tmp_path / "chan"
+    rc = main([
+        "analyze-channel", "--pulse", "ideal", "-o", str(out),
+        "--cycles", "10", "--halfbw-khz", "4", "--delta-hz", "500", "--asymptotic",
+    ])
+    assert rc == 0
+    asym = json.loads((out / "channel.json").read_text())["asymptotic"]
+    assert np.allclose(asym["entries"], np.eye(4), rtol=0.0, atol=1e-12)
+    assert asym["max_entry_gap_at_n"] <= 1e-12
+
+
+def test_analyze_writes_the_offdiagonal_residual(tmp_path):
+    d = EnsembleDistribution.product(2 * np.pi * np.array([-2.5e3, 300.0, 4e3]), [0.9, 1.05])
+    fileio.save_distribution_json(d, tmp_path / "d.json")
+    out = tmp_path / "chan"
+    rc = main([
+        "analyze-channel", "--pulse", "hard", "-o", str(out), "--cycles", "5",
+        "--distribution", str(tmp_path / "d.json"),
+    ])
+    assert rc == 0
+    payload = json.loads((out / "channel.json").read_text())
+    residual = np.array(payload["offdiag_residual"])
+    assert residual.shape == (5,) and len(payload["probs"]) == 5
+    assert np.all(np.isfinite(residual)) and np.all(residual >= 0.0)
+    R = superoperator_sequence(hard_pulse(np.pi, np.pi / 2, A_MAX), 1e-3, d, 5)[2].entries
+    assert residual[2] == pytest.approx(np.linalg.norm(R - np.diag(np.diag(R))), rel=0.0, abs=1e-14)
+    assert residual[2] > 0.01  # the hard pulse's cycles are not Pauli-diagonal
+
+
 def test_analyze_needs_three_cycles(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["analyze-channel", "--pulse", "ideal", "-o", str(tmp_path), "--cycles", "2"])
@@ -280,3 +314,24 @@ def test_bad_range_argument(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--include-hard", "-o", str(tmp_path), "--sweep-khz", "2:1:1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("0:inf:1", "values must be finite"),
+    ("nan:1:1", "values must be finite"),
+    ("0:1e7:1e-3", "more than the cap of 100001"),
+    ("-1e308:1e308:1", "more than the cap of 100001"),
+])
+def test_unbounded_range_is_rejected_before_allocation(tmp_path, capsys, spec, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--pulse", "hard", "--sweep", "-o", str(tmp_path),
+                  f"--offsets-khz={spec}"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert peak < 16 * 2**20
+    assert not (tmp_path / "sweep.csv").exists()
