@@ -2,10 +2,12 @@
 
 Controls are the Cartesian pair u1 = A cos(phi), u2 = A sin(phi) per step.
 The objective is the ensemble-averaged trace overlap with a target unitary;
-its exact first-order gradient comes from one forward sweep of
-Cayley-Klein step products per ensemble point.  Steps follow the averaged
-gradient with a backtracking line search, so the fidelity history is
-monotone.
+its exact first-order gradient comes from the prefix products of the
+Cayley-Klein steps, one inclusive scan (:func:`propagation.forward_products`)
+per chunk of ensemble points.  Line-search probes need only the whole
+product, a pairwise tree (:func:`propagation.pulse_pairs`); both give each
+point's fidelity to the same bits.  Steps follow the averaged gradient with
+a backtracking line search, so the fidelity history is monotone.
 """
 
 from __future__ import annotations
@@ -16,8 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pulses import EnsembleDistribution, PulseWaveform
-from .propagation import forward_products, free_propagator, pulse_propagators, step_propagators
-from .su2 import ck_inv, ck_mul, trace_overlap
+from .propagation import (
+    forward_products,
+    free_pairs,
+    point_chunks,
+    pulse_pairs,
+    step_propagators,
+)
+from .su2 import ck_inv, ck_mul
 
 
 class Termination(enum.Enum):
@@ -80,10 +88,17 @@ def _su2_target(target) -> np.ndarray:
     return target / np.sqrt(np.linalg.det(target))
 
 
+def _overlaps(U, target):
+    """M = target^dag U per point and t = Tr(M)/2 = Re a(M), real for an
+    SU(2) target; the fidelity is t^2."""
+    M = ck_mul(ck_inv(target[0]), U)
+    return M, M[:, 0].real
+
+
 def _ensemble_fidelity(p: PulseWaveform, d: EnsembleDistribution, target):
     """Averaged fidelity of a waveform without the gradient sweep."""
-    U = pulse_propagators(p, d.offsets, d.rf_scales)
-    return float(np.dot(d.weights, trace_overlap(U, target)))
+    _, t = _overlaps(pulse_pairs(p, d.offsets, d.rf_scales), target)
+    return float(np.dot(d.weights, t**2))
 
 
 def _fidelity_and_gradients_raw(p: PulseWaveform, d: EnsembleDistribution, target):
@@ -94,16 +109,25 @@ def _fidelity_and_gradients_raw(p: PulseWaveform, d: EnsembleDistribution, targe
     t = Tr(M)/2 is real, the fidelity is t^2, and
     dF/du_k(j) = dt omega1 t Tr(sigma_k X_j M X_j^dag) / (2i): the k = x, y
     components of X_j M X_j^dag are Im b and Re b of its Cayley-Klein pair.
+    Points are taken in the chunks of :func:`propagation.pulse_pairs`; each
+    point's result is the same, to the bit, as when it is evaluated alone.
     """
-    steps = step_propagators(p, d.offsets, d.rf_scales)
-    pre = free_propagator(d.offsets, p.pre_delay)[..., 0, :]
-    post = free_propagator(d.offsets, p.post_delay)[..., 0, :]
-    U = ck_mul(post, forward_products(steps, pre))
-    M = ck_mul(ck_inv(target[0]), U)
-    t = M[:, 0].real
-    b = ck_mul(ck_mul(steps, M), ck_inv(steps))[..., 1]
-    grads = (p.dt * d.rf_scales * t)[:, None] * np.stack([b.imag, b.real], axis=-1)
-    return t**2, grads.transpose(1, 0, 2)
+    fids = np.empty(d.n_points)
+    grads = np.empty((p.n_steps, d.n_points, 2))
+    for chunk in point_chunks(d.n_points):
+        o, s = d.offsets[chunk], d.rf_scales[chunk]
+        steps = step_propagators(p, o, s)
+        pre, post = free_pairs(o, p.pre_delay), free_pairs(o, p.post_delay)
+        M, t = _overlaps(ck_mul(post, forward_products(steps, pre)), target)
+        # steps now holds the prefixes X_j; b of (X_j M) X_j^dag is the one
+        # part of that product the gradient needs
+        XM = ck_mul(steps, M)
+        b = XM[..., 1] * steps[..., 0] - XM[..., 0] * steps[..., 1]
+        w = p.dt * s * t
+        fids[chunk] = t**2
+        grads[:, chunk, 0] = w * b.imag
+        grads[:, chunk, 1] = w * b.real
+    return fids, grads.transpose(1, 0, 2)
 
 
 def fidelity_and_gradients(p: PulseWaveform, point, target):

@@ -11,13 +11,18 @@ refocusing pulse is represented by ``None`` wherever a waveform is
 accepted; it acts as an instantaneous exp(-i pi/2 Y) at every ensemble
 point.
 
-Steps are held as Cayley-Klein pairs (a, b), the first row of
-U = [[a, b], [-conj(b), conj(a)]] (see :mod:`ocpulse.su2`).  One kernel,
-:func:`forward_products`, multiplies them in time order; it serves the
-pulse product, the optimizer's probe and gradient sweeps, and the Bloch
-trajectory.  Public propagators are returned as (P, 2, 2) matrices.
-:func:`pulse_propagators` runs that product over fixed chunks of ensemble
-points, so its memory does not grow with n_steps x P.
+Steps, free precession and pulses are held as Cayley-Klein pairs (a, b),
+the first row of U = [[a, b], [-conj(b), conj(a)]] (see :mod:`ocpulse.su2`),
+and multiplied by :func:`ocpulse.su2.ck_mul`.  An ordered step product is
+an associative reduction, so it takes log2(n_steps) batched levels rather
+than n_steps sequential ones: :func:`ordered_product` is a pairwise tree
+for the whole product (the pulse and the optimizer's probe), and
+:func:`forward_products` an inclusive scan for every prefix (the
+optimizer's gradient and the Bloch trajectory).  Both group the factors
+the same way, so the last prefix equals the tree product to the bit.
+Public propagators are returned as (P, 2, 2) matrices.  Products run over
+chunks of POINT_CHUNK ensemble points (:func:`point_chunks`), so memory
+does not grow with n_steps x P.
 """
 
 from __future__ import annotations
@@ -32,22 +37,33 @@ from .su2 import Y_AXIS, ck_expm, ck_matrix, ck_mul, expm_su2, rotation_matrices
 # The ideal refocusing pulse, exp(-i pi/2 Y); also the optimizer's target.
 TARGET_PI_Y = expm_su2(Y_AXIS, np.pi)
 
-# Ensemble points propagated together by pulse_propagators: about 6 MB of
-# step pairs for a 100-step pulse.  Chunk-sized complex temporaries stay
-# below the 256 KiB from which numpy reuses temporaries in place, where a
-# complex product can round differently; so a point's propagator does not
-# depend on the ensemble size.
-POINT_CHUNK = 2048
+# Ensemble points propagated together by pulse_pairs and by the optimizer's
+# gradient, so memory does not grow with the ensemble.  Every tree or scan
+# level sweeps the whole step array (0.8 MB for 100 steps at 256 points);
+# larger chunks fall out of cache, and the scan, which does log2(n_steps)
+# times the work of a step loop, then loses to it.  128-256 points measured
+# fastest for both; 256 keeps the pulse product slightly ahead.
+POINT_CHUNK = 256
+
+
+def point_chunks(n_points: int) -> list[slice]:
+    """Consecutive slices of at most POINT_CHUNK ensemble points."""
+    return [slice(i, i + POINT_CHUNK) for i in range(0, n_points, POINT_CHUNK)]
+
+
+def free_pairs(delta_omega, duration: float) -> np.ndarray:
+    """Cayley-Klein pairs (exp(-i Delta-omega duration / 2), 0) of free
+    precession; batched over offsets, shape offsets.shape + (2,)."""
+    delta_omega = np.asarray(delta_omega, dtype=float)
+    half = 0.5 * delta_omega * duration
+    out = np.zeros(delta_omega.shape + (2,), dtype=complex)
+    out[..., 0] = np.exp(-1j * half)
+    return out
 
 
 def free_propagator(delta_omega, duration: float) -> np.ndarray:
     """exp(-i Delta-omega duration / 2 Z); batched over offsets."""
-    delta_omega = np.asarray(delta_omega, dtype=float)
-    half = 0.5 * delta_omega * duration
-    out = np.zeros(delta_omega.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = np.exp(-1j * half)
-    out[..., 1, 1] = np.exp(1j * half)
-    return out
+    return ck_matrix(free_pairs(delta_omega, duration))
 
 
 def step_propagators(p: PulseWaveform, offsets, rf_scales) -> np.ndarray:
@@ -65,39 +81,69 @@ def step_propagators(p: PulseWaveform, offsets, rf_scales) -> np.ndarray:
 
 
 def forward_products(steps: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Running products S_j ... S_0 start of Cayley-Klein pairs, in place.
+    """Running products X_j = S_j ... S_0 start of Cayley-Klein pairs, in place.
 
-    ``steps`` (n_steps, P, 2) is overwritten so that steps[j] holds the
-    product through step j.  Returns the whole product (``start`` for an
-    empty sequence).
+    ``steps`` (n_steps, ..., 2) is overwritten so that steps[j] holds X_j.
+    A Hillis-Steele inclusive scan: level d multiplies every prefix by the
+    one d steps earlier, d = 1, 2, 4, ...  Returns the whole product
+    (``start`` for an empty sequence), equal to :func:`ordered_product` to
+    the bit.
     """
-    x = start
-    for s in steps:
-        s[...] = x = ck_mul(s, x)
-    return x
+    if len(steps) == 0:
+        return start
+    steps[0] = ck_mul(steps[0], start)
+    d = 1
+    while d < len(steps):
+        steps[d:] = ck_mul(steps[d:], steps[:-d])
+        d *= 2
+    return steps[-1]
 
 
-def pulse_propagators(p: PulseWaveform | None, offsets, rf_scales) -> np.ndarray:
-    """Total pulse propagators including guard delays, shape (P, 2, 2).
+def ordered_product(steps: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The whole product S_{n-1} ... S_0 start of Cayley-Klein pairs.
 
-    The ensemble is propagated POINT_CHUNK points at a time (in one pass
-    when it is smaller), so the step array never exceeds
-    (n_steps, POINT_CHUNK, 2).  Points are independent: each point's result
-    is the same, to the bit, as when it is propagated alone.
+    A pairwise tree aligned on the last step: each level multiplies
+    neighbours from the end and carries an unpaired first element.  That
+    groups the factors as the last prefix of :func:`forward_products` does,
+    so the two agree to the bit.  ``steps[0]`` is overwritten.
+    """
+    if len(steps) == 0:
+        return start
+    steps[0] = ck_mul(steps[0], start)
+    x = steps
+    while len(x) > 1:
+        odd = len(x) % 2
+        x = np.concatenate((x[:odd], ck_mul(x[odd + 1::2], x[odd::2])))
+    return x[0]
+
+
+def pulse_pairs(p: PulseWaveform | None, offsets, rf_scales) -> np.ndarray:
+    """Cayley-Klein pairs of the total pulse propagators including guard
+    delays, shape (P, 2).
+
+    The ensemble is propagated POINT_CHUNK points at a time, so the step
+    array never exceeds (n_steps, POINT_CHUNK, 2).  Points are independent:
+    each point's result is the same, to the bit, as when it is propagated
+    alone.
     """
     offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
     rf_scales = np.atleast_1d(np.asarray(rf_scales, dtype=float))
     if p is None:
-        return np.broadcast_to(TARGET_PI_Y, offsets.shape + (2, 2)).copy()
+        return np.broadcast_to(TARGET_PI_Y[0], offsets.shape + (2,)).copy()
     offsets, rf_scales = np.broadcast_arrays(offsets, rf_scales)
     out = np.empty(offsets.shape + (2,), dtype=complex)
-    for i in range(0, offsets.shape[0], POINT_CHUNK):
-        chunk = slice(i, i + POINT_CHUNK)
-        pre = free_propagator(offsets[chunk], p.pre_delay)[..., 0, :]
-        post = free_propagator(offsets[chunk], p.post_delay)[..., 0, :]
-        steps = step_propagators(p, offsets[chunk], rf_scales[chunk])
-        out[chunk] = ck_mul(post, forward_products(steps, pre))
-    return ck_matrix(out)
+    for chunk in point_chunks(offsets.shape[0]):
+        o = offsets[chunk]
+        steps = step_propagators(p, o, rf_scales[chunk])
+        pulse = ordered_product(steps, free_pairs(o, p.pre_delay))
+        out[chunk] = ck_mul(free_pairs(o, p.post_delay), pulse)
+    return out
+
+
+def pulse_propagators(p: PulseWaveform | None, offsets, rf_scales) -> np.ndarray:
+    """Total pulse propagators including guard delays, shape (P, 2, 2);
+    the matrices of :func:`pulse_pairs`."""
+    return ck_matrix(pulse_pairs(p, offsets, rf_scales))
 
 
 def pulse_propagator(
@@ -119,10 +165,12 @@ def cycle_propagators(
     if not 0.0 <= tau < np.inf:
         raise ValueError(f"tau must be finite and nonnegative, got {tau}")
     offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
-    Up = pulse_propagators(p, offsets, rf_scales)
-    f1 = free_propagator(offsets, tau)
-    f2 = free_propagator(offsets, 2.0 * tau)
-    return f1 @ Up @ f2 @ Up @ f1
+    # The pulse product goes through pulse_propagators, the layer that
+    # perfbench times on its own; the pair is the matrix's first row.
+    u = pulse_propagators(p, offsets, rf_scales)[:, 0]
+    f1 = free_pairs(offsets, tau)
+    first = ck_mul(ck_mul(f1, u), free_pairs(offsets, 2.0 * tau))
+    return ck_matrix(ck_mul(ck_mul(first, u), f1))
 
 
 def cycle_propagator(
@@ -138,9 +186,9 @@ def half_cycle_propagators(
     if not 0.0 <= tau < np.inf:
         raise ValueError(f"tau must be finite and nonnegative, got {tau}")
     offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
-    Up = pulse_propagators(p, offsets, rf_scales)
-    f1 = free_propagator(offsets, tau)
-    return f1 @ Up @ f1
+    u = pulse_propagators(p, offsets, rf_scales)[:, 0]
+    f1 = free_pairs(offsets, tau)
+    return ck_matrix(ck_mul(ck_mul(f1, u), f1))
 
 
 @dataclass(frozen=True)
@@ -210,8 +258,8 @@ def bloch_trajectory(
         raise ValueError("m_in must be a 3-vector")
     if abs(np.linalg.norm(m) - 1.0) > 1e-9:
         raise ValueError("m_in must be unit length")
-    pre = free_propagator(delta_omega, p.pre_delay)[0]
-    post = free_propagator(delta_omega, p.post_delay)[0]
+    pre = free_pairs(delta_omega, p.pre_delay)
+    post = free_pairs(delta_omega, p.post_delay)
     steps = step_propagators(p, [delta_omega], [omega1_scale])[:, 0]
     last = ck_mul(post, forward_products(steps, pre))
     pairs = np.concatenate([[[1.0, 0.0], pre], steps, [last]])

@@ -92,22 +92,40 @@ def ck_expm(omega, duration) -> np.ndarray:
     (..., 2) complex ndarray; |a|^2 + |b|^2 = 1 up to rounding.
     """
     omega = np.asarray(omega, dtype=float)
-    half = 0.5 * np.linalg.norm(omega, axis=-1) * np.asarray(duration)
+    wx, wy, wz = omega[..., 0], omega[..., 1], omega[..., 2]
+    # |omega| summed in the order np.linalg.norm uses, without its slow
+    # reduction over a length-3 axis
+    half = 0.5 * np.sqrt(wx * wx + wy * wy + wz * wz) * np.asarray(duration)
     # sin(half)/|omega|, smooth through omega = 0 (limit duration/2).
     k = 0.5 * np.asarray(duration) * np.sinc(half / np.pi)
-    out = np.empty(np.broadcast(half, omega[..., 0]).shape + (2,), dtype=complex)
+    out = np.empty(np.broadcast(half, wx).shape + (2,), dtype=complex)
     a, b = out[..., 0], out[..., 1]
-    a.real, a.imag = np.cos(half), -k * omega[..., 2]
-    b.real, b.imag = -k * omega[..., 1], -k * omega[..., 0]
+    a.real, a.imag = np.cos(half), -k * wz
+    b.real, b.imag = -k * wy, -k * wx
     return out
 
 
 def ck_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cayley-Klein pair of the product x @ y, elementwise over the batch."""
+    """Cayley-Klein pair of the product x @ y, elementwise over the batch.
+
+    Each element's bits do not depend on the batch size, shape or strides,
+    so products can be regrouped and re-batched freely.  That is why every
+    complex product is written, operands in order, to an explicit buffer
+    that is not one of its inputs.  numpy reuses a temporary of 256 KiB or
+    more in place and may then swap the operands of a product; with fused
+    multiply-adds x * y and y * x can differ in the last bit.  A one-element
+    in-place product rounds differently too.
+    """
     xa, xb, ya, yb = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
     out = np.empty(np.broadcast(xa, ya).shape + (2,), dtype=complex)
-    out[..., 0] = xa * ya - xb * yb.conj()
-    out[..., 1] = xa * yb + xb * ya.conj()
+    a, b = out[..., 0], out[..., 1]
+    t = np.empty(a.shape, dtype=complex)
+    np.multiply(xa, ya, out=a)
+    np.multiply(xb, np.conj(yb), out=t)
+    a -= t
+    np.multiply(xa, yb, out=b)
+    np.multiply(xb, np.conj(ya), out=t)
+    b += t
     return out
 
 

@@ -12,7 +12,9 @@ from ocpulse.grape import (
     random_waveform,
 )
 from ocpulse.metrics import TARGET_PI_Y
+from ocpulse.propagation import POINT_CHUNK
 from ocpulse.pulses import EnsembleDistribution, PulseWaveform, hard_pulse, waveform_template
+from ocpulse.su2 import expm_su2
 
 A_MAX = 2 * np.pi * 5000.0
 
@@ -230,3 +232,37 @@ def test_global_phase_of_target_does_not_matter():
         assert np.allclose(r.final_waveform.amplitudes, r0.final_waveform.amplitudes,
                            rtol=1e-12, atol=0)
         assert np.allclose(r.final_waveform.phases, r0.final_waveform.phases, rtol=0, atol=1e-12)
+
+
+def _guarded_random_waveform(rng, n_steps):
+    return PulseWaveform(4e-6, rng.uniform(0, A_MAX, n_steps), rng.uniform(0, 2 * np.pi, n_steps),
+                         A_MAX, pre_delay=6e-6, post_delay=1e-5)
+
+
+@pytest.mark.parametrize("n_points", [1, 45, POINT_CHUNK + 37])
+def test_probe_fidelity_equals_gradient_fidelity(n_points):
+    # the line search compares a probe (pairwise tree) against the fidelity
+    # of the last gradient evaluation (prefix scan): they must be one number
+    rng = np.random.default_rng(n_points)
+    p = _guarded_random_waveform(rng, 100)
+    d = EnsembleDistribution(rng.uniform(-2 * np.pi * 1e4, 2 * np.pi * 1e4, n_points),
+                             rng.uniform(0.8, 1.2, n_points), np.full(n_points, 1.0 / n_points))
+    other = grape._su2_target(expm_su2(rng.normal(size=3), 2.3))
+    for target in (TARGET_PI_Y, other):
+        assert grape._ensemble_fidelity(p, d, target) == grape._averaged_eval(p, d, target)[0]
+
+
+def test_gradient_over_chunks_equals_per_point_evaluation():
+    # 2.5 chunks: every point's fidelity and gradient carry the bits of that
+    # point evaluated alone
+    rng = np.random.default_rng(12)
+    p = _guarded_random_waveform(rng, 30)
+    n_points = 5 * POINT_CHUNK // 2
+    d = EnsembleDistribution(rng.uniform(-2 * np.pi * 1e4, 2 * np.pi * 1e4, n_points),
+                             rng.uniform(0.8, 1.2, n_points), np.full(n_points, 1.0 / n_points))
+    fids, grads = grape._fidelity_and_gradients_raw(p, d, TARGET_PI_Y)
+    assert grads.shape == (n_points, 30, 2)
+    for k in range(n_points):
+        f, g = fidelity_and_gradients(p, (d.offsets[k], d.rf_scales[k]), TARGET_PI_Y)
+        assert f == fids[k]
+        assert np.array_equal(g, grads[k])

@@ -5,7 +5,9 @@ import pytest
 
 from ocpulse import propagation as prop
 from ocpulse.pulses import EnsembleDistribution, PulseWaveform, hard_pulse, waveform_template
-from ocpulse.su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, ck_matrix, ck_mul, expm_su2, rotation_matrices
+from ocpulse.su2 import (
+    SIGMA_X, SIGMA_Y, SIGMA_Z, ck_expm, ck_matrix, ck_mul, expm_su2, rotation_matrices,
+)
 
 A_MAX = 2 * np.pi * 5000.0
 
@@ -117,6 +119,23 @@ def test_pulse_propagators_chunked_equals_per_slice_product():
     for i in (0, prop.POINT_CHUNK, P - 1):
         assert np.array_equal(got[i], prop.pulse_propagator(p, offs[i], scales[i]))
 
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 100, 101, 201])
+def test_forward_products_are_the_ordered_prefixes(n):
+    # the scan's prefix j is S_j ... S_0 start, as a plain matmul loop gives
+    # it, and its last prefix is the pairwise tree's product to the bit
+    rng = np.random.default_rng(n)
+    steps = ck_expm(rng.normal(size=(n, 3, 3)), 0.7)
+    start = ck_expm(rng.normal(size=(3, 3)), 0.4)
+    prefixes = steps.copy()
+    total = prop.forward_products(prefixes, start)
+    X = ck_matrix(start)
+    for j in range(n):
+        X = ck_matrix(steps[j]) @ X
+        assert np.allclose(ck_matrix(prefixes[j]), X, rtol=0, atol=1e-14)
+    assert np.allclose(ck_matrix(total), X, rtol=0, atol=1e-14)
+    assert np.array_equal(prop.ordered_product(steps.copy(), start), total)
 
 def test_pulse_propagators_memory_does_not_grow_with_steps_times_points():
     # 100 steps x 33,621 points held 363 MiB of step arrays in one pass;

@@ -145,6 +145,21 @@ def test_cayley_klein_pairs_multiply_like_matrices():
     assert np.allclose(np.linalg.det(X), 1.0, atol=1e-14)
 
 
+
+def test_ck_mul_rounding_does_not_depend_on_batch_size():
+    # one call over 20,000 pairs, where numpy would reuse temporaries in
+    # place, must give the bits of the same pairs multiplied in slices
+    rng = np.random.default_rng(11)
+    x = ck_expm(rng.normal(size=(20000, 3)), 1.0)
+    y = ck_expm(rng.normal(size=(20000, 3)), 1.0)
+    whole = ck_mul(x, y)
+    sliced = [ck_mul(x[i:i + 100], y[i:i + 100]) for i in range(0, 20000, 100)]
+    assert np.array_equal(np.concatenate(sliced), whole)
+    # a batch of one and a lone pair take the same bits too
+    for i in range(100):
+        assert np.array_equal(ck_mul(x[i:i + 1], y[i:i + 1])[0], whole[i])
+        assert np.array_equal(ck_mul(x[i], y[i]), whole[i])
+
 def test_rotation_vectors_power_in_closed_form():
     rng = np.random.default_rng(4)
     rotvec = rng.normal(size=(6, 3))
