@@ -256,12 +256,12 @@ def test_gradient_over_chunks_equals_per_point_evaluation():
     # 2.5 chunks: every point's fidelity and gradient carry the bits of that
     # point evaluated alone
     rng = np.random.default_rng(12)
-    p = _guarded_random_waveform(rng, 30)
+    p = _guarded_random_waveform(rng, 100)
     n_points = 5 * POINT_CHUNK // 2
     d = EnsembleDistribution(rng.uniform(-2 * np.pi * 1e4, 2 * np.pi * 1e4, n_points),
                              rng.uniform(0.8, 1.2, n_points), np.full(n_points, 1.0 / n_points))
     fids, grads = grape._fidelity_and_gradients_raw(p, d, TARGET_PI_Y)
-    assert grads.shape == (n_points, 30, 2)
+    assert grads.shape == (n_points, 100, 2)
     for k in range(n_points):
         f, g = fidelity_and_gradients(p, (d.offsets[k], d.rf_scales[k]), TARGET_PI_Y)
         assert f == fids[k]
