@@ -9,7 +9,6 @@ ensemble averages.
 """
 
 import argparse
-import csv
 
 import numpy as np
 
@@ -49,18 +48,18 @@ def main():
         pulses.append((path, fileio.load_waveform_json(path)))
 
     d = analysis_distribution()
-    rows = []
+    table = {name: [] for name in ("pulse", "t2_cycles", "m_infinity", "fit_overlap")}
     for name, w in pulses:
         fit = fit_for(w, args.tau, d, args.cycles)
         t2 = "inf" if not np.isfinite(fit.t2_pulse_cycles) else f"{fit.t2_pulse_cycles:.2f}"
-        rows.append((name, t2, f"{fit.m_infinity:.4f}", f"{fit.fit_overlap:.5f}"))
+        table["pulse"].append(name)
+        table["t2_cycles"].append(t2)
+        table["m_infinity"].append(f"{fit.m_infinity:.4f}")
+        table["fit_overlap"].append(f"{fit.fit_overlap:.5f}")
         print(f"{name:12s} T2/tc {t2:>6s}   M_inf {fit.m_infinity:.4f}   "
               f"overlap {fit.fit_overlap:.5f}")
 
-    with open(args.out, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["pulse", "t2_cycles", "m_infinity", "fit_overlap"])
-        wr.writerows(rows)
+    fileio.write_csv(args.out, list(table), *table.values())
     print(f"wrote {args.out}")
 
 

@@ -157,20 +157,18 @@ def _add_pulse_flags(sp):
     sp.add_argument("--hard-phase-deg", type=float, default=90.0)
 
 
-def _criteria_rows(p, offsets, rf_scales):
-    rows = []
-    for off, rf, c in criteria_sweep(p, offsets, rf_scales):
-        rows.append(
-            (
-                off / (2.0 * np.pi),
-                rf,
-                c.fidelity,
-                float(np.degrees(c.angle_from_xy_plane)),
-                float(np.degrees(c.angle_from_y_axis)),
-                float(np.degrees(c.nutation_angle)),
-            )
-        )
-    return rows
+def _criteria_columns(p, offsets, rf_scales):
+    """The CRITERIA_HEADER columns of a criteria sweep, offset-major."""
+    sweep = criteria_sweep(p, offsets, rf_scales)
+    crit = [c for _, _, c in sweep]
+    return [
+        np.array([off for off, _, _ in sweep]) / (2.0 * np.pi),
+        np.array([rf for _, rf, _ in sweep]),
+        np.array([c.fidelity for c in crit]),
+        np.degrees([c.angle_from_xy_plane for c in crit]),
+        np.degrees([c.angle_from_y_axis for c in crit]),
+        np.degrees([c.nutation_angle for c in crit]),
+    ]
 
 
 CRITERIA_HEADER = ["offset_hz", "rf_scale", "fidelity", "angle_xy_deg", "angle_y_deg", "nutation_deg"]
@@ -245,18 +243,19 @@ def cmd_optimize(args, parser) -> int:
         )
         rungdir = outdir / "rungs"
         rungdir.mkdir(exist_ok=True)
-        ladder_rows, trace = [], []
+        trace = []
         for rung in result.rungs:
-            ladder_rows.append(
-                (rung.index, rung.half_bandwidth / (2.0 * np.pi), rung.distribution.n_points,
-                 rung.avg_fidelity)
-            )
             name = f"rungs/rung_{rung.index:03d}.json"
             save_waveform_json(rung.waveform, outdir / name)
             outputs.append(name)
             trace.extend(_trace_rows(rung.report, rung=rung.index))
+        rungs = result.rungs
         write_csv(outdir / "ladder.csv",
-                  ["rung", "half_bandwidth_hz", "n_points", "avg_fidelity"], ladder_rows)
+                  ["rung", "half_bandwidth_hz", "n_points", "avg_fidelity"],
+                  [r.index for r in rungs],
+                  [r.half_bandwidth / (2.0 * np.pi) for r in rungs],
+                  [r.distribution.n_points for r in rungs],
+                  [r.avg_fidelity for r in rungs])
         outputs.append("ladder.csv")
         with open(outdir / "trace.jsonl", "w") as fh:
             for row in trace:
@@ -300,7 +299,7 @@ def cmd_optimize(args, parser) -> int:
             )
             fids = [float(r.fidelity_history[-1]) for r in reports]
             write_csv(outdir / "histogram.csv", ["rank", "fidelity"],
-                      list(enumerate(sorted(fids))))
+                      range(len(fids)), sorted(fids))
             outputs.append("histogram.csv")
             report = reports[int(np.argmax(fids))]
             params["multistart"] = args.multistart
@@ -347,18 +346,15 @@ def cmd_simulate(args, parser) -> int:
     if args.mode == "train":
         d = _build_distribution(args, parser)
         res = simulate_train(pulse, tau, d, input_axis=args.axis, n_echoes=args.echoes)
-        rows = []
-        for k in range(1, res.n_echoes + 1):
-            for pidx in range(d.n_points):
-                mx, my, mz = res.bloch[k - 1, pidx]
-                rows.append(
-                    (k, d.offsets[pidx] / (2 * np.pi), d.rf_scales[pidx],
-                     float(mx), float(my), float(mz))
-                )
+        n = res.n_echoes
         write_csv(outdir / "train.csv",
-                  ["echo", "offset_hz", "rf_scale", "mx", "my", "mz"], rows)
+                  ["echo", "offset_hz", "rf_scale", "mx", "my", "mz"],
+                  np.repeat(np.arange(1, n + 1), d.n_points),
+                  np.tile(d.offsets / (2 * np.pi), n),
+                  np.tile(d.rf_scales, n),
+                  *res.bloch.reshape(-1, 3).T)
         write_csv(outdir / "train_avg.csv", ["echo", "avg"],
-                  [(k + 1, float(v)) for k, v in enumerate(res.ensemble_average)])
+                  np.arange(1, n + 1), res.ensemble_average)
         outputs += ["train.csv", "train_avg.csv"]
         params.update(echoes=args.echoes, axis=args.axis, n_points=d.n_points)
         print(f"train: {res.n_echoes} echoes x {d.n_points} isochromats; "
@@ -366,8 +362,12 @@ def cmd_simulate(args, parser) -> int:
     elif args.mode == "sweep":
         offsets = args.offsets_khz * KHZ
         sweep = echo_visibility_sweep(pulse, tau, offsets, args.rf, args.echo_indices)
+        n_off, n_rf, n_echo = sweep.retained.shape
         write_csv(outdir / "sweep.csv", ["offset_hz", "rf_scale", "echo", "my"],
-                  [(off / (2 * np.pi), rf, k, v) for off, rf, k, v in sweep.rows()])
+                  np.repeat(sweep.offsets / (2 * np.pi), n_rf * n_echo),
+                  np.tile(np.repeat(sweep.rf_scales, n_echo), n_off),
+                  np.tile(sweep.echo_indices, n_off * n_rf),
+                  sweep.retained.ravel())
         outputs.append("sweep.csv")
         params.update(echo_indices=list(args.echo_indices), rf=args.rf)
         print(f"sweep: {sweep.retained.shape[0]} offsets x {sweep.retained.shape[1]} RF scales, "
@@ -381,9 +381,7 @@ def cmd_simulate(args, parser) -> int:
             pulse, args.offset_khz * KHZ, args.rf_scale, axis_map[args.axis]
         )
         times = trajectory_times(pulse)
-        write_csv(outdir / "trajectory.csv", ["t_s", "x", "y", "z"],
-                  [(float(t), float(x), float(y), float(z))
-                   for t, (x, y, z) in zip(times, traj)])
+        write_csv(outdir / "trajectory.csv", ["t_s", "x", "y", "z"], times, *traj.T)
         outputs.append("trajectory.csv")
         params.update(offset_khz=args.offset_khz, rf_scale=args.rf_scale, axis=args.axis)
         print(f"trajectory: {traj.shape[0]} samples, endpoint "
@@ -456,26 +454,29 @@ def cmd_compare(args, parser) -> int:
     offsets = args.sweep_khz * KHZ
     d = EnsembleDistribution.product(offsets, args.rf)
     outputs = []
-    table, fid_rows = [], []
+    table = {name: [] for name in ("pulse", "t2_pulse_cycles", "m_infinity", "fit_overlap")}
+    means = {name: [] for name in ("pulse", "offset_hz", "fidelity")}
     for label, p in entries:
-        rows = _criteria_rows(p, offsets, args.rf)
+        columns = _criteria_columns(p, offsets, args.rf)
         name = f"criteria_{label}.csv"
-        write_csv(outdir / name, CRITERIA_HEADER, rows)
+        write_csv(outdir / name, CRITERIA_HEADER, *columns)
         outputs.append(name)
-        fid = np.array([r[2] for r in rows]).reshape(offsets.size, len(args.rf))
-        for i in range(offsets.size):
-            fid_rows.append((label, float(offsets[i] / (2 * np.pi)), float(fid[i].mean())))
+        fid = columns[2].reshape(offsets.size, len(args.rf))
+        means["pulse"] += [label] * offsets.size
+        means["offset_hz"] += (offsets / (2 * np.pi)).tolist()
+        means["fidelity"] += [float(row.mean()) for row in fid]
         seq = superoperator_sequence(p, tau, d, args.cycles)
         probs = np.array([pauli_probabilities(s)[0] for s in seq])
         fit = fit_pauli_model(probs, cycle_time(p, tau), superoperators=seq)
         t2c = fit.t2_pulse_cycles
-        table.append(
-            (label, t2c if np.isfinite(t2c) else "inf", fit.m_infinity, fit.fit_overlap)
-        )
+        table["pulse"].append(label)
+        table["t2_pulse_cycles"].append(t2c if np.isfinite(t2c) else "inf")
+        table["m_infinity"].append(fit.m_infinity)
+        table["fit_overlap"].append(fit.fit_overlap)
         t2_text = f"{t2c:.2f}" if np.isfinite(t2c) else "inf"
         print(f"{label}: m_inf {fit.m_infinity:+.4f}, T2p/tc {t2_text}")
-    write_csv(outdir / "compare.csv", ["pulse", "offset_hz", "fidelity"], fid_rows)
-    write_csv(outdir / "table.csv", ["pulse", "t2_pulse_cycles", "m_infinity", "fit_overlap"], table)
+    write_csv(outdir / "compare.csv", list(means), *means.values())
+    write_csv(outdir / "table.csv", list(table), *table.values())
     outputs += ["compare.csv", "table.csv"]
     _write_manifest(
         outdir, "compare",

@@ -100,15 +100,6 @@ class VisibilitySweep:
     echo_indices: tuple
     retained: np.ndarray
 
-    def rows(self):
-        """Flat (offset, rf_scale, echo, retained) rows for CSV export."""
-        out = []
-        for i, off in enumerate(self.offsets.tolist()):
-            for s, rf in enumerate(self.rf_scales.tolist()):
-                for e, k in enumerate(self.echo_indices):
-                    out.append((off, rf, k, float(self.retained[i, s, e])))
-        return out
-
 
 def echo_visibility_sweep(
     p: PulseWaveform | None,

@@ -63,17 +63,13 @@ def load_waveform_json(path) -> PulseWaveform:
 def save_waveform_csv(p: PulseWaveform, path) -> None:
     """Rows time_s, amp_hz, phase_deg; time is the step start on the shaped
     grid (guards not included)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time_s", "amp_hz", "phase_deg"])
-        for j in range(p.n_steps):
-            w.writerow(
-                [
-                    repr(float(j * p.dt)),
-                    repr(float(p.amplitudes[j] / TWO_PI)),
-                    repr(float(np.degrees(p.phases[j]))),
-                ]
-            )
+    write_csv(
+        path,
+        ["time_s", "amp_hz", "phase_deg"],
+        np.arange(p.n_steps) * p.dt,
+        p.amplitudes / TWO_PI,
+        np.degrees(p.phases),
+    )
 
 
 def load_waveform_csv(
@@ -144,15 +140,74 @@ def load_distribution_json(path) -> EnsembleDistribution:
     return distribution_from_dict(data)
 
 
-def write_csv(path, header, rows) -> None:
-    """Small CSV writer; floats are serialized with repr for round-trip
-    stable output."""
+# Rows formatted, joined and written per block: the text of one block is
+# held at a time, never the whole table.
+CSV_BLOCK_ROWS = 8192
+_CSV_SPECIAL = frozenset(',"\r\n')
+
+
+def _csv_field(x) -> str:
+    """One field as ``csv.writer`` writes it, floats as ``repr``."""
+    if isinstance(x, float):
+        # float() strips numpy scalar types whose repr does not parse back
+        return repr(float(x))
+    if x is None:
+        return ""
+    s = x if isinstance(x, str) else str(x)
+    if _CSV_SPECIAL.isdisjoint(s):
+        return s
+    return '"' + s.replace('"', '""') + '"'
+
+
+def _csv_texts(col):
+    """Field texts of one column slice.
+
+    float64 and integer arrays format each distinct value once.  Floats are
+    told apart by their bits, so -0.0 and 0.0 keep their own text.
+    """
+    if isinstance(col, np.ndarray):
+        if col.dtype.type is np.float64:
+            bits = np.ascontiguousarray(col, dtype=np.float64).view(np.int64)
+            uniq, inverse = np.unique(bits, return_inverse=True)
+            texts = [repr(v) for v in uniq.view(np.float64).tolist()]
+            return np.array(texts, dtype=object)[inverse]
+        if col.dtype.kind in "iu":
+            uniq, inverse = np.unique(col, return_inverse=True)
+            return np.array([str(v) for v in uniq.tolist()], dtype=object)[inverse]
+    return [_csv_field(x) for x in col]
+
+
+def _csv_lines(rows, width: int) -> list:
+    lines = list(map(",".join, rows))
+    if width == 1:
+        # csv.writer quotes a record that is one empty field, so it reads back
+        lines = [line or '""' for line in lines]
+    return lines
+
+
+def write_csv(path, header, *columns) -> None:
+    """Write a table given column by column, one sequence or 1-d array each.
+
+    The text is what ``csv.writer`` writes with floats passed as
+    ``repr(float(x))``: floats (numpy float64 too) as ``repr``, None as an
+    empty field, anything else as ``str``; fields holding a comma, a double
+    quote, CR or LF are quoted; lines end in CRLF.  Columns of unequal
+    length raise ValueError.
+    """
+    for col in columns:
+        if isinstance(col, np.ndarray) and col.ndim != 1:
+            raise ValueError(f"CSV columns must be 1-d, got shape {col.shape}")
+    lengths = {len(col) for col in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")
+    n_rows = lengths.pop() if lengths else 0
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            # float() strips numpy scalar types whose repr does not parse back
-            w.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
+        fh.write(_csv_lines([map(_csv_field, header)], len(header))[0] + "\r\n")
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            block = [_csv_texts(col[start:start + CSV_BLOCK_ROWS]) for col in columns]
+            lines = _csv_lines(zip(*block), len(columns))
+            lines.append("")
+            fh.write("\r\n".join(lines))
 
 
 def channel_fit_to_dict(fit: PauliChannelFit) -> dict:

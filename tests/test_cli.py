@@ -19,6 +19,7 @@ import pytest
 from ocpulse import fileio
 from ocpulse.channel import superoperator_sequence
 from ocpulse.cli import main
+from ocpulse.echo_train import simulate_train
 from ocpulse.pulses import EnsembleDistribution, hard_pulse, symmetrize_excitation
 
 A_MAX = 2 * np.pi * 5000.0
@@ -143,6 +144,52 @@ def test_simulate_ideal_train_is_flat(tmp_path):
     assert header == ["echo", "offset_hz", "rf_scale", "mx", "my", "mz"]
     # 5 offsets x default 5 RF scales per echo
     assert len(rows) == 5 * 25
+
+
+def test_simulate_train_csv_bytes_match_the_row_loop(tmp_path):
+    # the row-tuple loop that wrote train.csv before the column writer,
+    # rebuilt here from simulate_train on the same inputs
+    pulse = tmp_path / "oct_rfi.json"
+    fileio.save_waveform_json(fileio.reference_waveform("oct_rfi"), pulse)
+    rng = np.random.default_rng(4)
+    comb = 2 * np.pi * np.arange(-3, 4) * 250.0 * (1.0 + rng.uniform(-0.05, 0.05, 7))
+    d = EnsembleDistribution.product(comb, [0.9, 1.1])
+    dist = tmp_path / "comb.json"
+    fileio.save_distribution_json(d, dist)
+    out = tmp_path / "train"
+    assert main(["simulate", "--pulse", str(pulse), "--train", "--echoes", "6",
+                 "--distribution", str(dist), "--tau-ms", "1.0", "-o", str(out)]) == 0
+
+    d = fileio.load_distribution_json(dist)
+    res = simulate_train(fileio.load_waveform_json(pulse), 1.0e-3, d, input_axis="y", n_echoes=6)
+    rows = []
+    for k in range(1, res.n_echoes + 1):
+        for pidx in range(d.n_points):
+            mx, my, mz = res.bloch[k - 1, pidx]
+            rows.append((k, d.offsets[pidx] / (2 * np.pi), d.rf_scales[pidx],
+                         float(mx), float(my), float(mz)))
+    avg_rows = [(k + 1, float(v)) for k, v in enumerate(res.ensemble_average)]
+    for name, header, table in (
+        ("train.csv", ["echo", "offset_hz", "rf_scale", "mx", "my", "mz"], rows),
+        ("train_avg.csv", ["echo", "avg"], avg_rows),
+    ):
+        with open(tmp_path / name, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            for row in table:
+                w.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+def test_simulate_sweep_csv_layout(tmp_path):
+    # offset-major, then RF scale, then the 1-based echo index
+    out = tmp_path / "sweep"
+    assert main(["simulate", "--pulse", "ideal", "--sweep", "-o", str(out),
+                 "--offsets-khz=0:1:1", "--rf", "1.0", "--echo-indices", "1,3"]) == 0
+    _, rows = read_csv(out / "sweep.csv")
+    assert [r[1:3] for r in rows] == [["1.0", "1"], ["1.0", "3"]] * 2
+    assert [float(r[0]) for r in rows] == pytest.approx([0.0, 0.0, 1000.0, 1000.0])
+    assert [float(r[3]) for r in rows] == pytest.approx([1.0] * 4)
 
 
 def test_simulate_sweep_with_negative_range(tmp_path):

@@ -107,11 +107,13 @@ def test_visibility_sweep_matches_train_pointwise():
 
 
 def test_visibility_rows_layout():
+    # retained[i, s, e] is offset i, RF scale s, echo echo_indices[e] (1-based)
     sweep = echo_visibility_sweep(None, TAU, [0.0, KHZ], [1.0], echo_indices=(1, 3))
-    rows = sweep.rows()
-    assert len(rows) == 4
-    assert rows[0] == (0.0, 1.0, 1, pytest.approx(1.0))
-    assert rows[3] == (KHZ, 1.0, 3, pytest.approx(1.0))
+    assert sweep.retained.shape == (2, 1, 2)
+    assert (sweep.offsets[0], sweep.rf_scales[0], sweep.echo_indices[0]) == (0.0, 1.0, 1)
+    assert sweep.retained[0, 0, 0] == pytest.approx(1.0)
+    assert (sweep.offsets[1], sweep.rf_scales[0], sweep.echo_indices[1]) == (KHZ, 1.0, 3)
+    assert sweep.retained[1, 0, 1] == pytest.approx(1.0)
     with pytest.raises(ValueError, match="1-based"):
         echo_visibility_sweep(None, TAU, [0.0], [1.0], echo_indices=(0, 1))
 
