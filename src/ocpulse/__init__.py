@@ -19,11 +19,7 @@ from .pulses import (
 )
 from .propagation import (
     bloch_trajectory,
-    cycle_propagator,
     cycle_propagators,
-    ensemble_propagators,
-    free_propagator,
-    pulse_propagator,
     pulse_propagators,
 )
 from .metrics import (
@@ -35,7 +31,6 @@ from .metrics import (
     criteria_sweep,
     retained_signal_model,
     tilted_pulse_avg_hamiltonian,
-    unitary_fidelity,
 )
 from .grape import (
     GrapeConfig,
@@ -43,7 +38,6 @@ from .grape import (
     Termination,
     fidelity_and_gradients,
     grape_ascend,
-    multistart_histogram,
     random_waveform,
 )
 from .ladder import (
@@ -59,7 +53,6 @@ from .channel import (
     PauliChannelFit,
     SuperoperatorMatrix,
     asymptotic_channel,
-    build_superoperator,
     choi_kraus,
     cycle_time,
     fit_pauli_model,
@@ -67,8 +60,6 @@ from .channel import (
     superoperator_sequence,
 )
 from .su2 import (
-    RotationDecomposition,
-    axis_angle,
     expm_su2,
     trace_overlap,
 )

@@ -118,16 +118,6 @@ def transfer_of_unitaries(U: np.ndarray, weights=None, n=1) -> np.ndarray:
     return out[0] if counts.ndim == 0 else out
 
 
-def build_superoperator(
-    p: PulseWaveform | None, tau: float, d: EnsembleDistribution, n: int
-) -> SuperoperatorMatrix:
-    """Averaged n-cycle channel: power each point's cycle, then average."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    U = cycle_propagators(p, tau, d.offsets, d.rf_scales)
-    return SuperoperatorMatrix(transfer_of_unitaries(U, d.weights, n), n)
-
-
 def superoperator_sequence(
     p: PulseWaveform | None, tau: float, d: EnsembleDistribution, n_max: int
 ) -> list:

@@ -160,14 +160,14 @@ def _add_pulse_flags(sp):
 def _criteria_columns(p, offsets, rf_scales):
     """The CRITERIA_HEADER columns of a criteria sweep, offset-major."""
     sweep = criteria_sweep(p, offsets, rf_scales)
-    crit = [c for _, _, c in sweep]
+    c = sweep.criteria
     return [
-        np.array([off for off, _, _ in sweep]) / (2.0 * np.pi),
-        np.array([rf for _, rf, _ in sweep]),
-        np.array([c.fidelity for c in crit]),
-        np.degrees([c.angle_from_xy_plane for c in crit]),
-        np.degrees([c.angle_from_y_axis for c in crit]),
-        np.degrees([c.nutation_angle for c in crit]),
+        sweep.offsets / (2.0 * np.pi),
+        sweep.rf_scales,
+        c.fidelity,
+        np.degrees(c.angle_from_xy_plane),
+        np.degrees(c.angle_from_y_axis),
+        np.degrees(c.nutation_angle),
     ]
 
 
@@ -436,6 +436,8 @@ def cmd_analyze(args, parser) -> int:
 # ---------------------------------------------------------------- compare
 
 def cmd_compare(args, parser) -> int:
+    if args.cycles < 3:
+        parser.error("insufficient samples for fit: need --cycles >= 3")
     outdir = _outdir(args, parser)
     tau = args.tau_ms * 1e-3
     entries = []

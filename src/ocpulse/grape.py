@@ -274,20 +274,3 @@ def multistart_reports(
             return list(pool.map(lambda p0: grape_ascend(p0, d, target, cfg), starts))
     return [grape_ascend(p0, d, target, cfg) for p0 in starts]
 
-
-def multistart_histogram(
-    d: EnsembleDistribution,
-    target: np.ndarray,
-    cfg: GrapeConfig | None,
-    n_starts: int,
-    seed: int,
-    *,
-    template: PulseWaveform,
-) -> np.ndarray:
-    """Final fidelities of independent ascents from random starts, sorted.
-
-    Reproducible from the seed; n_starts = 1 reduces to a single
-    :func:`grape_ascend` from that seeded start.
-    """
-    reports = multistart_reports(d, target, cfg, n_starts, seed, template=template)
-    return np.sort([float(r.fidelity_history[-1]) for r in reports])

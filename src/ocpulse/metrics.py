@@ -3,7 +3,10 @@
 The design target throughout is the ideal pi rotation about y,
 exp(-i pi/2 Y).  Fidelity is the phase-insensitive trace overlap
 |Tr(U V^dag)|^2 / 4, which for a rotation by theta about axis r equals
-sin^2(theta/2) r_y^2.
+sin^2(theta/2) r_y^2.  The axis/angle criteria of :func:`cpmg_criteria`
+take a whole batch of propagators in one pass from their quaternions;
+:func:`criteria_sweep` applies them to a pulse over an offset x RF-scale
+grid.
 """
 
 from __future__ import annotations
@@ -12,78 +15,117 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagation import TARGET_PI_Y, IsochromatPropagators, PulseWaveform, pulse_propagators
-from .su2 import SIGMA_X, SIGMA_Y, Y_AXIS, Z_AXIS, axis_angle, expm_su2, trace_overlap
+from .grape import _ensemble_fidelity, _su2_target
+from .propagation import TARGET_PI_Y, PulseWaveform, pulse_propagators
+from .pulses import EnsembleDistribution
+from .su2 import (
+    SIGMA_X, SIGMA_Y, Y_AXIS, Z_AXIS, expm_su2, quaternions, trace_overlap, unitarity_error,
+)
 
 # sin(theta/2) below this leaves the rotation axis numerically undefined.
 _DEGENERATE_SIN = 1e-9
+# |q_vec| = sin(theta/2) below this gives no axis at all; z stands in.
+_NO_AXIS_SIN = 1e-12
+# Largest |U^dag U - I| accepted as a propagator.
+_UNITARITY_TOL = 1e-9
 
 
-def unitary_fidelity(U: np.ndarray, target: np.ndarray) -> float:
-    """|Tr(U target^dag)|^2 / 4, in [0, 1], global-phase invariant."""
-    return trace_overlap(U, target)
+def average_fidelity(
+    p: PulseWaveform | None, d: EnsembleDistribution, target: np.ndarray = TARGET_PI_Y
+) -> float:
+    """Weight-averaged fidelity of a pulse over an ensemble.
 
-
-def average_fidelity(props: IsochromatPropagators, target: np.ndarray) -> float:
-    """Weight-averaged pointwise fidelity over an ensemble."""
-    fids = trace_overlap(props.propagators, target)
-    return float(np.dot(props.weights, fids))
+    The optimizer's own objective, so a gated fidelity and the one the
+    ascent reports are the same computation.
+    """
+    return _ensemble_fidelity(p, d, _su2_target(target))
 
 
 @dataclass(frozen=True)
 class CpmgCriteria:
-    """Axis-angle quality measures of a would-be refocusing propagator.
+    """Axis-angle quality measures of would-be refocusing propagators.
 
-    angle_from_xy_plane is signed, positive when the rotation axis tilts
-    toward +z; angle_from_y_axis is the unsigned angle between the axis
-    and +y; nutation_angle is the canonical rotation angle in [0, pi].
-    ``degenerate`` flags nutation ~ 0, where the axis (and hence the
-    angles) carry no information.
+    Each field has the batch shape of the propagators.  angle_from_xy_plane
+    is signed, positive when the rotation axis tilts toward +z;
+    angle_from_y_axis is the unsigned angle between the axis and +y;
+    nutation_angle is the canonical rotation angle in [0, pi].
+    ``degenerate`` flags nutation ~ 0, where the axis (and hence the angles)
+    carry no information; the axis of an identity is taken as z.
     """
 
-    angle_from_xy_plane: float
-    angle_from_y_axis: float
-    nutation_angle: float
-    fidelity: float
-    degenerate: bool = False
+    angle_from_xy_plane: np.ndarray
+    angle_from_y_axis: np.ndarray
+    nutation_angle: np.ndarray
+    fidelity: np.ndarray
+    degenerate: np.ndarray
 
 
 def cpmg_criteria(U: np.ndarray) -> CpmgCriteria:
-    """Evaluate a propagator against the axis/angle refocusing criteria.
+    """Evaluate propagators (..., 2, 2) against the axis/angle refocusing
+    criteria, all in one batched pass.
 
     A good CPMG refocusing pulse needs the rotation axis in the xy plane
     (ideally along y) much more than it needs nutation exactly pi; the
     signed plane angle and the axis-to-y angle separate those failure
     modes.
+
+    Raises
+    ------
+    ValueError
+        If U is not a batch of 2x2 operators, or not unitary within 1e-9.
     """
-    dec = axis_angle(U)
-    r = dec.axis
+    U = np.asarray(U)
+    if U.shape[-2:] != (2, 2):
+        raise ValueError(f"expected (..., 2, 2) operators, got shape {U.shape}")
+    if unitarity_error(U) > _UNITARITY_TOL:
+        raise ValueError("operator is not unitary within tolerance")
+    q = quaternions(U)
+    v = q[..., 1:]
+    # |q_vec| as the dot product that np.linalg.norm takes of one 3-vector,
+    # so the criteria keep their bits; norm(axis=-1) and a plain sum of
+    # squares round differently.
+    s = np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0, 0]
+    theta = 2.0 * np.arctan2(s, q[..., 0])
+    r = np.where(
+        (s < _NO_AXIS_SIN)[..., None], Z_AXIS, v / np.maximum(s, _NO_AXIS_SIN)[..., None]
+    )
+    x, y, z = r[..., 0], r[..., 1], r[..., 2]
     # atan2 forms: arcsin/arccos of a unit-vector component near +-1 round
     # every angle below ~1.5e-8 to zero.
     return CpmgCriteria(
-        angle_from_xy_plane=float(np.arctan2(r[2], np.hypot(r[0], r[1]))),
-        angle_from_y_axis=float(np.arctan2(np.hypot(r[0], r[2]), r[1])),
-        nutation_angle=dec.theta,
-        fidelity=unitary_fidelity(U, TARGET_PI_Y),
-        degenerate=bool(np.sin(0.5 * dec.theta) < _DEGENERATE_SIN),
+        angle_from_xy_plane=np.arctan2(z, np.hypot(x, y)),
+        angle_from_y_axis=np.arctan2(np.hypot(x, z), y),
+        nutation_angle=theta,
+        fidelity=trace_overlap(U, TARGET_PI_Y),
+        degenerate=np.sin(0.5 * theta) < _DEGENERATE_SIN,
     )
 
 
-def criteria_sweep(p: PulseWaveform | None, offsets, rf_scales):
-    """Criteria of the pulse propagator on an (offset x rf_scale) grid.
+@dataclass(frozen=True)
+class CriteriaSweep:
+    """Criteria on an (offset x rf_scale) grid, in offset-major order.
 
-    Returns a list of (offset, rf_scale, CpmgCriteria) in offset-major
-    order; offsets in rad/s.
+    offsets (rad/s) and rf_scales are the grid coordinates of each point;
+    criteria holds one value per point in every field.
     """
+
+    offsets: np.ndarray
+    rf_scales: np.ndarray
+    criteria: CpmgCriteria
+
+    def __len__(self) -> int:
+        return self.offsets.size
+
+
+def criteria_sweep(p: PulseWaveform | None, offsets, rf_scales) -> CriteriaSweep:
+    """Criteria of the pulse propagator on an (offset x rf_scale) grid;
+    offsets in rad/s."""
     offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
     rf_scales = np.atleast_1d(np.asarray(rf_scales, dtype=float))
     grid_off = np.repeat(offsets, rf_scales.size)
     grid_rf = np.tile(rf_scales, offsets.size)
     props = pulse_propagators(p, grid_off, grid_rf)
-    return [
-        (float(grid_off[i]), float(grid_rf[i]), cpmg_criteria(props[i]))
-        for i in range(grid_off.size)
-    ]
+    return CriteriaSweep(grid_off, grid_rf, cpmg_criteria(props))
 
 
 def retained_signal_model(k: int, delta: float, r_y: float) -> float:

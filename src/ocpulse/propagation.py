@@ -27,11 +27,9 @@ does not grow with n_steps x P.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .pulses import EnsembleDistribution, PulseWaveform
+from .pulses import PulseWaveform
 from .su2 import Y_AXIS, ck_expm, ck_matrix, ck_mul, expm_su2, rotation_matrices
 
 # The ideal refocusing pulse, exp(-i pi/2 Y); also the optimizer's target.
@@ -59,11 +57,6 @@ def free_pairs(delta_omega, duration: float) -> np.ndarray:
     out = np.zeros(delta_omega.shape + (2,), dtype=complex)
     out[..., 0] = np.exp(-1j * half)
     return out
-
-
-def free_propagator(delta_omega, duration: float) -> np.ndarray:
-    """exp(-i Delta-omega duration / 2 Z); batched over offsets."""
-    return ck_matrix(free_pairs(delta_omega, duration))
 
 
 def step_propagators(p: PulseWaveform, offsets, rf_scales) -> np.ndarray:
@@ -146,13 +139,6 @@ def pulse_propagators(p: PulseWaveform | None, offsets, rf_scales) -> np.ndarray
     return ck_matrix(pulse_pairs(p, offsets, rf_scales))
 
 
-def pulse_propagator(
-    p: PulseWaveform | None, delta_omega: float, omega1_scale: float = 1.0
-) -> np.ndarray:
-    """Single-point pulse propagator, shape (2, 2)."""
-    return pulse_propagators(p, [delta_omega], [omega1_scale])[0]
-
-
 def cycle_propagators(
     p: PulseWaveform | None, tau: float, offsets, rf_scales
 ) -> np.ndarray:
@@ -173,12 +159,6 @@ def cycle_propagators(
     return ck_matrix(ck_mul(ck_mul(first, u), f1))
 
 
-def cycle_propagator(
-    p: PulseWaveform | None, tau: float, delta_omega: float, omega1_scale: float = 1.0
-) -> np.ndarray:
-    return cycle_propagators(p, tau, [delta_omega], [omega1_scale])[0]
-
-
 def half_cycle_propagators(
     p: PulseWaveform | None, tau: float, offsets, rf_scales
 ) -> np.ndarray:
@@ -189,42 +169,6 @@ def half_cycle_propagators(
     u = pulse_propagators(p, offsets, rf_scales)[:, 0]
     f1 = free_pairs(offsets, tau)
     return ck_matrix(ck_mul(ck_mul(f1, u), f1))
-
-
-@dataclass(frozen=True)
-class IsochromatPropagators:
-    """Pulse propagators evaluated pointwise over a distribution.
-
-    Point order matches the distribution exactly.
-    """
-
-    offsets: np.ndarray
-    rf_scales: np.ndarray
-    weights: np.ndarray
-    propagators: np.ndarray
-
-    def __len__(self) -> int:
-        return self.offsets.shape[0]
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield (
-                float(self.offsets[i]),
-                float(self.rf_scales[i]),
-                float(self.weights[i]),
-                self.propagators[i],
-            )
-
-
-def ensemble_propagators(
-    p: PulseWaveform | None, d: EnsembleDistribution
-) -> IsochromatPropagators:
-    return IsochromatPropagators(
-        offsets=d.offsets,
-        rf_scales=d.rf_scales,
-        weights=d.weights,
-        propagators=pulse_propagators(p, d.offsets, d.rf_scales),
-    )
 
 
 def trajectory_times(p: PulseWaveform) -> np.ndarray:

@@ -63,11 +63,6 @@ class PulseWaveform:
     def total_duration(self) -> float:
         return self.pre_delay + self.duration + self.post_delay
 
-    @property
-    def steps(self):
-        """(amplitude, phase) pairs in time order."""
-        return tuple(zip(self.amplitudes.tolist(), self.phases.tolist()))
-
     def cartesian_controls(self) -> np.ndarray:
         """(n_steps, 2) array of (A cos phi, A sin phi)."""
         return np.stack(

@@ -1,9 +1,11 @@
 """Exact 2x2 unitary algebra for spin-1/2 rotations.
 
-Closed-form SU(2) exponentials, canonical axis-angle decomposition, and the
-trace-overlap fidelity used throughout the optimizer and simulators.
-Operators are plain ``(2, 2)`` complex ndarrays; most helpers also accept
-batches of shape ``(..., 2, 2)``.
+Closed-form SU(2) exponentials, phase-stripped quaternions and rotation
+vectors (the batched axis-angle form, from which
+:func:`ocpulse.metrics.cpmg_criteria` takes the refocusing criteria of a
+whole batch), and the trace-overlap fidelity used throughout the optimizer
+and simulators.  Operators are plain ``(2, 2)``
+complex ndarrays; most helpers also accept batches of shape ``(..., 2, 2)``.
 
 Bulk propagation stores an SU(2) element by its Cayley-Klein pair: the
 first row (a, b) of U = [[a, b], [-conj(b), conj(a)]], shape ``(..., 2)``.
@@ -13,12 +15,7 @@ rotation by n theta about the same axis r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-# Type alias for a (2, 2) complex unitary; purely documentary.
-Su2Operator = np.ndarray
 
 ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -31,27 +28,9 @@ X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
-# sin(theta/2) below this is treated as "no rotation"; axis defaults to z.
+# cos(theta/2) below this is a half turn, whose quaternion sign comes from
+# its vector part.
 _DEGENERATE_SIN = 1e-12
-
-
-@dataclass(frozen=True)
-class RotationDecomposition:
-    """Axis-angle form of a 2x2 unitary, U ~ exp(-i theta/2 axis.sigma).
-
-    ``theta`` is canonicalized to [0, pi] (the pair (theta, axis) and
-    (2 pi - theta, -axis) describe the same rotation; the representative
-    with cos(theta/2) >= 0 is chosen).  For theta ~ 0 the axis is
-    reported as z by convention.
-    """
-
-    theta: float
-    axis: np.ndarray
-
-    def __post_init__(self):
-        axis = np.asarray(self.axis, dtype=float)
-        axis.setflags(write=False)
-        object.__setattr__(self, "axis", axis)
 
 
 def expm_su2(axis, angle: float) -> np.ndarray:
@@ -74,7 +53,7 @@ def expm_su2(axis, angle: float) -> np.ndarray:
         if angle == 0.0:
             return ID2.copy()
         raise ValueError("degenerate axis: zero-norm axis with nonzero angle")
-    return expm_rotvec(axis * (angle / norm), 1.0)
+    return ck_matrix(ck_expm(axis * (angle / norm), 1.0))
 
 
 def ck_expm(omega, duration) -> np.ndarray:
@@ -140,14 +119,6 @@ def ck_matrix(x: np.ndarray) -> np.ndarray:
     return np.stack([x, np.stack([-b.conj(), a.conj()], axis=-1)], axis=-2)
 
 
-def expm_rotvec(omega, duration) -> np.ndarray:
-    """Batched exp(-i duration/2 omega.sigma) as (..., 2, 2) matrices.
-
-    Same arguments as :func:`ck_expm`; exactly unitary up to rounding.
-    """
-    return ck_matrix(ck_expm(omega, duration))
-
-
 def quaternions(U: np.ndarray) -> np.ndarray:
     """Phase-stripped real unit quaternions (q0, q1, q2, q3) of unitaries.
 
@@ -180,29 +151,6 @@ def quaternions(U: np.ndarray) -> np.ndarray:
     return np.where(flip[..., None], -qr, qr)
 
 
-def axis_angle(U: np.ndarray, tol: float = 1e-9) -> RotationDecomposition:
-    """Canonical axis-angle decomposition of a single 2x2 unitary.
-
-    Raises
-    ------
-    ValueError
-        If U is not unitary within ``tol``.
-    """
-    U = np.asarray(U)
-    if U.shape != (2, 2):
-        raise ValueError(f"expected a (2, 2) operator, got shape {U.shape}")
-    if unitarity_error(U) > tol:
-        raise ValueError("operator is not unitary within tolerance")
-    q = quaternions(U)
-    s = float(np.linalg.norm(q[1:]))
-    theta = 2.0 * float(np.arctan2(s, q[0]))
-    if s < _DEGENERATE_SIN:
-        axis = Z_AXIS.copy()
-    else:
-        axis = q[1:] / s
-    return RotationDecomposition(theta=theta, axis=axis)
-
-
 def rotation_matrices(U: np.ndarray) -> np.ndarray:
     """SO(3) action of unitaries on Bloch vectors, batched (..., 3, 3).
 
@@ -232,7 +180,7 @@ def rotation_vectors(U: np.ndarray) -> np.ndarray:
 
     U ~ exp(-i theta/2 r.sigma) up to global phase, with theta in [0, pi]
     (the canonical sign of :func:`quaternions`); the identity maps to 0.
-    ``expm_rotvec(rotation_vectors(U), n)`` is U^n up to global phase.
+    ``ck_matrix(ck_expm(rotation_vectors(U), n))`` is U^n up to global phase.
     """
     q = quaternions(U)
     s = np.linalg.norm(q[..., 1:], axis=-1, keepdims=True)
@@ -244,7 +192,7 @@ def rotate_vectors(rotvec, n, m) -> np.ndarray:
     """Bloch vectors m after n turns by rotation vectors theta r (Rodrigues).
 
     R^n m = (r.m) r + cos(n theta) (m - (r.m) r) + sin(n theta) r x m, the
-    SO(3) action of ``expm_rotvec(rotvec, n)``.  rotvec and m broadcast
+    SO(3) action of ``ck_expm(rotvec, n)``.  rotvec and m broadcast
     against each other; n is a 1-d sequence of counts, so the result has
     shape (len(n), ..., 3).
     """
@@ -260,10 +208,13 @@ def rotate_vectors(rotvec, n, m) -> np.ndarray:
 def trace_overlap(A: np.ndarray, B: np.ndarray):
     """|Tr(A B^dag)|^2 / 4; equals 1 iff A and B agree up to global phase.
 
-    Batched over leading axes of either argument.
+    Batched over leading axes of either argument.  Each element has the bits
+    of a lone pair: the square is libm's pow, as ``**`` takes it of a numpy
+    scalar, not the x * x that ``**`` takes of an array (the two differ in
+    the last bit for about one value in 2000).
     """
     t = np.einsum("...ij,...ij->...", np.asarray(A), np.conj(np.asarray(B)))
-    out = 0.25 * np.abs(t) ** 2
+    out = 0.25 * np.float_power(np.abs(t), 2)
     return float(out) if out.ndim == 0 else out
 
 

@@ -10,7 +10,6 @@ from ocpulse.channel import (
     PauliChannelFit,
     SuperoperatorMatrix,
     asymptotic_channel,
-    build_superoperator,
     choi_kraus,
     choi_matrix,
     cycle_time,
@@ -117,7 +116,7 @@ def test_sequence_matches_powered_build():
         for n in (1, 7, 1000, 4096):
             expect = _explicit_power(U, d.weights, n)
             assert np.allclose(seq[n - 1].entries, expect, atol=1e-11)
-            direct = build_superoperator(p, TAU, d, n)
+            direct = superoperator_sequence(p, TAU, d, n)[-1]
             assert np.allclose(direct.entries, expect, atol=1e-11)
         if p is None:
             assert np.allclose(seq[-1].entries, np.eye(4), atol=1e-11)
@@ -142,8 +141,6 @@ def test_sequence_memory_stays_linear_in_points():
 
 def test_input_validation():
     d = EnsembleDistribution.single_point()
-    with pytest.raises(ValueError, match="n"):
-        build_superoperator(HARD, TAU, d, 0)
     with pytest.raises(ValueError, match="n_max"):
         superoperator_sequence(HARD, TAU, d, 0)
     with pytest.raises(ValueError, match="4, 4"):
@@ -260,7 +257,7 @@ def test_symmetric_offsets_cancel_y_cross_terms():
     d = EnsembleDistribution(
         2 * np.pi * np.array([-2700.0, 2700.0]), np.ones(2), np.full(2, 0.5)
     )
-    R = build_superoperator(HARD, TAU, d, 5).entries
+    R = superoperator_sequence(HARD, TAU, d, 5)[-1].entries
     for i, j in ((1, 2), (2, 1), (2, 3), (3, 2)):
         assert abs(R[i, j]) < 1e-12
     assert abs(R[1, 3]) > 0.5

@@ -330,6 +330,18 @@ def test_compare_with_nothing_errors(tmp_path):
     assert exc.value.code == 2
 
 
+def test_compare_needs_three_cycles(tmp_path, capsys):
+    # the fit needs three samples; refuse before any criteria file is written
+    out = tmp_path / "cmp"
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--include-hard", "-o", str(out), "--sweep-khz", "0:1:1",
+              "--rf", "1.0", "--cycles", "2"])
+    assert exc.value.code == 2
+    assert "need --cycles >= 3" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("criteria_*.csv"))
+    assert not out.exists()
+
+
 def test_outdir_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("OCPULSE_OUTDIR", str(tmp_path / "envout"))
     rc = main(["simulate", "--pulse", "hard", "--trajectory"])

@@ -7,7 +7,6 @@ from ocpulse.grape import (
     Termination,
     fidelity_and_gradients,
     grape_ascend,
-    multistart_histogram,
     multistart_reports,
     random_waveform,
 )
@@ -174,15 +173,18 @@ def test_random_waveform_ranges():
     assert np.all(p.amplitudes >= 0.3 * A_MAX) and np.all(p.amplitudes <= 0.8 * A_MAX)
 
 
-def test_multistart_reproducible_and_sorted():
+def _final_fidelities(*args, **kwargs):
+    return np.array([r.fidelity_history[-1] for r in multistart_reports(*args, **kwargs)])
+
+
+def test_multistart_reproducible():
     d = EnsembleDistribution.single_point()
     cfg = GrapeConfig(max_iterations=30)
     tmpl = waveform_template(10, 1e-5, A_MAX)
-    h1 = multistart_histogram(d, TARGET_PI_Y, cfg, 4, 21, template=tmpl)
-    h2 = multistart_histogram(d, TARGET_PI_Y, cfg, 4, 21, template=tmpl)
+    h1 = _final_fidelities(d, TARGET_PI_Y, cfg, 4, 21, template=tmpl)
+    h2 = _final_fidelities(d, TARGET_PI_Y, cfg, 4, 21, template=tmpl)
     assert np.array_equal(h1, h2)
-    assert np.all(np.diff(h1) >= 0.0)
-    h3 = multistart_histogram(d, TARGET_PI_Y, cfg, 4, 22, template=tmpl)
+    h3 = _final_fidelities(d, TARGET_PI_Y, cfg, 4, 22, template=tmpl)
     assert not np.array_equal(h1, h3)
 
 
@@ -190,7 +192,7 @@ def test_multistart_single_start_matches_direct_ascent():
     d = EnsembleDistribution.single_point()
     cfg = GrapeConfig(max_iterations=30)
     tmpl = waveform_template(10, 1e-5, A_MAX)
-    h = multistart_histogram(d, TARGET_PI_Y, cfg, 1, 5, template=tmpl)
+    h = _final_fidelities(d, TARGET_PI_Y, cfg, 1, 5, template=tmpl)
     child = np.random.SeedSequence(5).spawn(1)[0]
     p0 = random_waveform(tmpl, np.random.default_rng(child))
     rep = grape_ascend(p0, d, TARGET_PI_Y, cfg)

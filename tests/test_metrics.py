@@ -12,50 +12,44 @@ from ocpulse.metrics import (
     criteria_sweep,
     retained_signal_model,
     tilted_pulse_avg_hamiltonian,
-    unitary_fidelity,
 )
-from ocpulse.propagation import IsochromatPropagators, ensemble_propagators, pulse_propagator
-from ocpulse.pulses import EnsembleDistribution, hard_pulse
-from ocpulse.su2 import expm_su2
+from ocpulse.propagation import POINT_CHUNK, pulse_propagators
+from ocpulse.pulses import EnsembleDistribution, hard_pulse, waveform_template
+from ocpulse.su2 import Z_AXIS, expm_su2, quaternions, trace_overlap
 
 A_MAX = 2 * np.pi * 5000.0
 
 
 def test_unitary_fidelity_examples():
-    assert unitary_fidelity(TARGET_PI_Y, TARGET_PI_Y) == pytest.approx(1.0)
-    assert unitary_fidelity(np.eye(2, dtype=complex), TARGET_PI_Y) == pytest.approx(0.0, abs=1e-15)
+    assert trace_overlap(TARGET_PI_Y, TARGET_PI_Y) == pytest.approx(1.0)
+    assert trace_overlap(np.eye(2, dtype=complex), TARGET_PI_Y) == pytest.approx(0.0, abs=1e-15)
     # rotation by theta about y: fidelity sin^2(theta/2)
     for theta in (0.3, np.pi / 2, 2.8):
-        got = unitary_fidelity(expm_su2([0, 1, 0], theta), TARGET_PI_Y)
+        got = trace_overlap(expm_su2([0, 1, 0], theta), TARGET_PI_Y)
         assert got == pytest.approx(np.sin(theta / 2) ** 2, abs=1e-12)
     # tilt the axis: fidelity picks up r_y^2
     axis = np.array([0.6, 0.64, 0.48])
     axis /= np.linalg.norm(axis)
-    got = unitary_fidelity(expm_su2(axis, 1.9), TARGET_PI_Y)
+    got = trace_overlap(expm_su2(axis, 1.9), TARGET_PI_Y)
     assert got == pytest.approx(np.sin(0.95) ** 2 * axis[1] ** 2, abs=1e-12)
 
 
 def test_average_fidelity_is_weighted_mean():
-    U0 = expm_su2([0, 1, 0], np.pi)        # fidelity 1
-    U1 = expm_su2([0, 1, 0], np.pi / 2)    # fidelity 1/2
-    props = IsochromatPropagators(
-        offsets=np.array([0.0, 1.0]),
-        rf_scales=np.array([1.0, 1.0]),
-        weights=np.array([0.3, 0.7]),
-        propagators=np.stack([U0, U1]),
-    )
-    assert average_fidelity(props, TARGET_PI_Y) == pytest.approx(0.3 + 0.7 * 0.5, abs=1e-12)
+    # the hard pi pulse at RF scale 1.0 and 0.5 nutates by pi and pi/2
+    # about y: fidelities 1 and 1/2
+    p = hard_pulse(np.pi, np.pi / 2, A_MAX)
+    d = EnsembleDistribution(np.zeros(2), np.array([1.0, 0.5]), np.array([0.3, 0.7]))
+    assert average_fidelity(p, d) == pytest.approx(0.3 + 0.7 * 0.5, abs=1e-12)
 
 
 def test_average_fidelity_of_hard_pulse_ensemble():
     p = hard_pulse(np.pi, np.pi / 2, A_MAX)
     d = EnsembleDistribution.product(2 * np.pi * np.array([0.0, 2e3]), [1.0])
-    props = ensemble_propagators(p, d)
     pointwise = [
-        unitary_fidelity(pulse_propagator(p, dw, s), TARGET_PI_Y)
-        for dw, s, _, _ in props
+        trace_overlap(pulse_propagators(p, [dw], [s])[0], TARGET_PI_Y)
+        for dw, s in zip(d.offsets, d.rf_scales)
     ]
-    assert average_fidelity(props, TARGET_PI_Y) == pytest.approx(np.mean(pointwise), abs=1e-12)
+    assert average_fidelity(p, d) == pytest.approx(np.mean(pointwise), abs=1e-12)
 
 
 def test_cpmg_criteria_tilted_axis():
@@ -79,6 +73,20 @@ def test_cpmg_criteria_degenerate_identity():
     assert c.degenerate
     assert c.nutation_angle == pytest.approx(0.0, abs=1e-9)
     assert c.fidelity == pytest.approx(0.0, abs=1e-12)
+    # the identity has no axis; z stands in, a right angle from plane and y
+    assert c.angle_from_xy_plane == np.pi / 2
+    assert c.angle_from_y_axis == np.pi / 2
+
+
+def test_cpmg_criteria_rejects_nonunitary():
+    with pytest.raises(ValueError, match="not unitary"):
+        cpmg_criteria(np.array([[1.0, 0.1], [0.0, 1.0]], dtype=complex))
+    # one bad operator in a batch rejects the batch
+    batch = np.stack([np.eye(2, dtype=complex), np.array([[1.0, 0.1], [0.0, 1.0]])])
+    with pytest.raises(ValueError, match="not unitary"):
+        cpmg_criteria(batch)
+    with pytest.raises(ValueError, match="shape"):
+        cpmg_criteria(np.eye(3, dtype=complex))
 
 
 def test_cpmg_criteria_resolves_tiny_tilt_from_y():
@@ -110,14 +118,57 @@ def test_cpmg_criteria_internal_consistency(x, y, z, theta):
 def test_criteria_sweep_order_and_values():
     p = hard_pulse(np.pi, np.pi / 2, A_MAX)
     offs = 2 * np.pi * np.array([-1e3, 1e3])
-    rows = criteria_sweep(p, offs, [0.9, 1.0])
-    assert [(r[0], r[1]) for r in rows] == [
+    sweep = criteria_sweep(p, offs, [0.9, 1.0])
+    assert len(sweep) == 4
+    assert list(zip(sweep.offsets, sweep.rf_scales)) == [
         (offs[0], 0.9), (offs[0], 1.0), (offs[1], 0.9), (offs[1], 1.0)
     ]
-    for dw, s, c in rows:
-        expect = cpmg_criteria(pulse_propagator(p, dw, s))
-        assert c.fidelity == pytest.approx(expect.fidelity, abs=1e-12)
-        assert c.nutation_angle == pytest.approx(expect.nutation_angle, abs=1e-12)
+    for i, (dw, s) in enumerate(zip(sweep.offsets, sweep.rf_scales)):
+        expect = cpmg_criteria(pulse_propagators(p, [dw], [s])[0])
+        assert sweep.criteria.fidelity[i] == pytest.approx(expect.fidelity, abs=1e-12)
+        assert sweep.criteria.nutation_angle[i] == pytest.approx(expect.nutation_angle, abs=1e-12)
+
+
+def _pointwise_criteria(U):
+    """The criteria of one unitary as a per-point loop takes them: the trace
+    overlap of a lone pair, the quaternion, np.linalg.norm of its 1-d vector
+    part, then atan2 angles."""
+    q = quaternions(U)
+    s = np.linalg.norm(q[1:])
+    theta = 2.0 * np.arctan2(s, q[0])
+    r = Z_AXIS if s < 1e-12 else q[1:] / s
+    t = np.einsum("ij,ij->", U, np.conj(TARGET_PI_Y))
+    return (
+        0.25 * np.abs(t) ** 2,
+        np.arctan2(r[2], np.hypot(r[0], r[1])),
+        np.arctan2(np.hypot(r[0], r[2]), r[1]),
+        theta,
+        np.sin(0.5 * theta) < 1e-9,
+    )
+
+
+@pytest.mark.parametrize("pulse", ["hard", "ideal", "zero"])
+def test_criteria_sweep_matches_pointwise_criteria_bitwise(pulse):
+    # 2.5 x POINT_CHUNK grid points, so the pulse product runs in a partial
+    # last chunk; the zero-amplitude pulse is free precession, which is the
+    # identity (no axis) on resonance
+    p = {
+        "hard": hard_pulse(np.pi, np.pi / 2, A_MAX),
+        "ideal": None,
+        "zero": waveform_template(4, 1e-5, A_MAX, pre_delay=6e-6, post_delay=6e-6),
+    }[pulse]
+    n_rf = 5
+    offs = np.sort(np.append(np.linspace(-2 * np.pi * 1e4, 2 * np.pi * 1e4, POINT_CHUNK // 2), 0.0))
+    sweep = criteria_sweep(p, offs, np.linspace(0.9, 1.1, n_rf))
+    assert len(sweep) == offs.size * n_rf >= 5 * POINT_CHUNK // 2
+    U = pulse_propagators(p, sweep.offsets, sweep.rf_scales)
+    c = sweep.criteria
+    got = np.column_stack([c.fidelity, c.angle_from_xy_plane, c.angle_from_y_axis,
+                           c.nutation_angle, c.degenerate])
+    expect = np.array([_pointwise_criteria(u) for u in U])
+    assert np.array_equal(got, expect)
+    if pulse == "zero":
+        assert np.count_nonzero(c.degenerate) == n_rf
 
 
 def test_retained_signal_model():

@@ -45,9 +45,9 @@ def test_free_propagator_matches_z_rotation():
     dw = 2 * np.pi * 1234.0
     t = 3.7e-4
     assert np.allclose(
-        prop.free_propagator(dw, t), expm_su2([0, 0, 1], dw * t), atol=1e-14
+        ck_matrix(prop.free_pairs(dw, t)), expm_su2([0, 0, 1], dw * t), atol=1e-14
     )
-    batch = prop.free_propagator([0.0, dw, -dw], t)
+    batch = ck_matrix(prop.free_pairs([0.0, dw, -dw], t))
     assert batch.shape == (3, 2, 2)
     assert np.allclose(batch[0], np.eye(2))
     assert np.allclose(batch[2], batch[1].conj())
@@ -55,10 +55,10 @@ def test_free_propagator_matches_z_rotation():
 
 def test_hard_pulse_propagator_on_resonance():
     p = hard_pulse(np.pi, np.pi / 2, A_MAX)
-    U = prop.pulse_propagator(p, 0.0)
+    U = prop.pulse_propagators(p, [0.0], [1.0])[0]
     assert np.allclose(U, expm_su2([0, 1, 0], np.pi), atol=1e-12)
     # half rf amplitude gives half the nutation
-    U = prop.pulse_propagator(p, 0.0, omega1_scale=0.5)
+    U = prop.pulse_propagators(p, [0.0], [0.5])[0]
     assert np.allclose(U, expm_su2([0, 1, 0], np.pi / 2), atol=1e-12)
 
 
@@ -66,7 +66,7 @@ def test_hard_pulse_propagator_off_resonance_closed_form():
     # offset equal to the rf amplitude: effective field along (y+z)/sqrt(2),
     # nutation angle sqrt(2) * pi over the nominal 100 us
     p = hard_pulse(np.pi, np.pi / 2, A_MAX)
-    U = prop.pulse_propagator(p, A_MAX)
+    U = prop.pulse_propagators(p, [A_MAX], [1.0])[0]
     expect = expm_su2([0, 1 / np.sqrt(2), 1 / np.sqrt(2)], np.sqrt(2) * np.pi)
     assert np.allclose(U, expect, atol=1e-12)
 
@@ -74,8 +74,8 @@ def test_hard_pulse_propagator_off_resonance_closed_form():
 def test_guards_are_free_precession():
     dw = 2 * np.pi * 2000.0
     p = waveform_template(3, 1e-5, A_MAX, pre_delay=4e-5, post_delay=2e-5)  # zero amplitude
-    U = prop.pulse_propagator(p, dw)
-    assert np.allclose(U, prop.free_propagator(dw, p.total_duration), atol=1e-13)
+    U = prop.pulse_propagators(p, [dw], [1.0])[0]
+    assert np.allclose(U, ck_matrix(prop.free_pairs(dw, p.total_duration)), atol=1e-13)
 
 
 def test_pulse_propagator_is_ordered_step_product():
@@ -112,12 +112,12 @@ def test_pulse_propagators_chunked_equals_per_slice_product():
     assert got.shape == (P, 2, 2)
     for i in range(0, P, prop.POINT_CHUNK):
         o, s = offs[i:i + prop.POINT_CHUNK], scales[i:i + prop.POINT_CHUNK]
-        pre = prop.free_propagator(o, p.pre_delay)[..., 0, :]
-        post = prop.free_propagator(o, p.post_delay)[..., 0, :]
+        pre = prop.free_pairs(o, p.pre_delay)
+        post = prop.free_pairs(o, p.post_delay)
         whole = ck_mul(post, prop.forward_products(prop.step_propagators(p, o, s), pre))
         assert np.array_equal(got[i:i + prop.POINT_CHUNK], ck_matrix(whole))
     for i in (0, prop.POINT_CHUNK, P - 1):
-        assert np.array_equal(got[i], prop.pulse_propagator(p, offs[i], scales[i]))
+        assert np.array_equal(got[i], prop.pulse_propagators(p, offs[i:i + 1], scales[i:i + 1])[0])
 
 
 
@@ -158,8 +158,7 @@ def test_offset_sign_symmetry_for_x_phase_pulses():
     rng = np.random.default_rng(6)
     p = PulseWaveform(2e-6, rng.uniform(0, A_MAX, 5), np.zeros(5), A_MAX)
     dw = 2 * np.pi * 4.2e3
-    Up = prop.pulse_propagator(p, dw)
-    Um = prop.pulse_propagator(p, -dw)
+    Up, Um = prop.pulse_propagators(p, [dw, -dw], [1.0, 1.0])
     assert np.allclose(Um, SIGMA_X @ Up @ SIGMA_X, atol=1e-12)
 
 
@@ -180,7 +179,7 @@ def test_ideal_cycle_is_minus_identity_everywhere():
 
 def test_hard_cycle_on_resonance_is_minus_identity():
     p = hard_pulse(np.pi, np.pi / 2, A_MAX)
-    C = prop.cycle_propagator(p, 1e-3, 0.0)
+    C = prop.cycle_propagators(p, 1e-3, [0.0], [1.0])[0]
     assert np.allclose(C, -np.eye(2), atol=1e-12)
 
 
@@ -210,11 +209,10 @@ def test_negative_tau_rejected():
 def test_ensemble_propagators_pointwise():
     p = hard_pulse(np.pi, np.pi / 2, A_MAX)
     d = EnsembleDistribution.product(2 * np.pi * np.array([-2e3, 0.0, 5e3]), [0.9, 1.1])
-    ens = prop.ensemble_propagators(p, d)
-    assert len(ens) == 6
-    for i, (dw, s, w, U) in enumerate(ens):
-        assert dw == d.offsets[i] and s == d.rf_scales[i] and w == d.weights[i]
-        assert np.allclose(U, prop.pulse_propagator(p, dw, s), atol=1e-14)
+    ens = prop.pulse_propagators(p, d.offsets, d.rf_scales)
+    assert ens.shape == (6, 2, 2)
+    for i, (dw, s) in enumerate(zip(d.offsets, d.rf_scales)):
+        assert np.allclose(ens[i], prop.pulse_propagators(p, [dw], [s])[0], atol=1e-14)
 
 
 def test_trajectory_times_layout():
@@ -243,7 +241,7 @@ def test_bloch_trajectory_matches_propagator_endpoint():
     m_in /= np.linalg.norm(m_in)
     dw, s = 2 * np.pi * 3.1e3, 1.07
     traj = prop.bloch_trajectory(p, dw, s, m_in)
-    R = rotation_matrices(prop.pulse_propagator(p, dw, s))
+    R = rotation_matrices(prop.pulse_propagators(p, [dw], [s])[0])
     assert np.allclose(traj[-1], R @ m_in, atol=1e-12)
     assert np.allclose(np.linalg.norm(traj, axis=1), 1.0, atol=1e-10)
 
