@@ -25,10 +25,9 @@ def analysis_distribution(n_offsets=1601, n_scales=21, seed=42):
 
 
 def fit_for(waveform, tau, d, n_cycles):
-    seq = channel.superoperator_sequence(waveform, tau, d, n_cycles)
-    probs = np.array([channel.pauli_probabilities(s)[0] for s in seq])
-    return channel.fit_pauli_model(probs, channel.cycle_time(waveform, tau),
-                                   superoperators=seq)
+    R = channel.superoperator_sequence(waveform, tau, d, n_cycles)
+    probs, _ = channel.pauli_probabilities(R)
+    return channel.fit_pauli_model(probs, channel.cycle_time(waveform, tau), transfer=R)
 
 
 def main():

@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .pulses import (
     EnsembleDistribution,
     PulseWaveform,
-    clip_amplitudes,
     hard_pulse,
     symmetrize_excitation,
     uniform_ladder_distribution,
@@ -51,7 +50,6 @@ from .ladder import (
 from .echo_train import EchoTrainResult, echo_visibility_sweep, simulate_train
 from .channel import (
     PauliChannelFit,
-    SuperoperatorMatrix,
     asymptotic_channel,
     choi_kraus,
     cycle_time,

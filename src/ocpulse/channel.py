@@ -21,11 +21,15 @@ counts at a time: no per-point matrix is formed for any count, and memory
 stays linear in the number of points whatever n_max is.  As n -> infinity
 the oscillating sums average out and each point keeps r r^T (or I for a
 cycle that is the identity).
+
+Channels are plain float arrays: one transfer matrix is (4, 4), and a
+sequence of them is an (n_max, 4, 4) stack whose row n - 1 is the n-cycle
+channel.  The Pauli projection and the fit take the whole stack at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,23 +42,14 @@ from .su2 import PAULIS, rotation_vectors
 _POWER_BLOCK_ELEMENTS = 1 << 20
 
 
-@dataclass(frozen=True)
-class SuperoperatorMatrix:
-    """Pauli transfer matrix of the averaged n-cycle channel.
-
-    entries is real (4, 4) in the (I, X, Y, Z) basis; n_cycles is None for
-    the asymptotic (n -> infinity) channel.
-    """
-
-    entries: np.ndarray
-    n_cycles: int | None
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.shape != (4, 4):
-            raise ValueError("entries must be a (4, 4) real matrix")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+def _transfer(R, stack: bool = True) -> np.ndarray:
+    """R as a float array, checked to be (..., 4, 4) (one (4, 4) matrix
+    when stack is False)."""
+    R = np.asarray(R, dtype=float)
+    if (R.shape[-2:] if stack else R.shape) != (4, 4):
+        want = "(..., 4, 4)" if stack else "(4, 4)"
+        raise ValueError(f"transfer matrix must be {want}, got shape {R.shape}")
+    return R
 
 
 def _axes_and_angles(U: np.ndarray):
@@ -120,24 +115,27 @@ def transfer_of_unitaries(U: np.ndarray, weights=None, n=1) -> np.ndarray:
 
 def superoperator_sequence(
     p: PulseWaveform | None, tau: float, d: EnsembleDistribution, n_max: int
-) -> list:
-    """Channels for n = 1 .. n_max, all from one closed-form weighted sum."""
+) -> np.ndarray:
+    """(n_max, 4, 4) transfer matrices of the n-cycle channels, n = 1 ..
+    n_max (row n - 1 is the n-cycle channel), from one closed-form
+    weighted sum."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     U = cycle_propagators(p, tau, d.offsets, d.rf_scales)
-    R = transfer_of_unitaries(U, d.weights, np.arange(1, n_max + 1))
-    return [SuperoperatorMatrix(entries, n) for n, entries in enumerate(R, start=1)]
+    return transfer_of_unitaries(U, d.weights, np.arange(1, n_max + 1))
 
 
-def choi_matrix(s: SuperoperatorMatrix) -> np.ndarray:
-    """(4, 4) Choi matrix (column-stacking convention) of the channel."""
-    R = s.entries
+def choi_matrix(R: np.ndarray) -> np.ndarray:
+    """(4, 4) Choi matrix (column-stacking convention) of the channel with
+    (4, 4) transfer matrix R."""
+    R = _transfer(R, stack=False)
     C = 0.5 * np.einsum("ba,aji,bkl->ikjl", R, PAULIS, PAULIS)
     return C.reshape(4, 4)
 
 
-def choi_kraus(s: SuperoperatorMatrix, cp_tol: float = 1e-6):
-    """Kraus form [(probability, operator), ...] sorted by weight.
+def choi_kraus(R: np.ndarray, cp_tol: float = 1e-6):
+    """Kraus form [(probability, operator), ...] of the channel with (4, 4)
+    transfer matrix R, sorted by weight.
 
     Operators are normalized so each fires with the paired probability;
     probabilities are Choi eigenvalues over 2 and sum to 1 for a
@@ -146,13 +144,13 @@ def choi_kraus(s: SuperoperatorMatrix, cp_tol: float = 1e-6):
     Raises
     ------
     ValueError
-        If the channel is not trace preserving, or a Choi eigenvalue is
-        below -cp_tol (not completely positive).
+        If R is not (4, 4), the channel is not trace preserving, or a Choi
+        eigenvalue is below -cp_tol (not completely positive).
     """
-    R = s.entries
+    R = _transfer(R, stack=False)
     if np.max(np.abs(R[0] - np.array([1.0, 0.0, 0.0, 0.0]))) > 1e-8:
         raise ValueError("channel is not trace preserving")
-    evals, evecs = np.linalg.eigh(choi_matrix(s))
+    evals, evecs = np.linalg.eigh(choi_matrix(R))
     if evals.min() < -cp_tol:
         raise ValueError(
             f"channel is not completely positive (Choi eigenvalue {evals.min():.3e})"
@@ -169,32 +167,36 @@ def choi_kraus(s: SuperoperatorMatrix, cp_tol: float = 1e-6):
     return out
 
 
-def pauli_probabilities(s: SuperoperatorMatrix):
-    """Nearest Pauli-channel probabilities (p_I, p_x, p_y, p_z) and the
-    off-diagonal residual discarded by that projection.
+def pauli_probabilities(R: np.ndarray):
+    """Nearest Pauli-channel probabilities and the off-diagonal residual
+    that projection discards, for (..., 4, 4) transfer matrices.
 
-    Exact (residual ~ 0) when the transfer matrix is diagonal; the
-    diagonal is all a Pauli channel can see.
+    Returns probs (..., 4), ordered (p_I, p_x, p_y, p_z), and residual
+    (...), the Frobenius norm of each matrix's off-diagonal part.  Exact
+    (residual ~ 0) when the transfer matrix is diagonal; the diagonal is
+    all a Pauli channel can see.
     """
-    R = s.entries
-    rx, ry, rz = R[1, 1], R[2, 2], R[3, 3]
-    probs = 0.25 * np.array(
+    R = _transfer(R)
+    rx, ry, rz = R[..., 1, 1], R[..., 2, 2], R[..., 3, 3]
+    probs = 0.25 * np.stack(
         [
             1.0 + rx + ry + rz,
             1.0 + rx - ry - rz,
             1.0 - rx + ry - rz,
             1.0 - rx - ry + rz,
-        ]
+        ],
+        axis=-1,
     )
-    residual = float(np.linalg.norm(R - np.diag(np.diag(R))))
+    residual = np.linalg.norm(R * (1.0 - np.eye(4)), axis=(-2, -1))
     return probs, residual
 
 
 def asymptotic_channel(
     p: PulseWaveform | None, tau: float, d: EnsembleDistribution
-) -> SuperoperatorMatrix:
-    """n -> infinity channel: per point rho -> (rho + (r.sigma) rho (r.sigma))/2
-    with r the cycle rotation axis, then weight averaged.
+) -> np.ndarray:
+    """(4, 4) transfer matrix of the n -> infinity channel: per point
+    rho -> (rho + (r.sigma) rho (r.sigma))/2 with r the cycle rotation
+    axis, then weight averaged.
 
     The per-point Bloch block is the rank-one projector r r^T, the limit of
     the n-average of the closed form once the cos and sin terms wash out.
@@ -207,7 +209,7 @@ def asymptotic_channel(
     axes = np.where(still[:, None], 0.0, r)
     block = np.einsum("p,pi,pj->ij", d.weights, axes, axes)
     block += d.weights[still].sum() * np.eye(3)
-    return SuperoperatorMatrix(_embed(block), None)
+    return _embed(block)
 
 
 def cycle_time(p: PulseWaveform | None, tau: float) -> float:
@@ -225,10 +227,11 @@ class PauliChannelFit:
     value (infinite when the excess never decays to 1/e of its n = 0
     value).  m_infinity = c_i + c_y - c_x - c_z is the echo amplitude the
     train retains asymptotically.  fit_overlap is the worst (over n)
-    normalized Frobenius overlap between the per-cycle fitted Pauli
-    channel and the full simulated transfer matrix; it measures how much
-    of the map the Pauli-channel form captures (the deficit is coherent
-    off-diagonal content a probability model cannot represent).
+    normalized Frobenius overlap between the per-cycle Pauli channel and
+    the full simulated transfer matrix, min_n ||diag R_n|| / ||R_n||; it
+    measures how much of the map the Pauli-channel form captures (the
+    deficit is coherent off-diagonal content a probability model cannot
+    represent).
     """
 
     per_cycle_probs: np.ndarray
@@ -263,31 +266,11 @@ def model_probabilities(fit: PauliChannelFit, n) -> np.ndarray:
     return out
 
 
-def _transfer_from_probs(probs: np.ndarray) -> np.ndarray:
-    """Diagonal transfer matrix of a Pauli channel with the given probs."""
-    pi, px, py, pz = probs
-    return np.diag(
-        [
-            1.0,
-            pi + px - py - pz,
-            pi - px + py - pz,
-            pi - px - py + pz,
-        ]
-    )
-
-
-def _normalized_overlap(A: np.ndarray, B: np.ndarray) -> float:
-    na, nb = np.linalg.norm(A), np.linalg.norm(B)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.sum(A * B) / (na * nb))
-
-
 def fit_pauli_model(
     per_cycle_probs: np.ndarray,
     t_c: float,
     *,
-    superoperators: list | None = None,
+    transfer: np.ndarray | None = None,
     tail_fraction: float = 0.25,
 ) -> PauliChannelFit:
     """Fit the exponential identity-decay model to per-cycle probabilities.
@@ -298,12 +281,14 @@ def fit_pauli_model(
         Pauli probabilities for n = 1 .. n_max.
     t_c : float
         Cycle duration in seconds.
-    superoperators : list of SuperoperatorMatrix, optional
-        Full simulated transfer matrices, off-diagonals included.  When
-        given, fit_overlap is the minimum over n of the overlap between
-        the fitted Pauli channel at that cycle and the simulated matrix;
-        without them the overlap is left as nan (the diagonal alone
-        cannot say how Pauli-like the map is).
+    transfer : (n_max, 4, 4) array, optional
+        Full simulated transfer matrices for n = 1 .. n_max, off-diagonals
+        included, as superoperator_sequence returns them.  When given,
+        fit_overlap is min_n ||diag R_n|| / ||R_n||: the normalized
+        Frobenius overlap between the Pauli channel of cycle n, whose
+        transfer matrix is diag R_n, and R_n itself.  Without them the
+        overlap is left as nan (the diagonal alone cannot say how
+        Pauli-like the map is).
     tail_fraction : float
         Portion of the trailing cycles averaged into the asymptotic
         constants.
@@ -341,7 +326,16 @@ def fit_pauli_model(
     t2_cycles = float(n_star)
     t2 = float(n_star * t_c) if np.isfinite(n_star) else np.inf
 
-    fit = PauliChannelFit(
+    if transfer is None:
+        overlap = np.nan
+    else:
+        R = np.asarray(transfer, dtype=float)
+        if R.shape != (n_max, 4, 4):
+            raise ValueError(f"transfer must be ({n_max}, 4, 4), got shape {R.shape}")
+        diag_norms = np.linalg.norm(np.diagonal(R, axis1=-2, axis2=-1), axis=-1)
+        overlap = float(np.min(diag_norms / np.linalg.norm(R, axis=(-2, -1))))
+
+    return PauliChannelFit(
         per_cycle_probs=probs,
         c_i=float(c_i),
         c_x=float(c_x),
@@ -351,13 +345,5 @@ def fit_pauli_model(
         t2_pulse_cycles=t2_cycles,
         cycle_time=float(t_c),
         m_infinity=float(c_i + c_y - c_x - c_z),
-        fit_overlap=np.nan,
+        fit_overlap=overlap,
     )
-    if superoperators is None:
-        return fit
-    overlaps = []
-    for i in range(n_max):
-        S_fit = _transfer_from_probs(probs[i])
-        S_sim = np.asarray(superoperators[i].entries)
-        overlaps.append(_normalized_overlap(S_fit, S_sim))
-    return replace(fit, fit_overlap=float(np.min(overlaps)))

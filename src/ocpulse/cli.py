@@ -326,13 +326,9 @@ def cmd_optimize(args, parser) -> int:
 
 def cmd_simulate(args, parser) -> int:
     outdir = _outdir(args, parser)
-    try:
-        pulse, label = _resolve_pulse(
-            args.pulse, args.amax_khz, args.hard_nutation_deg, args.hard_phase_deg
-        )
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    pulse, label = _resolve_pulse(
+        args.pulse, args.amax_khz, args.hard_nutation_deg, args.hard_phase_deg
+    )
     tau = args.tau_ms * 1e-3
     outputs = []
     params = {
@@ -397,20 +393,16 @@ def cmd_analyze(args, parser) -> int:
     if args.cycles < 3:
         parser.error("insufficient samples for fit: need --cycles >= 3")
     outdir = _outdir(args, parser)
-    try:
-        pulse, label = _resolve_pulse(
-            args.pulse, args.amax_khz, args.hard_nutation_deg, args.hard_phase_deg
-        )
-        d = _build_distribution(args, parser)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    pulse, label = _resolve_pulse(
+        args.pulse, args.amax_khz, args.hard_nutation_deg, args.hard_phase_deg
+    )
+    d = _build_distribution(args, parser)
     tau = args.tau_ms * 1e-3
-    seq = superoperator_sequence(pulse, tau, d, args.cycles)
-    probs, residuals = zip(*(pauli_probabilities(s) for s in seq))
-    fit = fit_pauli_model(np.array(probs), cycle_time(pulse, tau), superoperators=seq)
+    R = superoperator_sequence(pulse, tau, d, args.cycles)
+    probs, residuals = pauli_probabilities(R)
+    fit = fit_pauli_model(probs, cycle_time(pulse, tau), transfer=R)
     payload = channel_fit_to_dict(fit)
-    payload["offdiag_residual"] = list(residuals)
+    payload["offdiag_residual"] = residuals.tolist()
     outputs = ["channel.json"]
     params = {
         "pulse": args.pulse, "label": label, "tau_ms": args.tau_ms,
@@ -418,9 +410,9 @@ def cmd_analyze(args, parser) -> int:
     }
     if args.asymptotic:
         limit = asymptotic_channel(pulse, tau, d)
-        gap = float(np.max(np.abs(seq[-1].entries - limit.entries)))
+        gap = float(np.max(np.abs(R[-1] - limit)))
         payload["asymptotic"] = {
-            "entries": limit.entries.tolist(),
+            "entries": limit.tolist(),
             "max_entry_gap_at_n": gap,
         }
         params["asymptotic_gap"] = gap
@@ -467,9 +459,9 @@ def cmd_compare(args, parser) -> int:
         means["pulse"] += [label] * offsets.size
         means["offset_hz"] += (offsets / (2 * np.pi)).tolist()
         means["fidelity"] += [float(row.mean()) for row in fid]
-        seq = superoperator_sequence(p, tau, d, args.cycles)
-        probs = np.array([pauli_probabilities(s)[0] for s in seq])
-        fit = fit_pauli_model(probs, cycle_time(p, tau), superoperators=seq)
+        R = superoperator_sequence(p, tau, d, args.cycles)
+        probs, _ = pauli_probabilities(R)
+        fit = fit_pauli_model(probs, cycle_time(p, tau), transfer=R)
         t2c = fit.t2_pulse_cycles
         table["pulse"].append(label)
         table["t2_pulse_cycles"].append(t2c if np.isfinite(t2c) else "inf")

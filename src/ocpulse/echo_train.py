@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .propagation import half_cycle_propagators, pulse_propagators
-from .pulses import EnsembleDistribution, PulseWaveform
+from .pulses import EnsembleDistribution, PulseWaveform, check_points
 from .su2 import Y_AXIS, rotate_vectors, rotation_matrices, rotation_vectors
 
 _AXES = {"x": 0, "y": 1, "z": 2}
@@ -111,10 +111,12 @@ def echo_visibility_sweep(
     """Echo visibility of a sigma_y input across an offset x RF grid.
 
     Each grid point evolves independently; only the requested echoes are
-    evaluated.  Offsets in rad/s.
+    evaluated.  Offsets in rad/s must be finite, RF scales positive and
+    finite.
     """
     offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
     rf_scales = np.atleast_1d(np.asarray(rf_scales, dtype=float))
+    check_points(offsets, rf_scales)
     echo_indices = tuple(int(k) for k in echo_indices)
     if any(k < 1 for k in echo_indices):
         raise ValueError("echo indices are 1-based and must be >= 1")

@@ -230,10 +230,6 @@ def channel_fit_to_dict(fit: PauliChannelFit) -> dict:
     }
 
 
-def save_channel_fit_json(fit: PauliChannelFit, path) -> None:
-    Path(path).write_text(json.dumps(channel_fit_to_dict(fit), indent=1))
-
-
 # Reference pulses shipped with the package (see scripts/run_full_pipeline.py
 # for the exact seeded run that produced them).
 #   oct_rfi        1 ms refocusing pulse, comb-trained to |dw|/2pi <= 8 kHz

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pulses import PulseWaveform
+from .pulses import PulseWaveform, check_points
 from .su2 import Y_AXIS, ck_expm, ck_matrix, ck_mul, expm_su2, rotation_matrices
 
 # The ideal refocusing pulse, exp(-i pi/2 Y); also the optimizer's target.
@@ -188,6 +188,10 @@ def bloch_trajectory(
 
     Parameters
     ----------
+    delta_omega : float
+        Finite resonance offset, rad/s.
+    omega1_scale : float
+        Positive, finite RF scale.
     m_in : array_like, shape (3,)
         Unit Bloch vector at the start of the pulse.
 
@@ -197,6 +201,7 @@ def bloch_trajectory(
     The final row equals the image of ``m_in`` under the full pulse
     propagator; the norm is conserved to rounding.
     """
+    check_points(delta_omega, omega1_scale)
     m = np.asarray(m_in, dtype=float)
     if m.shape != (3,):
         raise ValueError("m_in must be a 3-vector")

@@ -20,10 +20,9 @@ class PulseWaveform:
     """A shaped pulse: uniform step length dt, per-step amplitude and phase.
 
     ``a_max`` records the hardware amplitude cap.  Construction does not
-    enforce amplitudes <= a_max (see :func:`clip_amplitudes`, which
-    establishes that invariant); optimizer and file outputs always satisfy
-    it.  Negative amplitudes are representable transiently and are folded
-    into a pi phase shift by :func:`clip_amplitudes`.
+    enforce amplitudes <= a_max; the optimizer caps every step's amplitude
+    at a_max after each update, so its outputs and the files written from
+    them satisfy it.
     """
 
     dt: float
@@ -112,21 +111,6 @@ def symmetrize_excitation(p: PulseWaveform) -> PulseWaveform:
     return PulseWaveform(dt=p.dt, amplitudes=amps, phases=phases, a_max=p.a_max)
 
 
-def clip_amplitudes(p: PulseWaveform) -> PulseWaveform:
-    """Canonical form with amplitudes in [0, a_max].
-
-    Negative amplitudes are folded into a pi phase shift first, then values
-    above the cap are clipped to it.  Idempotent.
-    """
-    amps = p.amplitudes.copy()
-    phases = p.phases.copy()
-    neg = amps < 0.0
-    amps[neg] = -amps[neg]
-    phases[neg] = np.mod(phases[neg] + np.pi, TWO_PI)
-    np.minimum(amps, p.a_max, out=amps)
-    return p.with_steps(amps, phases)
-
-
 def waveform_template(
     n_steps: int,
     dt: float,
@@ -145,6 +129,16 @@ def waveform_template(
         pre_delay=pre_delay,
         post_delay=post_delay,
     )
+
+
+def check_points(offsets, rf_scales) -> None:
+    """Raise ValueError unless every offset is finite and every RF scale
+    positive and finite."""
+    if not np.all(np.isfinite(offsets)):
+        raise ValueError("offsets must be finite")
+    scales = np.asarray(rf_scales, dtype=float)
+    if not np.all((scales > 0.0) & np.isfinite(scales)):
+        raise ValueError("rf_scales must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -169,10 +163,7 @@ class EnsembleDistribution:
             raise ValueError("offsets, rf_scales, weights must be 1-d and equal length")
         if offs.shape[0] == 0:
             raise ValueError("distribution must contain at least one point")
-        if not np.all(np.isfinite(offs)):
-            raise ValueError("offsets must be finite")
-        if not np.all((scales > 0.0) & np.isfinite(scales)):
-            raise ValueError("rf_scales must be positive and finite")
+        check_points(offs, scales)
         if not np.all(weights > 0.0):
             raise ValueError("weights must be strictly positive (and not nan)")
         if abs(weights.sum() - 1.0) > 1e-9:
@@ -234,12 +225,12 @@ def uniform_ladder_distribution(
     seed : int or sequence of int
         Feeds ``numpy.random.default_rng``; the comb is reproducible.
     """
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     if not 0.0 <= jitter_fraction < 0.5:
         raise ValueError(f"jitter_fraction must be in [0, 0.5), got {jitter_fraction}")
-    if half_bandwidth < 0.0:
-        raise ValueError("half_bandwidth must be nonnegative")
+    if not 0.0 <= half_bandwidth < np.inf:
+        raise ValueError(f"half_bandwidth must be nonnegative and finite, got {half_bandwidth}")
     if 0.0 < half_bandwidth < delta:
         raise ValueError("half_bandwidth smaller than the comb spacing delta")
     scales = np.atleast_1d(np.asarray(rf_scales, dtype=float))

@@ -24,7 +24,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 # Basis ordered (I, X, Y, Z); index conventions elsewhere rely on this order.
 PAULIS = np.stack([ID2, SIGMA_X, SIGMA_Y, SIGMA_Z])
 
-X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 

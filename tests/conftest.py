@@ -1,6 +1,6 @@
 """Shared fixtures: the channel-analysis ensemble and its fitted channels.
 
-The heavy session fixtures (100-cycle superoperator sequences over the
+The heavy session fixtures (100-cycle transfer-matrix stacks over the
 33621-point analysis ensemble) are shared between the channel tests and
 the acceptance suite so they are built once per run.
 """
@@ -47,24 +47,22 @@ def analysis_distribution():
 
 
 def _sequence_and_fit(waveform, d, n_cycles=100):
-    seq = channel.superoperator_sequence(waveform, TAU, d, n_cycles)
-    probs = np.array([channel.pauli_probabilities(s)[0] for s in seq])
-    fit = channel.fit_pauli_model(
-        probs, channel.cycle_time(waveform, TAU), superoperators=seq
-    )
-    return seq, fit
+    R = channel.superoperator_sequence(waveform, TAU, d, n_cycles)
+    probs, _ = channel.pauli_probabilities(R)
+    fit = channel.fit_pauli_model(probs, channel.cycle_time(waveform, TAU), transfer=R)
+    return R, fit
 
 
 @pytest.fixture(scope="session")
 def hard_channel(analysis_distribution):
-    """(sequence, fit) for the 100 us hard pi pulse, 100 cycles."""
+    """((100, 4, 4) transfer stack, fit) for the 100 us hard pi pulse."""
     hard = oc.hard_pulse(np.pi, np.pi / 2, 5 * KHZ)
     return _sequence_and_fit(hard, analysis_distribution)
 
 
 @pytest.fixture(scope="session")
 def oct_channel(analysis_distribution):
-    """(sequence, fit) for the packaged RFI-robust pulse, 100 cycles."""
+    """((100, 4, 4) transfer stack, fit) for the packaged RFI-robust pulse."""
     w = fileio.reference_waveform("oct_rfi")
     return _sequence_and_fit(w, analysis_distribution)
 

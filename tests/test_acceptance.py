@@ -130,13 +130,10 @@ def test_06_kraus_decomposition_agrees_with_transfer_diagonal():
     for _ in range(50):
         w = rng.uniform(0.05, 1.0, 4)
         w /= w.sum()
-        s = channel.SuperoperatorMatrix(
-            np.diag([1.0,
+        s = np.diag([1.0,
                      w[0] + w[1] - w[2] - w[3],
                      w[0] - w[1] + w[2] - w[3],
-                     w[0] - w[1] - w[2] + w[3]]),
-            None,
-        )
+                     w[0] - w[1] - w[2] + w[3]])
         pairs = channel.choi_kraus(s)
         got = np.sort(np.concatenate([[pr for pr, _ in pairs],
                                       np.zeros(4 - len(pairs))]))
@@ -197,8 +194,7 @@ def test_08_powered_cycles_converge_to_the_asymptotic_channel(
     # rotation axes (measured worst entry gap 0.016 over n = 30..100)
     seq, _ = oct_channel
     asym = channel.asymptotic_channel(oct_rfi, TAU, analysis_distribution)
-    gaps = [np.max(np.abs(s.entries - asym.entries))
-            for s in seq if 30 <= s.n_cycles <= 100]
+    gaps = np.max(np.abs(seq[29:100] - asym), axis=(1, 2))  # rows are n = 30..100
     assert len(gaps) == 71
     assert max(gaps) <= 0.05
 
@@ -210,7 +206,7 @@ def test_09_cycles_are_powered_per_isochromat_then_averaged():
     d = EnsembleDistribution(np.array([-2 * np.pi * 300.0, 2 * np.pi * 500.0]),
                              np.ones(2), np.array([0.5, 0.5]))
     p = hard_pulse(np.pi, np.pi / 2, A_MAX)
-    got = channel.superoperator_sequence(p, TAU, d, 10)[-1].entries
+    got = channel.superoperator_sequence(p, TAU, d, 10)[-1]
 
     U = cycle_propagators(p, TAU, d.offsets, d.rf_scales)
     R = [channel.transfer_of_unitaries(U[k]) for k in range(2)]

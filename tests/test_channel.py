@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ocpulse import channel
 from ocpulse.channel import (
     PauliChannelFit,
-    SuperoperatorMatrix,
     asymptotic_channel,
     choi_kraus,
     choi_matrix,
@@ -31,9 +30,7 @@ HARD = hard_pulse(np.pi, np.pi / 2, A_MAX)
 
 def pauli_diagonal(probs):
     pi_, px, py, pz = probs
-    return SuperoperatorMatrix(
-        np.diag([1.0, pi_ + px - py - pz, pi_ - px + py - pz, pi_ - px - py + pz]), None
-    )
+    return np.diag([1.0, pi_ + px - py - pz, pi_ - px + py - pz, pi_ - px - py + pz])
 
 
 def kraus_transfer(pairs):
@@ -112,14 +109,14 @@ def test_sequence_matches_powered_build():
     for p in (random_pulse, None, HARD):
         U = cycle_propagators(p, TAU, d.offsets, d.rf_scales)
         seq = superoperator_sequence(p, TAU, d, 4096)
-        assert [s.n_cycles for s in seq] == list(range(1, 4097))
+        assert seq.shape == (4096, 4, 4)
         for n in (1, 7, 1000, 4096):
             expect = _explicit_power(U, d.weights, n)
-            assert np.allclose(seq[n - 1].entries, expect, atol=1e-11)
+            assert np.allclose(seq[n - 1], expect, atol=1e-11)
             direct = superoperator_sequence(p, TAU, d, n)[-1]
-            assert np.allclose(direct.entries, expect, atol=1e-11)
+            assert np.allclose(direct, expect, atol=1e-11)
         if p is None:
-            assert np.allclose(seq[-1].entries, np.eye(4), atol=1e-11)
+            assert np.allclose(seq[-1], np.eye(4), atol=1e-11)
 
 
 def test_sequence_memory_stays_linear_in_points():
@@ -144,25 +141,27 @@ def test_input_validation():
     with pytest.raises(ValueError, match="n_max"):
         superoperator_sequence(HARD, TAU, d, 0)
     with pytest.raises(ValueError, match="4, 4"):
-        SuperoperatorMatrix(np.eye(3), 1)
+        pauli_probabilities(np.eye(3))
+    with pytest.raises(ValueError, match="4, 4"):
+        choi_kraus(np.eye(3))
 
 
 def test_choi_kraus_unitary_channel():
     U = expm_su2([0.3, 0.8, 0.52], 1.4)
-    s = SuperoperatorMatrix(transfer_of_unitaries(U), 1)
+    s = transfer_of_unitaries(U)
     pairs = choi_kraus(s)
     assert len(pairs) == 1
     prob, A = pairs[0]
     assert prob == pytest.approx(1.0, abs=1e-10)
     # A equals U up to a global phase: compare conjugation actions
-    assert np.allclose(kraus_transfer(pairs), s.entries, atol=1e-8)
+    assert np.allclose(kraus_transfer(pairs), s, atol=1e-8)
     assert np.allclose(A @ A.conj().T, np.eye(2), atol=1e-8)
 
 
 def test_choi_kraus_t2_dephasing_snapshot():
     # transverse decay e^{-t/T2} sampled at t = T2
     lam = np.exp(-1.0)
-    s = SuperoperatorMatrix(np.diag([1.0, lam, lam, 1.0]), None)
+    s = np.diag([1.0, lam, lam, 1.0])
     probs, residual = pauli_probabilities(s)
     assert residual == 0.0
     assert np.allclose(probs, [0.6839, 0.0, 0.0, 0.3161], atol=5e-5)
@@ -171,7 +170,7 @@ def test_choi_kraus_t2_dephasing_snapshot():
 
 
 def test_choi_kraus_depolarizing():
-    s = SuperoperatorMatrix(np.diag([1.0, 0.0, 0.0, 0.0]), None)
+    s = np.diag([1.0, 0.0, 0.0, 0.0])
     pairs = choi_kraus(s)
     assert len(pairs) == 4
     assert np.allclose([p for p, _ in pairs], 0.25, atol=1e-10)
@@ -181,10 +180,10 @@ def test_choi_kraus_depolarizing():
 
 def test_choi_kraus_rejects_bad_channels():
     with pytest.raises(ValueError, match="trace preserving"):
-        choi_kraus(SuperoperatorMatrix(np.diag([0.9, 1.0, 1.0, 1.0]), None))
+        choi_kraus(np.diag([0.9, 1.0, 1.0, 1.0]))
     # an impossible "channel": transfer diag outside the CP tetrahedron
     with pytest.raises(ValueError, match="completely positive"):
-        choi_kraus(SuperoperatorMatrix(np.diag([1.0, 1.2, 1.2, 1.2]), None))
+        choi_kraus(np.diag([1.0, 1.2, 1.2, 1.2]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -193,7 +192,7 @@ def test_kraus_reconstructs_random_pauli_channels(raw):
     probs = np.array(raw) / np.sum(raw)
     s = pauli_diagonal(probs)
     pairs = choi_kraus(s)
-    assert np.allclose(kraus_transfer(pairs), s.entries, atol=1e-8)
+    assert np.allclose(kraus_transfer(pairs), s, atol=1e-8)
     # pauli channels are unital, so the flipped completeness sum holds too
     total = sum(p * (A @ A.conj().T) for p, A in pairs)
     assert np.allclose(total, np.eye(2), atol=1e-8)
@@ -206,13 +205,25 @@ def test_kraus_reconstructs_random_pauli_channels(raw):
 def test_pauli_probabilities_reports_offdiagonal_residual():
     R = np.diag([1.0, 0.5, 0.5, 0.8])
     R[1, 3] = 0.3
-    probs, residual = pauli_probabilities(SuperoperatorMatrix(R, None))
+    probs, residual = pauli_probabilities(R)
     assert residual == pytest.approx(0.3, abs=1e-12)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    # a (2, 3, 4, 4) stack gives each matrix's own result: the probabilities
+    # bit for bit, the residuals up to the summation order of the norm
+    rng = np.random.default_rng(3)
+    stack = rng.normal(size=(2, 3, 4, 4))
+    stack[..., 0, :] = [1.0, 0.0, 0.0, 0.0]
+    stack[0, 0] = R
+    probs, residual = pauli_probabilities(stack)
+    assert probs.shape == (2, 3, 4) and residual.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        one_probs, one_residual = pauli_probabilities(stack[idx])
+        assert np.array_equal(probs[idx], one_probs)
+        assert abs(residual[idx] - one_residual) <= 1e-15
 
 
 def test_choi_matrix_identity_channel():
-    C = choi_matrix(SuperoperatorMatrix(np.eye(4), None))
+    C = choi_matrix(np.eye(4))
     evals = np.sort(np.linalg.eigvalsh(C))
     assert np.allclose(evals, [0.0, 0.0, 0.0, 2.0], atol=1e-12)
 
@@ -222,8 +233,8 @@ def test_asymptotic_channel_pure_y_axis():
     # y, so the asymptotic map projects onto y exactly
     d = EnsembleDistribution.single_point(0.0, 0.9)
     s = asymptotic_channel(HARD, TAU, d)
-    assert s.n_cycles is None
-    assert np.allclose(s.entries, np.diag([1.0, 0.0, 1.0, 0.0]), atol=1e-12)
+    assert s.shape == (4, 4)
+    assert np.allclose(s, np.diag([1.0, 0.0, 1.0, 0.0]), atol=1e-12)
 
 
 def test_asymptotic_channel_of_identity_cycles_is_identity():
@@ -232,10 +243,10 @@ def test_asymptotic_channel_of_identity_cycles_is_identity():
     d = EnsembleDistribution.product(2 * np.pi * np.array([-3e3, 0.0, 6e3]), [0.95, 1.0])
     seq = superoperator_sequence(None, TAU, d, 50)
     asym = asymptotic_channel(None, TAU, d)
-    assert np.allclose(asym.entries, np.eye(4), rtol=0.0, atol=1e-15)
-    assert np.max(np.abs(seq[-1].entries - asym.entries)) <= 1e-12
+    assert np.allclose(asym, np.eye(4), rtol=0.0, atol=1e-15)
+    assert np.max(np.abs(seq[-1] - asym)) <= 1e-12
     on_resonance = asymptotic_channel(HARD, TAU, EnsembleDistribution.single_point(0.0, 1.0))
-    assert np.allclose(on_resonance.entries, np.eye(4), rtol=0.0, atol=1e-12)
+    assert np.allclose(on_resonance, np.eye(4), rtol=0.0, atol=1e-12)
 
 
 def test_asymptotic_matches_ergodic_mean_single_point():
@@ -244,11 +255,11 @@ def test_asymptotic_matches_ergodic_mean_single_point():
     # running mean of the whole sequence
     d = EnsembleDistribution.single_point(2 * np.pi * 1300.0)
     seq = superoperator_sequence(HARD, TAU, d, 10_000)
-    mean = np.mean([s.entries for s in seq], axis=0)
+    mean = np.mean(seq, axis=0)
     asym = asymptotic_channel(HARD, TAU, d)
-    assert np.max(np.abs(mean - asym.entries)) < 0.02
+    assert np.max(np.abs(mean - asym)) < 0.02
     # while a single late snapshot is still far away
-    assert np.max(np.abs(seq[-1].entries - asym.entries)) > 0.2
+    assert np.max(np.abs(seq[-1] - asym)) > 0.2
 
 
 def test_symmetric_offsets_cancel_y_cross_terms():
@@ -257,7 +268,7 @@ def test_symmetric_offsets_cancel_y_cross_terms():
     d = EnsembleDistribution(
         2 * np.pi * np.array([-2700.0, 2700.0]), np.ones(2), np.full(2, 0.5)
     )
-    R = superoperator_sequence(HARD, TAU, d, 5)[-1].entries
+    R = superoperator_sequence(HARD, TAU, d, 5)[-1]
     for i, j in ((1, 2), (2, 1), (2, 3), (3, 2)):
         assert abs(R[i, j]) < 1e-12
     assert abs(R[1, 3]) > 0.5
@@ -283,7 +294,26 @@ def test_fit_recovers_synthetic_exponential():
     assert fit.t2_pulse == pytest.approx(n0 * 4.2e-3, abs=0.1 * 4.2e-3)
     assert fit.c_i == pytest.approx(c_i, abs=1e-2)
     assert fit.m_infinity == pytest.approx(c_i + 0.25 - c_x - c_z, abs=1e-2)
-    assert np.isnan(fit.fit_overlap)  # no superoperators supplied
+    assert np.isnan(fit.fit_overlap)  # no transfer matrices supplied
+
+    # the Pauli channels' own diagonal transfer matrices, plus a coherent
+    # rotation about y at cycle 8: an antisymmetric x-z pair +-s that the
+    # diagonal cannot hold
+    lam = probs @ np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+    R = np.zeros((60, 4, 4))
+    R[:, 0, 0] = 1.0
+    R[:, [1, 2, 3], [1, 2, 3]] = lam
+    s = 0.05
+    R[7, 1, 3], R[7, 3, 1] = s, -s
+    diag_sq = 1.0 + np.sum(lam[7] ** 2)
+    with_transfer = fit_pauli_model(probs, 4.2e-3, transfer=R)
+    assert with_transfer.fit_overlap == pytest.approx(
+        np.sqrt(diag_sq / (diag_sq + 2 * s**2)), rel=0.0, abs=1e-15)
+    assert with_transfer.fit_overlap < 0.999
+    assert with_transfer.t2_pulse_cycles == fit.t2_pulse_cycles
+    assert with_transfer.m_infinity == fit.m_infinity
+    with pytest.raises(ValueError, match="60, 4, 4"):
+        fit_pauli_model(probs, 4.2e-3, transfer=R[1:])
 
 
 def test_fit_ideal_channel_infinite_t2():
@@ -292,6 +322,8 @@ def test_fit_ideal_channel_infinite_t2():
     assert np.isinf(fit.t2_pulse)
     assert np.isinf(fit.t2_pulse_cycles)
     assert fit.m_infinity == pytest.approx(1.0)
+    identity = np.broadcast_to(np.eye(4), (10, 4, 4))
+    assert fit_pauli_model(probs, 4e-3, transfer=identity).fit_overlap == 1.0
     m = model_probabilities(fit, np.arange(5))
     assert np.allclose(m, np.tile([1.0, 0.0, 0.0, 0.0], (5, 1)))
 

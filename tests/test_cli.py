@@ -276,7 +276,7 @@ def test_analyze_writes_the_offdiagonal_residual(tmp_path):
     residual = np.array(payload["offdiag_residual"])
     assert residual.shape == (5,) and len(payload["probs"]) == 5
     assert np.all(np.isfinite(residual)) and np.all(residual >= 0.0)
-    R = superoperator_sequence(hard_pulse(np.pi, np.pi / 2, A_MAX), 1e-3, d, 5)[2].entries
+    R = superoperator_sequence(hard_pulse(np.pi, np.pi / 2, A_MAX), 1e-3, d, 5)[2]
     assert residual[2] == pytest.approx(np.linalg.norm(R - np.diag(np.diag(R))), rel=0.0, abs=1e-14)
     assert residual[2] > 0.01  # the hard pulse's cycles are not Pauli-diagonal
 
@@ -367,6 +367,25 @@ def test_bad_distribution_file_is_rejected(tmp_path, capsys):
                "--cycles", "3", "-o", str(tmp_path / "out")])
     assert rc == 2
     assert "error: offsets must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze-channel", "--pulse", "hard", "--halfbw-khz", "inf"],
+     "half_bandwidth must be nonnegative and finite"),
+    (["analyze-channel", "--pulse", "hard", "--delta-hz", "nan"],
+     "delta must be positive and finite"),
+    (["simulate", "--pulse", "hard", "--sweep", "--rf", "nan"],
+     "rf_scales must be positive and finite"),
+    (["simulate", "--pulse", "hard", "--sweep", "--rf=-1"],
+     "rf_scales must be positive and finite"),
+    (["simulate", "--pulse", "hard", "--trajectory", "--rf-scale", "nan"],
+     "rf_scales must be positive and finite"),
+])
+def test_nonfinite_or_negative_input_fails_at_the_boundary(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main([*argv, "-o", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
 
 
 def test_bad_range_argument(tmp_path):

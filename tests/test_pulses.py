@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ocpulse import propagation
 from ocpulse.pulses import (
     EnsembleDistribution,
     PulseWaveform,
-    clip_amplitudes,
     hard_pulse,
     symmetrize_excitation,
     uniform_ladder_distribution,
@@ -115,35 +112,6 @@ def test_symmetrize_errors():
         symmetrize_excitation(guarded)
 
 
-def test_clip_amplitudes_folds_and_caps():
-    p = PulseWaveform(
-        1e-6,
-        np.array([-0.5 * A_MAX, 2.0 * A_MAX, A_MAX / 3]),
-        np.array([0.2, 0.5, 1.0]),
-        A_MAX,
-    )
-    c = clip_amplitudes(p)
-    assert np.allclose(c.amplitudes, [0.5 * A_MAX, A_MAX, A_MAX / 3])
-    assert np.allclose(c.phases, [0.2 + np.pi, 0.5, 1.0])
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8),
-       st.lists(st.floats(0.0, 6.28), min_size=1, max_size=8))
-def test_clip_amplitudes_idempotent_and_equivalent(amps, phases):
-    n = min(len(amps), len(phases))
-    p = PulseWaveform(1e-6, np.array(amps[:n]) * A_MAX / 3, np.array(phases[:n]), A_MAX)
-    c = clip_amplitudes(p)
-    c2 = clip_amplitudes(c)
-    assert np.array_equal(c.amplitudes, c2.amplitudes)
-    assert np.array_equal(c.phases, c2.phases)
-    assert np.all(c.amplitudes >= 0.0) and np.all(c.amplitudes <= A_MAX)
-    # folding a sign into the phase leaves the control field unchanged
-    # (as long as nothing actually got clipped at the cap)
-    if np.all(np.abs(p.amplitudes) <= A_MAX):
-        assert np.allclose(c.cartesian_controls(), p.cartesian_controls(), atol=1e-9 * A_MAX)
-
-
 def test_waveform_template():
     p = waveform_template(10, 2e-6, A_MAX, amplitude=0.3 * A_MAX, phase=1.2)
     assert p.n_steps == 10
@@ -224,12 +192,14 @@ def test_uniform_ladder_jitter_reproducible_and_bounded():
 
 def test_uniform_ladder_errors():
     khz = 2 * np.pi * 1e3
-    with pytest.raises(ValueError, match="delta"):
-        uniform_ladder_distribution(khz, 0.0)
+    for delta in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            uniform_ladder_distribution(khz, delta)
     with pytest.raises(ValueError, match="jitter"):
         uniform_ladder_distribution(khz, khz, jitter_fraction=0.5)
-    with pytest.raises(ValueError, match="nonnegative"):
-        uniform_ladder_distribution(-khz, khz)
+    for half_bandwidth in (-khz, np.nan, np.inf):
+        with pytest.raises(ValueError, match="half_bandwidth must be nonnegative and finite"):
+            uniform_ladder_distribution(half_bandwidth, khz)
     with pytest.raises(ValueError, match="spacing"):
         uniform_ladder_distribution(0.5 * khz, khz)
     with pytest.raises(ValueError, match="rf_scales"):

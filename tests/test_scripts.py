@@ -1,12 +1,15 @@
-"""The scripts under scripts/ run end to end on the package's public API."""
+"""The scripts under scripts/ and the README's Python quick start run end
+to end on the package's public API."""
 
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ocpulse import fileio
 
@@ -40,6 +43,20 @@ def test_channel_table(tmp_path):
         assert 0.0 < float(rows[name]["fit_overlap"]) <= 1.0
     # the optimized pulse keeps more magnetization than the hard pulse
     assert float(rows["oct_rfi"]["m_infinity"]) > float(rows["hard"]["m_infinity"])
+
+
+def test_readme_quick_start(capsys):
+    # the first ```python block of the README, run as written: 805 points x
+    # 100 cycles
+    text = (ROOT / "README.md").read_text()
+    code = re.search(r"^```python\n(.*?)^```", text, re.S | re.M).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    fidelity, channel_line = capsys.readouterr().out.splitlines()
+    assert float(fidelity) == pytest.approx(0.983, abs=5e-4)
+    m_inf, t2_cycles, overlap = map(float, channel_line.split())
+    assert 0.9 < m_inf < 1.0
+    assert 0.0 < t2_cycles < np.inf
+    assert 0.99 < overlap <= 1.0
 
 
 def test_run_full_pipeline(tmp_path):
