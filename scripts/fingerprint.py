@@ -1,0 +1,55 @@
+"""Result fingerprint of the channel analysis, to show a change moved no
+physics number.
+
+For the hard, oct_rfi and oct_broadband pulses on the seed-42 analysis
+ensemble (1601 offsets x 21 RF scales, 100 cycles, tau = 1 ms) prints the
+repr of M_inf, T2,pulse / t_c and the fit overlap, one value per line.
+--save FILE keeps the per-cycle Pauli probabilities; --against FILE adds,
+per pulse, the largest |difference| between this tree's probabilities and
+the saved ones.  Run it at the parent and at the change, and diff:
+
+    python scripts/fingerprint.py --save parent.npz > parent.txt   # parent
+    python scripts/fingerprint.py --against parent.npz > change.txt  # change
+"""
+
+import argparse
+
+import numpy as np
+from channel_table import analysis_distribution, fit_for
+
+import ocpulse as oc
+from ocpulse import fileio
+
+TAU = 1e-3
+CYCLES = 100
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--save", help="write the per-cycle probabilities to this .npz")
+    ap.add_argument("--against", help="a --save file to compare the probabilities with")
+    args = ap.parse_args()
+
+    pulses = {
+        "hard": oc.hard_pulse(np.pi, np.pi / 2, 2 * np.pi * 5000),
+        "oct_rfi": fileio.reference_waveform("oct_rfi"),
+        "oct_broadband": fileio.reference_waveform("oct_broadband"),
+    }
+    before = np.load(args.against) if args.against else None
+    d = analysis_distribution()
+    probs = {}
+    for name, w in pulses.items():
+        fit = fit_for(w, TAU, d, CYCLES)
+        probs[name] = fit.per_cycle_probs
+        for field in ("m_infinity", "t2_pulse_cycles", "fit_overlap"):
+            print(f"{name} {field} {getattr(fit, field)!r}")
+        if before is not None:
+            gap = float(np.max(np.abs(probs[name] - before[name])))
+            print(f"{name} max_abs_dprobs {gap!r}")
+    if args.save:
+        np.savez(args.save, **probs)
+
+
+if __name__ == "__main__":
+    main()

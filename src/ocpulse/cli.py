@@ -40,6 +40,7 @@ from .ladder import add_rfi_and_reoptimize, run_ladder, select_best_rung
 from .metrics import TARGET_PI_Y, criteria_sweep
 from .propagation import bloch_trajectory, trajectory_times
 from .pulses import (
+    MAX_RANGE_POINTS,
     EnsembleDistribution,
     PulseWaveform,
     hard_pulse,
@@ -56,9 +57,6 @@ DEFAULT_AMAX_KHZ = 5.0
 DEFAULT_GUARD_US = 6.0
 DEFAULT_TAU_MS = 1.0
 DEFAULT_RF_LIST = "0.9,0.95,1.0,1.05,1.1"
-# Largest lo:hi:step range accepted on the command line (1 Hz steps over
-# +/-50 kHz).
-MAX_RANGE_POINTS = 100_001
 
 
 def _floats(text: str) -> list[float]:
@@ -91,6 +89,12 @@ def _range(text: str) -> np.ndarray:
             f"bad range {text!r}: {n:.3g} points, more than the cap of {MAX_RANGE_POINTS}"
         )
     return lo + step * np.arange(int(round(n)))
+
+
+def _check_count(name: str, n: int) -> None:
+    """Reject a --cycles or --echoes count above MAX_RANGE_POINTS."""
+    if n > MAX_RANGE_POINTS:
+        raise ValueError(f"{name} {n} is more than the cap of {MAX_RANGE_POINTS}")
 
 
 def _outdir(args, parser) -> Path:
@@ -325,6 +329,8 @@ def cmd_optimize(args, parser) -> int:
 # ---------------------------------------------------------------- simulate
 
 def cmd_simulate(args, parser) -> int:
+    if args.mode == "train":
+        _check_count("--echoes", args.echoes)
     outdir = _outdir(args, parser)
     pulse, label = _resolve_pulse(
         args.pulse, args.amax_khz, args.hard_nutation_deg, args.hard_phase_deg
@@ -392,6 +398,7 @@ def cmd_simulate(args, parser) -> int:
 def cmd_analyze(args, parser) -> int:
     if args.cycles < 3:
         parser.error("insufficient samples for fit: need --cycles >= 3")
+    _check_count("--cycles", args.cycles)
     outdir = _outdir(args, parser)
     pulse, label = _resolve_pulse(
         args.pulse, args.amax_khz, args.hard_nutation_deg, args.hard_phase_deg
@@ -430,6 +437,7 @@ def cmd_analyze(args, parser) -> int:
 def cmd_compare(args, parser) -> int:
     if args.cycles < 3:
         parser.error("insufficient samples for fit: need --cycles >= 3")
+    _check_count("--cycles", args.cycles)
     outdir = _outdir(args, parser)
     tau = args.tau_ms * 1e-3
     entries = []

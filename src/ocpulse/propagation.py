@@ -60,7 +60,11 @@ def free_pairs(delta_omega, duration: float) -> np.ndarray:
 
 
 def step_propagators(p: PulseWaveform, offsets, rf_scales) -> np.ndarray:
-    """Per-step Cayley-Klein pairs over ensemble points, (n_steps, P, 2)."""
+    """Per-step Cayley-Klein pairs over ensemble points, (n_steps, P, 2).
+
+    The drive components are (n_steps, P) arrays; the offset enters as the
+    (P,) z component, which the kernel broadcasts over steps.
+    """
     offsets, rf_scales = np.broadcast_arrays(
         np.atleast_1d(np.asarray(offsets, dtype=float)),
         np.atleast_1d(np.asarray(rf_scales, dtype=float)),
@@ -68,9 +72,7 @@ def step_propagators(p: PulseWaveform, offsets, rf_scales) -> np.ndarray:
     amps = p.amplitudes[:, None] * rf_scales[None, :]
     wx = amps * np.cos(p.phases)[:, None]
     wy = amps * np.sin(p.phases)[:, None]
-    wz = np.broadcast_to(offsets[None, :], wx.shape)
-    omega = np.stack([wx, wy, wz], axis=-1)
-    return ck_expm(omega, p.dt)
+    return ck_expm((wx, wy, offsets), p.dt)
 
 
 def forward_products(steps: np.ndarray, start: np.ndarray) -> np.ndarray:

@@ -13,6 +13,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+# Largest offset comb, lo:hi:step range, cycle count or echo count accepted
+# from user input (1 Hz steps over +/-50 kHz), checked before any array of
+# that size is built.
+MAX_RANGE_POINTS = 100_001
 
 
 @dataclass(frozen=True)
@@ -224,6 +228,9 @@ def uniform_ladder_distribution(
         Angular frequencies, rad/s.
     seed : int or sequence of int
         Feeds ``numpy.random.default_rng``; the comb is reproducible.
+
+    A comb of more than MAX_RANGE_POINTS offsets is refused before it is
+    built.
     """
     if not 0.0 < delta < np.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
@@ -236,7 +243,12 @@ def uniform_ladder_distribution(
     scales = np.atleast_1d(np.asarray(rf_scales, dtype=float))
     if scales.size == 0 or np.any(scales <= 0.0):
         raise ValueError("rf_scales must be nonempty and positive")
-    m = int(np.floor(half_bandwidth / delta + 1e-9))
+    m = np.floor(half_bandwidth / delta + 1e-9)
+    if not 2 * m + 1 <= MAX_RANGE_POINTS:
+        raise ValueError(
+            f"offset comb of {2 * m + 1:.3g} points, more than the cap of {MAX_RANGE_POINTS}"
+        )
+    m = int(m)
     base = np.arange(-m, m + 1, dtype=float) * delta
     rng = np.random.default_rng(seed)
     factors = 1.0 + rng.uniform(-jitter_fraction, jitter_fraction, size=base.size)

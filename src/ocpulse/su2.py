@@ -58,28 +58,50 @@ def expm_su2(axis, angle: float) -> np.ndarray:
 def ck_expm(omega, duration) -> np.ndarray:
     """Cayley-Klein pairs of exp(-i duration/2 omega.sigma), batched.
 
+    With h = |omega| duration / 2 the pair is
+
+        a = cos h - i k omega_z,   b = -k omega_y - i k omega_x,
+
+    where k = sin(h) / |omega| is taken directly.  Where |omega| is zero
+    (including components so small that their squares underflow) k is
+    its limit duration/2 instead of 0/0.
+
     Parameters
     ----------
-    omega : array_like, shape (..., 3)
-        Rotation-rate vectors in rad/s (or plain rotation vectors with
-        ``duration=1``).
-    duration : float or array_like broadcastable to omega[..., 0]
+    omega : three array_like components (omega_x, omega_y, omega_z)
+        Rotation rates in rad/s (or plain rotation vectors with
+        ``duration=1``), as a (3, ...) array or a sequence of three arrays
+        that broadcast against each other.  A component may have fewer
+        dimensions than the others (a per-point offset under per-step
+        drive terms, say) and is then squared once per element it holds.
+    duration : float or array_like broadcastable to the components
 
     Returns
     -------
-    (..., 2) complex ndarray; |a|^2 + |b|^2 = 1 up to rounding.
+    (..., 2) complex ndarray over the broadcast batch; |a|^2 + |b|^2 = 1 up
+    to rounding.
     """
-    omega = np.asarray(omega, dtype=float)
-    wx, wy, wz = omega[..., 0], omega[..., 1], omega[..., 2]
-    # |omega| summed in the order np.linalg.norm uses, without its slow
-    # reduction over a length-3 axis
-    half = 0.5 * np.sqrt(wx * wx + wy * wy + wz * wz) * np.asarray(duration)
-    # sin(half)/|omega|, smooth through omega = 0 (limit duration/2).
-    k = 0.5 * np.asarray(duration) * np.sinc(half / np.pi)
-    out = np.empty(np.broadcast(half, wx).shape + (2,), dtype=complex)
+    wx, wy, wz = (np.asarray(c, dtype=float) for c in omega)
+    duration = np.asarray(duration, dtype=float)
+    shape = np.broadcast_shapes(wx.shape, wy.shape, wz.shape)
+    # |omega| summed in the order np.linalg.norm uses, in one buffer
+    norm = np.multiply(wx, wx, out=np.empty(shape))
+    norm += wy * wy
+    norm += wz * wz
+    np.sqrt(norm, out=norm)
+    half = norm * (0.5 * duration)
+    k = np.empty(np.shape(half))
+    np.sin(half, out=k)
+    zero = norm == 0.0
+    np.divide(k, norm, out=k, where=~zero)
+    np.copyto(k, 0.5 * duration, where=zero)
+    out = np.empty(half.shape + (2,), dtype=complex)
     a, b = out[..., 0], out[..., 1]
-    a.real, a.imag = np.cos(half), -k * wz
-    b.real, b.imag = -k * wy, -k * wx
+    # k (-w) has the bits of -(k w) and is written straight into the pair
+    np.cos(half, out=a.real)
+    np.multiply(k, -wz, out=a.imag)
+    np.multiply(k, -wy, out=b.real)
+    np.multiply(k, -wx, out=b.imag)
     return out
 
 
@@ -179,7 +201,8 @@ def rotation_vectors(U: np.ndarray) -> np.ndarray:
 
     U ~ exp(-i theta/2 r.sigma) up to global phase, with theta in [0, pi]
     (the canonical sign of :func:`quaternions`); the identity maps to 0.
-    ``ck_matrix(ck_expm(rotation_vectors(U), n))`` is U^n up to global phase.
+    ``ck_matrix(ck_expm(np.moveaxis(rotation_vectors(U), -1, 0), n))`` is
+    U^n up to global phase.
     """
     q = quaternions(U)
     s = np.linalg.norm(q[..., 1:], axis=-1, keepdims=True)
@@ -191,9 +214,9 @@ def rotate_vectors(rotvec, n, m) -> np.ndarray:
     """Bloch vectors m after n turns by rotation vectors theta r (Rodrigues).
 
     R^n m = (r.m) r + cos(n theta) (m - (r.m) r) + sin(n theta) r x m, the
-    SO(3) action of ``ck_expm(rotvec, n)``.  rotvec and m broadcast
-    against each other; n is a 1-d sequence of counts, so the result has
-    shape (len(n), ..., 3).
+    SO(3) action of ``ck_expm(np.moveaxis(rotvec, -1, 0), n)``.  rotvec
+    and m broadcast against each other; n is a 1-d sequence of counts, so
+    the result has shape (len(n), ..., 3).
     """
     rotvec, m = np.asarray(rotvec, dtype=float), np.asarray(m, dtype=float)
     theta = np.linalg.norm(rotvec, axis=-1, keepdims=True)

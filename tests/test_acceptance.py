@@ -13,7 +13,7 @@ import pytest
 from ocpulse import channel, grape, ladder
 from ocpulse.echo_train import echo_visibility_sweep
 from ocpulse.metrics import TARGET_PI_Y, average_fidelity, cp_overlap_orders
-from ocpulse.propagation import cycle_propagators
+from ocpulse.propagation import cycle_propagators, half_cycle_propagators
 from ocpulse.pulses import (
     EnsembleDistribution,
     PulseWaveform,
@@ -216,3 +216,24 @@ def test_09_cycles_are_powered_per_isochromat_then_averaged():
 
     assert np.max(np.abs(got - power_then_average)) <= 1e-12
     assert np.max(np.abs(got - average_then_power)) >= 0.01
+
+
+def test_10_oct_rfi_refocuses_over_98_percent_across_its_band(
+    oct_channel, oct_rfi, analysis_distribution
+):
+    # The paper's headline: a 10 t_180 pulse under a peak-power cap keeps
+    # over 98% of the magnetization for offsets up to 3.2 times the maximum
+    # RF amplitude, with +-10% RF inhomogeneity.  Read here as a full width
+    # of 3.2 a_max: +-8 kHz at a_max = 5 kHz (t_180 = 100 us, so the 1 ms
+    # oct_rfi is 10 t_180), RF scales 0.9-1.1, the analysis_distribution
+    # ensemble.  Do not retune that reading or the ensemble to pass.
+    # Measured: M_inf 0.990585; the y-train minimum 0.981276, at echo 1.
+    _, fit = oct_channel
+    assert fit.m_infinity >= 0.98
+    # The y-train ensemble average at echo k is the (y, y) entry of the
+    # k-fold half-cycle channel: equal to simulate_train's average (7e-15
+    # apart over echoes 1-20) without its (1000, P, 3) Bloch array.
+    d = analysis_distribution
+    half = half_cycle_propagators(oct_rfi, TAU, d.offsets, d.rf_scales)
+    train = channel.transfer_of_unitaries(half, d.weights, np.arange(1, 1001))[:, 2, 2]
+    assert train.min() >= 0.98, f"echo {train.argmin() + 1}: {train.min():.6f}"

@@ -380,6 +380,16 @@ def test_bad_distribution_file_is_rejected(tmp_path, capsys):
      "rf_scales must be positive and finite"),
     (["simulate", "--pulse", "hard", "--trajectory", "--rf-scale", "nan"],
      "rf_scales must be positive and finite"),
+    # sizes past MAX_RANGE_POINTS, which would otherwise try to allocate
+    # gigabytes before failing
+    (["analyze-channel", "--pulse", "hard", "--halfbw-khz", "1e9", "--cycles", "3"],
+     "offset comb of 8e+09 points, more than the cap of 100001"),
+    (["analyze-channel", "--pulse", "hard", "--cycles", "1000000000"],
+     "--cycles 1000000000 is more than the cap of 100001"),
+    (["compare", "--include-hard", "--cycles", "100002"],
+     "--cycles 100002 is more than the cap of 100001"),
+    (["simulate", "--pulse", "hard", "--train", "--echoes", "100000000"],
+     "--echoes 100000000 is more than the cap of 100001"),
 ])
 def test_nonfinite_or_negative_input_fails_at_the_boundary(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

@@ -126,8 +126,8 @@ def test_forward_products_are_the_ordered_prefixes(n):
     # the scan's prefix j is S_j ... S_0 start, as a plain matmul loop gives
     # it, and its last prefix is the pairwise tree's product to the bit
     rng = np.random.default_rng(n)
-    steps = ck_expm(rng.normal(size=(n, 3, 3)), 0.7)
-    start = ck_expm(rng.normal(size=(3, 3)), 0.4)
+    steps = ck_expm(np.moveaxis(rng.normal(size=(n, 3, 3)), -1, 0), 0.7)
+    start = ck_expm(rng.normal(size=(3, 3)).T, 0.4)
     prefixes = steps.copy()
     total = prop.forward_products(prefixes, start)
     X = ck_matrix(start)

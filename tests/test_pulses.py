@@ -3,6 +3,7 @@ import pytest
 
 from ocpulse import propagation
 from ocpulse.pulses import (
+    MAX_RANGE_POINTS,
     EnsembleDistribution,
     PulseWaveform,
     hard_pulse,
@@ -202,5 +203,10 @@ def test_uniform_ladder_errors():
             uniform_ladder_distribution(half_bandwidth, khz)
     with pytest.raises(ValueError, match="spacing"):
         uniform_ladder_distribution(0.5 * khz, khz)
+    # 2 * 50000 + 1 offsets is the cap; one comb step more is refused
+    assert uniform_ladder_distribution(50000 * khz, khz).n_points == MAX_RANGE_POINTS
+    for half_bandwidth in (50001 * khz, 1e9 * khz):
+        with pytest.raises(ValueError, match="more than the cap of 100001"):
+            uniform_ladder_distribution(half_bandwidth, khz)
     with pytest.raises(ValueError, match="rf_scales"):
         uniform_ladder_distribution(khz, khz, rf_scales=())

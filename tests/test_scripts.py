@@ -45,6 +45,30 @@ def test_channel_table(tmp_path):
     assert float(rows["oct_rfi"]["m_infinity"]) > float(rows["hard"]["m_infinity"])
 
 
+def test_fingerprint(tmp_path, hard_channel, oct_channel):
+    # one run compares with a baseline and saves; the baseline holds the
+    # conftest fixtures' probabilities (the same seed-42 ensemble and 100
+    # cycles) for hard and oct_rfi, and zeros for oct_broadband
+    base, saved = tmp_path / "base.npz", tmp_path / "saved.npz"
+    np.savez(base, hard=hard_channel[1].per_cycle_probs,
+             oct_rfi=oct_channel[1].per_cycle_probs, oct_broadband=np.zeros((100, 4)))
+    out = run_script("fingerprint.py", "--against", base, "--save", saved)
+    values = {}
+    for line in out.splitlines():
+        name, field, value = line.split()
+        values[name, field] = float(value)
+    assert len(values) == 12
+    for name, (_, fit) in (("hard", hard_channel), ("oct_rfi", oct_channel)):
+        for field in ("m_infinity", "t2_pulse_cycles", "fit_overlap"):
+            assert values[name, field] == pytest.approx(getattr(fit, field), abs=1e-12)
+        assert values[name, "max_abs_dprobs"] <= 1e-12
+    # against zeros the gap is the largest probability, p_I at n = 1
+    assert 0.9 < values["oct_broadband", "max_abs_dprobs"] <= 1.0
+    with np.load(saved) as got:
+        assert sorted(got.files) == ["hard", "oct_broadband", "oct_rfi"]
+        assert np.allclose(got["hard"], hard_channel[1].per_cycle_probs, rtol=0.0, atol=1e-12)
+
+
 def test_readme_quick_start(capsys):
     # the first ```python block of the README, run as written: 805 points x
     # 100 cycles

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,12 +116,42 @@ def test_ck_expm_matches_expm_su2():
     rng = np.random.default_rng(0)
     omega = rng.normal(size=(7, 3)) * 1e4
     dt = 1e-5
-    batch = ck_matrix(ck_expm(omega, dt))
+    batch = ck_matrix(ck_expm(omega.T, dt))
     for i in range(7):
         w = np.linalg.norm(omega[i])
         assert np.allclose(batch[i], expm_su2(omega[i] / w, w * dt), atol=1e-13)
-    # zero rotation vector is smooth (sinc limit), not a special case
+    # the zero rotation vector takes the guarded limit k = dt/2
     assert np.allclose(ck_matrix(ck_expm(np.zeros(3), dt)), ID2, atol=1e-15)
+
+
+def test_ck_expm_is_exact_at_and_near_zero_rotation():
+    # k = sin(h) / |omega| against its series (dt/2)(1 - h^2/6), with
+    # h = |omega| dt / 2, from |omega| = 1e-300 (whose squared components
+    # underflow to 0, so the guarded limit dt/2 is taken) up to 1e-6 (where
+    # the h^2 term is 4e-14 of k); k is read back from a and b
+    dt = 1.0
+    scale = 10.0 ** np.arange(-300, -5)
+    wx, wz = 0.6 * scale, 0.8 * scale
+    pairs = ck_expm((wx, 0.0, wz), dt)
+    h = 0.5 * scale * dt
+    series = 0.5 * dt * (1.0 - h * h / 6.0)
+    for k in (-pairs[:, 0].imag / wz, -pairs[:, 1].imag / wx):
+        assert np.all(np.isfinite(k))
+        assert np.allclose(k, series, rtol=1e-15, atol=0.0)
+    assert np.array_equal(pairs[:, 1].real, np.zeros(scale.size))
+    # omega = 0 is the identity pair, exactly
+    assert np.array_equal(ck_expm(np.zeros(3), 1e-5), np.array([1.0, 0.0]))
+    # zero and non-zero rows in one batch: no nan and no 0/0 warning, and
+    # each row has the bits it has alone
+    omega = np.array([[0.0, 0.0, 0.0], [1e4, -2e4, 3e4], [0.0, 0.0, 0.0], [0.0, 5e-310, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = ck_expm(omega.T, 1e-5)
+    assert not np.any(np.isnan(batch))
+    for row, got in zip(omega, batch):
+        assert np.array_equal(got, ck_expm(row, 1e-5))
+    assert np.array_equal(batch[0], np.array([1.0, 0.0]))
+    assert batch[3, 1].real == -0.5e-5 * 5e-310
 
 
 def test_long_products_stay_unitary():
@@ -135,8 +167,8 @@ def test_long_products_stay_unitary():
 
 def test_cayley_klein_pairs_multiply_like_matrices():
     rng = np.random.default_rng(3)
-    x = ck_expm(rng.normal(size=(4, 3)), 0.7)
-    y = ck_expm(rng.normal(size=(4, 3)), 1.3)
+    x = ck_expm(rng.normal(size=(4, 3)).T, 0.7)
+    y = ck_expm(rng.normal(size=(4, 3)).T, 1.3)
     X, Y = ck_matrix(x), ck_matrix(y)
     assert np.array_equal(X[:, 0, :], x)
     assert np.allclose(ck_matrix(ck_mul(x, y)), X @ Y, atol=1e-14)
@@ -149,8 +181,8 @@ def test_ck_mul_rounding_does_not_depend_on_batch_size():
     # one call over 20,000 pairs, where numpy would reuse temporaries in
     # place, must give the bits of the same pairs multiplied in slices
     rng = np.random.default_rng(11)
-    x = ck_expm(rng.normal(size=(20000, 3)), 1.0)
-    y = ck_expm(rng.normal(size=(20000, 3)), 1.0)
+    x = ck_expm(rng.normal(size=(20000, 3)).T, 1.0)
+    y = ck_expm(rng.normal(size=(20000, 3)).T, 1.0)
     whole = ck_mul(x, y)
     sliced = [ck_mul(x[i:i + 100], y[i:i + 100]) for i in range(0, 20000, 100)]
     assert np.array_equal(np.concatenate(sliced), whole)
@@ -163,12 +195,12 @@ def test_rotation_vectors_power_in_closed_form():
     rng = np.random.default_rng(4)
     rotvec = rng.normal(size=(6, 3))
     rotvec *= (rng.uniform(0.1, 3.0, 6) / np.linalg.norm(rotvec, axis=1))[:, None]
-    U = ck_matrix(ck_expm(rotvec, 1.0)) * np.exp(1j * rng.uniform(0, 2 * np.pi, 6))[:, None, None]
+    U = ck_matrix(ck_expm(rotvec.T, 1.0)) * np.exp(1j * rng.uniform(0, 2 * np.pi, 6))[:, None, None]
     assert np.allclose(rotation_vectors(U), rotvec, atol=1e-13)
     R = rotation_matrices(U)
     for n in (1, 5, 33):
         expect = np.stack([np.linalg.matrix_power(r, n) for r in R])
-        assert np.allclose(rotation_matrices(ck_matrix(ck_expm(rotation_vectors(U), n))), expect, atol=1e-12)
+        assert np.allclose(rotation_matrices(ck_matrix(ck_expm(rotation_vectors(U).T, n))), expect, atol=1e-12)
     # the identity has no axis; its rotation vector is zero, not nan
     assert np.array_equal(rotation_vectors(-ID2), np.zeros(3))
 
@@ -180,7 +212,7 @@ def test_rotate_vectors_is_the_so3_action_of_powers():
     out = rotate_vectors(rotvec, [1, 3, 40], m)
     assert out.shape == (3, 8, 3)
     for turns, got in zip((1, 3, 40), out):
-        R = rotation_matrices(ck_matrix(ck_expm(rotvec, turns)))
+        R = rotation_matrices(ck_matrix(ck_expm(rotvec.T, turns)))
         assert np.allclose(got, np.einsum("pij,pj->pi", R, m), atol=1e-12)
     assert np.allclose(rotate_vectors(np.zeros(3), [5], m)[0], m, atol=1e-15)
 
@@ -198,7 +230,7 @@ def test_quaternions_canonical_sign():
 
 def test_rotation_matrices_so3():
     rng = np.random.default_rng(2)
-    U = ck_matrix(ck_expm(rng.normal(size=(5, 3)), 0.9))
+    U = ck_matrix(ck_expm(rng.normal(size=(5, 3)).T, 0.9))
     R = rotation_matrices(U)
     for i in range(5):
         assert np.allclose(R[i] @ R[i].T, np.eye(3), atol=1e-12)
