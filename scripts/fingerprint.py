@@ -1,18 +1,23 @@
-"""Result fingerprint of the channel analysis, to show a change moved no
-physics number.
+"""Result fingerprint of the channel analysis and of the optimizer, to show
+a change moved no physics number.
 
 For the hard, oct_rfi and oct_broadband pulses on the seed-42 analysis
 ensemble (1601 offsets x 21 RF scales, 100 cycles, tau = 1 ms) prints the
 repr of M_inf, T2,pulse / t_c and the fit overlap, one value per line.
 --save FILE keeps the per-cycle Pauli probabilities; --against FILE adds,
 per pulse, the largest |difference| between this tree's probabilities and
-the saved ones.  Run it at the parent and at the change, and diff:
+the saved ones.  Last come the repr of the final fidelity and the sha256 of
+the final Cartesian controls of a fixed, seeded 25-iteration ascent on a
+45-point comb (15 offsets over +-3.5 kHz x RF scales 0.9, 1.0, 1.1).  Every
+line reads ``name field value``.  Run it at the parent and at the change,
+and diff:
 
     python scripts/fingerprint.py --save parent.npz > parent.txt   # parent
     python scripts/fingerprint.py --against parent.npz > change.txt  # change
 """
 
 import argparse
+import hashlib
 
 import numpy as np
 from channel_table import analysis_distribution, fit_for
@@ -22,6 +27,20 @@ from ocpulse import fileio
 
 TAU = 1e-3
 CYCLES = 100
+A_MAX = 2 * np.pi * 5000.0
+
+
+def grape_fingerprint():
+    """(final fidelity, sha256 of the final controls) of the fixed ascent:
+    100 steps of 10 us between 6 us guards, started from random_waveform
+    with numpy.random.default_rng(0)."""
+    template = oc.waveform_template(100, 1e-5, A_MAX, pre_delay=6e-6, post_delay=6e-6)
+    p0 = oc.random_waveform(template, np.random.default_rng(0))
+    d = oc.EnsembleDistribution.product(2 * np.pi * np.linspace(-3.5e3, 3.5e3, 15),
+                                        [0.9, 1.0, 1.1])
+    rep = oc.grape_ascend(p0, d, oc.TARGET_PI_Y, oc.GrapeConfig(max_iterations=25))
+    controls = rep.final_waveform.cartesian_controls()
+    return float(rep.fidelity_history[-1]), hashlib.sha256(controls.tobytes()).hexdigest()
 
 
 def main():
@@ -49,6 +68,9 @@ def main():
             print(f"{name} max_abs_dprobs {gap!r}")
     if args.save:
         np.savez(args.save, **probs)
+    fidelity, controls_sha256 = grape_fingerprint()
+    print(f"grape final_fidelity {fidelity!r}")
+    print(f"grape controls_sha256 {controls_sha256}")
 
 
 if __name__ == "__main__":

@@ -97,6 +97,21 @@ def _check_count(name: str, n: int) -> None:
         raise ValueError(f"{name} {n} is more than the cap of {MAX_RANGE_POINTS}")
 
 
+def _check_optimize_args(args) -> None:
+    """Reject optimize sizes that would divide by zero, and flags that the
+    chosen mode would otherwise ignore or replace by a default."""
+    if args.steps < 1:
+        raise ValueError(f"--steps must be >= 1, got {args.steps}")
+    if not 0.0 < args.duration_ms < np.inf:
+        raise ValueError(f"--duration-ms must be positive and finite, got {args.duration_ms}")
+    for flag, n in (("--max-iter", args.max_iter), ("--multistart", args.multistart)):
+        if n is not None and n < 1:
+            raise ValueError(f"{flag} must be >= 1, got {n}")
+    if args.multistart is not None and (args.mode == "ladder" or args.init):
+        raise ValueError("--multistart draws its own starts: it cannot be used with "
+                         "--ladder or --init")
+
+
 def _outdir(args, parser) -> Path:
     out = args.outdir or os.environ.get(OUTDIR_ENV)
     if not out:
@@ -181,6 +196,7 @@ CRITERIA_HEADER = ["offset_hz", "rf_scale", "fidelity", "angle_xy_deg", "angle_y
 # ---------------------------------------------------------------- optimize
 
 def cmd_optimize(args, parser) -> int:
+    _check_optimize_args(args)
     outdir = _outdir(args, parser)
     duration = args.duration_ms * 1e-3
     dt = duration / args.steps
@@ -225,7 +241,7 @@ def cmd_optimize(args, parser) -> int:
 
     if args.mode == "ladder":
         cfg = GrapeConfig(
-            max_iterations=args.max_iter or 300,
+            max_iterations=300 if args.max_iter is None else args.max_iter,
             target_fidelity=args.target_fidelity,
             improvement_threshold=args.stall,
         )
@@ -292,11 +308,11 @@ def cmd_optimize(args, parser) -> int:
         else:
             d = load_distribution_json(args.distribution_file)
         cfg = GrapeConfig(
-            max_iterations=args.max_iter or 2000,
+            max_iterations=2000 if args.max_iter is None else args.max_iter,
             target_fidelity=args.target_fidelity,
             improvement_threshold=args.stall,
         )
-        if args.multistart:
+        if args.multistart is not None:
             reports = multistart_reports(
                 d, TARGET_PI_Y, cfg, args.multistart, args.seed,
                 template=template, max_workers=args.threads,
@@ -550,8 +566,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="iteration budget (per rung in ladder mode)")
     sp.add_argument("--target-fidelity", type=float, default=1.0)
     sp.add_argument("--stall", type=float, default=1e-7)
-    sp.add_argument("--multistart", type=int, default=0,
-                    help="run N random starts, write histogram.csv")
+    sp.add_argument("--multistart", type=int, default=None,
+                    help="run N random starts, write histogram.csv "
+                         "(not with --ladder or --init)")
     sp.add_argument("--stop-fidelity", type=float, default=0.9)
     sp.add_argument("--jitter", type=float, default=0.05)
     sp.add_argument("--max-rungs", type=int, default=100)

@@ -1,13 +1,16 @@
 """Gradient-ascent pulse engineering over a static ensemble.
 
 Controls are the Cartesian pair u1 = A cos(phi), u2 = A sin(phi) per step.
-The objective is the ensemble-averaged trace overlap with a target unitary;
-its exact first-order gradient comes from the prefix products of the
+The objective is the ensemble-averaged trace overlap with a target unitary.
+Its gradient is the first-order GRAPE one (Khaneja et al., JMR 172, 296
+(2005)): it drops the commutator terms of each step's derivative, so its
+error is first order in dt |H|.  It comes from the prefix products X_j of the
 Cayley-Klein steps, one inclusive scan (:func:`propagation.forward_products`)
-per chunk of ensemble points.  Line-search probes need only the whole
-product, a pairwise tree (:func:`propagation.pulse_pairs`); both give each
-point's fidelity to the same bits.  Steps follow the averaged gradient with
-a backtracking line search, so the fidelity history is monotone.
+per chunk of ensemble points.  A line-search probe runs the same scan and
+can leave its prefixes in a buffer; when the probe is accepted, the next
+gradient starts from them instead of building the steps again.  Steps follow
+the averaged gradient with a backtracking line search, so the fidelity
+history is monotone.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .propagation import (
     forward_products,
     free_pairs,
     point_chunks,
-    pulse_pairs,
     step_propagators,
 )
 from .su2 import ck_inv, ck_mul
@@ -95,13 +97,31 @@ def _overlaps(U, target):
     return M, M[:, 0].real
 
 
-def _ensemble_fidelity(p: PulseWaveform, d: EnsembleDistribution, target):
-    """Averaged fidelity of a waveform without the gradient sweep."""
-    _, t = _overlaps(pulse_pairs(p, d.offsets, d.rf_scales), target)
+def _scan(p: PulseWaveform, o, s, target):
+    """Prefixes X_j (n_steps, P, 2) of one chunk of points, with (M, t) of
+    the whole pulse (see :func:`_overlaps`)."""
+    X = step_propagators(p, o, s)
+    last = forward_products(X, free_pairs(o, p.pre_delay))
+    return X, *_overlaps(ck_mul(free_pairs(o, p.post_delay), last), target)
+
+
+def _ensemble_fidelity(p: PulseWaveform, d: EnsembleDistribution, target, prefixes=None):
+    """Averaged fidelity of a waveform without the gradient sweep: the
+    line-search probe.
+
+    Given an (n_steps, P, 2) complex buffer ``prefixes``, leaves the
+    prefixes X_j of every point there for :func:`_averaged_eval`.
+    """
+    t = np.empty(d.n_points)
+    for chunk in point_chunks(d.n_points):
+        X, _, t[chunk] = _scan(p, d.offsets[chunk], d.rf_scales[chunk], target)
+        if prefixes is not None:
+            prefixes[:, chunk] = X
     return float(np.dot(d.weights, t**2))
 
 
-def _fidelity_and_gradients_raw(p: PulseWaveform, d: EnsembleDistribution, target):
+def _fidelity_and_gradients_raw(p: PulseWaveform, d: EnsembleDistribution, target,
+                                prefixes=None):
     """Pointwise fidelities (P,) and first-order gradients (P, N, 2) wrt (u1, u2).
 
     ``target`` must lie in SU(2).  With X_j the product through step j
@@ -109,20 +129,24 @@ def _fidelity_and_gradients_raw(p: PulseWaveform, d: EnsembleDistribution, targe
     t = Tr(M)/2 is real, the fidelity is t^2, and
     dF/du_k(j) = dt omega1 t Tr(sigma_k X_j M X_j^dag) / (2i): the k = x, y
     components of X_j M X_j^dag are Im b and Re b of its Cayley-Klein pair.
-    Points are taken in the chunks of :func:`propagation.pulse_pairs`; each
-    point's result is the same, to the bit, as when it is evaluated alone.
+    ``prefixes``, the buffer of a probe of this same waveform
+    (:func:`_ensemble_fidelity`), supplies the X_j, and the steps are not
+    built again.  Points are taken in the chunks of
+    :func:`propagation.point_chunks`; each point's result is the same, to
+    the bit, as when it is evaluated alone.
     """
     fids = np.empty(d.n_points)
     grads = np.empty((p.n_steps, d.n_points, 2))
     for chunk in point_chunks(d.n_points):
         o, s = d.offsets[chunk], d.rf_scales[chunk]
-        steps = step_propagators(p, o, s)
-        pre, post = free_pairs(o, p.pre_delay), free_pairs(o, p.post_delay)
-        M, t = _overlaps(ck_mul(post, forward_products(steps, pre)), target)
-        # steps now holds the prefixes X_j; b of (X_j M) X_j^dag is the one
-        # part of that product the gradient needs
-        XM = ck_mul(steps, M)
-        b = XM[..., 1] * steps[..., 0] - XM[..., 0] * steps[..., 1]
+        if prefixes is None:
+            X, M, t = _scan(p, o, s, target)
+        else:
+            X = prefixes[:, chunk]
+            M, t = _overlaps(ck_mul(free_pairs(o, p.post_delay), X[-1]), target)
+        # b of (X_j M) X_j^dag is the one part of that product the gradient needs
+        XM = ck_mul(X, M)
+        b = XM[..., 1] * X[..., 0] - XM[..., 0] * X[..., 1]
         w = p.dt * s * t
         fids[chunk] = t**2
         grads[:, chunk, 0] = w * b.imag
@@ -142,8 +166,8 @@ def fidelity_and_gradients(p: PulseWaveform, point, target):
     return float(fids[0]), grads[0]
 
 
-def _averaged_eval(p: PulseWaveform, d: EnsembleDistribution, target):
-    fids, grads = _fidelity_and_gradients_raw(p, d, target)
+def _averaged_eval(p: PulseWaveform, d: EnsembleDistribution, target, prefixes=None):
+    fids, grads = _fidelity_and_gradients_raw(p, d, target, prefixes)
     return float(np.dot(d.weights, fids)), np.einsum("p,pnk->nk", d.weights, grads)
 
 
@@ -158,8 +182,10 @@ def grape_ascend(
     Each iteration evaluates the averaged gradient, then probes
     u + eps * g with eps shrinking until the averaged fidelity strictly
     improves; amplitudes are clipped to a_max after every update, so the
-    returned waveform always respects the cap.  Deterministic: identical
-    inputs give an identical report.
+    returned waveform always respects the cap.  Each probe leaves its
+    prefix products in one (n_steps, P, 2) buffer, and the gradient at an
+    accepted probe reads them from there before the next probe overwrites
+    them.  Deterministic: identical inputs give an identical report.
 
     Raises
     ------
@@ -179,6 +205,7 @@ def grape_ascend(
     u = p0.cartesian_controls()
     u1, u2 = u[:, 0].copy(), u[:, 1].copy()
     p = p0
+    prefixes = np.empty((p0.n_steps, d.n_points, 2), dtype=complex)
 
     fid, grad = _averaged_eval(p, d, target)
     if not (np.isfinite(fid) and np.all(np.isfinite(grad))):
@@ -203,7 +230,7 @@ def grape_ascend(
             amps = np.minimum(np.hypot(v1, v2), p0.a_max)
             phases = np.arctan2(v2, v1)
             trial = p.with_steps(amps, phases)
-            f_trial = _ensemble_fidelity(trial, d, target)
+            f_trial = _ensemble_fidelity(trial, d, target, prefixes)
             if not np.isfinite(f_trial):
                 raise RuntimeError("non-finite fidelity during line search")
             if f_trial > fid:
@@ -225,10 +252,9 @@ def grape_ascend(
         if improvement < cfg.improvement_threshold:
             termination = Termination.STALLED
             break
-        fid_check, grad = _averaged_eval(p, d, target)
+        fid, grad = _averaged_eval(p, d, target, prefixes)
         if not np.all(np.isfinite(grad)):
             raise RuntimeError("non-finite gradient")
-        fid = fid_check
 
     return GrapeReport(
         final_waveform=p,

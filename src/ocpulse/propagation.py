@@ -16,9 +16,9 @@ the first row of U = [[a, b], [-conj(b), conj(a)]] (see :mod:`ocpulse.su2`),
 and multiplied by :func:`ocpulse.su2.ck_mul`.  An ordered step product is
 an associative reduction, so it takes log2(n_steps) batched levels rather
 than n_steps sequential ones: :func:`ordered_product` is a pairwise tree
-for the whole product (the pulse and the optimizer's probe), and
-:func:`forward_products` an inclusive scan for every prefix (the
-optimizer's gradient and the Bloch trajectory).  Both group the factors
+for the whole product (the pulse), and :func:`forward_products` an
+inclusive scan for every prefix (the optimizer's probes and gradients, and
+the Bloch trajectory).  Both group the factors
 the same way, so the last prefix equals the tree product to the bit.
 Public propagators are returned as (P, 2, 2) matrices.  Products run over
 chunks of POINT_CHUNK ensemble points (:func:`point_chunks`), so memory
@@ -36,7 +36,7 @@ from .su2 import Y_AXIS, ck_expm, ck_matrix, ck_mul, expm_su2, rotation_matrices
 TARGET_PI_Y = expm_su2(Y_AXIS, np.pi)
 
 # Ensemble points propagated together by pulse_pairs and by the optimizer's
-# gradient, so memory does not grow with the ensemble.  Every tree or scan
+# scans, so memory does not grow with the ensemble.  Every tree or scan
 # level sweeps the whole step array (0.8 MB for 100 steps at 256 points);
 # larger chunks fall out of cache, and the scan, which does log2(n_steps)
 # times the work of a step loop, then loses to it.  128-256 points measured

@@ -398,6 +398,27 @@ def test_nonfinite_or_negative_input_fails_at_the_boundary(tmp_path, capsys, arg
     assert list(out.glob("*")) == []
 
 
+MULTISTART_ALONE = "--multistart draws its own starts: it cannot be used with --ladder or --init"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # each of these once ended in an uncaught ZeroDivisionError
+    (["--on-resonance", "--steps", "0"], "--steps must be >= 1, got 0"),
+    (["--on-resonance", "--duration-ms", "0"], "--duration-ms must be positive and finite"),
+    # each of these was once silently replaced by the default
+    (["--on-resonance", "--max-iter", "0"], "--max-iter must be >= 1, got 0"),
+    (["--on-resonance", "--multistart", "0"], "--multistart must be >= 1, got 0"),
+    # each of these was once silently ignored
+    (["--ladder", "--multistart", "2"], MULTISTART_ALONE),
+    (["--on-resonance", "--multistart", "2", "--init", "start.json"], MULTISTART_ALONE),
+])
+def test_optimize_rejects_bad_sizes_at_the_boundary(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main(["optimize", *argv, "-o", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_range_argument(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--include-hard", "-o", str(tmp_path), "--sweep-khz", "2:1:1"])

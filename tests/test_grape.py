@@ -10,8 +10,8 @@ from ocpulse.grape import (
     multistart_reports,
     random_waveform,
 )
-from ocpulse.metrics import TARGET_PI_Y
-from ocpulse.propagation import POINT_CHUNK
+from ocpulse.metrics import TARGET_PI_Y, average_fidelity
+from ocpulse.propagation import POINT_CHUNK, point_chunks
 from ocpulse.pulses import EnsembleDistribution, PulseWaveform, hard_pulse, waveform_template
 from ocpulse.su2 import expm_su2
 
@@ -243,15 +243,19 @@ def _guarded_random_waveform(rng, n_steps):
 
 @pytest.mark.parametrize("n_points", [1, 45, POINT_CHUNK + 37])
 def test_probe_fidelity_equals_gradient_fidelity(n_points):
-    # the line search compares a probe (pairwise tree) against the fidelity
-    # of the last gradient evaluation (prefix scan): they must be one number
+    # the line search compares a probe against the fidelity of the last
+    # gradient evaluation, and average_fidelity (the pairwise tree) gates
+    # what the ascent (the prefix scan) reports: all must be one number
     rng = np.random.default_rng(n_points)
     p = _guarded_random_waveform(rng, 100)
     d = EnsembleDistribution(rng.uniform(-2 * np.pi * 1e4, 2 * np.pi * 1e4, n_points),
                              rng.uniform(0.8, 1.2, n_points), np.full(n_points, 1.0 / n_points))
-    other = grape._su2_target(expm_su2(rng.normal(size=3), 2.3))
+    other = expm_su2(rng.normal(size=3), 2.3)
     for target in (TARGET_PI_Y, other):
-        assert grape._ensemble_fidelity(p, d, target) == grape._averaged_eval(p, d, target)[0]
+        su2 = grape._su2_target(target)
+        f = grape._averaged_eval(p, d, su2)[0]
+        assert grape._ensemble_fidelity(p, d, su2) == f
+        assert average_fidelity(p, d, target) == f
 
 
 def test_gradient_over_chunks_equals_per_point_evaluation():
@@ -268,3 +272,85 @@ def test_gradient_over_chunks_equals_per_point_evaluation():
         f, g = fidelity_and_gradients(p, (d.offsets[k], d.rf_scales[k]), TARGET_PI_Y)
         assert f == fids[k]
         assert np.array_equal(g, grads[k])
+
+
+def _two_chunk_problem():
+    # POINT_CHUNK + 37 points, so the prefix buffer is taken in two strided
+    # chunks; ls_growth = 4 overshoots often enough that probes are rejected
+    rng = np.random.default_rng(31)
+    n_points = POINT_CHUNK + 37
+    d = EnsembleDistribution(rng.uniform(-2 * np.pi * 6e3, 2 * np.pi * 6e3, n_points),
+                             rng.uniform(0.9, 1.1, n_points), np.full(n_points, 1.0 / n_points))
+    p0 = random_waveform(waveform_template(40, 1e-5, A_MAX, pre_delay=6e-6, post_delay=6e-6), rng)
+    return p0, d, GrapeConfig(ls_growth=4.0, max_iterations=15)
+
+
+def _reference_ascent(p0, d, target, cfg):
+    """grape_ascend's loop written out, with every gradient evaluated afresh
+    and every probe without a prefix buffer; also counts rejected probes."""
+    u1, u2 = p0.cartesian_controls().T.copy()
+    p = p0
+    fid, grad = grape._averaged_eval(p, d, target)
+    history, steps, rejected = [fid], [], 0
+    eps = cfg.step_size_init
+    termination = Termination.MAX_ITERATIONS
+    for _ in range(cfg.max_iterations):
+        if eps is None:
+            eps = 0.05 * p0.a_max / float(np.max(np.abs(grad)))
+        improvement = None
+        for _probe in range(cfg.ls_max_probes):
+            v1, v2 = u1 + eps * grad[:, 0], u2 + eps * grad[:, 1]
+            amps, phases = np.minimum(np.hypot(v1, v2), p0.a_max), np.arctan2(v2, v1)
+            trial = p.with_steps(amps, phases)
+            f_trial = grape._ensemble_fidelity(trial, d, target)
+            if f_trial > fid:
+                improvement = f_trial - fid
+                u1, u2 = amps * np.cos(phases), amps * np.sin(phases)
+                p, fid = trial, f_trial
+                steps.append(eps)
+                eps *= cfg.ls_growth
+                break
+            rejected += 1
+            eps *= cfg.ls_shrink
+        if improvement is None:
+            termination = Termination.STALLED
+            break
+        history.append(fid)
+        if improvement < cfg.improvement_threshold:
+            termination = Termination.STALLED
+            break
+        fid, grad = grape._averaged_eval(p, d, target)
+    return p, np.asarray(history), np.asarray(steps), termination, rejected
+
+
+def test_ascent_equals_a_loop_that_evaluates_every_gradient_afresh():
+    # the gradient at an accepted probe reuses that probe's prefixes; a
+    # stale or mixed-up buffer would move some bit of the report
+    p0, d, cfg = _two_chunk_problem()
+    p, history, steps, termination, rejected = _reference_ascent(p0, d, TARGET_PI_Y, cfg)
+    assert rejected > 0 and len(steps) > 1
+    rep = grape_ascend(p0, d, TARGET_PI_Y, cfg)
+    assert np.array_equal(rep.fidelity_history, history)
+    assert np.array_equal(rep.step_sizes, steps)
+    assert np.array_equal(rep.final_waveform.amplitudes, p.amplitudes)
+    assert np.array_equal(rep.final_waveform.phases, p.phases)
+    assert rep.iterations == len(steps) and rep.termination is termination
+
+
+def test_ascent_builds_step_exponentials_once_per_probe(monkeypatch):
+    # one build per chunk for the starting gradient and per probe; the
+    # gradient at an accepted probe builds none
+    p0, d, cfg = _two_chunk_problem()
+    calls = {"steps": 0, "probes": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(grape, "step_propagators", counted("steps", grape.step_propagators))
+    monkeypatch.setattr(grape, "_ensemble_fidelity", counted("probes", grape._ensemble_fidelity))
+    rep = grape_ascend(p0, d, TARGET_PI_Y, cfg)
+    assert rep.iterations > 1 and calls["probes"] > rep.iterations
+    assert calls["steps"] == (calls["probes"] + 1) * len(point_chunks(d.n_points))

@@ -56,8 +56,11 @@ def test_fingerprint(tmp_path, hard_channel, oct_channel):
     values = {}
     for line in out.splitlines():
         name, field, value = line.split()
-        values[name, field] = float(value)
-    assert len(values) == 12
+        values[name, field] = value if field == "controls_sha256" else float(value)
+    # 3 pulses x 3 channel numbers, 3 probability gaps, 2 optimizer lines
+    assert len(values) == 14
+    assert 0.0 < values["grape", "final_fidelity"] < 1.0
+    assert re.fullmatch("[0-9a-f]{64}", values["grape", "controls_sha256"])
     for name, (_, fit) in (("hard", hard_channel), ("oct_rfi", oct_channel)):
         for field in ("m_infinity", "t2_pulse_cycles", "fit_overlap"):
             assert values[name, field] == pytest.approx(getattr(fit, field), abs=1e-12)
