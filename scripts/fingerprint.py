@@ -3,7 +3,8 @@ a change moved no physics number.
 
 For the hard, oct_rfi and oct_broadband pulses on the seed-42 analysis
 ensemble (1601 offsets x 21 RF scales, 100 cycles, tau = 1 ms) prints the
-repr of M_inf, T2,pulse / t_c and the fit overlap, one value per line.
+repr of M_inf, T2,pulse / t_c, the fit overlap and the y entry sum w r_y^2
+of the n -> infinity channel, one value per line.
 --save FILE keeps the per-cycle Pauli probabilities; --against FILE adds,
 per pulse, the largest |difference| between this tree's probabilities and
 the saved ones.  Last come the repr of the final fidelity and the sha256 of
@@ -23,7 +24,7 @@ import numpy as np
 from channel_table import analysis_distribution, fit_for
 
 import ocpulse as oc
-from ocpulse import fileio
+from ocpulse import channel, fileio
 
 TAU = 1e-3
 CYCLES = 100
@@ -63,6 +64,8 @@ def main():
         probs[name] = fit.per_cycle_probs
         for field in ("m_infinity", "t2_pulse_cycles", "fit_overlap"):
             print(f"{name} {field} {getattr(fit, field)!r}")
+        U = channel.cycle_propagators(w, TAU, d.offsets, d.rf_scales)
+        print(f"{name} asymptotic_y {float(channel.asymptotic_channel(U, d.weights)[2, 2])!r}")
         if before is not None:
             gap = float(np.max(np.abs(probs[name] - before[name])))
             print(f"{name} max_abs_dprobs {gap!r}")

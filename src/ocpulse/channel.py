@@ -25,6 +25,11 @@ and sin directly; the next block starts afresh.  As n -> infinity
 the oscillating sums average out and each point keeps r r^T (or I for a
 cycle that is the identity).
 
+Both the n-cycle stack (transfer_of_unitaries) and that limit
+(asymptotic_channel) take the cycle unitaries, not a pulse: a caller that
+needs both, as analyze-channel --asymptotic does, propagates each pulse
+once and hands the same unitaries to each.
+
 Channels are plain float arrays: one transfer matrix is (4, 4), and a
 sequence of them is an (n_max, 4, 4) stack whose row n - 1 is the n-cycle
 channel.  The Pauli projection and the fit take the whole stack at once.
@@ -61,6 +66,13 @@ def _axes_and_angles(U: np.ndarray):
     rotvec = rotation_vectors(np.asarray(U).reshape(-1, 2, 2))
     theta = np.linalg.norm(rotvec, axis=-1)
     return rotvec / np.maximum(theta, np.finfo(float).tiny)[:, None], theta
+
+
+def _weights(weights, P: int) -> np.ndarray:
+    """(P,) mixture weights; the plain mean when omitted."""
+    if weights is None:
+        return np.full(P, 1.0 / P)
+    return np.asarray(weights, dtype=float).reshape(-1)
 
 
 def _embed(block: np.ndarray) -> np.ndarray:
@@ -105,7 +117,7 @@ def transfer_of_unitaries(U: np.ndarray, weights=None, n=1) -> np.ndarray:
     """
     r, theta = _axes_and_angles(U)
     P = theta.shape[0]
-    w = np.full(P, 1.0 / P) if weights is None else np.asarray(weights, dtype=float).reshape(-1)
+    w = _weights(weights, P)
     rr = r[:, :, None] * r[:, None, :]
     cross = np.zeros((P, 3, 3))
     cross[:, [2, 0, 1], [1, 2, 0]] = r
@@ -224,24 +236,43 @@ def pauli_probabilities(R: np.ndarray):
     return probs, residual
 
 
-def asymptotic_channel(
-    p: PulseWaveform | None, tau: float, d: EnsembleDistribution
-) -> np.ndarray:
-    """(4, 4) transfer matrix of the n -> infinity channel: per point
-    rho -> (rho + (r.sigma) rho (r.sigma))/2 with r the cycle rotation
-    axis, then weight averaged.
+def offdiagonal_parts(R: np.ndarray):
+    """Frobenius norms (coherent, symmetric) of the two parts of the
+    off-diagonal content of (..., 4, 4) transfer matrices.
 
-    The per-point Bloch block is the rank-one projector r r^T, the limit of
-    the n-average of the closed form once the cos and sin terms wash out.
-    A point whose cycle is numerically the identity (theta below 2e-12,
-    e.g. every point of the ideal pulse, whose cycle is -I) has no axis and
-    never dephases, so it contributes the identity.
+    coherent is the norm of the antisymmetric part (R - R^T)/2, where the
+    sin(n theta) [r]x rotation of the cycle powers lands; symmetric is the
+    norm of the off-diagonal entries of (R + R^T)/2.  The two parts are
+    orthogonal, so they add in quadrature to the residual of
+    pauli_probabilities.
     """
-    r, theta = _axes_and_angles(cycle_propagators(p, tau, d.offsets, d.rf_scales))
+    R = _transfer(R)
+    Rt = np.swapaxes(R, -2, -1)
+    coherent = np.linalg.norm(0.5 * (R - Rt), axis=(-2, -1))
+    symmetric = np.linalg.norm(0.5 * (R + Rt) * (1.0 - np.eye(4)), axis=(-2, -1))
+    return coherent, symmetric
+
+
+def asymptotic_channel(U: np.ndarray, weights=None) -> np.ndarray:
+    """(4, 4) transfer matrix of the n -> infinity channel of a weighted
+    mixture of cycle unitaries: per point rho -> (rho + (r.sigma) rho
+    (r.sigma))/2 with r the cycle rotation axis, then weight averaged.
+
+    U and weights are as for transfer_of_unitaries (cycle unitaries, e.g.
+    from cycle_propagators, flattened to P points; the plain mean when
+    weights is omitted), so the limit and the n-cycle stack can share one
+    propagation.  The per-point Bloch block is the rank-one projector
+    r r^T, the limit of the n-average of the closed form once the cos and
+    sin terms wash out.  A point whose cycle is numerically the identity
+    (theta below 2e-12, e.g. every point of the ideal pulse, whose cycle is
+    -I) has no axis and never dephases, so it contributes the identity.
+    """
+    r, theta = _axes_and_angles(U)
+    w = _weights(weights, theta.shape[0])
     still = theta < 2e-12
     axes = np.where(still[:, None], 0.0, r)
-    block = np.einsum("p,pi,pj->ij", d.weights, axes, axes)
-    block += d.weights[still].sum() * np.eye(3)
+    block = np.einsum("p,pi,pj->ij", w, axes, axes)
+    block += w[still].sum() * np.eye(3)
     return _embed(block)
 
 

@@ -17,11 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, channel
 from .channel import (
     asymptotic_channel,
     cycle_time,
     fit_pauli_model,
+    offdiagonal_parts,
     pauli_probabilities,
     superoperator_sequence,
 )
@@ -47,6 +48,7 @@ from .pulses import (
     uniform_ladder_distribution,
     waveform_template,
 )
+from .su2 import unitarity_error
 
 KHZ = 2.0 * np.pi * 1e3
 OUTDIR_ENV = "OCPULSE_OUTDIR"
@@ -421,18 +423,26 @@ def cmd_analyze(args, parser) -> int:
     )
     d = _build_distribution(args, parser)
     tau = args.tau_ms * 1e-3
-    R = superoperator_sequence(pulse, tau, d, args.cycles)
+    # One pulse product per pulse: the n-cycle stack and the n -> infinity
+    # limit both come from these cycle unitaries.  Both calls go through the
+    # channel module, where perfbench times them.
+    U = channel.cycle_propagators(pulse, tau, d.offsets, d.rf_scales)
+    R = channel.transfer_of_unitaries(U, d.weights, np.arange(1, args.cycles + 1))
     probs, residuals = pauli_probabilities(R)
     fit = fit_pauli_model(probs, cycle_time(pulse, tau), transfer=R)
+    coherent, symmetric = offdiagonal_parts(R)
     payload = channel_fit_to_dict(fit)
     payload["offdiag_residual"] = residuals.tolist()
+    payload["coherent_residual"] = coherent.tolist()
+    payload["symmetric_residual"] = symmetric.tolist()
+    payload["cycle_unitarity_error"] = unitarity_error(U)
     outputs = ["channel.json"]
     params = {
         "pulse": args.pulse, "label": label, "tau_ms": args.tau_ms,
         "cycles": args.cycles, "n_points": d.n_points, "seed": args.seed,
     }
     if args.asymptotic:
-        limit = asymptotic_channel(pulse, tau, d)
+        limit = asymptotic_channel(U, d.weights)
         gap = float(np.max(np.abs(R[-1] - limit)))
         payload["asymptotic"] = {
             "entries": limit.tolist(),

@@ -193,7 +193,9 @@ def test_08_powered_cycles_converge_to_the_asymptotic_channel(
     # by ~30 cycles the ensemble has dephased onto the per-isochromat
     # rotation axes (measured worst entry gap 0.016 over n = 30..100)
     seq, _ = oct_channel
-    asym = channel.asymptotic_channel(oct_rfi, TAU, analysis_distribution)
+    d = analysis_distribution
+    asym = channel.asymptotic_channel(
+        cycle_propagators(oct_rfi, TAU, d.offsets, d.rf_scales), d.weights)
     gaps = np.max(np.abs(seq[29:100] - asym), axis=(1, 2))  # rows are n = 30..100
     assert len(gaps) == 71
     assert max(gaps) <= 0.05

@@ -259,9 +259,11 @@ def test_asymptotic_channel_pure_y_axis():
     # on resonance at rf 0.9 the cycle is a non-degenerate rotation about
     # y, so the asymptotic map projects onto y exactly
     d = EnsembleDistribution.single_point(0.0, 0.9)
-    s = asymptotic_channel(HARD, TAU, d)
+    U = cycle_propagators(HARD, TAU, d.offsets, d.rf_scales)
+    s = asymptotic_channel(U, d.weights)
     assert s.shape == (4, 4)
     assert np.allclose(s, np.diag([1.0, 0.0, 1.0, 0.0]), atol=1e-12)
+    assert np.array_equal(asymptotic_channel(U), s)  # one point: the mean is its weight
 
 
 def test_asymptotic_channel_of_identity_cycles_is_identity():
@@ -269,10 +271,12 @@ def test_asymptotic_channel_of_identity_cycles_is_identity():
     # rf 1: such points never dephase, so n -> infinity keeps the identity
     d = EnsembleDistribution.product(2 * np.pi * np.array([-3e3, 0.0, 6e3]), [0.95, 1.0])
     seq = superoperator_sequence(None, TAU, d, 50)
-    asym = asymptotic_channel(None, TAU, d)
+    asym = asymptotic_channel(cycle_propagators(None, TAU, d.offsets, d.rf_scales), d.weights)
     assert np.allclose(asym, np.eye(4), rtol=0.0, atol=1e-15)
     assert np.max(np.abs(seq[-1] - asym)) <= 1e-12
-    on_resonance = asymptotic_channel(HARD, TAU, EnsembleDistribution.single_point(0.0, 1.0))
+    d1 = EnsembleDistribution.single_point(0.0, 1.0)
+    on_resonance = asymptotic_channel(
+        cycle_propagators(HARD, TAU, d1.offsets, d1.rf_scales), d1.weights)
     assert np.allclose(on_resonance, np.eye(4), rtol=0.0, atol=1e-12)
 
 
@@ -283,7 +287,7 @@ def test_asymptotic_matches_ergodic_mean_single_point():
     d = EnsembleDistribution.single_point(2 * np.pi * 1300.0)
     seq = superoperator_sequence(HARD, TAU, d, 10_000)
     mean = np.mean(seq, axis=0)
-    asym = asymptotic_channel(HARD, TAU, d)
+    asym = asymptotic_channel(cycle_propagators(HARD, TAU, d.offsets, d.rf_scales), d.weights)
     assert np.max(np.abs(mean - asym)) < 0.02
     # while a single late snapshot is still far away
     assert np.max(np.abs(seq[-1] - asym)) > 0.2

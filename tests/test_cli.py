@@ -16,10 +16,11 @@ except ModuleNotFoundError:  # Python 3.10: pytest depends on tomli there
 import numpy as np
 import pytest
 
-from ocpulse import fileio
-from ocpulse.channel import superoperator_sequence
+from ocpulse import fileio, propagation
+from ocpulse.channel import asymptotic_channel, superoperator_sequence
 from ocpulse.cli import main
 from ocpulse.echo_train import simulate_train
+from ocpulse.propagation import cycle_propagators
 from ocpulse.pulses import EnsembleDistribution, hard_pulse, symmetrize_excitation
 
 A_MAX = 2 * np.pi * 5000.0
@@ -279,6 +280,46 @@ def test_analyze_writes_the_offdiagonal_residual(tmp_path):
     R = superoperator_sequence(hard_pulse(np.pi, np.pi / 2, A_MAX), 1e-3, d, 5)[2]
     assert residual[2] == pytest.approx(np.linalg.norm(R - np.diag(np.diag(R))), rel=0.0, abs=1e-14)
     assert residual[2] > 0.01  # the hard pulse's cycles are not Pauli-diagonal
+    # the residual splits into a coherent (antisymmetric) and a symmetric
+    # part, orthogonal to each other
+    coherent = np.array(payload["coherent_residual"])
+    symmetric = np.array(payload["symmetric_residual"])
+    assert coherent.shape == symmetric.shape == (5,)
+    assert np.all(np.isfinite(coherent)) and np.all(np.isfinite(symmetric))
+    assert np.max(np.abs(np.hypot(coherent, symmetric) - residual)) <= 1e-14
+    assert coherent[2] == pytest.approx(np.linalg.norm(0.5 * (R - R.T)), rel=0.0, abs=1e-14)
+    error = payload["cycle_unitarity_error"]
+    assert np.isfinite(error) and 0.0 <= error < 1e-12
+
+
+def test_analyze_asymptotic_propagates_each_pulse_once(tmp_path, monkeypatch):
+    # the n-cycle stack and the n -> infinity limit share one pulse product
+    d = EnsembleDistribution.product(2 * np.pi * np.array([-2.5e3, 300.0, 4e3]), [0.9, 1.05])
+    fileio.save_distribution_json(d, tmp_path / "d.json")
+    fileio.save_waveform_json(hard_pulse(np.pi, np.pi / 2, A_MAX), tmp_path / "hard.json")
+    calls = []
+    original = propagation.pulse_propagators
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(propagation, "pulse_propagators", counted)
+    out = tmp_path / "chan"
+    rc = main([
+        "analyze-channel", "--pulse", str(tmp_path / "hard.json"), "-o", str(out),
+        "--cycles", "5", "--distribution", str(tmp_path / "d.json"), "--asymptotic",
+    ])
+    assert rc == 0
+    assert len(calls) == 1
+    asym = json.loads((out / "channel.json").read_text())["asymptotic"]
+    # the inputs as the command read them, to the bit
+    d = fileio.load_distribution_json(tmp_path / "d.json")
+    p = fileio.load_waveform_json(tmp_path / "hard.json")
+    limit = asymptotic_channel(cycle_propagators(p, 1e-3, d.offsets, d.rf_scales), d.weights)
+    assert asym["entries"] == limit.tolist()
+    R = superoperator_sequence(p, 1e-3, d, 5)
+    assert asym["max_entry_gap_at_n"] == float(np.max(np.abs(R[-1] - limit)))
 
 
 def test_analyze_needs_three_cycles(tmp_path):

@@ -12,6 +12,9 @@ import numpy as np
 import pytest
 
 from ocpulse import fileio
+from ocpulse.channel import asymptotic_channel
+from ocpulse.propagation import cycle_propagators
+from ocpulse.pulses import hard_pulse
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -45,7 +48,7 @@ def test_channel_table(tmp_path):
     assert float(rows["oct_rfi"]["m_infinity"]) > float(rows["hard"]["m_infinity"])
 
 
-def test_fingerprint(tmp_path, hard_channel, oct_channel):
+def test_fingerprint(tmp_path, hard_channel, oct_channel, analysis_distribution, oct_rfi):
     # one run compares with a baseline and saves; the baseline holds the
     # conftest fixtures' probabilities (the same seed-42 ensemble and 100
     # cycles) for hard and oct_rfi, and zeros for oct_broadband
@@ -57,14 +60,18 @@ def test_fingerprint(tmp_path, hard_channel, oct_channel):
     for line in out.splitlines():
         name, field, value = line.split()
         values[name, field] = value if field == "controls_sha256" else float(value)
-    # 3 pulses x 3 channel numbers, 3 probability gaps, 2 optimizer lines
-    assert len(values) == 14
+    # 3 pulses x 4 channel numbers, 3 probability gaps, 2 optimizer lines
+    assert len(values) == 17
     assert 0.0 < values["grape", "final_fidelity"] < 1.0
     assert re.fullmatch("[0-9a-f]{64}", values["grape", "controls_sha256"])
     for name, (_, fit) in (("hard", hard_channel), ("oct_rfi", oct_channel)):
         for field in ("m_infinity", "t2_pulse_cycles", "fit_overlap"):
             assert values[name, field] == pytest.approx(getattr(fit, field), abs=1e-12)
         assert values[name, "max_abs_dprobs"] <= 1e-12
+    d = analysis_distribution
+    for name, w in (("hard", hard_pulse(np.pi, np.pi / 2, 2 * np.pi * 5000)), ("oct_rfi", oct_rfi)):
+        limit = asymptotic_channel(cycle_propagators(w, 1e-3, d.offsets, d.rf_scales), d.weights)
+        assert values[name, "asymptotic_y"] == pytest.approx(limit[2, 2], rel=0.0, abs=1e-12)
     # against zeros the gap is the largest probability, p_I at n = 1
     assert 0.9 < values["oct_broadband", "max_abs_dprobs"] <= 1.0
     with np.load(saved) as got:
