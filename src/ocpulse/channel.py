@@ -68,13 +68,6 @@ def _axes_and_angles(U: np.ndarray):
     return rotvec / np.maximum(theta, np.finfo(float).tiny)[:, None], theta
 
 
-def _weights(weights, P: int) -> np.ndarray:
-    """(P,) mixture weights; the plain mean when omitted."""
-    if weights is None:
-        return np.full(P, 1.0 / P)
-    return np.asarray(weights, dtype=float).reshape(-1)
-
-
 def _embed(block: np.ndarray) -> np.ndarray:
     """(..., 4, 4) transfer matrices with identity row/column around (..., 3, 3)."""
     out = np.zeros(block.shape[:-2] + (4, 4))
@@ -117,7 +110,7 @@ def transfer_of_unitaries(U: np.ndarray, weights=None, n=1) -> np.ndarray:
     """
     r, theta = _axes_and_angles(U)
     P = theta.shape[0]
-    w = _weights(weights, P)
+    w = np.full(P, 1.0 / P) if weights is None else np.asarray(weights, dtype=float).reshape(-1)
     rr = r[:, :, None] * r[:, None, :]
     cross = np.zeros((P, 3, 3))
     cross[:, [2, 0, 1], [1, 2, 0]] = r
@@ -253,14 +246,14 @@ def offdiagonal_parts(R: np.ndarray):
     return coherent, symmetric
 
 
-def asymptotic_channel(U: np.ndarray, weights=None) -> np.ndarray:
+def asymptotic_channel(U: np.ndarray, weights) -> np.ndarray:
     """(4, 4) transfer matrix of the n -> infinity channel of a weighted
     mixture of cycle unitaries: per point rho -> (rho + (r.sigma) rho
     (r.sigma))/2 with r the cycle rotation axis, then weight averaged.
 
-    U and weights are as for transfer_of_unitaries (cycle unitaries, e.g.
-    from cycle_propagators, flattened to P points; the plain mean when
-    weights is omitted), so the limit and the n-cycle stack can share one
+    U holds cycle unitaries (e.g. from cycle_propagators) flattened to P
+    points, and weights their (P,) mixture weights, as for
+    transfer_of_unitaries, so the limit and the n-cycle stack can share one
     propagation.  The per-point Bloch block is the rank-one projector
     r r^T, the limit of the n-average of the closed form once the cos and
     sin terms wash out.  A point whose cycle is numerically the identity
@@ -268,7 +261,7 @@ def asymptotic_channel(U: np.ndarray, weights=None) -> np.ndarray:
     -I) has no axis and never dephases, so it contributes the identity.
     """
     r, theta = _axes_and_angles(U)
-    w = _weights(weights, theta.shape[0])
+    w = np.asarray(weights, dtype=float).reshape(-1)
     still = theta < 2e-12
     axes = np.where(still[:, None], 0.0, r)
     block = np.einsum("p,pi,pj->ij", w, axes, axes)

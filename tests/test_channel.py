@@ -263,7 +263,6 @@ def test_asymptotic_channel_pure_y_axis():
     s = asymptotic_channel(U, d.weights)
     assert s.shape == (4, 4)
     assert np.allclose(s, np.diag([1.0, 0.0, 1.0, 0.0]), atol=1e-12)
-    assert np.array_equal(asymptotic_channel(U), s)  # one point: the mean is its weight
 
 
 def test_asymptotic_channel_of_identity_cycles_is_identity():
