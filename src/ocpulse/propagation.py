@@ -5,11 +5,14 @@ omega1:
 
     H = (Delta-omega / 2) Z + (omega1 A / 2)(cos(phi) X + sin(phi) Y)
 
-so the step propagator is exp(-i H dt).  Time order follows the physics
-convention: the propagator of "p1 then p2" is U(p2) @ U(p1).  An ideal
-refocusing pulse is represented by ``None`` wherever a waveform is
-accepted; it acts as an instantaneous exp(-i pi/2 Y) at every ensemble
-point.
+so the step propagator is exp(-i H dt), built by
+:func:`ocpulse.su2.ck_expm_polar` from the drive's amplitude omega1 A and
+phase phi as they are: the phase cancels from |omega|, and one tangent per
+step, tan(h/2), gives both sin h and cos h of h = |omega| dt / 2.  Time
+order follows the physics convention: the propagator of "p1 then p2" is
+U(p2) @ U(p1).  An ideal refocusing pulse is represented by ``None``
+wherever a waveform is accepted; it acts as an instantaneous
+exp(-i pi/2 Y) at every ensemble point.
 
 Steps, free precession and pulses are held as Cayley-Klein pairs (a, b),
 the first row of U = [[a, b], [-conj(b), conj(a)]] (see :mod:`ocpulse.su2`),
@@ -30,17 +33,20 @@ from __future__ import annotations
 import numpy as np
 
 from .pulses import PulseWaveform, check_points
-from .su2 import Y_AXIS, ck_expm, ck_matrix, ck_mul, expm_su2, rotation_matrices
+from .su2 import Y_AXIS, ck_expm_polar, ck_matrix, ck_mul, expm_su2, rotation_matrices
 
 # The ideal refocusing pulse, exp(-i pi/2 Y); also the optimizer's target.
 TARGET_PI_Y = expm_su2(Y_AXIS, np.pi)
 
 # Ensemble points propagated together by pulse_pairs and by the optimizer's
 # scans, so memory does not grow with the ensemble.  Every tree or scan
-# level sweeps the whole step array (0.8 MB for 100 steps at 256 points);
-# larger chunks fall out of cache, and the scan, which does log2(n_steps)
-# times the work of a step loop, then loses to it.  128-256 points measured
-# fastest for both; 256 keeps the pulse product slightly ahead.
+# level sweeps the whole step array (0.8 MB for 100 steps at 256 points).
+# Measured with the tangent step exponential on a 2-CPU VM: the 33,621-point
+# oct_rfi product took 0.195-0.208 s at 128 points, 0.176-0.204 s at 256 and
+# 0.163-0.188 s at 512; the channel benchmark's median run_s (three 15 s
+# runs each) was 0.97, 0.89 and 0.91 s.  The design benchmark's ensembles
+# hold at most 45 points, one chunk at any of these sizes.  Neither other
+# size beat 256 on both measures, so it stays.
 POINT_CHUNK = 256
 
 
@@ -62,17 +68,17 @@ def free_pairs(delta_omega, duration: float) -> np.ndarray:
 def step_propagators(p: PulseWaveform, offsets, rf_scales) -> np.ndarray:
     """Per-step Cayley-Klein pairs over ensemble points, (n_steps, P, 2).
 
-    The drive components are (n_steps, P) arrays; the offset enters as the
-    (P,) z component, which the kernel broadcasts over steps.
+    The drive enters in polar form: the (n_steps, P) amplitudes s A_j and
+    the (n_steps, 1) phases, from which the kernel takes one complex factor
+    per step.  The offset is the (P,) z rate, broadcast over steps.  No
+    Cartesian drive array is built.
     """
     offsets, rf_scales = np.broadcast_arrays(
         np.atleast_1d(np.asarray(offsets, dtype=float)),
         np.atleast_1d(np.asarray(rf_scales, dtype=float)),
     )
     amps = p.amplitudes[:, None] * rf_scales[None, :]
-    wx = amps * np.cos(p.phases)[:, None]
-    wy = amps * np.sin(p.phases)[:, None]
-    return ck_expm((wx, wy, offsets), p.dt)
+    return ck_expm_polar(amps, p.phases[:, None], offsets, p.dt)
 
 
 def forward_products(steps: np.ndarray, start: np.ndarray) -> np.ndarray:

@@ -86,10 +86,12 @@ def hard_pulse(nutation: float, phase: float, a_max: float) -> PulseWaveform:
 
     hard_pulse(pi, pi/2, 2*pi*5000) is the 100 us reference pi pulse about y.
     """
-    if nutation <= 0.0:
-        raise ValueError(f"nutation must be positive, got {nutation}")
-    if a_max <= 0.0:
-        raise ValueError(f"a_max must be positive, got {a_max}")
+    if not 0.0 < nutation < np.inf:
+        raise ValueError(f"nutation must be positive and finite, got {nutation}")
+    if not 0.0 < a_max < np.inf:
+        raise ValueError(f"a_max must be positive and finite, got {a_max}")
+    if not np.isfinite(phase):
+        raise ValueError(f"phase must be finite, got {phase}")
     return PulseWaveform(
         dt=nutation / a_max,
         amplitudes=np.array([a_max]),
@@ -172,8 +174,10 @@ class EnsembleDistribution:
             raise ValueError("weights must be strictly positive (and not nan)")
         if abs(weights.sum() - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
-        pairs = set(zip(offs.tolist(), scales.tolist()))
-        if len(pairs) != offs.shape[0]:
+        # sorted by (offset, scale), equal points are neighbours; -0.0 == 0.0
+        order = np.lexsort((scales, offs))
+        so, ss = offs[order], scales[order]
+        if np.any((so[1:] == so[:-1]) & (ss[1:] == ss[:-1])):
             raise ValueError("duplicate (offset, rf_scale) points")
         for name, arr in (("offsets", offs), ("rf_scales", scales), ("weights", weights)):
             arr.setflags(write=False)

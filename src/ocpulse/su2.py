@@ -9,8 +9,13 @@ complex ndarrays; most helpers also accept batches of shape ``(..., 2, 2)``.
 
 Bulk propagation stores an SU(2) element by its Cayley-Klein pair: the
 first row (a, b) of U = [[a, b], [-conj(b), conj(a)]], shape ``(..., 2)``.
-Powers of a rotation come from its rotation vector theta * r: U^n is the
-rotation by n theta about the same axis r.
+One formula builds every exponential, :func:`ck_expm_polar`: it takes the
+transverse rate in polar form (amplitude, phase) and works from
+t = tan(h/2), h = |omega| duration / 2, so each element costs one ``tan``
+and no ``sin`` or ``cos``.  :func:`ck_expm` (Cartesian components) and
+:func:`expm_su2` (axis and angle) call it.  Powers of a rotation come from
+its rotation vector theta * r: U^n is the rotation by n theta about the
+same axis r.
 """
 
 from __future__ import annotations
@@ -30,6 +35,14 @@ Z_AXIS = np.array([0.0, 0.0, 1.0])
 # cos(theta/2) below this is a half turn, whose quaternion sign comes from
 # its vector part.
 _DEGENERATE_SIN = 1e-12
+
+# ck_expm_polar adds the square of this to |omega|^2, which moves no
+# |omega| above 1e-140 by more than rounding and keeps |omega| >= 1e-150.
+# For any duration from 1e-150 to 1e140, (floor duration)^2 then vanishes
+# beside 1, so where |omega| is 0 (or its squared parts underflow) cos h
+# rounds to 1 and k = sin(h)/|omega| to duration/2, their limits, with no
+# 0/0 and no masked divide.
+_RATE_FLOOR = 1e-150
 
 
 def expm_su2(axis, angle: float) -> np.ndarray:
@@ -56,52 +69,86 @@ def expm_su2(axis, angle: float) -> np.ndarray:
 
 
 def ck_expm(omega, duration) -> np.ndarray:
-    """Cayley-Klein pairs of exp(-i duration/2 omega.sigma), batched.
+    """Cayley-Klein pairs of exp(-i duration/2 omega.sigma), batched, for
+    omega given by its Cartesian components.
 
-    With h = |omega| duration / 2 the pair is
-
-        a = cos h - i k omega_z,   b = -k omega_y - i k omega_x,
-
-    where k = sin(h) / |omega| is taken directly.  Where |omega| is zero
-    (including components so small that their squares underflow) k is
-    its limit duration/2 instead of 0/0.
+    The transverse part is put in polar form (``hypot``, ``arctan2``) and
+    handed to :func:`ck_expm_polar`, which holds the formula.
 
     Parameters
     ----------
     omega : three array_like components (omega_x, omega_y, omega_z)
         Rotation rates in rad/s (or plain rotation vectors with
         ``duration=1``), as a (3, ...) array or a sequence of three arrays
-        that broadcast against each other.  A component may have fewer
-        dimensions than the others (a per-point offset under per-step
-        drive terms, say) and is then squared once per element it holds.
+        that broadcast against each other.
     duration : float or array_like broadcastable to the components
+
+    Returns
+    -------
+    (..., 2) complex ndarray over the broadcast batch.
+    """
+    wx, wy, wz = (np.asarray(c, dtype=float) for c in omega)
+    return ck_expm_polar(np.hypot(wx, wy), np.arctan2(wy, wx), wz, duration)
+
+
+def ck_expm_polar(amp, phase, wz, duration) -> np.ndarray:
+    """Cayley-Klein pairs of exp(-i duration/2 omega.sigma), batched, for
+    omega = (amp cos phase, amp sin phase, wz).
+
+    With h = |omega| duration / 2, |omega|^2 = amp^2 + wz^2 (the phase
+    cancels) and t = tan(h/2), the pair is
+
+        a = cos h - i k wz,   b = k amp (-sin phase - i cos phase),
+
+    where cos h = (1 - t^2)/(1 + t^2) and k = sin(h)/|omega| with
+    sin h = 2t/(1 + t^2): one tangent per element and no sine or cosine.
+    b is one real by complex product against the factor -i exp(-i phase),
+    which has the shape of ``phase`` alone (one value per pulse step, say).
+    |omega|^2 gains _RATE_FLOOR^2, so where |omega| is 0 (or its squared
+    parts underflow) k takes its limit duration/2 and cos h its limit 1
+    without a masked divide.
+
+    Parameters
+    ----------
+    amp : array_like
+        Real transverse amplitude in rad/s.
+    phase : array_like
+        Transverse phase in radians.
+    wz : array_like
+        z rate in rad/s.
+    duration : float or array_like
+        All four broadcast against each other.  An argument with fewer
+        dimensions than the others (per-point offsets under per-step drive
+        terms, per-step phases under per-point amplitudes) is worked on
+        once per element it holds.
 
     Returns
     -------
     (..., 2) complex ndarray over the broadcast batch; |a|^2 + |b|^2 = 1 up
     to rounding.
     """
-    wx, wy, wz = (np.asarray(c, dtype=float) for c in omega)
-    duration = np.asarray(duration, dtype=float)
-    shape = np.broadcast_shapes(wx.shape, wy.shape, wz.shape)
-    # |omega| summed in the order np.linalg.norm uses, in one buffer
-    norm = np.multiply(wx, wx, out=np.empty(shape))
-    norm += wy * wy
-    norm += wz * wz
+    amp, phase, wz, duration = (np.asarray(x, dtype=float) for x in (amp, phase, wz, duration))
+    turn = -1j * np.exp(-1j * phase)  # -sin phase - i cos phase
+    norm = np.multiply(amp, amp, out=np.empty(np.broadcast_shapes(amp.shape, wz.shape)))
+    norm += wz * wz + _RATE_FLOOR**2
     np.sqrt(norm, out=norm)
-    half = norm * (0.5 * duration)
-    k = np.empty(np.shape(half))
-    np.sin(half, out=k)
-    zero = norm == 0.0
-    np.divide(k, norm, out=k, where=~zero)
-    np.copyto(k, 0.5 * duration, where=zero)
-    out = np.empty(half.shape + (2,), dtype=complex)
+    # tan(h/2): norm (duration/4) is exactly half of norm (duration/2)
+    t = np.empty(np.broadcast_shapes(norm.shape, duration.shape))
+    np.multiply(norm, 0.25 * duration, out=t)
+    np.tan(t, out=t)
+    out = np.empty(np.broadcast_shapes(t.shape, turn.shape) + (2,), dtype=complex)
     a, b = out[..., 0], out[..., 1]
-    # k (-w) has the bits of -(k w) and is written straight into the pair
-    np.cos(half, out=a.real)
+    # 1 - t^2 goes straight into a, so t^2 and 1 + t^2 share one buffer
+    denom = np.multiply(t, t, out=np.empty(t.shape))
+    np.subtract(1.0, denom, out=a.real)
+    denom += 1.0
+    a.real /= denom  # cos h
+    t *= 2.0
+    t /= denom  # sin h
+    k = np.divide(t, norm, out=t)
     np.multiply(k, -wz, out=a.imag)
-    np.multiply(k, -wy, out=b.real)
-    np.multiply(k, -wx, out=b.imag)
+    k *= amp
+    np.multiply(k, turn, out=b)
     return out
 
 

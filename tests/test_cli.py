@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from importlib.metadata import entry_points
 from pathlib import Path
 
@@ -431,11 +432,25 @@ def test_bad_distribution_file_is_rejected(tmp_path, capsys):
      "--cycles 100002 is more than the cap of 100001"),
     (["simulate", "--pulse", "hard", "--train", "--echoes", "100000000"],
      "--echoes 100000000 is more than the cap of 100001"),
+    # the hard pulse's own inputs; these once reported a dt of 0 or nan, or
+    # printed a numpy RuntimeWarning first
+    (["analyze-channel", "--pulse", "hard", "--amax-khz", "inf"],
+     "a_max must be positive and finite, got inf"),
+    (["analyze-channel", "--pulse", "hard", "--amax-khz", "nan"],
+     "a_max must be positive and finite, got nan"),
+    (["analyze-channel", "--pulse", "hard", "--hard-nutation-deg", "nan"],
+     "nutation must be positive and finite, got nan"),
+    (["analyze-channel", "--pulse", "hard", "--hard-phase-deg", "inf"],
+     "phase must be finite, got inf"),
 ])
 def test_nonfinite_or_negative_input_fails_at_the_boundary(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
-    assert main([*argv, "-o", str(out)]) == 2
-    assert f"error: {message}" in capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "-o", str(out)]) == 2
+    assert caught == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
     assert list(out.glob("*")) == []
 
 

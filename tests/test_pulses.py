@@ -37,6 +37,15 @@ def test_hard_pulse_validation():
         hard_pulse(0.0, 0.0, A_MAX)
     with pytest.raises(ValueError, match="a_max"):
         hard_pulse(np.pi, 0.0, -1.0)
+    for nutation in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="nutation must be positive and finite"):
+            hard_pulse(nutation, 0.0, A_MAX)
+    for a_max in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="a_max must be positive and finite"):
+            hard_pulse(np.pi, 0.0, a_max)
+    for phase in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="phase must be finite"):
+            hard_pulse(np.pi, phase, A_MAX)
 
 
 def test_waveform_validation():
@@ -132,6 +141,19 @@ def test_distribution_validation():
         EnsembleDistribution(np.array([0.0, 1.0]), np.ones(2), np.array([0.6, 0.6]))
     with pytest.raises(ValueError, match="duplicate"):
         EnsembleDistribution(np.zeros(2), np.ones(2), np.full(2, 0.5))
+
+
+@pytest.mark.parametrize("offsets, rf_scales", [
+    # the repeat is neither next to its twin in the given order nor in
+    # offset order alone
+    ([3.0, 1.0, -2.0, 1.0, 5.0], [1.1, 0.9, 1.0, 0.9, 0.9]),
+    # -0.0 and 0.0 are the same offset
+    ([0.0, 4.0, -0.0], [1.0, 1.0, 1.0]),
+])
+def test_distribution_rejects_duplicates_anywhere(offsets, rf_scales):
+    w = np.full(len(offsets), 1.0 / len(offsets))
+    with pytest.raises(ValueError, match="duplicate"):
+        EnsembleDistribution(np.array(offsets), np.array(rf_scales), w)
 
 
 @pytest.mark.parametrize(

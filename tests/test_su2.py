@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocpulse import su2
+from ocpulse.propagation import step_propagators
+from ocpulse.pulses import PulseWaveform
 from ocpulse.su2 import (
     ID2,
     SIGMA_Y,
@@ -152,6 +155,53 @@ def test_ck_expm_is_exact_at_and_near_zero_rotation():
         assert np.array_equal(got, ck_expm(row, 1e-5))
     assert np.array_equal(batch[0], np.array([1.0, 0.0]))
     assert batch[3, 1].real == -0.5e-5 * 5e-310
+    # the step exponentials of a strided slice of points, and of one point
+    # alone, are the columns of the whole batch's, bit for bit
+    rng = np.random.default_rng(12)
+    p = PulseWaveform(1e-5, rng.uniform(0, 3e4, 9), rng.uniform(0, 2 * np.pi, 9), 3e4)
+    offs = rng.uniform(-6e4, 6e4, 301)
+    scales = rng.uniform(0.8, 1.2, 301)
+    steps = step_propagators(p, offs, scales)
+    assert np.array_equal(step_propagators(p, offs[5::7], scales[5::7]), steps[:, 5::7])
+    for i in (0, 150, 300):
+        assert np.array_equal(step_propagators(p, [offs[i]], [scales[i]])[:, 0], steps[:, i])
+
+
+def _tangent_cases():
+    """Half angles h = |omega| dt / 2 for the tangent form: a grid over
+    [0, 3 pi], h/2 within 1e-12 of pi/2 (where tan(h/2) reaches 1e12-1e16),
+    and the 100 us hard pi pulse at +-8 kHz and RF 1.1 (h about 3.05)."""
+    grid = np.linspace(0.0, 3 * np.pi, 3001)
+    near = np.pi + 2 * np.array([-1e-12, -1e-13, -1e-15, 0.0, 1e-15, 1e-13, 1e-12])
+    near = np.concatenate([near, np.nextafter(np.pi, 0.0) + np.arange(-3, 4) * 2 ** -51])
+    a_max = 2 * np.pi * 5000.0
+    rate = np.hypot(1.1 * a_max, 2 * np.pi * 8000.0)
+    return np.concatenate([grid, near, [0.5 * rate * np.pi / a_max]])
+
+
+def test_tangent_form_is_unitary_and_matches_libm_over_three_pi():
+    h = _tangent_cases()
+    t = np.tan(0.5 * h)
+    assert np.abs(t).max() > 1e15  # the largest tangents are reached
+    rng = np.random.default_rng(13)
+    # |omega| = 2h over unit duration, split into a transverse part at a
+    # random phase and a z part; the first row is pure z (and h = 0), the
+    # second transverse up to a z part of 6e-17 of it
+    split = np.concatenate([[0.0, 0.5 * np.pi], rng.uniform(0, 2 * np.pi, h.size - 2)])
+    amp, wz = 2 * h * np.sin(split), 2 * h * np.cos(split)
+    phase = rng.uniform(0, 2 * np.pi, h.size)
+    pairs = su2.ck_expm_polar(amp, phase, wz, 1.0)
+    a, b = pairs[:, 0], pairs[:, 1]
+    assert np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0).max() <= 2e-15
+    for i in range(h.size):
+        # the kernel's |omega| and h, which math then takes sin and cos of
+        norm = math.sqrt(amp[i] * amp[i] + wz[i] * wz[i])
+        hi = norm * 0.5
+        k = math.sin(hi) / norm if norm else 0.5
+        expect_a = complex(math.cos(hi), -k * wz[i])
+        expect_b = k * amp[i] * complex(-math.sin(phase[i]), -math.cos(phase[i]))
+        assert abs(a[i] - expect_a) <= 1e-15, (h[i], a[i], expect_a)
+        assert abs(b[i] - expect_b) <= 1e-15, (h[i], b[i], expect_b)
 
 
 def test_long_products_stay_unitary():
