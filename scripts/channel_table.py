@@ -26,8 +26,7 @@ def analysis_distribution(n_offsets=1601, n_scales=21, seed=42):
 
 def fit_for(waveform, tau, d, n_cycles):
     R = channel.superoperator_sequence(waveform, tau, d, n_cycles)
-    probs, _ = channel.pauli_probabilities(R)
-    return channel.fit_pauli_model(probs, channel.cycle_time(waveform, tau), transfer=R)
+    return channel.fit_pauli_model(R, channel.cycle_time(waveform, tau))
 
 
 def main():

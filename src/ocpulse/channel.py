@@ -49,6 +49,14 @@ from .su2 import PAULIS, rotation_vectors
 # per float array); the count block shrinks as the ensemble grows.
 _POWER_BLOCK_ELEMENTS = 1 << 20
 
+# Choi eigenvalues down to -_CP_TOL are rounding, not a channel that fails
+# complete positivity.
+_CP_TOL = 1e-6
+
+# Share of the trailing cycles (at least one) whose mean probabilities are
+# the fit's asymptotic constants.
+_TAIL_FRACTION = 0.25
+
 
 def _transfer(R, stack: bool = True) -> np.ndarray:
     """R as a float array, checked to be (..., 4, 4) (one (4, 4) matrix
@@ -76,7 +84,7 @@ def _embed(block: np.ndarray) -> np.ndarray:
     return out
 
 
-def transfer_of_unitaries(U: np.ndarray, weights=None, n=1) -> np.ndarray:
+def transfer_of_unitaries(U: np.ndarray, weights, n=1) -> np.ndarray:
     """Transfer matrix of a weighted mixture of n-fold unitary conjugations.
 
     Each U_p is a rotation by theta about r, and its n-th power acts on
@@ -102,15 +110,15 @@ def transfer_of_unitaries(U: np.ndarray, weights=None, n=1) -> np.ndarray:
     ----------
     U : (..., 2, 2) complex ndarray
         Unitaries, flattened to P points.
-    weights : (P,) array_like, optional
-        Mixture weights; the plain mean when omitted.
+    weights : (P,) array_like
+        Mixture weights, e.g. an EnsembleDistribution's weights.
     n : int or 1-d sequence of ints
         Power of each unitary.  A scalar gives a (4, 4) matrix, a sequence
         of counts a stack (len(n), 4, 4).
     """
     r, theta = _axes_and_angles(U)
     P = theta.shape[0]
-    w = np.full(P, 1.0 / P) if weights is None else np.asarray(weights, dtype=float).reshape(-1)
+    w = np.asarray(weights, dtype=float).reshape(-1)
     rr = r[:, :, None] * r[:, None, :]
     cross = np.zeros((P, 3, 3))
     cross[:, [2, 0, 1], [1, 2, 0]] = r
@@ -171,7 +179,7 @@ def choi_matrix(R: np.ndarray) -> np.ndarray:
     return C.reshape(4, 4)
 
 
-def choi_kraus(R: np.ndarray, cp_tol: float = 1e-6):
+def choi_kraus(R: np.ndarray):
     """Kraus form [(probability, operator), ...] of the channel with (4, 4)
     transfer matrix R, sorted by weight.
 
@@ -183,13 +191,13 @@ def choi_kraus(R: np.ndarray, cp_tol: float = 1e-6):
     ------
     ValueError
         If R is not (4, 4), the channel is not trace preserving, or a Choi
-        eigenvalue is below -cp_tol (not completely positive).
+        eigenvalue is below -_CP_TOL (not completely positive).
     """
     R = _transfer(R, stack=False)
     if np.max(np.abs(R[0] - np.array([1.0, 0.0, 0.0, 0.0]))) > 1e-8:
         raise ValueError("channel is not trace preserving")
     evals, evecs = np.linalg.eigh(choi_matrix(R))
-    if evals.min() < -cp_tol:
+    if evals.min() < -_CP_TOL:
         raise ValueError(
             f"channel is not completely positive (Choi eigenvalue {evals.min():.3e})"
         )
@@ -323,47 +331,41 @@ def model_probabilities(fit: PauliChannelFit, n) -> np.ndarray:
     return out
 
 
-def fit_pauli_model(
-    per_cycle_probs: np.ndarray,
-    t_c: float,
-    *,
-    transfer: np.ndarray | None = None,
-    tail_fraction: float = 0.25,
-) -> PauliChannelFit:
-    """Fit the exponential identity-decay model to per-cycle probabilities.
+def fit_pauli_model(R: np.ndarray, t_c: float) -> PauliChannelFit:
+    """Fit the exponential identity-decay model to an n-cycle transfer stack.
 
     Parameters
     ----------
-    per_cycle_probs : (n_max, 4) array
-        Pauli probabilities for n = 1 .. n_max.
+    R : (n_max, 4, 4) array
+        Simulated transfer matrices for n = 1 .. n_max, n_max >= 3,
+        off-diagonals included, as transfer_of_unitaries and
+        superoperator_sequence return them.  The per-cycle probabilities
+        are pauli_probabilities(R), and fit_overlap is
+        min_n ||diag R_n|| / ||R_n||: the normalized Frobenius overlap
+        between the Pauli channel of cycle n, whose transfer matrix is
+        diag R_n, and R_n itself.
     t_c : float
         Cycle duration in seconds.
-    transfer : (n_max, 4, 4) array, optional
-        Full simulated transfer matrices for n = 1 .. n_max, off-diagonals
-        included, as superoperator_sequence returns them.  When given,
-        fit_overlap is min_n ||diag R_n|| / ||R_n||: the normalized
-        Frobenius overlap between the Pauli channel of cycle n, whose
-        transfer matrix is diag R_n, and R_n itself.  Without them the
-        overlap is left as nan (the diagonal alone cannot say how
-        Pauli-like the map is).
-    tail_fraction : float
-        Portion of the trailing cycles averaged into the asymptotic
-        constants.
 
     Notes
     -----
-    The crossing n* solves p_I(n*) = c_i + (1 - c_i)/e by linear
-    interpolation on the simulated samples, anchored at p_I(0) = 1, so the
-    model amplitude at n = 0 is consistent with an initially perfect
-    identity channel.
+    The asymptotic constants c are the mean probabilities over the last
+    quarter of the cycles (_TAIL_FRACTION, at least one cycle).  The
+    crossing n* solves p_I(n*) = c_i + (1 - c_i)/e by linear interpolation
+    on the simulated samples, anchored at p_I(0) = 1, so the model
+    amplitude at n = 0 is consistent with an initially perfect identity
+    channel.
     """
-    probs = np.asarray(per_cycle_probs, dtype=float)
-    if probs.ndim != 2 or probs.shape[1] != 4 or probs.shape[0] < 3:
-        raise ValueError("need at least 3 cycles of (p_I, p_x, p_y, p_z) samples")
+    R = _transfer(R)
+    probs, _ = pauli_probabilities(R)
+    if probs.ndim != 2 or probs.shape[0] < 3:
+        raise ValueError(
+            f"need an (n_max, 4, 4) stack of at least 3 cycles, got shape {R.shape}"
+        )
     if not 0.0 < t_c < np.inf:
         raise ValueError(f"cycle time must be positive and finite, got {t_c}")
     n_max = probs.shape[0]
-    tail = max(1, int(round(tail_fraction * n_max)))
+    tail = max(1, int(round(_TAIL_FRACTION * n_max)))
     c_i, c_x, c_y, c_z = probs[-tail:].mean(axis=0)
 
     excess0 = 1.0 - c_i
@@ -383,14 +385,8 @@ def fit_pauli_model(
     t2_cycles = float(n_star)
     t2 = float(n_star * t_c) if np.isfinite(n_star) else np.inf
 
-    if transfer is None:
-        overlap = np.nan
-    else:
-        R = np.asarray(transfer, dtype=float)
-        if R.shape != (n_max, 4, 4):
-            raise ValueError(f"transfer must be ({n_max}, 4, 4), got shape {R.shape}")
-        diag_norms = np.linalg.norm(np.diagonal(R, axis1=-2, axis2=-1), axis=-1)
-        overlap = float(np.min(diag_norms / np.linalg.norm(R, axis=(-2, -1))))
+    diag_norms = np.linalg.norm(np.diagonal(R, axis1=-2, axis2=-1), axis=-1)
+    overlap = float(np.min(diag_norms / np.linalg.norm(R, axis=(-2, -1))))
 
     return PauliChannelFit(
         per_cycle_probs=probs,

@@ -158,9 +158,9 @@ def _build_distribution(args, parser) -> EnsembleDistribution:
     )
 
 
-def _add_distribution_flags(sp, halfbw_default=8.0, jitter_default=0.0):
+def _add_distribution_flags(sp, jitter_default=0.0):
     sp.add_argument("--distribution", help="distribution JSON file (overrides grid flags)")
-    sp.add_argument("--halfbw-khz", type=float, default=halfbw_default,
+    sp.add_argument("--halfbw-khz", type=float, default=8.0,
                     help="half bandwidth of the built offset comb (kHz)")
     sp.add_argument("--delta-hz", type=float, default=250.0, help="comb spacing (Hz)")
     sp.add_argument("--rf", type=_floats, default=_floats(DEFAULT_RF_LIST),
@@ -199,6 +199,12 @@ CRITERIA_HEADER = ["offset_hz", "rf_scale", "fidelity", "angle_xy_deg", "angle_y
 
 def cmd_optimize(args, parser) -> int:
     _check_optimize_args(args)
+    default_iter = 300 if args.mode == "ladder" else 2000  # per rung in ladder mode
+    cfg = GrapeConfig(
+        max_iterations=default_iter if args.max_iter is None else args.max_iter,
+        target_fidelity=args.target_fidelity,
+        improvement_threshold=args.stall,
+    )
     outdir = _outdir(args, parser)
     duration = args.duration_ms * 1e-3
     dt = duration / args.steps
@@ -242,11 +248,6 @@ def cmd_optimize(args, parser) -> int:
         return rows
 
     if args.mode == "ladder":
-        cfg = GrapeConfig(
-            max_iterations=300 if args.max_iter is None else args.max_iter,
-            target_fidelity=args.target_fidelity,
-            improvement_threshold=args.stall,
-        )
         result = run_ladder(
             p0,
             delta,
@@ -309,11 +310,6 @@ def cmd_optimize(args, parser) -> int:
             d = EnsembleDistribution.single_point()
         else:
             d = load_distribution_json(args.distribution_file)
-        cfg = GrapeConfig(
-            max_iterations=2000 if args.max_iter is None else args.max_iter,
-            target_fidelity=args.target_fidelity,
-            improvement_threshold=args.stall,
-        )
         if args.multistart is not None:
             reports = multistart_reports(
                 d, TARGET_PI_Y, cfg, args.multistart, args.seed,
@@ -428,8 +424,8 @@ def cmd_analyze(args, parser) -> int:
     # channel module, where perfbench times them.
     U = channel.cycle_propagators(pulse, tau, d.offsets, d.rf_scales)
     R = channel.transfer_of_unitaries(U, d.weights, np.arange(1, args.cycles + 1))
-    probs, residuals = pauli_probabilities(R)
-    fit = fit_pauli_model(probs, cycle_time(pulse, tau), transfer=R)
+    _, residuals = pauli_probabilities(R)
+    fit = fit_pauli_model(R, cycle_time(pulse, tau))
     coherent, symmetric = offdiagonal_parts(R)
     payload = channel_fit_to_dict(fit)
     payload["offdiag_residual"] = residuals.tolist()
@@ -494,8 +490,7 @@ def cmd_compare(args, parser) -> int:
         means["offset_hz"] += (offsets / (2 * np.pi)).tolist()
         means["fidelity"] += [float(row.mean()) for row in fid]
         R = superoperator_sequence(p, tau, d, args.cycles)
-        probs, _ = pauli_probabilities(R)
-        fit = fit_pauli_model(probs, cycle_time(p, tau), transfer=R)
+        fit = fit_pauli_model(R, cycle_time(p, tau))
         t2c = fit.t2_pulse_cycles
         table["pulse"].append(label)
         table["t2_pulse_cycles"].append(t2c if np.isfinite(t2c) else "inf")

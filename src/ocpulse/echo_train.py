@@ -112,12 +112,15 @@ def echo_visibility_sweep(
 
     Each grid point evolves independently; only the requested echoes are
     evaluated.  Offsets in rad/s must be finite, RF scales positive and
-    finite.
+    finite; neither the RF scales nor the echo indices may be empty.
     """
     offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
     rf_scales = np.atleast_1d(np.asarray(rf_scales, dtype=float))
     check_points(offsets, rf_scales)
     echo_indices = tuple(int(k) for k in echo_indices)
+    for name, values in (("rf_scales", rf_scales), ("echo_indices", echo_indices)):
+        if len(values) == 0:
+            raise ValueError(f"{name} must not be empty")
     if any(k < 1 for k in echo_indices):
         raise ValueError("echo indices are 1-based and must be >= 1")
     grid_off = np.repeat(offsets, rf_scales.size)

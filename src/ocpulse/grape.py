@@ -29,6 +29,13 @@ from .propagation import (
 )
 from .su2 import ck_inv, ck_mul
 
+# Line search: the trial step grows by _LS_GROWTH after an accepted probe
+# and shrinks by _LS_SHRINK after a rejected one, with at most
+# _LS_MAX_PROBES probes per iteration.
+_LS_GROWTH = 1.5
+_LS_SHRINK = 0.5
+_LS_MAX_PROBES = 20
+
 
 class Termination(enum.Enum):
     TARGET_REACHED = "target_reached"
@@ -38,33 +45,27 @@ class Termination(enum.Enum):
 
 @dataclass(frozen=True)
 class GrapeConfig:
-    """Ascent knobs.
+    """Ascent budget and stopping rules.
 
-    step_size_init of ``None`` auto-scales the first trial step so the
-    largest control change is 5% of the amplitude cap.  The line search
-    grows the step by ls_growth after an accepted iteration and shrinks it
-    by ls_shrink on rejection, at most ls_max_probes shrinks per
-    iteration.  Iterations stop at target_fidelity, on an improvement
-    below improvement_threshold (stall), or at max_iterations.
+    Iterations stop at target_fidelity, on an improvement below
+    improvement_threshold (stall), or at max_iterations.  The line search
+    has no settings: its first trial step moves the largest control by 5%
+    of the amplitude cap, and later steps follow _LS_GROWTH, _LS_SHRINK
+    and _LS_MAX_PROBES.
     """
 
-    step_size_init: float | None = None
-    ls_growth: float = 1.5
-    ls_shrink: float = 0.5
-    ls_max_probes: int = 20
     improvement_threshold: float = 1e-7
     max_iterations: int = 2000
     target_fidelity: float = 1.0
 
     def __post_init__(self):
-        if self.step_size_init is not None and self.step_size_init <= 0.0:
-            raise ValueError("step_size_init must be positive")
-        if self.ls_growth <= 1.0 or not 0.0 < self.ls_shrink < 1.0:
-            raise ValueError("need ls_growth > 1 and 0 < ls_shrink < 1")
-        if self.ls_max_probes < 1 or self.max_iterations < 1:
-            raise ValueError("ls_max_probes and max_iterations must be >= 1")
-        if self.improvement_threshold <= 0.0:
-            raise ValueError("improvement_threshold must be positive")
+        if not 0.0 < self.improvement_threshold < np.inf:
+            raise ValueError(
+                f"improvement_threshold must be positive and finite, "
+                f"got {self.improvement_threshold}"
+            )
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
         if not 0.0 < self.target_fidelity <= 1.0:
             raise ValueError("target_fidelity must be in (0, 1]")
 
@@ -212,19 +213,17 @@ def grape_ascend(
         raise RuntimeError("non-finite objective at the starting point")
     history = [fid]
     accepted_steps: list[float] = []
-    eps = cfg.step_size_init
+    gmax = float(np.max(np.abs(grad)))
+    eps = 0.05 * p0.a_max / gmax if gmax > 0.0 else 1.0
     termination = Termination.MAX_ITERATIONS
 
     for _ in range(cfg.max_iterations):
         if fid >= cfg.target_fidelity:
             termination = Termination.TARGET_REACHED
             break
-        gmax = float(np.max(np.abs(grad)))
-        if eps is None:
-            eps = 0.05 * p0.a_max / gmax if gmax > 0.0 else 1.0
 
         improvement = None
-        for _probe in range(cfg.ls_max_probes):
+        for _probe in range(_LS_MAX_PROBES):
             v1 = u1 + eps * grad[:, 0]
             v2 = u2 + eps * grad[:, 1]
             amps = np.minimum(np.hypot(v1, v2), p0.a_max)
@@ -239,9 +238,9 @@ def grape_ascend(
                 p = trial
                 fid = f_trial
                 accepted_steps.append(eps)
-                eps *= cfg.ls_growth
+                eps *= _LS_GROWTH
                 break
-            eps *= cfg.ls_shrink
+            eps *= _LS_SHRINK
         if improvement is None:
             termination = Termination.STALLED
             break

@@ -52,12 +52,14 @@ def run_ladder(
     cfg: GrapeConfig | None = None,
     seed: int = 0,
     *,
-    target: np.ndarray | None = None,
-    rf_scales=(1.0,),
     jitter_fraction: float = 0.05,
     max_rungs: int = 100,
 ) -> LadderResult:
     """Climb the bandwidth ladder until the fidelity floor breaks.
+
+    Every rung optimizes toward the pi-about-y target at nominal RF: rung 0
+    at the single on-resonance point, rung m over the jittered offset comb
+    of half width m * delta.
 
     Parameters
     ----------
@@ -80,20 +82,14 @@ def run_ladder(
     """
     if cfg is None:
         cfg = GrapeConfig(max_iterations=300)
-    if target is None:
-        target = TARGET_PI_Y
     if not 0.0 < stop_fidelity < 1.0:
         raise ValueError("stop_fidelity must be in (0, 1)")
     if max_rungs < 0:
         raise ValueError("max_rungs must be nonnegative")
 
     rungs = []
-    d0 = (
-        EnsembleDistribution.single_point()
-        if len(tuple(rf_scales)) == 1 and float(tuple(rf_scales)[0]) == 1.0
-        else uniform_ladder_distribution(0.0, delta, rf_scales, 0.0, seed)
-    )
-    report = grape_ascend(p0, d0, target, cfg)
+    d0 = EnsembleDistribution.single_point()
+    report = grape_ascend(p0, d0, TARGET_PI_Y, cfg)
     fid = float(report.fidelity_history[-1])
     rungs.append(
         LadderRung(0, 0.0, d0, report.final_waveform, fid, report)
@@ -104,9 +100,9 @@ def run_ladder(
 
     for m in range(1, max_rungs + 1):
         d = uniform_ladder_distribution(
-            m * delta, delta, rf_scales, jitter_fraction, seed=[seed, m]
+            m * delta, delta, jitter_fraction=jitter_fraction, seed=[seed, m]
         )
-        report = grape_ascend(rungs[-1].waveform, d, target, cfg)
+        report = grape_ascend(rungs[-1].waveform, d, TARGET_PI_Y, cfg)
         fid = float(report.fidelity_history[-1])
         rungs.append(LadderRung(m, m * delta, d, report.final_waveform, fid, report))
         if fid < stop_fidelity:
@@ -119,9 +115,9 @@ def add_rfi_and_reoptimize(
     rung: LadderRung,
     rf_scales,
     cfg: GrapeConfig | None = None,
-    target: np.ndarray | None = None,
 ):
-    """Cross a rung's offsets with RF-scale points and re-optimize.
+    """Cross a rung's offsets with RF-scale points and re-optimize toward
+    the pi-about-y target.
 
     The offset comb is reused exactly as trained (jitter included); only
     the RF dimension is new.  rf_scales must contain 1.0 so the nominal
@@ -136,11 +132,9 @@ def add_rfi_and_reoptimize(
         raise ValueError("rf_scales must contain the nominal scale 1.0")
     if cfg is None:
         cfg = GrapeConfig(max_iterations=300)
-    if target is None:
-        target = TARGET_PI_Y
     offsets = list(dict.fromkeys(rung.distribution.offsets.tolist()))
     d = EnsembleDistribution.product(np.asarray(offsets), scales)
-    report = grape_ascend(rung.waveform, d, target, cfg)
+    report = grape_ascend(rung.waveform, d, TARGET_PI_Y, cfg)
     return d, report.final_waveform, float(report.fidelity_history[-1])
 
 

@@ -203,10 +203,11 @@ class EnsembleDistribution:
         offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
         rf_scales = np.atleast_1d(np.asarray(rf_scales, dtype=float))
         n = offsets.size * rf_scales.size
+        # with no points the weights are empty, and __post_init__ says so
         return cls(
             np.repeat(offsets, rf_scales.size),
             np.tile(rf_scales, offsets.size),
-            np.full(n, 1.0 / n),
+            np.full(n, 1.0 / max(n, 1)),
         )
 
 

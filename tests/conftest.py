@@ -48,8 +48,7 @@ def analysis_distribution():
 
 def _sequence_and_fit(waveform, d, n_cycles=100):
     R = channel.superoperator_sequence(waveform, TAU, d, n_cycles)
-    probs, _ = channel.pauli_probabilities(R)
-    fit = channel.fit_pauli_model(probs, channel.cycle_time(waveform, TAU), transfer=R)
+    fit = channel.fit_pauli_model(R, channel.cycle_time(waveform, TAU))
     return R, fit
 
 

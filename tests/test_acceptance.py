@@ -211,7 +211,7 @@ def test_09_cycles_are_powered_per_isochromat_then_averaged():
     got = channel.superoperator_sequence(p, TAU, d, 10)[-1]
 
     U = cycle_propagators(p, TAU, d.offsets, d.rf_scales)
-    R = [channel.transfer_of_unitaries(U[k]) for k in range(2)]
+    R = [channel.transfer_of_unitaries(U[k], [1.0]) for k in range(2)]
     power_then_average = 0.5 * (np.linalg.matrix_power(R[0], 10)
                                 + np.linalg.matrix_power(R[1], 10))
     average_then_power = np.linalg.matrix_power(0.5 * (R[0] + R[1]), 10)

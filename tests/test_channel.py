@@ -46,9 +46,9 @@ def kraus_transfer(pairs):
 
 
 def test_transfer_of_unitaries_examples():
-    assert np.allclose(transfer_of_unitaries(np.eye(2, dtype=complex)), np.eye(4))
+    assert np.allclose(transfer_of_unitaries(np.eye(2, dtype=complex), [1.0]), np.eye(4))
     # pi about y flips x and z
-    R = transfer_of_unitaries(expm_su2([0, 1, 0], np.pi))
+    R = transfer_of_unitaries(expm_su2([0, 1, 0], np.pi), [1.0])
     assert np.allclose(R, np.diag([1.0, -1.0, 1.0, -1.0]), atol=1e-12)
     # equal mixture of identity and pi-about-y kills x and z, keeps y
     U = np.stack([np.eye(2, dtype=complex), expm_su2([0, 1, 0], np.pi)])
@@ -175,7 +175,7 @@ def test_input_validation():
 
 def test_choi_kraus_unitary_channel():
     U = expm_su2([0.3, 0.8, 0.52], 1.4)
-    s = transfer_of_unitaries(U)
+    s = transfer_of_unitaries(U, [1.0])
     pairs = choi_kraus(s)
     assert len(pairs) == 1
     prob, A = pairs[0]
@@ -313,47 +313,45 @@ def test_cycle_time():
 
 
 def test_fit_recovers_synthetic_exponential():
+    # the diagonal transfer matrices of Pauli channels with a known decay
     c_i, c_x, c_z, n0 = 0.6, 0.1, 0.05, 7.0
     n = np.arange(1, 61)
     pi_n = c_i + (1 - c_i) * np.exp(-n / n0)
     probs = np.stack(
         [pi_n, np.full(60, c_x), 1.0 - pi_n - c_x - c_z, np.full(60, c_z)], axis=1
     )
-    fit = fit_pauli_model(probs, 4.2e-3)
-    assert fit.t2_pulse_cycles == pytest.approx(n0, abs=0.1)
-    assert fit.t2_pulse == pytest.approx(n0 * 4.2e-3, abs=0.1 * 4.2e-3)
-    assert fit.c_i == pytest.approx(c_i, abs=1e-2)
-    assert fit.m_infinity == pytest.approx(c_i + 0.25 - c_x - c_z, abs=1e-2)
-    assert np.isnan(fit.fit_overlap)  # no transfer matrices supplied
-
-    # the Pauli channels' own diagonal transfer matrices, plus a coherent
-    # rotation about y at cycle 8: an antisymmetric x-z pair +-s that the
-    # diagonal cannot hold
     lam = probs @ np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
     R = np.zeros((60, 4, 4))
     R[:, 0, 0] = 1.0
     R[:, [1, 2, 3], [1, 2, 3]] = lam
+    fit = fit_pauli_model(R, 4.2e-3)
+    assert np.allclose(fit.per_cycle_probs, probs, rtol=0.0, atol=1e-15)
+    assert fit.t2_pulse_cycles == pytest.approx(n0, abs=0.1)
+    assert fit.t2_pulse == pytest.approx(n0 * 4.2e-3, abs=0.1 * 4.2e-3)
+    assert fit.c_i == pytest.approx(c_i, abs=1e-2)
+    assert fit.m_infinity == pytest.approx(c_i + 0.25 - c_x - c_z, abs=1e-2)
+    # a diagonal stack is all Pauli channel
+    assert fit.fit_overlap == pytest.approx(1.0, rel=0.0, abs=1e-15)
+
+    # plus a coherent rotation about y at cycle 8: an antisymmetric x-z
+    # pair +-s that the diagonal cannot hold
     s = 0.05
     R[7, 1, 3], R[7, 3, 1] = s, -s
     diag_sq = 1.0 + np.sum(lam[7] ** 2)
-    with_transfer = fit_pauli_model(probs, 4.2e-3, transfer=R)
-    assert with_transfer.fit_overlap == pytest.approx(
+    coherent = fit_pauli_model(R, 4.2e-3)
+    assert coherent.fit_overlap == pytest.approx(
         np.sqrt(diag_sq / (diag_sq + 2 * s**2)), rel=0.0, abs=1e-15)
-    assert with_transfer.fit_overlap < 0.999
-    assert with_transfer.t2_pulse_cycles == fit.t2_pulse_cycles
-    assert with_transfer.m_infinity == fit.m_infinity
-    with pytest.raises(ValueError, match="60, 4, 4"):
-        fit_pauli_model(probs, 4.2e-3, transfer=R[1:])
+    assert coherent.fit_overlap < 0.999
+    assert coherent.t2_pulse_cycles == fit.t2_pulse_cycles
+    assert coherent.m_infinity == fit.m_infinity
 
 
 def test_fit_ideal_channel_infinite_t2():
-    probs = np.tile([1.0, 0.0, 0.0, 0.0], (10, 1))
-    fit = fit_pauli_model(probs, 4e-3)
+    fit = fit_pauli_model(np.broadcast_to(np.eye(4), (10, 4, 4)), 4e-3)
     assert np.isinf(fit.t2_pulse)
     assert np.isinf(fit.t2_pulse_cycles)
     assert fit.m_infinity == pytest.approx(1.0)
-    identity = np.broadcast_to(np.eye(4), (10, 4, 4))
-    assert fit_pauli_model(probs, 4e-3, transfer=identity).fit_overlap == 1.0
+    assert fit.fit_overlap == 1.0
     m = model_probabilities(fit, np.arange(5))
     assert np.allclose(m, np.tile([1.0, 0.0, 0.0, 0.0], (5, 1)))
 
@@ -376,13 +374,20 @@ def test_model_probabilities_shape_and_anchor():
 
 
 def test_fit_input_validation():
+    identity = np.broadcast_to(np.eye(4), (5, 4, 4))
     with pytest.raises(ValueError, match="3 cycles"):
-        fit_pauli_model(np.zeros((2, 4)), 4e-3)
+        fit_pauli_model(identity[:2], 4e-3)
+    with pytest.raises(ValueError, match="3 cycles"):
+        fit_pauli_model(np.eye(4), 4e-3)
+    with pytest.raises(ValueError, match="4, 4"):
+        fit_pauli_model(np.zeros((5, 4)), 4e-3)
     with pytest.raises(ValueError, match="cycle time"):
-        fit_pauli_model(np.zeros((5, 4)), 0.0)
+        fit_pauli_model(identity, 0.0)
+    # the depolarizing channel: every probability 0.25
+    depolarizing = np.broadcast_to(np.diag([1.0, 0.0, 0.0, 0.0]), (5, 4, 4))
     for t_c in (np.nan, np.inf):
         with pytest.raises(ValueError, match="cycle time must be positive and finite"):
-            fit_pauli_model(np.full((5, 4), 0.25), t_c)
+            fit_pauli_model(depolarizing, t_c)
 
 
 def test_hard_pulse_m_infinity_matches_train_tail(analysis_distribution, hard_channel):

@@ -442,6 +442,17 @@ def test_bad_distribution_file_is_rejected(tmp_path, capsys):
      "nutation must be positive and finite, got nan"),
     (["analyze-channel", "--pulse", "hard", "--hard-phase-deg", "inf"],
      "phase must be finite, got inf"),
+    # empty lists: the first once ended in an uncaught ZeroDivisionError,
+    # the sweeps in a header-only sweep.csv and a numpy reduction error
+    (["compare", "--include-hard", "--rf", ","],
+     "distribution must contain at least one point"),
+    (["simulate", "--pulse", "hard", "--sweep", "--rf", ","],
+     "rf_scales must not be empty"),
+    (["simulate", "--pulse", "hard", "--sweep", "--echo-indices", ","],
+     "echo_indices must not be empty"),
+    # a nan stall threshold was once accepted, and never stopped a stall
+    (["optimize", "--on-resonance", "--stall", "nan"],
+     "improvement_threshold must be positive and finite, got nan"),
 ])
 def test_nonfinite_or_negative_input_fails_at_the_boundary(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

@@ -201,8 +201,8 @@ def test_write_csv_memory_is_bounded_by_the_block(tmp_path):
 
 
 def test_channel_fit_json_inf_becomes_null():
-    probs = np.tile([1.0, 0.0, 0.0, 0.0], (5, 1))
-    fit = fit_pauli_model(probs, 4e-3)  # never decays: infinite t2
+    identity = np.broadcast_to(np.eye(4), (5, 4, 4))
+    fit = fit_pauli_model(identity, 4e-3)  # never decays: infinite t2
     d = fileio.channel_fit_to_dict(fit)
     assert d["t2_pulse_s"] is None
     assert d["t2_pulse_cycles"] is None

@@ -150,15 +150,10 @@ def test_start_validation():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        GrapeConfig(step_size_init=0.0)
-    with pytest.raises(ValueError):
-        GrapeConfig(ls_growth=1.0)
-    with pytest.raises(ValueError):
-        GrapeConfig(ls_shrink=1.0)
-    with pytest.raises(ValueError):
-        GrapeConfig(ls_max_probes=0)
-    with pytest.raises(ValueError):
         GrapeConfig(improvement_threshold=0.0)
+    # nan passes a "<= 0" test, and "improvement < nan" never stops a stall
+    with pytest.raises(ValueError, match="positive and finite, got nan"):
+        GrapeConfig(improvement_threshold=np.nan)
     with pytest.raises(ValueError):
         GrapeConfig(target_fidelity=1.5)
     with pytest.raises(ValueError):
@@ -274,15 +269,17 @@ def test_gradient_over_chunks_equals_per_point_evaluation():
         assert np.array_equal(g, grads[k])
 
 
-def _two_chunk_problem():
+def _two_chunk_problem(monkeypatch):
     # POINT_CHUNK + 37 points, so the prefix buffer is taken in two strided
-    # chunks; ls_growth = 4 overshoots often enough that probes are rejected
+    # chunks; a step growth of 4 overshoots often enough that probes are
+    # rejected
+    monkeypatch.setattr(grape, "_LS_GROWTH", 4.0)
     rng = np.random.default_rng(31)
     n_points = POINT_CHUNK + 37
     d = EnsembleDistribution(rng.uniform(-2 * np.pi * 6e3, 2 * np.pi * 6e3, n_points),
                              rng.uniform(0.9, 1.1, n_points), np.full(n_points, 1.0 / n_points))
     p0 = random_waveform(waveform_template(40, 1e-5, A_MAX, pre_delay=6e-6, post_delay=6e-6), rng)
-    return p0, d, GrapeConfig(ls_growth=4.0, max_iterations=15)
+    return p0, d, GrapeConfig(max_iterations=15)
 
 
 def _reference_ascent(p0, d, target, cfg):
@@ -292,13 +289,11 @@ def _reference_ascent(p0, d, target, cfg):
     p = p0
     fid, grad = grape._averaged_eval(p, d, target)
     history, steps, rejected = [fid], [], 0
-    eps = cfg.step_size_init
+    eps = 0.05 * p0.a_max / float(np.max(np.abs(grad)))
     termination = Termination.MAX_ITERATIONS
     for _ in range(cfg.max_iterations):
-        if eps is None:
-            eps = 0.05 * p0.a_max / float(np.max(np.abs(grad)))
         improvement = None
-        for _probe in range(cfg.ls_max_probes):
+        for _probe in range(grape._LS_MAX_PROBES):
             v1, v2 = u1 + eps * grad[:, 0], u2 + eps * grad[:, 1]
             amps, phases = np.minimum(np.hypot(v1, v2), p0.a_max), np.arctan2(v2, v1)
             trial = p.with_steps(amps, phases)
@@ -308,10 +303,10 @@ def _reference_ascent(p0, d, target, cfg):
                 u1, u2 = amps * np.cos(phases), amps * np.sin(phases)
                 p, fid = trial, f_trial
                 steps.append(eps)
-                eps *= cfg.ls_growth
+                eps *= grape._LS_GROWTH
                 break
             rejected += 1
-            eps *= cfg.ls_shrink
+            eps *= grape._LS_SHRINK
         if improvement is None:
             termination = Termination.STALLED
             break
@@ -323,10 +318,10 @@ def _reference_ascent(p0, d, target, cfg):
     return p, np.asarray(history), np.asarray(steps), termination, rejected
 
 
-def test_ascent_equals_a_loop_that_evaluates_every_gradient_afresh():
+def test_ascent_equals_a_loop_that_evaluates_every_gradient_afresh(monkeypatch):
     # the gradient at an accepted probe reuses that probe's prefixes; a
     # stale or mixed-up buffer would move some bit of the report
-    p0, d, cfg = _two_chunk_problem()
+    p0, d, cfg = _two_chunk_problem(monkeypatch)
     p, history, steps, termination, rejected = _reference_ascent(p0, d, TARGET_PI_Y, cfg)
     assert rejected > 0 and len(steps) > 1
     rep = grape_ascend(p0, d, TARGET_PI_Y, cfg)
@@ -340,7 +335,7 @@ def test_ascent_equals_a_loop_that_evaluates_every_gradient_afresh():
 def test_ascent_builds_step_exponentials_once_per_probe(monkeypatch):
     # one build per chunk for the starting gradient and per probe; the
     # gradient at an accepted probe builds none
-    p0, d, cfg = _two_chunk_problem()
+    p0, d, cfg = _two_chunk_problem(monkeypatch)
     calls = {"steps": 0, "probes": 0}
 
     def counted(name, fn):
