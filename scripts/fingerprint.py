@@ -4,7 +4,10 @@ a change moved no physics number.
 For the hard, oct_rfi and oct_broadband pulses on the seed-42 analysis
 ensemble (1601 offsets x 21 RF scales, 100 cycles, tau = 1 ms) prints the
 repr of M_inf, T2,pulse / t_c, the fit overlap and the y entry sum w r_y^2
-of the n -> infinity channel, one value per line.
+of the n -> infinity channel, one value per line.  For oct_rfi on the
+compare grid (offsets -10:10:0.25 kHz x RF scales 0.9, 0.95, 1.0, 1.05,
+1.1) it adds the mean criteria fidelity and the smallest retained y at
+echo 500, which cover the criteria and the echo train.
 --save FILE keeps the per-cycle Pauli probabilities; --against FILE adds,
 per pulse, the largest |difference| between this tree's probabilities and
 the saved ones.  Last come the repr of the final fidelity and the sha256 of
@@ -24,11 +27,15 @@ import numpy as np
 from channel_table import analysis_distribution, fit_for
 
 import ocpulse as oc
-from ocpulse import channel, fileio
+from ocpulse import channel, fileio, metrics
+from ocpulse.echo_train import echo_visibility_sweep
 
 TAU = 1e-3
 CYCLES = 100
 A_MAX = 2 * np.pi * 5000.0
+# the compare command's default sweep grid
+GRID_OFFSETS = (-10.0 + 0.25 * np.arange(81)) * (2 * np.pi * 1e3)
+GRID_RF = [0.9, 0.95, 1.0, 1.05, 1.1]
 
 
 def grape_fingerprint():
@@ -69,6 +76,11 @@ def main():
         if before is not None:
             gap = float(np.max(np.abs(probs[name] - before[name])))
             print(f"{name} max_abs_dprobs {gap!r}")
+    w = pulses["oct_rfi"]
+    criteria = metrics.criteria_sweep(w, GRID_OFFSETS, GRID_RF).criteria
+    print(f"oct_rfi criteria_mean_fidelity {float(np.mean(criteria.fidelity))!r}")
+    retained = echo_visibility_sweep(w, TAU, GRID_OFFSETS, GRID_RF, echo_indices=(500,)).retained
+    print(f"oct_rfi min_retained_y_echo500 {float(retained.min())!r}")
     if args.save:
         np.savez(args.save, **probs)
     fidelity, controls_sha256 = grape_fingerprint()

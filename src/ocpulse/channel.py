@@ -26,9 +26,10 @@ the oscillating sums average out and each point keeps r r^T (or I for a
 cycle that is the identity).
 
 Both the n-cycle stack (transfer_of_unitaries) and that limit
-(asymptotic_channel) take the cycle unitaries, not a pulse: a caller that
-needs both, as analyze-channel --asymptotic does, propagates each pulse
-once and hands the same unitaries to each.
+(asymptotic_channel) take the cycle unitaries as Cayley-Klein pairs, not a
+pulse, and read r and theta from :func:`ocpulse.su2.axis_angle`: a caller
+that needs both, as analyze-channel --asymptotic does, propagates each
+pulse once and hands the same pairs to each.
 
 Channels are plain float arrays: one transfer matrix is (4, 4), and a
 sequence of them is an (n_max, 4, 4) stack whose row n - 1 is the n-cycle
@@ -43,7 +44,7 @@ import numpy as np
 
 from .propagation import cycle_propagators
 from .pulses import EnsembleDistribution, PulseWaveform
-from .su2 import PAULIS, rotation_vectors
+from .su2 import PAULIS, axis_angle
 
 # Counts x points evaluated at once when summing cycle powers (about 8 MB
 # per float array); the count block shrinks as the ensemble grows.
@@ -66,14 +67,6 @@ def _transfer(R, stack: bool = True) -> np.ndarray:
         want = "(..., 4, 4)" if stack else "(4, 4)"
         raise ValueError(f"transfer matrix must be {want}, got shape {R.shape}")
     return R
-
-
-def _axes_and_angles(U: np.ndarray):
-    """Unit rotation axes (P, 3) and angles (P,) of unitaries; the axis of an
-    identity (theta = 0) is the zero vector."""
-    rotvec = rotation_vectors(np.asarray(U).reshape(-1, 2, 2))
-    theta = np.linalg.norm(rotvec, axis=-1)
-    return rotvec / np.maximum(theta, np.finfo(float).tiny)[:, None], theta
 
 
 def _embed(block: np.ndarray) -> np.ndarray:
@@ -108,15 +101,15 @@ def transfer_of_unitaries(U: np.ndarray, weights, n=1) -> np.ndarray:
 
     Parameters
     ----------
-    U : (..., 2, 2) complex ndarray
-        Unitaries, flattened to P points.
+    U : (..., 2) complex ndarray
+        Cayley-Klein pairs of the unitaries, flattened to P points.
     weights : (P,) array_like
         Mixture weights, e.g. an EnsembleDistribution's weights.
     n : int or 1-d sequence of ints
         Power of each unitary.  A scalar gives a (4, 4) matrix, a sequence
         of counts a stack (len(n), 4, 4).
     """
-    r, theta = _axes_and_angles(U)
+    r, theta = axis_angle(np.reshape(U, (-1, 2)))
     P = theta.shape[0]
     w = np.asarray(weights, dtype=float).reshape(-1)
     rr = r[:, :, None] * r[:, None, :]
@@ -259,16 +252,16 @@ def asymptotic_channel(U: np.ndarray, weights) -> np.ndarray:
     mixture of cycle unitaries: per point rho -> (rho + (r.sigma) rho
     (r.sigma))/2 with r the cycle rotation axis, then weight averaged.
 
-    U holds cycle unitaries (e.g. from cycle_propagators) flattened to P
-    points, and weights their (P,) mixture weights, as for
-    transfer_of_unitaries, so the limit and the n-cycle stack can share one
-    propagation.  The per-point Bloch block is the rank-one projector
+    U holds the Cayley-Klein pairs (..., 2) of cycle unitaries (e.g. from
+    cycle_propagators), flattened to P points, and weights their (P,)
+    mixture weights, as for transfer_of_unitaries, so the limit and the
+    n-cycle stack can share one propagation.  The per-point Bloch block is the rank-one projector
     r r^T, the limit of the n-average of the closed form once the cos and
     sin terms wash out.  A point whose cycle is numerically the identity
     (theta below 2e-12, e.g. every point of the ideal pulse, whose cycle is
     -I) has no axis and never dephases, so it contributes the identity.
     """
-    r, theta = _axes_and_angles(U)
+    r, theta = axis_angle(np.reshape(U, (-1, 2)))
     w = np.asarray(weights, dtype=float).reshape(-1)
     still = theta < 2e-12
     axes = np.where(still[:, None], 0.0, r)

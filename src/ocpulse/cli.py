@@ -37,7 +37,7 @@ from .fileio import (
     write_csv,
 )
 from .grape import GrapeConfig, grape_ascend, multistart_reports, random_waveform
-from .ladder import add_rfi_and_reoptimize, run_ladder, select_best_rung
+from .ladder import add_rfi_and_reoptimize, check_rfi_scales, run_ladder, select_best_rung
 from .metrics import TARGET_PI_Y, criteria_sweep
 from .propagation import bloch_trajectory, trajectory_times
 from .pulses import (
@@ -112,6 +112,12 @@ def _check_optimize_args(args) -> None:
     if args.multistart is not None and (args.mode == "ladder" or args.init):
         raise ValueError("--multistart draws its own starts: it cannot be used with "
                          "--ladder or --init")
+    if args.rfi is not None:
+        if args.mode != "ladder":
+            raise ValueError("--rfi re-optimizes the selected ladder rung: it needs --ladder")
+        check_rfi_scales(args.rfi)
+    if not np.isfinite(args.select_floor):
+        raise ValueError(f"--select-floor must be finite, got {args.select_floor}")
 
 
 def _outdir(args, parser) -> Path:
@@ -294,7 +300,7 @@ def cmd_optimize(args, parser) -> int:
         params["selected_rung"] = chosen
         final_wf, final_d, final_fid = rung.waveform, rung.distribution, rung.avg_fidelity
 
-        if args.rfi:
+        if args.rfi is not None:
             d2, wf2, fid2 = add_rfi_and_reoptimize(rung, args.rfi, cfg)
             final_wf, final_d, final_fid = wf2, d2, fid2
             params["rfi_fidelity"] = fid2

@@ -4,7 +4,8 @@ One echo corresponds to one half cycle tau - pulse - tau; echoes are
 recorded at the end of each half cycle, so echo 2n marks n full cycles.
 Isochromats evolve independently (no relaxation, no diffusion) and are
 averaged only at readout, never at the propagator level.  Each point's
-half cycle is a rotation by theta about an axis r, so its Bloch vector at
+half cycle is a rotation by theta about an axis r, read from its
+Cayley-Klein pair by :func:`ocpulse.su2.axis_angle`, so its Bloch vector at
 echo k is the input turned by k theta about r (Rodrigues' formula), taken
 in closed form for every echo at once.
 """
@@ -17,7 +18,7 @@ import numpy as np
 
 from .propagation import half_cycle_propagators, pulse_propagators
 from .pulses import EnsembleDistribution, PulseWaveform, check_points
-from .su2 import Y_AXIS, rotate_vectors, rotation_matrices, rotation_vectors
+from .su2 import Y_AXIS, axis_angle, rotate_vectors, rotation_matrices
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 
@@ -69,7 +70,7 @@ def simulate_train(
         raise ValueError(f"input_axis must be one of {sorted(_AXES)}, got {input_axis!r}")
     if n_echoes < 1:
         raise ValueError("n_echoes must be >= 1")
-    rotvec = rotation_vectors(half_cycle_propagators(p, tau, d.offsets, d.rf_scales))
+    r, theta = axis_angle(half_cycle_propagators(p, tau, d.offsets, d.rf_scales))
     if excitation is not None:
         m = rotation_matrices(
             pulse_propagators(excitation, d.offsets, d.rf_scales)
@@ -77,7 +78,7 @@ def simulate_train(
     else:
         m = np.zeros((d.n_points, 3))
         m[:, _AXES[input_axis]] = 1.0
-    bloch = rotate_vectors(rotvec, np.arange(1, n_echoes + 1), m)
+    bloch = rotate_vectors(r, theta, np.arange(1, n_echoes + 1), m)
     per_iso = bloch[:, :, _AXES[input_axis]]
     return EchoTrainResult(
         input_axis=input_axis,
@@ -125,8 +126,8 @@ def echo_visibility_sweep(
         raise ValueError("echo indices are 1-based and must be >= 1")
     grid_off = np.repeat(offsets, rf_scales.size)
     grid_rf = np.tile(rf_scales, offsets.size)
-    rotvec = rotation_vectors(half_cycle_propagators(p, tau, grid_off, grid_rf))
-    retained = rotate_vectors(rotvec, echo_indices, Y_AXIS)[..., 1].T
+    r, theta = axis_angle(half_cycle_propagators(p, tau, grid_off, grid_rf))
+    retained = rotate_vectors(r, theta, echo_indices, Y_AXIS)[..., 1].T
     return VisibilitySweep(
         offsets=offsets,
         rf_scales=rf_scales,

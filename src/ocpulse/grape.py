@@ -95,7 +95,7 @@ def _overlaps(U, target):
     """M = target^dag U per point and t = Tr(M)/2 = Re a(M), real for an
     SU(2) target; the fidelity is t^2."""
     M = ck_mul(ck_inv(target[0]), U)
-    return M, M[:, 0].real
+    return M, M[..., 0].real
 
 
 def _scan(p: PulseWaveform, o, s, target):

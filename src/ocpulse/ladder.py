@@ -15,7 +15,9 @@ import numpy as np
 
 from .grape import GrapeConfig, GrapeReport, grape_ascend
 from .metrics import TARGET_PI_Y
-from .pulses import EnsembleDistribution, PulseWaveform, uniform_ladder_distribution
+from .pulses import (
+    EnsembleDistribution, PulseWaveform, check_points, uniform_ladder_distribution,
+)
 
 
 class LadderStop(enum.Enum):
@@ -111,6 +113,18 @@ def run_ladder(
     return LadderResult(tuple(rungs), stop_reason)
 
 
+def check_rfi_scales(rf_scales) -> np.ndarray:
+    """RF scales for :func:`add_rfi_and_reoptimize` as a 1-d array, checked
+    to be positive, finite and distinct and to contain the nominal scale 1.0."""
+    scales = np.atleast_1d(np.asarray(rf_scales, dtype=float))
+    check_points(0.0, scales)
+    if np.unique(scales).size != scales.size:
+        raise ValueError("rf_scales must not repeat a scale")
+    if scales.size == 0 or not np.any(np.abs(scales - 1.0) < 1e-12):
+        raise ValueError("rf_scales must contain the nominal scale 1.0")
+    return scales
+
+
 def add_rfi_and_reoptimize(
     rung: LadderRung,
     rf_scales,
@@ -127,9 +141,7 @@ def add_rfi_and_reoptimize(
     -------
     (distribution, waveform, avg_fidelity)
     """
-    scales = np.atleast_1d(np.asarray(rf_scales, dtype=float))
-    if scales.size == 0 or not np.any(np.abs(scales - 1.0) < 1e-12):
-        raise ValueError("rf_scales must contain the nominal scale 1.0")
+    scales = check_rfi_scales(rf_scales)
     if cfg is None:
         cfg = GrapeConfig(max_iterations=300)
     offsets = list(dict.fromkeys(rung.distribution.offsets.tolist()))

@@ -1,12 +1,12 @@
 """Refocusing-quality metrics and analytic CPMG diagnostics.
 
 The design target throughout is the ideal pi rotation about y,
-exp(-i pi/2 Y).  Fidelity is the phase-insensitive trace overlap
-|Tr(U V^dag)|^2 / 4, which for a rotation by theta about axis r equals
-sin^2(theta/2) r_y^2.  The axis/angle criteria of :func:`cpmg_criteria`
-take a whole batch of propagators in one pass from their quaternions;
-:func:`criteria_sweep` applies them to a pulse over an offset x RF-scale
-grid.
+exp(-i pi/2 Y).  Fidelity is the optimizer's t^2, t = Re a(V^dag U) for
+Cayley-Klein pairs, equal to the trace overlap |Tr(U V^dag)|^2 / 4, which
+for a rotation by theta about axis r equals sin^2(theta/2) r_y^2.  The
+axis/angle criteria of :func:`cpmg_criteria` take a whole batch of pairs
+in one pass from :func:`ocpulse.su2.axis_angle`; :func:`criteria_sweep`
+applies them to a pulse over an offset x RF-scale grid.
 """
 
 from __future__ import annotations
@@ -16,17 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grape import _overlaps, _su2_target
-from .propagation import TARGET_PI_Y, PulseWaveform, pulse_pairs, pulse_propagators
+from .propagation import TARGET_PI_Y, PulseWaveform, pulse_propagators
 from .pulses import EnsembleDistribution
-from .su2 import (
-    SIGMA_X, SIGMA_Y, Y_AXIS, Z_AXIS, expm_su2, quaternions, trace_overlap, unitarity_error,
-)
+from .su2 import SIGMA_X, SIGMA_Y, Y_AXIS, Z_AXIS, axis_angle, expm_su2, unitarity_error
 
 # sin(theta/2) below this leaves the rotation axis numerically undefined.
 _DEGENERATE_SIN = 1e-9
-# |q_vec| = sin(theta/2) below this gives no axis at all; z stands in.
-_NO_AXIS_SIN = 1e-12
-# Largest |U^dag U - I| accepted as a propagator.
+# Largest | |a|^2 + |b|^2 - 1 | accepted as a propagator.
 _UNITARITY_TOL = 1e-9
 
 
@@ -36,11 +32,11 @@ def average_fidelity(
     """Weight-averaged fidelity of a pulse over an ensemble.
 
     The optimizer's own objective, taken from the whole pulse product by the
-    pairwise tree of :func:`propagation.pulse_pairs`, which is cheaper than
-    the optimizer's prefix scan and gives each point the same bits; so a
+    pairwise tree of :func:`propagation.pulse_propagators`, which is cheaper
+    than the optimizer's prefix scan and gives each point the same bits; so a
     gated fidelity and the one the ascent reports are the same number.
     """
-    _, t = _overlaps(pulse_pairs(p, d.offsets, d.rf_scales), _su2_target(target))
+    _, t = _overlaps(pulse_propagators(p, d.offsets, d.rf_scales), _su2_target(target))
     return float(np.dot(d.weights, t**2))
 
 
@@ -63,43 +59,36 @@ class CpmgCriteria:
     degenerate: np.ndarray
 
 
-def cpmg_criteria(U: np.ndarray) -> CpmgCriteria:
-    """Evaluate propagators (..., 2, 2) against the axis/angle refocusing
-    criteria, all in one batched pass.
+def cpmg_criteria(x: np.ndarray) -> CpmgCriteria:
+    """Evaluate propagators, as Cayley-Klein pairs (..., 2), against the
+    axis/angle refocusing criteria, all in one batched pass.
 
     A good CPMG refocusing pulse needs the rotation axis in the xy plane
     (ideally along y) much more than it needs nutation exactly pi; the
     signed plane angle and the axis-to-y angle separate those failure
-    modes.
+    modes.  The fidelity is the optimizer's, from :func:`grape._overlaps`.
 
     Raises
     ------
     ValueError
-        If U is not a batch of 2x2 operators, or not unitary within 1e-9.
+        If x is not a batch of pairs, or not unitary within 1e-9.
     """
-    U = np.asarray(U)
-    if U.shape[-2:] != (2, 2):
-        raise ValueError(f"expected (..., 2, 2) operators, got shape {U.shape}")
-    if unitarity_error(U) > _UNITARITY_TOL:
+    x = np.asarray(x)
+    if x.shape[-1:] != (2,):
+        raise ValueError(f"expected (..., 2) Cayley-Klein pairs, got shape {x.shape}")
+    if unitarity_error(x) > _UNITARITY_TOL:
         raise ValueError("operator is not unitary within tolerance")
-    q = quaternions(U)
-    v = q[..., 1:]
-    # |q_vec| as the dot product that np.linalg.norm takes of one 3-vector,
-    # so the criteria keep their bits; norm(axis=-1) and a plain sum of
-    # squares round differently.
-    s = np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0, 0]
-    theta = 2.0 * np.arctan2(s, q[..., 0])
-    r = np.where(
-        (s < _NO_AXIS_SIN)[..., None], Z_AXIS, v / np.maximum(s, _NO_AXIS_SIN)[..., None]
-    )
-    x, y, z = r[..., 0], r[..., 1], r[..., 2]
+    r, theta = axis_angle(x)
+    r = np.where(np.any(r, axis=-1, keepdims=True), r, Z_AXIS)
+    _, t = _overlaps(x, _su2_target(TARGET_PI_Y))
+    rx, ry, rz = r[..., 0], r[..., 1], r[..., 2]
     # atan2 forms: arcsin/arccos of a unit-vector component near +-1 round
     # every angle below ~1.5e-8 to zero.
     return CpmgCriteria(
-        angle_from_xy_plane=np.arctan2(z, np.hypot(x, y)),
-        angle_from_y_axis=np.arctan2(np.hypot(x, z), y),
+        angle_from_xy_plane=np.arctan2(rz, np.hypot(rx, ry)),
+        angle_from_y_axis=np.arctan2(np.hypot(rx, rz), ry),
         nutation_angle=theta,
-        fidelity=trace_overlap(U, TARGET_PI_Y),
+        fidelity=t**2,
         degenerate=np.sin(0.5 * theta) < _DEGENERATE_SIN,
     )
 

@@ -23,9 +23,10 @@ for the whole product (the pulse), and :func:`forward_products` an
 inclusive scan for every prefix (the optimizer's probes and gradients, and
 the Bloch trajectory).  Both group the factors
 the same way, so the last prefix equals the tree product to the bit.
-Public propagators are returned as (P, 2, 2) matrices.  Products run over
-chunks of POINT_CHUNK ensemble points (:func:`point_chunks`), so memory
-does not grow with n_steps x P.
+The pulse, half-cycle and cycle propagators are returned as (P, 2) pairs;
+the cycle is the square of the half cycle.  Products run over chunks of
+POINT_CHUNK ensemble points (:func:`point_chunks`), so memory does not grow
+with n_steps x P.
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ from __future__ import annotations
 import numpy as np
 
 from .pulses import PulseWaveform, check_points
-from .su2 import Y_AXIS, ck_expm_polar, ck_matrix, ck_mul, expm_su2, rotation_matrices
+from .su2 import Y_AXIS, ck_expm_polar, ck_mul, expm_su2, rotation_matrices
 
 # The ideal refocusing pulse, exp(-i pi/2 Y); also the optimizer's target.
 TARGET_PI_Y = expm_su2(Y_AXIS, np.pi)
 
-# Ensemble points propagated together by pulse_pairs and by the optimizer's
-# scans, so memory does not grow with the ensemble.  Every tree or scan
+# Ensemble points propagated together by pulse_propagators and by the
+# optimizer's scans, so memory does not grow with the ensemble.  Every tree or scan
 # level sweeps the whole step array (0.8 MB for 100 steps at 256 points).
 # Measured with the tangent step exponential on a 2-CPU VM: the 33,621-point
 # oct_rfi product took 0.195-0.208 s at 128 points, 0.176-0.204 s at 256 and
@@ -118,7 +119,7 @@ def ordered_product(steps: np.ndarray, start: np.ndarray) -> np.ndarray:
     return x[0]
 
 
-def pulse_pairs(p: PulseWaveform | None, offsets, rf_scales) -> np.ndarray:
+def pulse_propagators(p: PulseWaveform | None, offsets, rf_scales) -> np.ndarray:
     """Cayley-Klein pairs of the total pulse propagators including guard
     delays, shape (P, 2).
 
@@ -141,42 +142,32 @@ def pulse_pairs(p: PulseWaveform | None, offsets, rf_scales) -> np.ndarray:
     return out
 
 
-def pulse_propagators(p: PulseWaveform | None, offsets, rf_scales) -> np.ndarray:
-    """Total pulse propagators including guard delays, shape (P, 2, 2);
-    the matrices of :func:`pulse_pairs`."""
-    return ck_matrix(pulse_pairs(p, offsets, rf_scales))
+def half_cycle_propagators(
+    p: PulseWaveform | None, tau: float, offsets, rf_scales
+) -> np.ndarray:
+    """Cayley-Klein pairs of the echo-to-echo propagators F(tau) U_pulse
+    F(tau), shape (P, 2).
+
+    tau is the free-precession delay between the echo location and the
+    pulse edge (guard delays count as part of the pulse).
+    """
+    if not 0.0 <= tau < np.inf:
+        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
+    offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
+    f = free_pairs(offsets, tau)
+    return ck_mul(ck_mul(f, pulse_propagators(p, offsets, rf_scales)), f)
 
 
 def cycle_propagators(
     p: PulseWaveform | None, tau: float, offsets, rf_scales
 ) -> np.ndarray:
-    """CPMG cycle [tau - pulse - 2 tau - pulse - tau] propagators, (P, 2, 2).
-
-    tau is the free-precession delay between the echo location and the
-    pulse edge (guard delays count as part of the pulse).  For an ideal
-    pulse the cycle propagator is exactly -I at every offset.
+    """Cayley-Klein pairs of the CPMG cycle [tau - pulse - 2 tau - pulse -
+    tau] propagators, shape (P, 2): the square of the half cycle, since
+    F(tau) F(tau) = F(2 tau).  For an ideal pulse the cycle is -I, to
+    rounding, at every offset.
     """
-    if not 0.0 <= tau < np.inf:
-        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
-    offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
-    # The pulse product goes through pulse_propagators, the layer that
-    # perfbench times on its own; the pair is the matrix's first row.
-    u = pulse_propagators(p, offsets, rf_scales)[:, 0]
-    f1 = free_pairs(offsets, tau)
-    first = ck_mul(ck_mul(f1, u), free_pairs(offsets, 2.0 * tau))
-    return ck_matrix(ck_mul(ck_mul(first, u), f1))
-
-
-def half_cycle_propagators(
-    p: PulseWaveform | None, tau: float, offsets, rf_scales
-) -> np.ndarray:
-    """Echo-to-echo propagators F(tau) U_pulse F(tau), shape (P, 2, 2)."""
-    if not 0.0 <= tau < np.inf:
-        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
-    offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
-    u = pulse_propagators(p, offsets, rf_scales)[:, 0]
-    f1 = free_pairs(offsets, tau)
-    return ck_matrix(ck_mul(ck_mul(f1, u), f1))
+    h = half_cycle_propagators(p, tau, offsets, rf_scales)
+    return ck_mul(h, h)
 
 
 def trajectory_times(p: PulseWaveform) -> np.ndarray:
@@ -220,4 +211,4 @@ def bloch_trajectory(
     steps = step_propagators(p, [delta_omega], [omega1_scale])[:, 0]
     last = ck_mul(post, forward_products(steps, pre))
     pairs = np.concatenate([[[1.0, 0.0], pre], steps, [last]])
-    return rotation_matrices(ck_matrix(pairs)) @ m
+    return rotation_matrices(pairs) @ m

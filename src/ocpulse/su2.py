@@ -1,21 +1,21 @@
-"""Exact 2x2 unitary algebra for spin-1/2 rotations.
+"""Exact SU(2) algebra for spin-1/2 rotations.
 
-Closed-form SU(2) exponentials, phase-stripped quaternions and rotation
-vectors (the batched axis-angle form, from which
-:func:`ocpulse.metrics.cpmg_criteria` takes the refocusing criteria of a
-whole batch), and the trace-overlap fidelity used throughout the optimizer
-and simulators.  Operators are plain ``(2, 2)``
-complex ndarrays; most helpers also accept batches of shape ``(..., 2, 2)``.
+An SU(2) element is stored by its Cayley-Klein pair: the first row (a, b)
+of U = [[a, b], [-conj(b), conj(a)]], shape ``(..., 2)``.  Every helper
+here that takes a rotation takes pairs, batched over leading axes; only
+:func:`expm_su2` (targets and tests) and :func:`trace_overlap` work with
+``(2, 2)`` matrices, and :func:`ck_matrix` converts.
 
-Bulk propagation stores an SU(2) element by its Cayley-Klein pair: the
-first row (a, b) of U = [[a, b], [-conj(b), conj(a)]], shape ``(..., 2)``.
 One formula builds every exponential, :func:`ck_expm_polar`: it takes the
 transverse rate in polar form (amplitude, phase) and works from
 t = tan(h/2), h = |omega| duration / 2, so each element costs one ``tan``
 and no ``sin`` or ``cos``.  :func:`ck_expm` (Cartesian components) and
-:func:`expm_su2` (axis and angle) call it.  Powers of a rotation come from
-its rotation vector theta * r: U^n is the rotation by n theta about the
-same axis r.
+:func:`expm_su2` (axis and angle) call it.  A pair's quaternion is
+(Re a, -Im b, -Re b, -Im a); :func:`axis_angle` turns it into the unit
+axis r and angle theta in [0, pi] that the channel, the echo train and
+the refocusing criteria all read.  Powers of a rotation need nothing else:
+U^n is the rotation by n theta about the same axis r
+(:func:`rotate_vectors` applies it to Bloch vectors).
 """
 
 from __future__ import annotations
@@ -187,44 +187,36 @@ def ck_matrix(x: np.ndarray) -> np.ndarray:
     return np.stack([x, np.stack([-b.conj(), a.conj()], axis=-1)], axis=-2)
 
 
-def quaternions(U: np.ndarray) -> np.ndarray:
-    """Phase-stripped real unit quaternions (q0, q1, q2, q3) of unitaries.
+def quaternions(x: np.ndarray) -> np.ndarray:
+    """Real unit quaternions (q0, q1, q2, q3) of Cayley-Klein pairs (..., 2).
 
-    U ~ q0 I - i (q1 X + q2 Y + q3 Z) up to global phase, with q0 >= 0.
-    When q0 ~ 0 the overall sign is fixed by making the largest-magnitude
-    vector component positive, so equivalent inputs map to one
-    representative.  Accepts shape (..., 2, 2).
+    U = q0 I - i (q1 X + q2 Y + q3 Z), so q = (Re a, -Im b, -Re b, -Im a),
+    normalized.  q and -q are the same rotation; q0 >= 0 picks one, and
+    when q0 ~ 0 the largest-magnitude vector component is made positive, so
+    U and -U map to one representative.
     """
-    U = np.asarray(U)
-    a0 = 0.5 * (U[..., 0, 0] + U[..., 1, 1])
-    ax = 0.5 * (U[..., 0, 1] + U[..., 1, 0])
-    ay = 0.5j * (U[..., 0, 1] - U[..., 1, 0])
-    az = 0.5 * (U[..., 0, 0] - U[..., 1, 1])
-    q = np.stack([a0, 1j * ax, 1j * ay, 1j * az], axis=-1)
-    # Strip the global phase using the largest component for stability.
-    idx = np.argmax(np.abs(q), axis=-1)
-    lead = np.take_along_axis(q, idx[..., None], axis=-1)[..., 0]
-    phase = lead / np.abs(lead)
-    qr = (q * np.conj(phase)[..., None]).real
-    qr /= np.linalg.norm(qr, axis=-1, keepdims=True)
+    x = np.asarray(x)
+    a, b = x[..., 0], x[..., 1]
+    q = np.stack([a.real, -b.imag, -b.real, -a.imag], axis=-1)
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
     # Canonical sign: q0 >= 0; tie broken by the dominant vector component.
-    flip = qr[..., 0] < 0.0
-    near_zero = np.abs(qr[..., 0]) < _DEGENERATE_SIN
+    flip = q[..., 0] < 0.0
+    near_zero = np.abs(q[..., 0]) < _DEGENERATE_SIN
     if np.any(near_zero):
-        vec = qr[..., 1:]
+        vec = q[..., 1:]
         dom = np.take_along_axis(
             vec, np.argmax(np.abs(vec), axis=-1)[..., None], axis=-1
         )[..., 0]
         flip = np.where(near_zero, dom < 0.0, flip)
-    return np.where(flip[..., None], -qr, qr)
+    return np.where(flip[..., None], -q, q)
 
 
-def rotation_matrices(U: np.ndarray) -> np.ndarray:
-    """SO(3) action of unitaries on Bloch vectors, batched (..., 3, 3).
+def rotation_matrices(x: np.ndarray) -> np.ndarray:
+    """SO(3) action of Cayley-Klein pairs on Bloch vectors, batched (..., 3, 3).
 
     R satisfies (U (m.sigma) U^dag) = (R m).sigma.
     """
-    q = quaternions(U)
+    q = quaternions(x)
     c, v = q[..., 0], q[..., 1:]
     vv = np.einsum("...i,...j->...ij", v, v)
     eye = np.eye(3)
@@ -243,33 +235,39 @@ def rotation_matrices(U: np.ndarray) -> np.ndarray:
     )
 
 
-def rotation_vectors(U: np.ndarray) -> np.ndarray:
-    """Rotation vectors theta * r of unitaries, batched (..., 3).
+def axis_angle(x: np.ndarray):
+    """Unit rotation axes r (..., 3) and angles theta (...) of Cayley-Klein
+    pairs (..., 2): U = +-exp(-i theta/2 r.sigma), theta in [0, pi].
 
-    U ~ exp(-i theta/2 r.sigma) up to global phase, with theta in [0, pi]
-    (the canonical sign of :func:`quaternions`); the identity maps to 0.
-    ``ck_matrix(ck_expm(np.moveaxis(rotation_vectors(U), -1, 0), n))`` is
-    U^n up to global phase.
+    The sign is that of :func:`quaternions`.  Where theta is 0 (the
+    identity, or a vector part whose squares underflow, below about 1e-154)
+    the axis is the zero vector.  ``ck_expm(np.moveaxis(r * theta[...,
+    None], -1, 0), n)`` is U^n up to sign.
     """
-    q = quaternions(U)
-    s = np.linalg.norm(q[..., 1:], axis=-1, keepdims=True)
-    theta = 2.0 * np.arctan2(s, q[..., :1])
-    return q[..., 1:] * (theta / np.maximum(s, np.finfo(float).tiny))
+    q = quaternions(x)
+    v = q[..., 1:]
+    # |v| as the dot product that np.linalg.norm takes of one 3-vector, so a
+    # batch and a lone pair take the same bits; norm(axis=-1) sums the
+    # squares in another order.
+    s = np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+    r = np.divide(v, s, out=np.zeros(v.shape), where=s > 0.0)
+    return r, 2.0 * np.arctan2(s[..., 0], q[..., 0])
 
 
-def rotate_vectors(rotvec, n, m) -> np.ndarray:
-    """Bloch vectors m after n turns by rotation vectors theta r (Rodrigues).
+def rotate_vectors(r, theta, n, m) -> np.ndarray:
+    """Bloch vectors m after n turns by theta about unit axes r (Rodrigues).
 
     R^n m = (r.m) r + cos(n theta) (m - (r.m) r) + sin(n theta) r x m, the
-    SO(3) action of ``ck_expm(np.moveaxis(rotvec, -1, 0), n)``.  rotvec
-    and m broadcast against each other; n is a 1-d sequence of counts, so
-    the result has shape (len(n), ..., 3).
+    SO(3) action of the n-th power of the rotation that :func:`axis_angle`
+    gives (r, theta).  r (..., 3), theta (...) and m (..., 3) broadcast
+    against each other; n is a 1-d sequence of counts, so the result has
+    shape (len(n), ..., 3).
     """
-    rotvec, m = np.asarray(rotvec, dtype=float), np.asarray(m, dtype=float)
-    theta = np.linalg.norm(rotvec, axis=-1, keepdims=True)
-    r = rotvec / np.maximum(theta, np.finfo(float).tiny)
+    r, m = np.asarray(r, dtype=float), np.asarray(m, dtype=float)
+    theta = np.asarray(theta, dtype=float)[..., None]
     along = np.sum(r * m, axis=-1, keepdims=True) * r
-    turns = np.reshape(np.asarray(n, dtype=float), (-1,) + (1,) * max(rotvec.ndim, m.ndim))
+    turns = np.reshape(np.asarray(n, dtype=float),
+                       (-1,) + (1,) * max(r.ndim, theta.ndim, m.ndim))
     phi = turns * theta
     return along + np.cos(phi) * (m - along) + np.sin(phi) * np.cross(r, m)
 
@@ -287,9 +285,7 @@ def trace_overlap(A: np.ndarray, B: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
-def unitarity_error(U: np.ndarray) -> float:
-    """max |U^dag U - I| over the batch."""
-    U = np.asarray(U)
-    g = np.einsum("...ji,...jk->...ik", np.conj(U), U)
-    return float(np.max(np.abs(g - ID2)))
-
+def unitarity_error(x: np.ndarray) -> float:
+    """max | |a|^2 + |b|^2 - 1 | over a batch of Cayley-Klein pairs (..., 2)."""
+    x = np.asarray(x)
+    return float(np.max(np.abs(np.sum(np.abs(x) ** 2, axis=-1) - 1.0)))

@@ -46,12 +46,13 @@ def kraus_transfer(pairs):
 
 
 def test_transfer_of_unitaries_examples():
-    assert np.allclose(transfer_of_unitaries(np.eye(2, dtype=complex), [1.0]), np.eye(4))
+    # unitaries enter as Cayley-Klein pairs, the first rows of the matrices
+    assert np.allclose(transfer_of_unitaries(np.array([1.0, 0.0]), [1.0]), np.eye(4))
     # pi about y flips x and z
-    R = transfer_of_unitaries(expm_su2([0, 1, 0], np.pi), [1.0])
+    R = transfer_of_unitaries(expm_su2([0, 1, 0], np.pi)[0], [1.0])
     assert np.allclose(R, np.diag([1.0, -1.0, 1.0, -1.0]), atol=1e-12)
     # equal mixture of identity and pi-about-y kills x and z, keeps y
-    U = np.stack([np.eye(2, dtype=complex), expm_su2([0, 1, 0], np.pi)])
+    U = np.stack([[1.0, 0.0], expm_su2([0, 1, 0], np.pi)[0]])
     R = transfer_of_unitaries(U, [0.5, 0.5])
     assert np.allclose(R, np.diag([1.0, 0.0, 1.0, 0.0]), atol=1e-12)
 
@@ -59,7 +60,7 @@ def test_transfer_of_unitaries_examples():
 def test_transfer_is_trace_preserving_and_unital():
     rng = np.random.default_rng(0)
     axes = rng.normal(size=(6, 3))
-    U = np.stack([expm_su2(a / np.linalg.norm(a), t)
+    U = np.stack([expm_su2(a / np.linalg.norm(a), t)[0]
                   for a, t in zip(axes, rng.uniform(0, np.pi, 6))])
     w = rng.dirichlet(np.ones(6))
     R = transfer_of_unitaries(U, w)
@@ -174,8 +175,7 @@ def test_input_validation():
 
 
 def test_choi_kraus_unitary_channel():
-    U = expm_su2([0.3, 0.8, 0.52], 1.4)
-    s = transfer_of_unitaries(U, [1.0])
+    s = transfer_of_unitaries(expm_su2([0.3, 0.8, 0.52], 1.4)[0], [1.0])
     pairs = choi_kraus(s)
     assert len(pairs) == 1
     prob, A = pairs[0]

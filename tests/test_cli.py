@@ -453,6 +453,23 @@ def test_bad_distribution_file_is_rejected(tmp_path, capsys):
     # a nan stall threshold was once accepted, and never stopped a stall
     (["optimize", "--on-resonance", "--stall", "nan"],
      "improvement_threshold must be positive and finite, got nan"),
+    # a bad --rfi list was once found only after the whole ladder had run
+    # and written its rungs, and an empty one was ignored
+    (["optimize", "--ladder", "--rfi", "0.9,1.1", "--steps", "10", "--max-iter", "5",
+      "--max-rungs", "2"],
+     "rf_scales must contain the nominal scale 1.0"),
+    (["optimize", "--ladder", "--rfi", ",", "--steps", "10", "--max-iter", "5"],
+     "rf_scales must contain the nominal scale 1.0"),
+    (["optimize", "--ladder", "--rfi", "1.0,1.0", "--steps", "10", "--max-iter", "5",
+      "--max-rungs", "2"],
+     "rf_scales must not repeat a scale"),
+    # --rfi without --ladder was once silently ignored
+    (["optimize", "--on-resonance", "--rfi", "0.9,1.0"],
+     "--rfi re-optimizes the selected ladder rung: it needs --ladder"),
+    # a nan floor once selected the best rung and wrote NaN into manifest.json
+    (["optimize", "--ladder", "--select-floor", "nan", "--steps", "10", "--max-iter", "5",
+      "--max-rungs", "2"],
+     "--select-floor must be finite, got nan"),
 ])
 def test_nonfinite_or_negative_input_fails_at_the_boundary(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

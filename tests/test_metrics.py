@@ -15,7 +15,7 @@ from ocpulse.metrics import (
 )
 from ocpulse.propagation import POINT_CHUNK, pulse_propagators
 from ocpulse.pulses import EnsembleDistribution, hard_pulse, waveform_template
-from ocpulse.su2 import Z_AXIS, expm_su2, quaternions, trace_overlap
+from ocpulse.su2 import Z_AXIS, ck_inv, ck_matrix, ck_mul, expm_su2, quaternions, trace_overlap
 
 A_MAX = 2 * np.pi * 5000.0
 
@@ -46,7 +46,7 @@ def test_average_fidelity_of_hard_pulse_ensemble():
     p = hard_pulse(np.pi, np.pi / 2, A_MAX)
     d = EnsembleDistribution.product(2 * np.pi * np.array([0.0, 2e3]), [1.0])
     pointwise = [
-        trace_overlap(pulse_propagators(p, [dw], [s])[0], TARGET_PI_Y)
+        trace_overlap(ck_matrix(pulse_propagators(p, [dw], [s])[0]), TARGET_PI_Y)
         for dw, s in zip(d.offsets, d.rf_scales)
     ]
     assert average_fidelity(p, d) == pytest.approx(np.mean(pointwise), abs=1e-12)
@@ -55,21 +55,21 @@ def test_average_fidelity_of_hard_pulse_ensemble():
 def test_cpmg_criteria_tilted_axis():
     zeta = 0.23
     theta = 2.9
-    U = expm_su2([0.0, np.cos(zeta), np.sin(zeta)], theta)
-    c = cpmg_criteria(U)
+    # propagators enter as Cayley-Klein pairs, the first rows of the matrices
+    c = cpmg_criteria(expm_su2([0.0, np.cos(zeta), np.sin(zeta)], theta)[0])
     assert c.angle_from_xy_plane == pytest.approx(zeta, abs=1e-12)
     assert c.angle_from_y_axis == pytest.approx(zeta, abs=1e-12)
     assert c.nutation_angle == pytest.approx(theta, abs=1e-12)
     assert c.fidelity == pytest.approx(np.sin(theta / 2) ** 2 * np.cos(zeta) ** 2, abs=1e-12)
     assert not c.degenerate
     # tilt below the plane flips the sign of the plane angle only
-    c = cpmg_criteria(expm_su2([0.0, np.cos(zeta), -np.sin(zeta)], theta))
+    c = cpmg_criteria(expm_su2([0.0, np.cos(zeta), -np.sin(zeta)], theta)[0])
     assert c.angle_from_xy_plane == pytest.approx(-zeta, abs=1e-12)
     assert c.angle_from_y_axis == pytest.approx(zeta, abs=1e-12)
 
 
 def test_cpmg_criteria_degenerate_identity():
-    c = cpmg_criteria(np.eye(2, dtype=complex))
+    c = cpmg_criteria(np.array([1.0, 0.0], dtype=complex))
     assert c.degenerate
     assert c.nutation_angle == pytest.approx(0.0, abs=1e-9)
     assert c.fidelity == pytest.approx(0.0, abs=1e-12)
@@ -79,10 +79,11 @@ def test_cpmg_criteria_degenerate_identity():
 
 
 def test_cpmg_criteria_rejects_nonunitary():
+    # |a|^2 + |b|^2 = 1.01
     with pytest.raises(ValueError, match="not unitary"):
-        cpmg_criteria(np.array([[1.0, 0.1], [0.0, 1.0]], dtype=complex))
+        cpmg_criteria(np.array([1.0, 0.1], dtype=complex))
     # one bad operator in a batch rejects the batch
-    batch = np.stack([np.eye(2, dtype=complex), np.array([[1.0, 0.1], [0.0, 1.0]])])
+    batch = np.array([[1.0, 0.0], [1.0, 0.1]], dtype=complex)
     with pytest.raises(ValueError, match="not unitary"):
         cpmg_criteria(batch)
     with pytest.raises(ValueError, match="shape"):
@@ -92,7 +93,7 @@ def test_cpmg_criteria_rejects_nonunitary():
 def test_cpmg_criteria_resolves_tiny_tilt_from_y():
     # a 2e-9 rad tilt toward z: both angles must see it, not round it to 0
     zeta = 2e-9
-    c = cpmg_criteria(expm_su2([0.0, np.cos(zeta), np.sin(zeta)], 1.0))
+    c = cpmg_criteria(expm_su2([0.0, np.cos(zeta), np.sin(zeta)], 1.0)[0])
     assert c.angle_from_xy_plane == pytest.approx(zeta, rel=1e-6)
     assert c.angle_from_y_axis == pytest.approx(zeta, rel=1e-6)
 
@@ -106,7 +107,7 @@ def test_cpmg_criteria_internal_consistency(x, y, z, theta):
     n = np.linalg.norm(v)
     if n < 1e-3:
         return
-    c = cpmg_criteria(expm_su2(v / n, theta))
+    c = cpmg_criteria(expm_su2(v / n, theta)[0])
     # fidelity must decompose into nutation and axis terms
     assert c.fidelity == pytest.approx(
         np.sin(c.nutation_angle / 2) ** 2 * np.cos(c.angle_from_y_axis) ** 2, abs=1e-10
@@ -129,17 +130,18 @@ def test_criteria_sweep_order_and_values():
         assert sweep.criteria.nutation_angle[i] == pytest.approx(expect.nutation_angle, abs=1e-12)
 
 
-def _pointwise_criteria(U):
-    """The criteria of one unitary as a per-point loop takes them: the trace
-    overlap of a lone pair, the quaternion, np.linalg.norm of its 1-d vector
-    part, then atan2 angles."""
-    q = quaternions(U)
+def _pointwise_criteria(u):
+    """The criteria of one Cayley-Klein pair as a per-point loop takes them:
+    the overlap t = Re a(target^dag U) of a lone pair and its square t t,
+    the quaternion, np.linalg.norm of its 1-d vector part, then atan2
+    angles."""
+    q = quaternions(u)
     s = np.linalg.norm(q[1:])
     theta = 2.0 * np.arctan2(s, q[0])
-    r = Z_AXIS if s < 1e-12 else q[1:] / s
-    t = np.einsum("ij,ij->", U, np.conj(TARGET_PI_Y))
+    r = Z_AXIS if s == 0.0 else q[1:] / s
+    t = ck_mul(ck_inv(TARGET_PI_Y[0]), u)[0].real
     return (
-        0.25 * np.abs(t) ** 2,
+        t * t,
         np.arctan2(r[2], np.hypot(r[0], r[1])),
         np.arctan2(np.hypot(r[0], r[2]), r[1]),
         theta,

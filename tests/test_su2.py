@@ -11,7 +11,10 @@ from ocpulse.propagation import step_propagators
 from ocpulse.pulses import PulseWaveform
 from ocpulse.su2 import (
     ID2,
+    SIGMA_X,
     SIGMA_Y,
+    SIGMA_Z,
+    axis_angle,
     ck_expm,
     ck_inv,
     ck_matrix,
@@ -20,7 +23,6 @@ from ocpulse.su2 import (
     quaternions,
     rotate_vectors,
     rotation_matrices,
-    rotation_vectors,
     trace_overlap,
     unitarity_error,
 )
@@ -56,37 +58,31 @@ def test_expm_su2_degenerate_axis():
     assert np.allclose(expm_su2([0, 0, 0], 0.0), ID2)
 
 
-def _axis_angle(U):
-    """(theta, axis) of the canonical rotation vector; the identity has a
-    zero axis."""
-    rotvec = rotation_vectors(U)
-    theta = np.linalg.norm(rotvec)
-    return theta, rotvec / max(theta, np.finfo(float).tiny)
-
-
 def test_axis_angle_round_trip_simple():
-    theta, axis = _axis_angle(-1j * SIGMA_Y)
+    # pairs are the first rows of the matrices
+    axis, theta = axis_angle((-1j * SIGMA_Y)[0])
     assert theta == pytest.approx(np.pi)
     assert np.allclose(axis, [0, 1, 0], atol=1e-12)
 
-    theta, axis = _axis_angle(ID2)
+    axis, theta = axis_angle(ID2[0])
     assert theta == pytest.approx(0.0, abs=1e-12)
     assert np.array_equal(axis, np.zeros(3))  # no axis, not nan
 
-    theta, axis = _axis_angle(expm_su2([1, 0, 0], 0.3))
+    axis, theta = axis_angle(expm_su2([1, 0, 0], 0.3)[0])
     assert theta == pytest.approx(0.3, abs=1e-12)
     assert np.allclose(axis, [1, 0, 0], atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
-@given(components, components, components, angles, st.floats(0, 2 * np.pi))
-def test_axis_angle_inverts_expm_up_to_phase(x, y, z, angle, phase):
+@given(components, components, components, angles, st.sampled_from([1.0, -1.0]))
+def test_axis_angle_inverts_expm_up_to_phase(x, y, z, angle, sign):
+    # a pair carries no global phase but its sign: U and -U
     v = np.array([x, y, z])
     n = np.linalg.norm(v)
     if n < 1e-3:
         return
-    U = np.exp(1j * phase) * expm_su2(v / n, angle)
-    theta, axis = _axis_angle(U)
+    U = sign * expm_su2(v / n, angle)
+    axis, theta = axis_angle(U[0])
     # (theta, r) and (2pi - theta, -r) are the same rotation; the
     # decomposition picks theta in [0, pi], so recompose instead of
     # comparing components directly.
@@ -207,11 +203,11 @@ def test_tangent_form_is_unitary_and_matches_libm_over_three_pi():
 def test_long_products_stay_unitary():
     # drift budget: 1e5 sequential multiplications
     rng = np.random.default_rng(1)
-    U = ID2.copy()
-    step = expm_su2(rng.normal(size=3), 0.013)
+    U = ID2[0]
+    step = expm_su2(rng.normal(size=3), 0.013)[0]
     for _ in range(100):
         for _ in range(1000):
-            U = step @ U
+            U = ck_mul(step, U)
     assert unitarity_error(U) < 1e-10
 
 
@@ -241,47 +237,97 @@ def test_ck_mul_rounding_does_not_depend_on_batch_size():
         assert np.array_equal(ck_mul(x[i:i + 1], y[i:i + 1])[0], whole[i])
         assert np.array_equal(ck_mul(x[i], y[i]), whole[i])
 
-def test_rotation_vectors_power_in_closed_form():
+def test_axis_angle_power_in_closed_form():
     rng = np.random.default_rng(4)
     rotvec = rng.normal(size=(6, 3))
     rotvec *= (rng.uniform(0.1, 3.0, 6) / np.linalg.norm(rotvec, axis=1))[:, None]
-    U = ck_matrix(ck_expm(rotvec.T, 1.0)) * np.exp(1j * rng.uniform(0, 2 * np.pi, 6))[:, None, None]
-    assert np.allclose(rotation_vectors(U), rotvec, atol=1e-13)
-    R = rotation_matrices(U)
+    x = ck_expm(rotvec.T, 1.0) * rng.choice([1.0, -1.0], 6)[:, None]
+    r, theta = axis_angle(x)
+    assert np.allclose(r * theta[:, None], rotvec, atol=1e-13)
+    R = rotation_matrices(x)
     for n in (1, 5, 33):
-        expect = np.stack([np.linalg.matrix_power(r, n) for r in R])
-        assert np.allclose(rotation_matrices(ck_matrix(ck_expm(rotation_vectors(U).T, n))), expect, atol=1e-12)
-    # the identity has no axis; its rotation vector is zero, not nan
-    assert np.array_equal(rotation_vectors(-ID2), np.zeros(3))
+        expect = np.stack([np.linalg.matrix_power(m, n) for m in R])
+        powered = rotation_matrices(ck_expm((r * theta[:, None]).T, n))
+        assert np.allclose(powered, expect, atol=1e-12)
+    # the identity has no axis; it is zero, not nan
+    r, theta = axis_angle(-ID2[0])
+    assert np.array_equal(r, np.zeros(3)) and theta == 0.0
+
+
+def test_axis_angle_at_and_near_zero_and_at_pi():
+    # theta = 0: the identity pair and its negative have the zero axis
+    for x in (np.array([1.0, 0.0]), np.array([-1.0, 0.0])):
+        r, theta = axis_angle(x)
+        assert np.array_equal(r, np.zeros(3)) and theta == 0.0
+    # near 0 the axis is still resolved: the vector part is sin(theta/2) r
+    axis = np.array([0.36, -0.48, 0.8])
+    for angle in (1e-9, 1e-150):
+        r, theta = axis_angle(ck_expm(axis * angle, 1.0))
+        assert theta == pytest.approx(angle, rel=1e-12, abs=0.0)
+        assert np.allclose(r, axis, rtol=0.0, atol=1e-12)
+    # below about 1e-154 |v|^2 underflows: theta is 0 and so is the axis
+    r, theta = axis_angle(ck_expm(axis * 1e-200, 1.0))
+    assert np.array_equal(r, np.zeros(3)) and theta == 0.0
+    # theta = pi: a turn about r and about -r are one rotation, and the
+    # largest axis component is made positive
+    for sign in (1.0, -1.0):
+        r, theta = axis_angle(expm_su2(sign * np.array([0.6, -0.8, 0.0]), np.pi)[0])
+        assert theta == pytest.approx(np.pi, abs=1e-15)
+        assert np.allclose(r, [-0.6, 0.8, 0.0], rtol=0.0, atol=1e-15)
+    # a batch takes the bits of each pair alone
+    x = ck_expm(np.random.default_rng(6).normal(size=(3, 50)), 1.0)
+    r, theta = axis_angle(x)
+    for i in range(50):
+        ri, ti = axis_angle(x[i])
+        assert np.array_equal(ri, r[i]) and ti == theta[i]
+
+
+def test_quaternions_match_traces_of_the_matrix():
+    # q0 = Re Tr(U)/2 and q_k = -Im Tr(sigma_k U)/2, sign-fixed to q0 >= 0;
+    # angles past pi give negative q0, which the canonical sign flips
+    rng = np.random.default_rng(7)
+    rotvec = rng.normal(size=(3, 40)) * 2.0
+    x = ck_expm(rotvec, 1.0)
+    U = ck_matrix(x)
+    expect = np.stack(
+        [0.5 * np.trace(U, axis1=-2, axis2=-1).real]
+        + [-0.5 * np.trace(s @ U, axis1=-2, axis2=-1).imag for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)],
+        axis=-1,
+    )
+    assert np.any(expect[:, 0] < 0.0)
+    expect *= np.where(expect[:, :1] < 0.0, -1.0, 1.0)
+    assert np.allclose(quaternions(x), expect, rtol=0.0, atol=1e-15)
 
 
 def test_rotate_vectors_is_the_so3_action_of_powers():
     rng = np.random.default_rng(5)
     rotvec = rng.normal(size=(8, 3))
     m = rng.normal(size=(8, 3))
-    out = rotate_vectors(rotvec, [1, 3, 40], m)
+    theta = np.linalg.norm(rotvec, axis=-1)
+    out = rotate_vectors(rotvec / theta[:, None], theta, [1, 3, 40], m)
     assert out.shape == (3, 8, 3)
     for turns, got in zip((1, 3, 40), out):
-        R = rotation_matrices(ck_matrix(ck_expm(rotvec.T, turns)))
+        R = rotation_matrices(ck_expm(rotvec.T, turns))
         assert np.allclose(got, np.einsum("pij,pj->pi", R, m), atol=1e-12)
-    assert np.allclose(rotate_vectors(np.zeros(3), [5], m)[0], m, atol=1e-15)
+    assert np.allclose(rotate_vectors(np.zeros(3), 0.0, [5], m)[0], m, atol=1e-15)
 
 
 def test_quaternions_canonical_sign():
-    q = quaternions(expm_su2([0, 1, 0], np.pi / 3))
+    q = quaternions(expm_su2([0, 1, 0], np.pi / 3)[0])
     assert q[0] >= 0
     assert np.allclose(q, [np.cos(np.pi / 6), 0, np.sin(np.pi / 6), 0], atol=1e-12)
     # theta = pi has zero scalar part; sign fixed by dominant component
-    q1 = quaternions(-1j * SIGMA_Y)
-    q2 = quaternions(1j * SIGMA_Y)
+    q1 = quaternions((-1j * SIGMA_Y)[0])
+    q2 = quaternions((1j * SIGMA_Y)[0])
     assert np.allclose(q1, q2, atol=1e-12)
     assert np.allclose(q1, [0, 0, 1, 0], atol=1e-12)
 
 
 def test_rotation_matrices_so3():
     rng = np.random.default_rng(2)
-    U = ck_matrix(ck_expm(rng.normal(size=(5, 3)).T, 0.9))
-    R = rotation_matrices(U)
+    x = ck_expm(rng.normal(size=(5, 3)).T, 0.9)
+    U = ck_matrix(x)
+    R = rotation_matrices(x)
     for i in range(5):
         assert np.allclose(R[i] @ R[i].T, np.eye(3), atol=1e-12)
         assert np.linalg.det(R[i]) == pytest.approx(1.0, abs=1e-12)
@@ -295,5 +341,5 @@ def test_rotation_matrices_so3():
 
 
 def test_rotation_matrices_pi_about_y():
-    R = rotation_matrices(expm_su2([0, 1, 0], np.pi))
+    R = rotation_matrices(expm_su2([0, 1, 0], np.pi)[0])
     assert np.allclose(R, np.diag([-1.0, 1.0, -1.0]), atol=1e-12)
