@@ -12,7 +12,6 @@ from .pulses import (
     EnsembleDistribution,
     PulseWaveform,
     hard_pulse,
-    symmetrize_excitation,
     uniform_ladder_distribution,
     waveform_template,
 )
@@ -25,11 +24,8 @@ from .metrics import (
     TARGET_PI_Y,
     CpmgCriteria,
     average_fidelity,
-    cp_overlap_orders,
     cpmg_criteria,
     criteria_sweep,
-    retained_signal_model,
-    tilted_pulse_avg_hamiltonian,
 )
 from .grape import (
     GrapeConfig,
@@ -57,12 +53,8 @@ from .channel import (
     pauli_probabilities,
     superoperator_sequence,
 )
-from .su2 import (
-    expm_su2,
-    trace_overlap,
-)
+from .su2 import expm_su2
 from .fileio import (
-    load_waveform_csv,
     load_waveform_json,
     reference_waveform,
     save_waveform_csv,

@@ -304,26 +304,6 @@ class PauliChannelFit:
     fit_overlap: float
 
 
-def model_probabilities(fit: PauliChannelFit, n) -> np.ndarray:
-    """Fitted-model (p_I, p_x, p_y, p_z) at cycle n (broadcasts over n).
-
-    The 0.5-amplitude exponential moves weight from sigma_y to the
-    identity as n decreases; with no decay (t2 infinite) the model is the
-    constant tail.
-    """
-    n = np.asarray(n, dtype=float)
-    if np.isinf(fit.t2_pulse_cycles):
-        e = np.zeros_like(n)
-    else:
-        e = np.exp(-n / fit.t2_pulse_cycles)
-    out = np.empty(n.shape + (4,))
-    out[..., 0] = fit.c_i + 0.5 * e
-    out[..., 1] = fit.c_x
-    out[..., 2] = fit.c_y - 0.5 * e
-    out[..., 3] = fit.c_z
-    return out
-
-
 def fit_pauli_model(R: np.ndarray, t_c: float) -> PauliChannelFit:
     """Fit the exponential identity-decay model to an n-cycle transfer stack.
 

@@ -43,7 +43,6 @@ from .propagation import bloch_trajectory, trajectory_times
 from .pulses import (
     MAX_RANGE_POINTS,
     EnsembleDistribution,
-    PulseWaveform,
     hard_pulse,
     uniform_ladder_distribution,
     waveform_template,
@@ -286,10 +285,6 @@ def cmd_optimize(args, parser) -> int:
                   [r.distribution.n_points for r in rungs],
                   [r.avg_fidelity for r in rungs])
         outputs.append("ladder.csv")
-        with open(outdir / "trace.jsonl", "w") as fh:
-            for row in trace:
-                fh.write(json.dumps(row) + "\n")
-        outputs.append("trace.jsonl")
 
         try:
             chosen = select_best_rung(result, args.select_floor)
@@ -305,12 +300,8 @@ def cmd_optimize(args, parser) -> int:
             final_wf, final_d, final_fid = wf2, d2, fid2
             params["rfi_fidelity"] = fid2
         params["final_fidelity"] = final_fid
-        save_waveform_json(final_wf, outdir / "waveform.json")
-        save_waveform_csv(final_wf, outdir / "waveform.csv")
-        save_distribution_json(final_d, outdir / "distribution.json")
-        outputs += ["waveform.json", "waveform.csv", "distribution.json"]
-        print(f"ladder: {len(result.rungs)} rungs ({result.stop_reason.value}), "
-              f"selected rung {chosen}, final avg fidelity {final_fid:.6f}")
+        message = (f"ladder: {len(result.rungs)} rungs ({result.stop_reason.value}), "
+                   f"selected rung {chosen}, final avg fidelity {final_fid:.6f}")
     else:
         if args.mode == "on-resonance":
             d = EnsembleDistribution.single_point()
@@ -329,19 +320,22 @@ def cmd_optimize(args, parser) -> int:
             params["multistart"] = args.multistart
         else:
             report = grape_ascend(p0, d, TARGET_PI_Y, cfg)
-        fid = float(report.fidelity_history[-1])
-        params["final_fidelity"] = fid
+        final_wf, final_d = report.final_waveform, d
+        final_fid = float(report.fidelity_history[-1])
+        params["final_fidelity"] = final_fid
         params["termination"] = report.termination.value
-        save_waveform_json(report.final_waveform, outdir / "waveform.json")
-        save_waveform_csv(report.final_waveform, outdir / "waveform.csv")
-        save_distribution_json(d, outdir / "distribution.json")
-        with open(outdir / "trace.jsonl", "w") as fh:
-            for row in _trace_rows(report):
-                fh.write(json.dumps(row) + "\n")
-        outputs += ["waveform.json", "waveform.csv", "distribution.json", "trace.jsonl"]
-        print(f"optimize[{args.mode}]: fidelity {fid:.6f} "
-              f"after {report.iterations} iterations ({report.termination.value})")
+        trace = _trace_rows(report)
+        message = (f"optimize[{args.mode}]: fidelity {final_fid:.6f} "
+                   f"after {report.iterations} iterations ({report.termination.value})")
 
+    save_waveform_json(final_wf, outdir / "waveform.json")
+    save_waveform_csv(final_wf, outdir / "waveform.csv")
+    save_distribution_json(final_d, outdir / "distribution.json")
+    with open(outdir / "trace.jsonl", "w") as fh:
+        for row in trace:
+            fh.write(json.dumps(row) + "\n")
+    outputs += ["waveform.json", "waveform.csv", "distribution.json", "trace.jsonl"]
+    print(message)
     _write_manifest(outdir, "optimize", params, outputs)
     return 0
 
@@ -529,12 +523,12 @@ def cmd_info(args, parser) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"{path}: unreadable ({exc})", file=sys.stderr)
             continue
-        if "steps" in data:
+        if isinstance(data, dict) and "steps" in data:
             p = load_waveform_json(path)
             print(f"{path}: waveform, {p.n_steps} steps x {p.dt * 1e6:.3f} us, "
                   f"cap {p.a_max / KHZ:.3f} kHz, guards "
                   f"{p.pre_delay * 1e6:.1f}/{p.post_delay * 1e6:.1f} us")
-        elif "points" in data:
+        elif isinstance(data, dict) and "points" in data:
             d = load_distribution_json(path)
             print(f"{path}: distribution, {d.n_points} points, offsets "
                   f"{d.offsets.min() / (2 * np.pi):.1f}..{d.offsets.max() / (2 * np.pi):.1f} Hz, "

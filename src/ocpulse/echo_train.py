@@ -18,7 +18,7 @@ import numpy as np
 
 from .propagation import half_cycle_propagators, pulse_propagators
 from .pulses import EnsembleDistribution, PulseWaveform, check_points
-from .su2 import Y_AXIS, axis_angle, rotate_vectors, rotation_matrices
+from .su2 import Y_AXIS, Z_AXIS, axis_angle, rotate_vectors
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 
@@ -72,9 +72,8 @@ def simulate_train(
         raise ValueError("n_echoes must be >= 1")
     r, theta = axis_angle(half_cycle_propagators(p, tau, d.offsets, d.rf_scales))
     if excitation is not None:
-        m = rotation_matrices(
-            pulse_propagators(excitation, d.offsets, d.rf_scales)
-        ) @ np.array([0.0, 0.0, 1.0])
+        u = pulse_propagators(excitation, d.offsets, d.rf_scales)
+        m = rotate_vectors(*axis_angle(u), [1], Z_AXIS)[0]
     else:
         m = np.zeros((d.n_points, 3))
         m[:, _AXES[input_axis]] = 1.0

@@ -8,7 +8,6 @@ store.
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
@@ -69,42 +68,6 @@ def save_waveform_csv(p: PulseWaveform, path) -> None:
         np.arange(p.n_steps) * p.dt,
         p.amplitudes / TWO_PI,
         np.degrees(p.phases),
-    )
-
-
-def load_waveform_csv(
-    path, a_max: float | None = None, pre_delay: float = 0.0, post_delay: float = 0.0
-) -> PulseWaveform:
-    """Import a time_s, amp_hz, phase_deg table as a waveform.
-
-    The grid must be uniform; dt comes from the time column (at least two
-    rows).  a_max defaults to the largest amplitude present.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != [
-            "time_s",
-            "amp_hz",
-            "phase_deg",
-        ]:
-            raise ValueError(f"{path}: expected header time_s,amp_hz,phase_deg")
-        rows = [(float(r[0]), float(r[1]), float(r[2])) for r in reader if r]
-    if len(rows) < 2:
-        raise ValueError(f"{path}: need at least two rows to infer dt")
-    times = np.array([r[0] for r in rows])
-    dts = np.diff(times)
-    if np.max(np.abs(dts - dts[0])) > 1e-9 * max(dts[0], 1e-30):
-        raise ValueError(f"{path}: nonuniform time grid")
-    amps = np.array([r[1] for r in rows]) * TWO_PI
-    phases = np.radians(np.array([r[2] for r in rows]))
-    return PulseWaveform(
-        dt=float(dts[0]),
-        amplitudes=amps,
-        phases=phases,
-        a_max=float(a_max) if a_max is not None else float(np.max(np.abs(amps))),
-        pre_delay=pre_delay,
-        post_delay=post_delay,
     )
 
 

@@ -90,21 +90,14 @@ def run_ladder(
         raise ValueError("max_rungs must be nonnegative")
 
     rungs = []
-    d0 = EnsembleDistribution.single_point()
-    report = grape_ascend(p0, d0, TARGET_PI_Y, cfg)
-    fid = float(report.fidelity_history[-1])
-    rungs.append(
-        LadderRung(0, 0.0, d0, report.final_waveform, fid, report)
-    )
     stop_reason = LadderStop.MAX_RUNGS
-    if fid < stop_fidelity:
-        return LadderResult(tuple(rungs), LadderStop.FIDELITY_FLOOR)
-
-    for m in range(1, max_rungs + 1):
+    for m in range(max_rungs + 1):
+        # m = 0 is the single on-resonance point, so delta and the jitter
+        # are checked before any ascent
         d = uniform_ladder_distribution(
             m * delta, delta, jitter_fraction=jitter_fraction, seed=[seed, m]
         )
-        report = grape_ascend(rungs[-1].waveform, d, TARGET_PI_Y, cfg)
+        report = grape_ascend(rungs[-1].waveform if rungs else p0, d, TARGET_PI_Y, cfg)
         fid = float(report.fidelity_history[-1])
         rungs.append(LadderRung(m, m * delta, d, report.final_waveform, fid, report))
         if fid < stop_fidelity:

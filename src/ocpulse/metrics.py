@@ -1,4 +1,4 @@
-"""Refocusing-quality metrics and analytic CPMG diagnostics.
+"""Refocusing-quality metrics of pulse propagators.
 
 The design target throughout is the ideal pi rotation about y,
 exp(-i pi/2 Y).  Fidelity is the optimizer's t^2, t = Re a(V^dag U) for
@@ -18,7 +18,7 @@ import numpy as np
 from .grape import _overlaps, _su2_target
 from .propagation import TARGET_PI_Y, PulseWaveform, pulse_propagators
 from .pulses import EnsembleDistribution
-from .su2 import SIGMA_X, SIGMA_Y, Y_AXIS, Z_AXIS, axis_angle, expm_su2, unitarity_error
+from .su2 import Z_AXIS, axis_angle, unitarity_error
 
 # sin(theta/2) below this leaves the rotation axis numerically undefined.
 _DEGENERATE_SIN = 1e-9
@@ -119,47 +119,3 @@ def criteria_sweep(p: PulseWaveform | None, offsets, rf_scales) -> CriteriaSweep
     props = pulse_propagators(p, grid_off, grid_rf)
     return CriteriaSweep(grid_off, grid_rf, cpmg_criteria(props))
 
-
-def retained_signal_model(k: int, delta: float, r_y: float) -> float:
-    """Echo-k retained y magnetization for a cycle rotation (delta, axis).
-
-    Model for a cycle whose propagator rotates by delta about an axis with
-    y component r_y: the axis-parallel share r_y^2 is static while the
-    rest oscillates and sign-alternates,
-
-        M_y(k) = (-1)^k cos(k delta) (1 - r_y^2) + r_y^2.
-    """
-    if abs(r_y) > 1.0 + 1e-12:
-        raise ValueError(f"|r_y| must be <= 1, got {r_y}")
-    r2 = min(r_y * r_y, 1.0)
-    return float((-1.0) ** k * np.cos(k * delta) * (1.0 - r2) + r2)
-
-
-def tilted_pulse_avg_hamiltonian(zeta: float, delta_omega: float):
-    """Leading error of a pi rotation about an axis tilted by zeta from y
-    toward z, expressed over one cycle as effective (z, y) field components
-    (Delta-omega (1 - cos 2 zeta), Delta-omega sin 2 zeta)."""
-    return (
-        delta_omega * (1.0 - np.cos(2.0 * zeta)),
-        delta_omega * np.sin(2.0 * zeta),
-    )
-
-
-def cp_overlap_orders(epsilon: float, delta_omega_tau: float):
-    """Exact per-cycle (O_x, O_y) overlaps for delta-function pi - epsilon
-    pulses about y.
-
-    O_w = Tr(sigma_w U sigma_w U^dag) / 2 with U the cycle propagator at
-    offset-times-tau angle ``delta_omega_tau``.  Measures how much of an
-    initial x (CP) or y (CPMG) component one cycle retains: 1 - O_x is
-    second order in epsilon while 1 - O_y is fourth order, which is the
-    CPMG phase-memory advantage.
-    """
-    f1 = expm_su2(Z_AXIS, delta_omega_tau)
-    f2 = expm_su2(Z_AXIS, 2.0 * delta_omega_tau)
-    r = expm_su2(Y_AXIS, np.pi - epsilon)
-    U = f1 @ r @ f2 @ r @ f1
-    Ud = U.conj().T
-    ox = 0.5 * np.trace(SIGMA_X @ U @ SIGMA_X @ Ud).real
-    oy = 0.5 * np.trace(SIGMA_Y @ U @ SIGMA_Y @ Ud).real
-    return float(ox), float(oy)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .pulses import PulseWaveform, check_points
-from .su2 import Y_AXIS, ck_expm_polar, ck_mul, expm_su2, rotation_matrices
+from .su2 import Y_AXIS, axis_angle, ck_expm_polar, ck_mul, expm_su2, rotate_vectors
 
 # The ideal refocusing pulse, exp(-i pi/2 Y); also the optimizer's target.
 TARGET_PI_Y = expm_su2(Y_AXIS, np.pi)
@@ -197,8 +197,11 @@ def bloch_trajectory(
     Returns
     -------
     (n_steps + 3, 3) float ndarray sampled at :func:`trajectory_times`.
-    The final row equals the image of ``m_in`` under the full pulse
-    propagator; the norm is conserved to rounding.
+    Each row is ``m_in`` turned by the axis and angle
+    (:func:`ocpulse.su2.axis_angle`) of the propagator up to that sample,
+    by Rodrigues' formula (:func:`ocpulse.su2.rotate_vectors`), so the
+    final row is the image of ``m_in`` under the full pulse propagator and
+    the norm is conserved to rounding.
     """
     check_points(delta_omega, omega1_scale)
     m = np.asarray(m_in, dtype=float)
@@ -211,4 +214,4 @@ def bloch_trajectory(
     steps = step_propagators(p, [delta_omega], [omega1_scale])[:, 0]
     last = ck_mul(post, forward_products(steps, pre))
     pairs = np.concatenate([[[1.0, 0.0], pre], steps, [last]])
-    return rotation_matrices(pairs) @ m
+    return rotate_vectors(*axis_angle(pairs), [1], m)[0]

@@ -45,8 +45,8 @@ class PulseWaveform:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (self.a_max > 0.0 and np.isfinite(self.a_max)):
             raise ValueError(f"a_max must be positive and finite, got {self.a_max}")
-        if self.pre_delay < 0.0 or self.post_delay < 0.0:
-            raise ValueError("guard delays must be nonnegative")
+        if not (0.0 <= self.pre_delay < np.inf and 0.0 <= self.post_delay < np.inf):
+            raise ValueError("guard delays must be finite and nonnegative")
         if not (np.all(np.isfinite(amps)) and np.all(np.isfinite(phases))):
             raise ValueError("step values must be finite")
         for name, arr in (("amplitudes", amps), ("phases", phases)):
@@ -98,23 +98,6 @@ def hard_pulse(nutation: float, phase: float, a_max: float) -> PulseWaveform:
         phases=np.array([phase]),
         a_max=a_max,
     )
-
-
-def symmetrize_excitation(p: PulseWaveform) -> PulseWaveform:
-    """Refocusing pulse built from an excitation pulse.
-
-    Concatenates a phase-reversed copy of ``p`` (phi -> -phi) with a
-    time-reversed copy (step order reversed).  The output has twice the
-    steps of the input.  Guard delays cannot be carried through the
-    internal junction, so the input must have none.
-    """
-    if p.n_steps == 0:
-        raise ValueError("cannot symmetrize an empty waveform")
-    if p.pre_delay != 0.0 or p.post_delay != 0.0:
-        raise ValueError("symmetrization requires a waveform without guard delays")
-    amps = np.concatenate([p.amplitudes, p.amplitudes[::-1]])
-    phases = np.concatenate([np.mod(-p.phases, TWO_PI), p.phases[::-1]])
-    return PulseWaveform(dt=p.dt, amplitudes=amps, phases=phases, a_max=p.a_max)
 
 
 def waveform_template(

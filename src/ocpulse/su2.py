@@ -3,8 +3,8 @@
 An SU(2) element is stored by its Cayley-Klein pair: the first row (a, b)
 of U = [[a, b], [-conj(b), conj(a)]], shape ``(..., 2)``.  Every helper
 here that takes a rotation takes pairs, batched over leading axes; only
-:func:`expm_su2` (targets and tests) and :func:`trace_overlap` work with
-``(2, 2)`` matrices, and :func:`ck_matrix` converts.
+:func:`expm_su2` (targets and tests) returns a ``(2, 2)`` matrix, which
+:func:`ck_matrix` builds.
 
 One formula builds every exponential, :func:`ck_expm_polar`: it takes the
 transverse rate in polar form (amplitude, phase) and works from
@@ -211,30 +211,6 @@ def quaternions(x: np.ndarray) -> np.ndarray:
     return np.where(flip[..., None], -q, q)
 
 
-def rotation_matrices(x: np.ndarray) -> np.ndarray:
-    """SO(3) action of Cayley-Klein pairs on Bloch vectors, batched (..., 3, 3).
-
-    R satisfies (U (m.sigma) U^dag) = (R m).sigma.
-    """
-    q = quaternions(x)
-    c, v = q[..., 0], q[..., 1:]
-    vv = np.einsum("...i,...j->...ij", v, v)
-    eye = np.eye(3)
-    cross = np.zeros(v.shape[:-1] + (3, 3))
-    cross[..., 0, 1] = -v[..., 2]
-    cross[..., 0, 2] = v[..., 1]
-    cross[..., 1, 0] = v[..., 2]
-    cross[..., 1, 2] = -v[..., 0]
-    cross[..., 2, 0] = -v[..., 1]
-    cross[..., 2, 1] = v[..., 0]
-    s2 = np.einsum("...i,...i->...", v, v)
-    return (
-        (c**2 - s2)[..., None, None] * eye
-        + 2.0 * vv
-        + 2.0 * c[..., None, None] * cross
-    )
-
-
 def axis_angle(x: np.ndarray):
     """Unit rotation axes r (..., 3) and angles theta (...) of Cayley-Klein
     pairs (..., 2): U = +-exp(-i theta/2 r.sigma), theta in [0, pi].
@@ -270,19 +246,6 @@ def rotate_vectors(r, theta, n, m) -> np.ndarray:
                        (-1,) + (1,) * max(r.ndim, theta.ndim, m.ndim))
     phi = turns * theta
     return along + np.cos(phi) * (m - along) + np.sin(phi) * np.cross(r, m)
-
-
-def trace_overlap(A: np.ndarray, B: np.ndarray):
-    """|Tr(A B^dag)|^2 / 4; equals 1 iff A and B agree up to global phase.
-
-    Batched over leading axes of either argument.  Each element has the bits
-    of a lone pair: the square is libm's pow, as ``**`` takes it of a numpy
-    scalar, not the x * x that ``**`` takes of an array (the two differ in
-    the last bit for about one value in 2000).
-    """
-    t = np.einsum("...ij,...ij->...", np.asarray(A), np.conj(np.asarray(B)))
-    out = 0.25 * np.float_power(np.abs(t), 2)
-    return float(out) if out.ndim == 0 else out
 
 
 def unitarity_error(x: np.ndarray) -> float:

@@ -12,7 +12,7 @@ import pytest
 
 from ocpulse import channel, grape, ladder
 from ocpulse.echo_train import echo_visibility_sweep
-from ocpulse.metrics import TARGET_PI_Y, average_fidelity, cp_overlap_orders
+from ocpulse.metrics import TARGET_PI_Y, average_fidelity
 from ocpulse.propagation import cycle_propagators, half_cycle_propagators
 from ocpulse.pulses import (
     EnsembleDistribution,
@@ -20,6 +20,8 @@ from ocpulse.pulses import (
     hard_pulse,
     waveform_template,
 )
+
+from oracles import cp_overlap_orders
 
 A_MAX = 2 * np.pi * 5000.0
 KHZ = 2 * np.pi * 1e3

@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from ocpulse import channel
 from ocpulse.channel import (
-    PauliChannelFit,
     asymptotic_channel,
     choi_kraus,
     choi_matrix,
     cycle_time,
     fit_pauli_model,
-    model_probabilities,
     pauli_probabilities,
     superoperator_sequence,
     transfer_of_unitaries,
@@ -21,7 +19,9 @@ from ocpulse.channel import (
 from ocpulse.echo_train import simulate_train
 from ocpulse.propagation import cycle_propagators
 from ocpulse.pulses import EnsembleDistribution, PulseWaveform, hard_pulse
-from ocpulse.su2 import PAULIS, expm_su2, rotation_matrices
+from ocpulse.su2 import PAULIS, expm_su2
+
+from oracles import rotation_matrices
 
 A_MAX = 2 * np.pi * 5000.0
 TAU = 1e-3
@@ -352,25 +352,6 @@ def test_fit_ideal_channel_infinite_t2():
     assert np.isinf(fit.t2_pulse_cycles)
     assert fit.m_infinity == pytest.approx(1.0)
     assert fit.fit_overlap == 1.0
-    m = model_probabilities(fit, np.arange(5))
-    assert np.allclose(m, np.tile([1.0, 0.0, 0.0, 0.0], (5, 1)))
-
-
-def test_model_probabilities_shape_and_anchor():
-    fit = PauliChannelFit(
-        per_cycle_probs=np.zeros((3, 4)),
-        c_i=0.5, c_x=0.1, c_y=0.3, c_z=0.1,
-        t2_pulse=8 * 4e-3, t2_pulse_cycles=8.0, cycle_time=4e-3,
-        m_infinity=0.6, fit_overlap=np.nan,
-    )
-    m0 = model_probabilities(fit, 0)
-    # at n = 0 the exponential hands its full 0.5 amplitude to the identity
-    assert np.allclose(m0, [1.0, 0.1, -0.2, 0.1], atol=1e-12)
-    m = model_probabilities(fit, [1, 2, 4])
-    assert m.shape == (3, 4)
-    e = np.exp(-np.array([1, 2, 4]) / 8.0)
-    assert np.allclose(m[:, 0], 0.5 + 0.5 * e)
-    assert np.allclose(m[:, 2], 0.3 - 0.5 * e)
 
 
 def test_fit_input_validation():

@@ -22,7 +22,7 @@ from ocpulse.channel import asymptotic_channel, superoperator_sequence
 from ocpulse.cli import main
 from ocpulse.echo_train import simulate_train
 from ocpulse.propagation import cycle_propagators
-from ocpulse.pulses import EnsembleDistribution, hard_pulse, symmetrize_excitation
+from ocpulse.pulses import EnsembleDistribution, PulseWaveform, hard_pulse
 
 A_MAX = 2 * np.pi * 5000.0
 ROOT = Path(__file__).resolve().parents[1]
@@ -41,13 +41,41 @@ def test_info_runs(capsys):
 
 
 def test_info_describes_files(tmp_path, capsys):
+    # JSON that is not an object: 3 and null once ended in a TypeError
+    # traceback, and ["steps"] was read as a waveform and stopped info
+    # before the files after it
+    odd = []
+    for name, text in (("three", "3"), ("null", "null"), ("list", '["steps"]')):
+        odd.append(tmp_path / f"{name}.json")
+        odd[-1].write_text(text)
     wf = tmp_path / "p.json"
     fileio.save_waveform_json(hard_pulse(np.pi, np.pi / 2, A_MAX), wf)
     bogus = tmp_path / "missing.json"
-    assert main(["info", str(wf), str(bogus)]) == 0
+    assert main(["info", *map(str, odd), str(wf), str(bogus)]) == 0
     captured = capsys.readouterr()
+    for path in odd:
+        assert f"{path}: unrecognized JSON payload" in captured.out
     assert "waveform, 1 steps" in captured.out
     assert "unreadable" in captured.err
+
+
+def test_simulate_rejects_an_infinite_guard(tmp_path, capsys):
+    # an Infinity guard was once accepted and gave a NaN train.csv
+    record = fileio.waveform_to_dict(hard_pulse(np.pi, np.pi / 2, A_MAX))
+    record["pre_delay_s"] = float("inf")
+    wf = tmp_path / "inf_guard.json"
+    wf.write_text(json.dumps(record))
+    assert "Infinity" in wf.read_text()
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--pulse", str(wf), "--train", "--echoes", "4",
+                     "-o", str(out)]) == 2
+    assert caught == []
+    assert capsys.readouterr().err.splitlines() == [
+        "error: guard delays must be finite and nonnegative"
+    ]
+    assert list(out.glob("*")) == []
 
 
 def test_console_script_installed():
@@ -335,7 +363,9 @@ def test_compare_symmetrized_90_equals_hard_180(tmp_path):
     h180 = tmp_path / "h180.json"
     sym90 = tmp_path / "sym90.json"
     fileio.save_waveform_json(hard_pulse(np.pi, 0.0, A_MAX), h180)
-    fileio.save_waveform_json(symmetrize_excitation(hard_pulse(np.pi / 2, 0.0, A_MAX)), sym90)
+    # the hard 90 followed by its time-reversed, phase-reversed copy
+    dt90 = hard_pulse(np.pi / 2, 0.0, A_MAX).dt
+    fileio.save_waveform_json(PulseWaveform(dt90, np.full(2, A_MAX), np.zeros(2), A_MAX), sym90)
     out = tmp_path / "cmp"
     rc = main([
         "compare", str(h180), str(sym90), "-o", str(out),
@@ -470,6 +500,11 @@ def test_bad_distribution_file_is_rejected(tmp_path, capsys):
     (["optimize", "--ladder", "--select-floor", "nan", "--steps", "10", "--max-iter", "5",
       "--max-rungs", "2"],
      "--select-floor must be finite, got nan"),
+    # a non-finite guard was once accepted: nan ended in "numerical failure"
+    (["optimize", "--on-resonance", "--guard-us", "nan"],
+     "guard delays must be finite and nonnegative"),
+    (["optimize", "--on-resonance", "--guard-us", "inf"],
+     "guard delays must be finite and nonnegative"),
 ])
 def test_nonfinite_or_negative_input_fails_at_the_boundary(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

@@ -4,7 +4,9 @@ import pytest
 from ocpulse.echo_train import EchoTrainResult, echo_visibility_sweep, simulate_train
 from ocpulse.propagation import half_cycle_propagators
 from ocpulse.pulses import EnsembleDistribution, PulseWaveform, hard_pulse
-from ocpulse.su2 import quaternions, rotation_matrices
+from ocpulse.su2 import quaternions
+
+from oracles import rotation_matrices
 
 A_MAX = 2 * np.pi * 5000.0
 TAU = 1e-3  # echo spacing 2 ms

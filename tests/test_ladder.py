@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ocpulse import grape
+from ocpulse import grape, ladder
 from ocpulse.grape import GrapeConfig, random_waveform
 from ocpulse.ladder import (
     LadderResult,
@@ -31,6 +31,7 @@ def test_rung0_is_on_resonance_only():
     assert r0.half_bandwidth == 0.0
     assert r0.distribution.n_points == 1
     assert r0.distribution.offsets[0] == 0.0
+    assert r0.distribution.points() == EnsembleDistribution.single_point().points()
     assert r0.avg_fidelity >= 0.9999  # on resonance a perfect pi is reachable
 
 
@@ -83,11 +84,26 @@ def test_ladder_floor_stop_records_failing_rung():
     assert len(res.rungs) <= 11
 
 
-def test_ladder_validation():
+def test_ladder_validation(monkeypatch):
+    # every bad argument fails before any ascent; rung 0 was once ascended
+    # before delta and the jitter were checked
+    calls = []
+
+    def counting_ascend(*args, **kwargs):
+        calls.append(args)
+        return grape.grape_ascend(*args, **kwargs)
+
+    monkeypatch.setattr(ladder, "grape_ascend", counting_ascend)
+    cfg = GrapeConfig(max_iterations=5)
     with pytest.raises(ValueError, match="stop_fidelity"):
         run_ladder(quick_start(), DELTA, stop_fidelity=1.0)
     with pytest.raises(ValueError, match="max_rungs"):
         run_ladder(quick_start(), DELTA, max_rungs=-1)
+    with pytest.raises(ValueError, match="jitter_fraction"):
+        run_ladder(quick_start(), DELTA, cfg=cfg, jitter_fraction=0.6)
+    with pytest.raises(ValueError, match="delta"):
+        run_ladder(quick_start(), 0.0, cfg=cfg)
+    assert calls == []
 
 
 def _toy_result(fids):

@@ -4,18 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ocpulse import metrics
-from ocpulse.metrics import (
-    TARGET_PI_Y,
-    average_fidelity,
-    cp_overlap_orders,
-    cpmg_criteria,
-    criteria_sweep,
-    retained_signal_model,
-    tilted_pulse_avg_hamiltonian,
-)
+from ocpulse.metrics import TARGET_PI_Y, average_fidelity, cpmg_criteria, criteria_sweep
 from ocpulse.propagation import POINT_CHUNK, pulse_propagators
 from ocpulse.pulses import EnsembleDistribution, hard_pulse, waveform_template
-from ocpulse.su2 import Z_AXIS, ck_inv, ck_matrix, ck_mul, expm_su2, quaternions, trace_overlap
+from ocpulse.su2 import Z_AXIS, ck_inv, ck_matrix, ck_mul, expm_su2, quaternions
+
+from oracles import cp_overlap_orders, trace_overlap
 
 A_MAX = 2 * np.pi * 5000.0
 
@@ -171,30 +165,6 @@ def test_criteria_sweep_matches_pointwise_criteria_bitwise(pulse):
     assert np.array_equal(got, expect)
     if pulse == "zero":
         assert np.count_nonzero(c.degenerate) == n_rf
-
-
-def test_retained_signal_model():
-    # axis exactly along y: nothing decays, no alternation
-    for k in (0, 1, 2, 7):
-        assert retained_signal_model(k, 0.7, 1.0) == pytest.approx(1.0)
-    # axis orthogonal to y, no rotation: pure (-1)^k alternation
-    assert retained_signal_model(3, 0.0, 0.0) == pytest.approx(-1.0)
-    assert retained_signal_model(4, 0.0, 0.0) == pytest.approx(1.0)
-    got = retained_signal_model(5, 0.2, 0.6)
-    assert got == pytest.approx(-np.cos(1.0) * 0.64 + 0.36, abs=1e-12)
-    with pytest.raises(ValueError, match="r_y"):
-        retained_signal_model(1, 0.0, 1.5)
-
-
-def test_tilted_pulse_avg_hamiltonian():
-    dw = 2 * np.pi * 1e3
-    assert tilted_pulse_avg_hamiltonian(0.0, dw) == pytest.approx((0.0, 0.0))
-    z, y = tilted_pulse_avg_hamiltonian(np.pi / 4, dw)
-    assert z == pytest.approx(dw)
-    assert y == pytest.approx(dw)
-    z, y = tilted_pulse_avg_hamiltonian(np.pi / 2, dw)
-    assert z == pytest.approx(2 * dw)
-    assert y == pytest.approx(0.0, abs=1e-12 * dw)
 
 
 def test_cp_overlap_perfect_pulse():

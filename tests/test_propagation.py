@@ -5,9 +5,9 @@ import pytest
 
 from ocpulse import propagation as prop
 from ocpulse.pulses import EnsembleDistribution, PulseWaveform, hard_pulse, waveform_template
-from ocpulse.su2 import (
-    SIGMA_X, SIGMA_Y, SIGMA_Z, ck_expm, ck_matrix, ck_mul, expm_su2, rotation_matrices,
-)
+from ocpulse.su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, ck_expm, ck_matrix, ck_mul, expm_su2
+
+from oracles import rotation_matrices
 
 A_MAX = 2 * np.pi * 5000.0
 

@@ -7,7 +7,6 @@ from ocpulse.pulses import (
     EnsembleDistribution,
     PulseWaveform,
     hard_pulse,
-    symmetrize_excitation,
     uniform_ladder_distribution,
     waveform_template,
 )
@@ -89,21 +88,13 @@ def test_with_steps_keeps_timing():
     assert np.allclose(q.phases, 2 * np.pi - 0.25)  # rewrapped
 
 
-def test_symmetrize_doubles_steps_and_maps_phases():
-    p = PulseWaveform(1e-6, np.array([1.0, 2.0]), np.array([0.3, 1.0]), A_MAX)
-    s = symmetrize_excitation(p)
-    assert s.n_steps == 4
-    assert s.dt == p.dt
-    assert np.allclose(s.amplitudes, [1.0, 2.0, 2.0, 1.0])
-    # first half phase-reversed, second half time-reversed
-    assert np.allclose(s.phases, [2 * np.pi - 0.3, 2 * np.pi - 1.0, 1.0, 0.3])
-
-
 def test_symmetrized_hard_90_is_the_hard_180():
     # same constant Hamiltonian, so the propagators agree at every
     # (offset, rf_scale), not just on resonance
     h90 = hard_pulse(np.pi / 2, 0.0, A_MAX)
-    sym = symmetrize_excitation(h90)
+    # the 90 followed by its time-reversed, phase-reversed copy: at phase 0
+    # both halves are the same step
+    sym = PulseWaveform(h90.dt, np.full(2, A_MAX), np.zeros(2), A_MAX)
     h180 = hard_pulse(np.pi, 0.0, A_MAX)
     assert sym.duration == pytest.approx(h180.duration)
     d = EnsembleDistribution.product(
@@ -112,14 +103,6 @@ def test_symmetrized_hard_90_is_the_hard_180():
     Ua = propagation.pulse_propagators(sym, d.offsets, d.rf_scales)
     Ub = propagation.pulse_propagators(h180, d.offsets, d.rf_scales)
     assert np.allclose(Ua, Ub, atol=1e-13)
-
-
-def test_symmetrize_errors():
-    with pytest.raises(ValueError, match="empty"):
-        symmetrize_excitation(PulseWaveform(1e-6, np.zeros(0), np.zeros(0), A_MAX))
-    guarded = waveform_template(3, 1e-6, A_MAX, pre_delay=1e-6)
-    with pytest.raises(ValueError, match="guard"):
-        symmetrize_excitation(guarded)
 
 
 def test_waveform_template():

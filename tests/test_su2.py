@@ -22,10 +22,10 @@ from ocpulse.su2 import (
     expm_su2,
     quaternions,
     rotate_vectors,
-    rotation_matrices,
-    trace_overlap,
     unitarity_error,
 )
+
+from oracles import rotation_matrices, trace_overlap
 
 angles = st.floats(1e-6, 2 * np.pi - 1e-6)
 components = st.floats(-1.0, 1.0)
