@@ -10,10 +10,14 @@ compare grid (offsets -10:10:0.25 kHz x RF scales 0.9, 0.95, 1.0, 1.05,
 echo 500, which cover the criteria and the echo train.
 --save FILE keeps the per-cycle Pauli probabilities; --against FILE adds,
 per pulse, the largest |difference| between this tree's probabilities and
-the saved ones.  Last come the repr of the final fidelity and the sha256 of
+the saved ones.  Then come the repr of the final fidelity and the sha256 of
 the final Cartesian controls of a fixed, seeded 25-iteration ascent on a
-45-point comb (15 offsets over +-3.5 kHz x RF scales 0.9, 1.0, 1.1).  Every
-line reads ``name field value``.  Run it at the parent and at the change,
+45-point comb (15 offsets over +-3.5 kHz x RF scales 0.9, 1.0, 1.1), and
+last the sha256 of the final controls of a fixed, seeded ladder from the
+same start, which covers the optimizer on small batches: three rungs of 25
+iterations on the 1-, 3- and 5-point combs, then the last comb crossed with
+RF scales 0.9, 1.0, 1.1 and re-optimized for 25 iterations.  Every line
+reads ``name field value``.  Run it at the parent and at the change,
 and diff:
 
     python scripts/fingerprint.py --save parent.npz > parent.txt   # parent
@@ -38,17 +42,34 @@ GRID_OFFSETS = (-10.0 + 0.25 * np.arange(81)) * (2 * np.pi * 1e3)
 GRID_RF = [0.9, 0.95, 1.0, 1.05, 1.1]
 
 
-def grape_fingerprint():
-    """(final fidelity, sha256 of the final controls) of the fixed ascent:
-    100 steps of 10 us between 6 us guards, started from random_waveform
-    with numpy.random.default_rng(0)."""
+def fixed_start():
+    """100 steps of 10 us between 6 us guards, drawn by random_waveform from
+    numpy.random.default_rng(0)."""
     template = oc.waveform_template(100, 1e-5, A_MAX, pre_delay=6e-6, post_delay=6e-6)
-    p0 = oc.random_waveform(template, np.random.default_rng(0))
+    return oc.random_waveform(template, np.random.default_rng(0))
+
+
+def controls_sha256(p):
+    return hashlib.sha256(p.cartesian_controls().tobytes()).hexdigest()
+
+
+def grape_fingerprint():
+    """(final fidelity, sha256 of the final controls) of the fixed ascent."""
     d = oc.EnsembleDistribution.product(2 * np.pi * np.linspace(-3.5e3, 3.5e3, 15),
                                         [0.9, 1.0, 1.1])
-    rep = oc.grape_ascend(p0, d, oc.TARGET_PI_Y, oc.GrapeConfig(max_iterations=25))
-    controls = rep.final_waveform.cartesian_controls()
-    return float(rep.fidelity_history[-1]), hashlib.sha256(controls.tobytes()).hexdigest()
+    rep = oc.grape_ascend(fixed_start(), d, oc.TARGET_PI_Y, oc.GrapeConfig(max_iterations=25))
+    return float(rep.fidelity_history[-1]), controls_sha256(rep.final_waveform)
+
+
+def ladder_fingerprint():
+    """sha256 of the final controls of the fixed ladder: comb spacing
+    250 Hz (1/(4 T) for the 1 ms pulse), jitter seed 0, and a fidelity
+    floor of 0.01, so that all three rungs run."""
+    cfg = oc.GrapeConfig(max_iterations=25)
+    result = oc.run_ladder(fixed_start(), 2 * np.pi * 250.0, stop_fidelity=0.01, cfg=cfg,
+                           seed=0, max_rungs=2)
+    _, w, _ = oc.add_rfi_and_reoptimize(result.rungs[-1], [0.9, 1.0, 1.1], cfg)
+    return controls_sha256(w)
 
 
 def main():
@@ -83,9 +104,10 @@ def main():
     print(f"oct_rfi min_retained_y_echo500 {float(retained.min())!r}")
     if args.save:
         np.savez(args.save, **probs)
-    fidelity, controls_sha256 = grape_fingerprint()
+    fidelity, sha = grape_fingerprint()
     print(f"grape final_fidelity {fidelity!r}")
-    print(f"grape controls_sha256 {controls_sha256}")
+    print(f"grape controls_sha256 {sha}")
+    print(f"ladder controls_sha256 {ladder_fingerprint()}")
 
 
 if __name__ == "__main__":

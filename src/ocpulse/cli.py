@@ -29,11 +29,13 @@ from .channel import (
 from .echo_train import echo_visibility_sweep, simulate_train
 from .fileio import (
     channel_fit_to_dict,
+    distribution_from_dict,
     load_distribution_json,
     load_waveform_json,
     save_distribution_json,
     save_waveform_csv,
     save_waveform_json,
+    waveform_from_dict,
     write_csv,
 )
 from .grape import GrapeConfig, grape_ascend, multistart_reports, random_waveform
@@ -105,7 +107,8 @@ def _check_optimize_args(args) -> None:
         raise ValueError(f"--steps must be >= 1, got {args.steps}")
     if not 0.0 < args.duration_ms < np.inf:
         raise ValueError(f"--duration-ms must be positive and finite, got {args.duration_ms}")
-    for flag, n in (("--max-iter", args.max_iter), ("--multistart", args.multistart)):
+    for flag, n in (("--max-iter", args.max_iter), ("--multistart", args.multistart),
+                    ("--threads", args.threads)):
         if n is not None and n < 1:
             raise ValueError(f"{flag} must be >= 1, got {n}")
     if args.multistart is not None and (args.mode == "ladder" or args.init):
@@ -523,18 +526,23 @@ def cmd_info(args, parser) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"{path}: unreadable ({exc})", file=sys.stderr)
             continue
-        if isinstance(data, dict) and "steps" in data:
-            p = load_waveform_json(path)
-            print(f"{path}: waveform, {p.n_steps} steps x {p.dt * 1e6:.3f} us, "
-                  f"cap {p.a_max / KHZ:.3f} kHz, guards "
-                  f"{p.pre_delay * 1e6:.1f}/{p.post_delay * 1e6:.1f} us")
-        elif isinstance(data, dict) and "points" in data:
-            d = load_distribution_json(path)
-            print(f"{path}: distribution, {d.n_points} points, offsets "
-                  f"{d.offsets.min() / (2 * np.pi):.1f}..{d.offsets.max() / (2 * np.pi):.1f} Hz, "
-                  f"RF scales {sorted(set(d.rf_scales.tolist()))}")
-        else:
+        if not (isinstance(data, dict) and ("steps" in data or "points" in data)):
             print(f"{path}: unrecognized JSON payload")
+            continue
+        try:
+            record = (waveform_from_dict if "steps" in data else distribution_from_dict)(data)
+        except ValueError as exc:
+            print(f"{path}: malformed ({exc})", file=sys.stderr)
+            continue
+        if "steps" in data:
+            print(f"{path}: waveform, {record.n_steps} steps x {record.dt * 1e6:.3f} us, "
+                  f"cap {record.a_max / KHZ:.3f} kHz, guards "
+                  f"{record.pre_delay * 1e6:.1f}/{record.post_delay * 1e6:.1f} us")
+        else:
+            lo, hi = record.offsets.min() / (2 * np.pi), record.offsets.max() / (2 * np.pi)
+            print(f"{path}: distribution, {record.n_points} points, "
+                  f"offsets {lo:.1f}..{hi:.1f} Hz, "
+                  f"RF scales {sorted(set(record.rf_scales.tolist()))}")
     return 0
 
 

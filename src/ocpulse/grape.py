@@ -7,8 +7,11 @@ Its gradient is the first-order GRAPE one (Khaneja et al., JMR 172, 296
 error is first order in dt |H|.  It comes from the prefix products X_j of the
 Cayley-Klein steps, one inclusive scan (:func:`propagation.forward_products`)
 per chunk of ensemble points.  A line-search probe runs the same scan and
-can leave its prefixes in a buffer; when the probe is accepted, the next
-gradient starts from them instead of building the steps again.  Steps follow
+leaves its prefixes in the ascent's workspace (:class:`_Workspace`); when
+the probe is accepted, the next gradient starts from them instead of
+building the steps again.  The workspace also holds what is fixed for the
+whole ascent (the free precession of the guards and the inverse target) and
+the chunk-sized buffers that every probe and gradient reuse.  Steps follow
 the averaged gradient with a backtracking line search, so the fidelity
 history is monotone.
 """
@@ -27,7 +30,7 @@ from .propagation import (
     point_chunks,
     step_propagators,
 )
-from .su2 import ck_inv, ck_mul
+from .su2 import ck_inv, ck_mul, pair_buffer
 
 # Line search: the trial step grows by _LS_GROWTH after an accepted probe
 # and shrinks by _LS_SHRINK after a rejected one, with at most
@@ -91,38 +94,78 @@ def _su2_target(target) -> np.ndarray:
     return target / np.sqrt(np.linalg.det(target))
 
 
-def _overlaps(U, target):
-    """M = target^dag U per point and t = Tr(M)/2 = Re a(M), real for an
-    SU(2) target; the fidelity is t^2."""
-    M = ck_mul(ck_inv(target[0]), U)
+class _Workspace:
+    """The buffers and ascent-wide invariants of one ensemble, target and
+    pulse timing.
+
+    Per chunk k of points (:func:`propagation.point_chunks`) it holds the
+    pre- and post-delay free precession and ``prefixes[k]``, the
+    (n_steps, c, 2) prefix products X_j of ``waveform``; the inverse target
+    is built once.  The spare scan level, the scratch plane and the pairs U
+    and M of a chunk are shared by every chunk of one width (a ragged last
+    chunk has its own), and reused by every probe and gradient.  Pair
+    buffers are plane-major (:func:`ocpulse.su2.pair_buffer`), and each
+    chunk's are whole arrays, so every plane is contiguous.
+    """
+
+    def __init__(self, p: PulseWaveform, d: EnsembleDistribution, target):
+        n = p.n_steps
+        self.chunks = point_chunks(d.n_points)
+        offsets = [d.offsets[c] for c in self.chunks]
+        self.pre = [free_pairs(o, p.pre_delay) for o in offsets]
+        self.post = [free_pairs(o, p.post_delay) for o in offsets]
+        self.target_inv = ck_inv(target[0])
+        self.prefixes = [pair_buffer((n, o.size)) for o in offsets]
+        self.waveform = None
+        shared = {c: (pair_buffer((n, c)), np.empty((n, c), dtype=complex), pair_buffer((2, c)))
+                  for c in {o.size for o in offsets}}
+        self.spare, self.scratch, self.ends = zip(*(shared[o.size] for o in offsets))
+
+
+def _overlaps(U, target_inv, out=None, scratch=None):
+    """M = target^dag U per point, from the pair ``target_inv`` of target^dag,
+    and t = Tr(M)/2 = Re a(M), real for an SU(2) target; the fidelity is
+    t^2.  ``out`` and ``scratch`` go to :func:`ocpulse.su2.ck_mul`."""
+    M = ck_mul(target_inv, U, out=out, scratch=scratch)
     return M, M[..., 0].real
 
 
-def _scan(p: PulseWaveform, o, s, target):
-    """Prefixes X_j (n_steps, P, 2) of one chunk of points, with (M, t) of
-    the whole pulse (see :func:`_overlaps`)."""
-    X = step_propagators(p, o, s)
-    last = forward_products(X, free_pairs(o, p.pre_delay))
-    return X, *_overlaps(ck_mul(free_pairs(o, p.post_delay), last), target)
+def _chunk_overlaps(ws: _Workspace, k: int):
+    """:func:`_overlaps` of chunk k from its last prefix, with the
+    post-delay applied; both products go to ``ws.ends[k]``."""
+    U, M = ws.ends[k]
+    scratch = ws.scratch[k][0]
+    ck_mul(ws.post[k], ws.prefixes[k][-1], out=U, scratch=scratch)
+    return _overlaps(U, ws.target_inv, out=M, scratch=scratch)
 
 
-def _ensemble_fidelity(p: PulseWaveform, d: EnsembleDistribution, target, prefixes=None):
+def _scan(p: PulseWaveform, d: EnsembleDistribution, ws: _Workspace, k: int):
+    """Fills ``ws.prefixes[k]`` with the prefixes X_j of chunk k and
+    returns (M, t) of the whole pulse (see :func:`_chunk_overlaps`)."""
+    chunk = ws.chunks[k]
+    X = step_propagators(p, d.offsets[chunk], d.rf_scales[chunk], out=ws.prefixes[k])
+    forward_products(X, ws.pre[k], ws.spare[k], ws.scratch[k])
+    return _chunk_overlaps(ws, k)
+
+
+def _ensemble_fidelity(p: PulseWaveform, d: EnsembleDistribution, target, ws=None):
     """Averaged fidelity of a waveform without the gradient sweep: the
     line-search probe.
 
-    Given an (n_steps, P, 2) complex buffer ``prefixes``, leaves the
-    prefixes X_j of every point there for :func:`_averaged_eval`.
+    Leaves the prefixes X_j of every chunk in ``ws`` (a :class:`_Workspace`
+    of this ensemble and target, built here when not given), where
+    :func:`_averaged_eval` of the same waveform finds them.
     """
+    if ws is None:
+        ws = _Workspace(p, d, target)
     t = np.empty(d.n_points)
-    for chunk in point_chunks(d.n_points):
-        X, _, t[chunk] = _scan(p, d.offsets[chunk], d.rf_scales[chunk], target)
-        if prefixes is not None:
-            prefixes[:, chunk] = X
+    for k, chunk in enumerate(ws.chunks):
+        t[chunk] = _scan(p, d, ws, k)[1]
+    ws.waveform = p
     return float(np.dot(d.weights, t**2))
 
 
-def _fidelity_and_gradients_raw(p: PulseWaveform, d: EnsembleDistribution, target,
-                                prefixes=None):
+def _fidelity_and_gradients_raw(p: PulseWaveform, d: EnsembleDistribution, target, ws=None):
     """Pointwise fidelities (P,) and first-order gradients (P, N, 2) wrt (u1, u2).
 
     ``target`` must lie in SU(2).  With X_j the product through step j
@@ -130,28 +173,30 @@ def _fidelity_and_gradients_raw(p: PulseWaveform, d: EnsembleDistribution, targe
     t = Tr(M)/2 is real, the fidelity is t^2, and
     dF/du_k(j) = dt omega1 t Tr(sigma_k X_j M X_j^dag) / (2i): the k = x, y
     components of X_j M X_j^dag are Im b and Re b of its Cayley-Klein pair.
-    ``prefixes``, the buffer of a probe of this same waveform
-    (:func:`_ensemble_fidelity`), supplies the X_j, and the steps are not
-    built again.  Points are taken in the chunks of
-    :func:`propagation.point_chunks`; each point's result is the same, to
-    the bit, as when it is evaluated alone.
+    When ``ws`` holds the prefixes of this same waveform (a probe left
+    them, :func:`_ensemble_fidelity`), the steps are not built again.
+    Points are taken in the chunks of :func:`propagation.point_chunks`;
+    each point's result is the same, to the bit, as when it is evaluated
+    alone.
     """
+    if ws is None:
+        ws = _Workspace(p, d, target)
+    held = ws.waveform is p
     fids = np.empty(d.n_points)
     grads = np.empty((p.n_steps, d.n_points, 2))
-    for chunk in point_chunks(d.n_points):
-        o, s = d.offsets[chunk], d.rf_scales[chunk]
-        if prefixes is None:
-            X, M, t = _scan(p, o, s, target)
-        else:
-            X = prefixes[:, chunk]
-            M, t = _overlaps(ck_mul(free_pairs(o, p.post_delay), X[-1]), target)
-        # b of (X_j M) X_j^dag is the one part of that product the gradient needs
-        XM = ck_mul(X, M)
-        b = XM[..., 1] * X[..., 0] - XM[..., 0] * X[..., 1]
-        w = p.dt * s * t
-        fids[chunk] = t**2
-        grads[:, chunk, 0] = w * b.imag
-        grads[:, chunk, 1] = w * b.real
+    for k, chunk in enumerate(ws.chunks):
+        M, t = _chunk_overlaps(ws, k) if held else _scan(p, d, ws, k)
+        X = ws.prefixes[k]
+        # b of (X_j M) X_j^dag is the one part of that product the gradient
+        # needs; the b plane of X_j M is free once its product is taken
+        XM = ck_mul(X, M, out=ws.spare[k], scratch=ws.scratch[k])
+        b = np.multiply(XM[..., 1], X[..., 0], out=ws.scratch[k])
+        b -= np.multiply(XM[..., 0], X[..., 1], out=XM[..., 1])
+        w = p.dt * d.rf_scales[chunk] * t
+        np.multiply(t, t, out=fids[chunk])
+        np.multiply(w, b.imag, out=grads[:, chunk, 0])
+        np.multiply(w, b.real, out=grads[:, chunk, 1])
+    ws.waveform = p
     return fids, grads.transpose(1, 0, 2)
 
 
@@ -167,8 +212,8 @@ def fidelity_and_gradients(p: PulseWaveform, point, target):
     return float(fids[0]), grads[0]
 
 
-def _averaged_eval(p: PulseWaveform, d: EnsembleDistribution, target, prefixes=None):
-    fids, grads = _fidelity_and_gradients_raw(p, d, target, prefixes)
+def _averaged_eval(p: PulseWaveform, d: EnsembleDistribution, target, ws=None):
+    fids, grads = _fidelity_and_gradients_raw(p, d, target, ws)
     return float(np.dot(d.weights, fids)), np.einsum("p,pnk->nk", d.weights, grads)
 
 
@@ -184,9 +229,9 @@ def grape_ascend(
     u + eps * g with eps shrinking until the averaged fidelity strictly
     improves; amplitudes are clipped to a_max after every update, so the
     returned waveform always respects the cap.  Each probe leaves its
-    prefix products in one (n_steps, P, 2) buffer, and the gradient at an
-    accepted probe reads them from there before the next probe overwrites
-    them.  Deterministic: identical inputs give an identical report.
+    prefix products in the ascent's one workspace (:class:`_Workspace`),
+    and the gradient at an accepted probe reads them from there before the
+    next probe overwrites them.  Deterministic: identical inputs give an identical report.
 
     Raises
     ------
@@ -206,9 +251,9 @@ def grape_ascend(
     u = p0.cartesian_controls()
     u1, u2 = u[:, 0].copy(), u[:, 1].copy()
     p = p0
-    prefixes = np.empty((p0.n_steps, d.n_points, 2), dtype=complex)
+    ws = _Workspace(p0, d, target)
 
-    fid, grad = _averaged_eval(p, d, target)
+    fid, grad = _averaged_eval(p, d, target, ws)
     if not (np.isfinite(fid) and np.all(np.isfinite(grad))):
         raise RuntimeError("non-finite objective at the starting point")
     history = [fid]
@@ -229,7 +274,7 @@ def grape_ascend(
             amps = np.minimum(np.hypot(v1, v2), p0.a_max)
             phases = np.arctan2(v2, v1)
             trial = p.with_steps(amps, phases)
-            f_trial = _ensemble_fidelity(trial, d, target, prefixes)
+            f_trial = _ensemble_fidelity(trial, d, target, ws)
             if not np.isfinite(f_trial):
                 raise RuntimeError("non-finite fidelity during line search")
             if f_trial > fid:
@@ -251,7 +296,7 @@ def grape_ascend(
         if improvement < cfg.improvement_threshold:
             termination = Termination.STALLED
             break
-        fid, grad = _averaged_eval(p, d, target, prefixes)
+        fid, grad = _averaged_eval(p, d, target, ws)
         if not np.all(np.isfinite(grad)):
             raise RuntimeError("non-finite gradient")
 

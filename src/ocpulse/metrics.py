@@ -18,7 +18,7 @@ import numpy as np
 from .grape import _overlaps, _su2_target
 from .propagation import TARGET_PI_Y, PulseWaveform, pulse_propagators
 from .pulses import EnsembleDistribution
-from .su2 import Z_AXIS, axis_angle, unitarity_error
+from .su2 import Z_AXIS, axis_angle, ck_inv, unitarity_error
 
 # sin(theta/2) below this leaves the rotation axis numerically undefined.
 _DEGENERATE_SIN = 1e-9
@@ -36,7 +36,8 @@ def average_fidelity(
     than the optimizer's prefix scan and gives each point the same bits; so a
     gated fidelity and the one the ascent reports are the same number.
     """
-    _, t = _overlaps(pulse_propagators(p, d.offsets, d.rf_scales), _su2_target(target))
+    U = pulse_propagators(p, d.offsets, d.rf_scales)
+    _, t = _overlaps(U, ck_inv(_su2_target(target)[0]))
     return float(np.dot(d.weights, t**2))
 
 
@@ -80,7 +81,7 @@ def cpmg_criteria(x: np.ndarray) -> CpmgCriteria:
         raise ValueError("operator is not unitary within tolerance")
     r, theta = axis_angle(x)
     r = np.where(np.any(r, axis=-1, keepdims=True), r, Z_AXIS)
-    _, t = _overlaps(x, _su2_target(TARGET_PI_Y))
+    _, t = _overlaps(x, ck_inv(_su2_target(TARGET_PI_Y)[0]))
     rx, ry, rz = r[..., 0], r[..., 1], r[..., 2]
     # atan2 forms: arcsin/arccos of a unit-vector component near +-1 round
     # every angle below ~1.5e-8 to zero.

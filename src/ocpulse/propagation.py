@@ -34,7 +34,9 @@ from __future__ import annotations
 import numpy as np
 
 from .pulses import PulseWaveform, check_points
-from .su2 import Y_AXIS, axis_angle, ck_expm_polar, ck_mul, expm_su2, rotate_vectors
+from .su2 import (
+    Y_AXIS, axis_angle, ck_expm_polar, ck_mul, expm_su2, pair_buffer, rotate_vectors,
+)
 
 # The ideal refocusing pulse, exp(-i pi/2 Y); also the optimizer's target.
 TARGET_PI_Y = expm_su2(Y_AXIS, np.pi)
@@ -66,38 +68,52 @@ def free_pairs(delta_omega, duration: float) -> np.ndarray:
     return out
 
 
-def step_propagators(p: PulseWaveform, offsets, rf_scales) -> np.ndarray:
+def step_propagators(p: PulseWaveform, offsets, rf_scales, out=None) -> np.ndarray:
     """Per-step Cayley-Klein pairs over ensemble points, (n_steps, P, 2).
 
     The drive enters in polar form: the (n_steps, P) amplitudes s A_j and
     the (n_steps, 1) phases, from which the kernel takes one complex factor
     per step.  The offset is the (P,) z rate, broadcast over steps.  No
-    Cartesian drive array is built.
+    Cartesian drive array is built.  ``out``, an (n_steps, P, 2) complex
+    buffer, receives the pairs (see :func:`ocpulse.su2.ck_expm_polar`).
     """
-    offsets, rf_scales = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(offsets, dtype=float)),
-        np.atleast_1d(np.asarray(rf_scales, dtype=float)),
-    )
+    offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
+    rf_scales = np.atleast_1d(np.asarray(rf_scales, dtype=float))
     amps = p.amplitudes[:, None] * rf_scales[None, :]
-    return ck_expm_polar(amps, p.phases[:, None], offsets, p.dt)
+    return ck_expm_polar(amps, p.phases[:, None], offsets, p.dt, out=out)
 
 
-def forward_products(steps: np.ndarray, start: np.ndarray) -> np.ndarray:
+def forward_products(steps: np.ndarray, start: np.ndarray, spare=None, scratch=None) -> np.ndarray:
     """Running products X_j = S_j ... S_0 start of Cayley-Klein pairs, in place.
 
     ``steps`` (n_steps, ..., 2) is overwritten so that steps[j] holds X_j.
     A Hillis-Steele inclusive scan: level d multiplies every prefix by the
-    one d steps earlier, d = 1, 2, 4, ...  Returns the whole product
+    one d steps earlier, d = 1, 2, 4, ...  The levels alternate between
+    ``steps`` and ``spare``, a pair buffer of the same shape, and the result
+    is copied back once if it ends in ``spare``.  ``scratch``, a complex
+    array of the shape of ``steps[..., 0]``, serves :func:`ocpulse.su2.ck_mul`.
+    Both are allocated when not given.  Returns the whole product
     (``start`` for an empty sequence), equal to :func:`ordered_product` to
     the bit.
     """
-    if len(steps) == 0:
+    n = len(steps)
+    if n == 0:
         return start
-    steps[0] = ck_mul(steps[0], start)
+    if spare is None:
+        spare = pair_buffer(steps.shape[:-1])
+    if scratch is None:
+        scratch = np.empty(steps.shape[:-1], dtype=complex)
+    ck_mul(steps[0], start, out=spare[0], scratch=scratch[0, ...])
+    steps[0] = spare[0]
+    src, dst = steps, spare
     d = 1
-    while d < len(steps):
-        steps[d:] = ck_mul(steps[d:], steps[:-d])
+    while d < n:
+        dst[:d] = src[:d]
+        ck_mul(src[d:], src[:-d], out=dst[d:], scratch=scratch[d:])
+        src, dst = dst, src
         d *= 2
+    if src is not steps:
+        steps[...] = src
     return steps[-1]
 
 

@@ -16,6 +16,16 @@ axis r and angle theta in [0, pi] that the channel, the echo train and
 the refocusing criteria all read.  Powers of a rotation need nothing else:
 U^n is the rotation by n theta about the same axis r
 (:func:`rotate_vectors` applies it to Bloch vectors).
+
+The pair buffers that :func:`ck_expm_polar` and :func:`ck_mul` allocate are
+plane-major (:func:`pair_buffer`): a ``(2, ...)`` complex array seen as
+``(..., 2)`` through ``np.moveaxis``, so that a and b are each one
+contiguous plane.  Shapes and indexing are those of any ``(..., 2)`` array;
+only the strides differ, and every function here takes pairs of any layout.
+Both kernels also write into a caller's buffer, ``out=``, of any layout, and
+:func:`ck_mul` takes a scratch plane; an optimizer that evaluates one
+ensemble thousands of times allocates these once.  No output or scratch
+buffer may share memory with an input.
 """
 
 from __future__ import annotations
@@ -91,7 +101,15 @@ def ck_expm(omega, duration) -> np.ndarray:
     return ck_expm_polar(np.hypot(wx, wy), np.arctan2(wy, wx), wz, duration)
 
 
-def ck_expm_polar(amp, phase, wz, duration) -> np.ndarray:
+def pair_buffer(shape) -> np.ndarray:
+    """Uninitialized plane-major pair buffer: a (2,) + shape complex array
+    seen as shape + (2,), the view ``np.moveaxis(buf, 0, -1)`` (taken by
+    ``transpose``, which costs a quarter as much)."""
+    buf = np.empty((2, *shape), dtype=complex)
+    return buf.transpose(*range(1, buf.ndim), 0)
+
+
+def ck_expm_polar(amp, phase, wz, duration, out=None) -> np.ndarray:
     """Cayley-Klein pairs of exp(-i duration/2 omega.sigma), batched, for
     omega = (amp cos phase, amp sin phase, wz).
 
@@ -117,61 +135,76 @@ def ck_expm_polar(amp, phase, wz, duration) -> np.ndarray:
     wz : array_like
         z rate in rad/s.
     duration : float or array_like
-        All four broadcast against each other.  An argument with fewer
-        dimensions than the others (per-point offsets under per-step drive
-        terms, per-step phases under per-point amplitudes) is worked on
-        once per element it holds.
+        All four broadcast against each other.  The per-point offsets under
+        per-step drive terms and the per-step phases under per-point
+        amplitudes are each worked on once per element they hold.
+    out : (..., 2) complex ndarray, optional
+        Buffer of the broadcast batch's shape to write the pairs to, in any
+        layout; by default a plane-major one is allocated.
 
     Returns
     -------
-    (..., 2) complex ndarray over the broadcast batch; |a|^2 + |b|^2 = 1 up
-    to rounding.
+    ``out``: (..., 2) complex pairs over the broadcast batch; |a|^2 + |b|^2
+    = 1 up to rounding.
     """
     amp, phase, wz, duration = (np.asarray(x, dtype=float) for x in (amp, phase, wz, duration))
+    shape = np.broadcast(amp, phase, wz, duration).shape
+    if out is None:
+        out = pair_buffer(shape)
+    a, b = out[..., 0], out[..., 1]
     turn = -1j * np.exp(-1j * phase)  # -sin phase - i cos phase
-    norm = np.multiply(amp, amp, out=np.empty(np.broadcast_shapes(amp.shape, wz.shape)))
+    norm = np.multiply(amp, amp, out=np.empty(np.broadcast(amp, wz).shape))
     norm += wz * wz + _RATE_FLOOR**2
     np.sqrt(norm, out=norm)
     # tan(h/2): norm (duration/4) is exactly half of norm (duration/2)
-    t = np.empty(np.broadcast_shapes(norm.shape, duration.shape))
+    t = np.empty(shape)
     np.multiply(norm, 0.25 * duration, out=t)
     np.tan(t, out=t)
-    out = np.empty(np.broadcast_shapes(t.shape, turn.shape) + (2,), dtype=complex)
-    a, b = out[..., 0], out[..., 1]
-    # 1 - t^2 goes straight into a, so t^2 and 1 + t^2 share one buffer
-    denom = np.multiply(t, t, out=np.empty(t.shape))
-    np.subtract(1.0, denom, out=a.real)
-    denom += 1.0
-    a.real /= denom  # cos h
+    # 1 - t^2 goes straight into Re a, and Im a holds t^2, then 1 + t^2,
+    # until k wz is written there
+    np.multiply(t, t, out=a.imag)
+    np.subtract(1.0, a.imag, out=a.real)
+    a.imag += 1.0
+    a.real /= a.imag  # cos h
     t *= 2.0
-    t /= denom  # sin h
+    t /= a.imag  # sin h
     k = np.divide(t, norm, out=t)
+    del norm  # before the real x complex product takes its cast buffers
     np.multiply(k, -wz, out=a.imag)
     k *= amp
     np.multiply(k, turn, out=b)
     return out
 
 
-def ck_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def ck_mul(x: np.ndarray, y: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """Cayley-Klein pair of the product x @ y, elementwise over the batch.
 
-    Each element's bits do not depend on the batch size, shape or strides,
-    so products can be regrouped and re-batched freely.  That is why every
-    complex product is written, operands in order, to an explicit buffer
-    that is not one of its inputs.  numpy reuses a temporary of 256 KiB or
-    more in place and may then swap the operands of a product; with fused
-    multiply-adds x * y and y * x can differ in the last bit.  A one-element
-    in-place product rounds differently too.
+    Each element's bits do not depend on the batch size, shape, strides or
+    layout, so products can be regrouped and re-batched freely.  That is why
+    every complex product is written, operands in order, to an explicit
+    buffer that is not one of its inputs.  numpy reuses a temporary of
+    256 KiB or more in place and may then swap the operands of a product;
+    with fused multiply-adds x * y and y * x can differ in the last bit.  A
+    one-element in-place product rounds differently too.  The conjugates
+    wait in the output plane that the next product overwrites.
+
+    ``out``, a (..., 2) buffer of the broadcast batch's shape, and
+    ``scratch``, a complex array of that batch shape, may be given in any
+    layout; by default a plane-major ``out`` and a scratch plane are
+    allocated.  Neither may share memory with x or y.  Returns ``out``.
     """
     xa, xb, ya, yb = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
-    out = np.empty(np.broadcast(xa, ya).shape + (2,), dtype=complex)
+    if out is None:
+        out = pair_buffer(np.broadcast(xa, ya).shape)
     a, b = out[..., 0], out[..., 1]
-    t = np.empty(a.shape, dtype=complex)
+    t = np.empty(a.shape, dtype=complex) if scratch is None else scratch
+    np.conjugate(yb, out=a)
+    np.multiply(xb, a, out=t)
     np.multiply(xa, ya, out=a)
-    np.multiply(xb, np.conj(yb), out=t)
     a -= t
+    np.conjugate(ya, out=b)
+    np.multiply(xb, b, out=t)
     np.multiply(xa, yb, out=b)
-    np.multiply(xb, np.conj(ya), out=t)
     b += t
     return out
 

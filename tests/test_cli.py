@@ -59,6 +59,23 @@ def test_info_describes_files(tmp_path, capsys):
     assert "unreadable" in captured.err
 
 
+@pytest.mark.parametrize("record, problem", [
+    ({"steps": 1}, "malformed waveform record: 'dt_s'"),
+    ({"points": [{"offset_hz": 0.0}]}, "malformed distribution record: 'weight'"),
+])
+def test_info_reports_a_malformed_record_and_goes_on(tmp_path, capsys, record, problem):
+    # a malformed record once stopped info with exit 2 before the next file
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(record))
+    good = tmp_path / "good.json"
+    fileio.save_waveform_json(hard_pulse(np.pi, np.pi / 2, A_MAX), good)
+    assert main(["info", str(bad), str(good)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"{bad}: malformed ({problem})"]
+    assert f"{good}: waveform, 1 steps" in captured.out
+    assert str(bad) not in captured.out
+
+
 def test_simulate_rejects_an_infinite_guard(tmp_path, capsys):
     # an Infinity guard was once accepted and gave a NaN train.csv
     record = fileio.waveform_to_dict(hard_pulse(np.pi, np.pi / 2, A_MAX))
@@ -530,11 +547,14 @@ MULTISTART_ALONE = "--multistart draws its own starts: it cannot be used with --
     # each of these was once silently ignored
     (["--ladder", "--multistart", "2"], MULTISTART_ALONE),
     (["--on-resonance", "--multistart", "2", "--init", "start.json"], MULTISTART_ALONE),
+    # this one once ran the starts serially without a word
+    (["--on-resonance", "--multistart", "2", "--threads", "-5"], "--threads must be >= 1, got -5"),
 ])
 def test_optimize_rejects_bad_sizes_at_the_boundary(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     assert main(["optimize", *argv, "-o", str(out)]) == 2
-    assert f"error: {message}" in capsys.readouterr().err
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
     assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,31 @@ def test_probe_fidelity_equals_gradient_fidelity(n_points):
         f = grape._averaged_eval(p, d, su2)[0]
         assert grape._ensemble_fidelity(p, d, su2) == f
         assert average_fidelity(p, d, target) == f
+
+
+def test_a_probe_on_a_warmed_workspace_allocates_nothing_step_sized():
+    # the scan, its spare level, the overlaps and the pair products all go
+    # to the ascent's buffers; what a probe still allocates is the kernel's
+    # per-step amplitudes, norm and tangent, each a quarter of a chunk's
+    # step array.  A fresh step array per chunk and per scan level once
+    # took 2.4 MB here.
+    rng = np.random.default_rng(40)
+    p = _guarded_random_waveform(rng, 100)
+    n_points = POINT_CHUNK + 37
+    d = EnsembleDistribution(rng.uniform(-2 * np.pi * 1e4, 2 * np.pi * 1e4, n_points),
+                             rng.uniform(0.8, 1.2, n_points), np.full(n_points, 1.0 / n_points))
+    target = grape._su2_target(TARGET_PI_Y)
+    ws = grape._Workspace(p, d, target)
+    grape._ensemble_fidelity(p, d, target, ws)
+    trial = p.with_steps(p.amplitudes[::-1].copy(), p.phases)
+    tracemalloc.start()
+    try:
+        f = grape._ensemble_fidelity(trial, d, target, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p.n_steps * POINT_CHUNK * 32
+    assert f == grape._ensemble_fidelity(trial, d, target)
 
 
 def test_gradient_over_chunks_equals_per_point_evaluation():

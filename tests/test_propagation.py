@@ -5,7 +5,9 @@ import pytest
 
 from ocpulse import propagation as prop
 from ocpulse.pulses import EnsembleDistribution, PulseWaveform, hard_pulse, waveform_template
-from ocpulse.su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, ck_expm, ck_matrix, ck_mul, expm_su2
+from ocpulse.su2 import (
+    SIGMA_X, SIGMA_Y, SIGMA_Z, ck_expm, ck_matrix, ck_mul, expm_su2, pair_buffer,
+)
 
 from oracles import rotation_matrices
 
@@ -136,6 +138,48 @@ def test_forward_products_are_the_ordered_prefixes(n):
         assert np.allclose(ck_matrix(prefixes[j]), X, rtol=0, atol=1e-14)
     assert np.allclose(ck_matrix(total), X, rtol=0, atol=1e-14)
     assert np.array_equal(prop.ordered_product(steps.copy(), start), total)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 100, 101])
+def test_scan_into_caller_buffers_keeps_the_bits(n):
+    # the second chunk of a plane-major buffer POINT_CHUNK + 37 points wide,
+    # scanned with a chunk-wide spare level and scratch plane, holds the
+    # prefixes of the allocating scan, and its last prefix is the pairwise
+    # tree's product to the bit
+    rng = np.random.default_rng(n + 1)
+    width = prop.POINT_CHUNK + 37
+    steps = ck_expm(np.moveaxis(rng.normal(size=(n, width, 3)), -1, 0), 0.7)
+    start = ck_expm(rng.normal(size=(3, width)), 0.4)
+    want = steps.copy()
+    total = prop.forward_products(want, start)
+    assert np.array_equal(prop.ordered_product(steps.copy(), start), total)
+    chunk = slice(prop.POINT_CHUNK, width)
+    X = pair_buffer((n, width))
+    X[...] = steps
+    last = prop.forward_products(X[:, chunk], start[chunk], pair_buffer((n, 37)),
+                                 np.empty((n, 37), dtype=complex))
+    assert np.array_equal(X[:, chunk], want[:, chunk])
+    assert np.array_equal(X[:, :prop.POINT_CHUNK], steps[:, :prop.POINT_CHUNK])
+    assert np.array_equal(last, total[chunk])
+    # prefixes left in an interleaved buffer equal them too
+    inter = np.ascontiguousarray(steps[:, chunk])
+    assert np.array_equal(prop.forward_products(inter, start[chunk]), total[chunk])
+    assert np.array_equal(inter, want[:, chunk])
+
+
+def test_step_propagators_into_a_chunk_view_keep_the_bits():
+    rng = np.random.default_rng(17)
+    p = PulseWaveform(1e-5, rng.uniform(0, A_MAX, 100), rng.uniform(0, 2 * np.pi, 100), A_MAX)
+    width = prop.POINT_CHUNK + 37
+    offs = rng.uniform(-2 * np.pi * 1e4, 2 * np.pi * 1e4, width)
+    scales = rng.uniform(0.8, 1.2, width)
+    want = prop.step_propagators(p, offs, scales)
+    X = pair_buffer((100, width))
+    for chunk in prop.point_chunks(width):
+        got = prop.step_propagators(p, offs[chunk], scales[chunk], out=X[:, chunk])
+        assert np.shares_memory(got, X)
+    assert np.array_equal(X, want)
+
 
 def test_pulse_propagators_memory_does_not_grow_with_steps_times_points():
     # 100 steps x 33,621 points held 363 MiB of step arrays in one pass;

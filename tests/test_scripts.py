@@ -61,12 +61,14 @@ def test_fingerprint(tmp_path, hard_channel, oct_channel, analysis_distribution,
         name, field, value = line.split()
         values[name, field] = value if field == "controls_sha256" else float(value)
     # 3 pulses x 4 channel numbers, 3 probability gaps, 2 oct_rfi lines on
-    # the compare grid, 2 optimizer lines
-    assert len(values) == 19
+    # the compare grid, 2 optimizer lines and the ladder line
+    assert len(values) == 20
     assert 0.0 < values["oct_rfi", "criteria_mean_fidelity"] <= 1.0
     assert -1.0 <= values["oct_rfi", "min_retained_y_echo500"] <= 1.0
     assert 0.0 < values["grape", "final_fidelity"] < 1.0
     assert re.fullmatch("[0-9a-f]{64}", values["grape", "controls_sha256"])
+    assert re.fullmatch("[0-9a-f]{64}", values["ladder", "controls_sha256"])
+    assert values["ladder", "controls_sha256"] != values["grape", "controls_sha256"]
     for name, (_, fit) in (("hard", hard_channel), ("oct_rfi", oct_channel)):
         for field in ("m_infinity", "t2_pulse_cycles", "fit_overlap"):
             assert values[name, field] == pytest.approx(getattr(fit, field), abs=1e-12)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocpulse import su2
-from ocpulse.propagation import step_propagators
+from ocpulse.propagation import POINT_CHUNK, step_propagators
 from ocpulse.pulses import PulseWaveform
 from ocpulse.su2 import (
     ID2,
@@ -20,6 +21,7 @@ from ocpulse.su2 import (
     ck_matrix,
     ck_mul,
     expm_su2,
+    pair_buffer,
     quaternions,
     rotate_vectors,
     unitarity_error,
@@ -236,6 +238,61 @@ def test_ck_mul_rounding_does_not_depend_on_batch_size():
     for i in range(100):
         assert np.array_equal(ck_mul(x[i:i + 1], y[i:i + 1])[0], whole[i])
         assert np.array_equal(ck_mul(x[i], y[i]), whole[i])
+
+
+KERNEL_SHAPES = [(1,), (99, 1), (99, 45), (100, 256)]
+
+
+def _layouts(pairs):
+    """The pairs interleaved, plane-major, and as the first chunk of a
+    plane-major buffer POINT_CHUNK + 37 points wide (a strided view)."""
+    shape = pairs.shape[:-1]
+    plane = pair_buffer(shape)
+    wide = pair_buffer(shape[:-1] + (POINT_CHUNK + 37,))[..., :shape[-1], :]
+    plane[...] = wide[...] = pairs
+    return [np.ascontiguousarray(pairs), plane, wide]
+
+
+def _scratches(shape):
+    wide = np.empty(shape[:-1] + (POINT_CHUNK + 37,), dtype=complex)
+    return [None, np.empty(shape, dtype=complex), wide[..., :shape[-1]]]
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_ck_mul_into_caller_buffers_keeps_the_bits(shape):
+    # out= and scratch= in every layout, on operands in every layout, give
+    # the bits of the allocating call on interleaved operands
+    rng = np.random.default_rng(shape[0] * shape[-1])
+    x = np.ascontiguousarray(ck_expm(rng.normal(size=(3, *shape)), 0.7))
+    y = np.ascontiguousarray(ck_expm(rng.normal(size=(3, *shape)), 1.3))
+    want = ck_mul(x, y)
+    for i, (xs, ys) in enumerate(itertools.product(_layouts(x), _layouts(y))):
+        assert np.array_equal(ck_mul(xs, ys), want)
+        scratches = _scratches(shape)
+        scratches = scratches[i % 3:] + scratches[:i % 3]
+        for out, scratch in zip(_layouts(np.zeros(shape + (2,), dtype=complex)), scratches):
+            assert ck_mul(xs, ys, out=out, scratch=scratch) is out
+            assert np.array_equal(out, want)
+    # a right factor broadcast over the leading axis, as the gradient's M is
+    want = ck_mul(x, y[0])
+    for out in _layouts(np.zeros(shape + (2,), dtype=complex)):
+        assert np.array_equal(ck_mul(x, _layouts(y)[2][0], out=out), want)
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_ck_expm_polar_into_caller_buffers_keeps_the_bits(shape):
+    rng = np.random.default_rng(shape[0] + shape[-1])
+    amp = rng.uniform(0.0, 2 * np.pi * 5500.0, shape)
+    phase = rng.uniform(0.0, 2 * np.pi, shape[:-1] + (1,))
+    wz = rng.uniform(-2 * np.pi * 1e4, 2 * np.pi * 1e4, shape[-1:])
+    want = su2.ck_expm_polar(amp, phase, wz, 1e-5)
+    wide = np.empty(shape[:-1] + (POINT_CHUNK + 37,))[..., :shape[-1]]
+    wide[...] = amp
+    for amps in (amp, wide):
+        for out in _layouts(np.zeros(shape + (2,), dtype=complex)):
+            assert su2.ck_expm_polar(amps, phase, wz, 1e-5, out=out) is out
+            assert np.array_equal(out, want)
+
 
 def test_axis_angle_power_in_closed_form():
     rng = np.random.default_rng(4)
