@@ -14,16 +14,25 @@ about an axis r, whose n-th power turns Bloch vectors by
 
     R_p^n = r r^T + cos(n theta) (I - r r^T) + sin(n theta) [r]x
 
-so the averaged Bloch block is sum_p w_p r r^T plus two weighted sums over
-points, of cos(n theta) and sin(n theta), against fixed per-point 3x3
-terms.  Those sums are matrix products over points, taken for blocks of
-counts at a time: no per-point matrix is formed for any count, and memory
-stays linear in the number of points whatever n_max is.  Within a block,
-consecutive counts step cos(n theta) and sin(n theta) forward by angle
-addition from the block's first count, which is the only one taken by cos
-and sin directly; the next block starts afresh.  As n -> infinity
-the oscillating sums average out and each point keeps r r^T (or I for a
-cycle that is the identity).
+so the averaged Bloch block is a sum of moments of the cycle axes and
+angles (Hurlimann & Griffin, JMR 143, 120 (2000)):
+
+    sum w r r^T + (sum w cos n theta) I - sum w cos(n theta) r r^T + [c(n)]x
+
+with c(n) = sum w sin(n theta) r.  Ten numbers per count carry the whole
+channel: p_I(n) = (1 + sum w cos n theta)/2, the diagonal is sum w r_k^2 +
+sum w (1 - r_k^2) cos n theta, and the antisymmetric part, the coherent
+rotation that the Pauli projection drops, is [c(n)]x.  They are matrix
+products over points, of the rows exp(i n theta) of a block of counts
+against the moments w, w r_i r_j and w r: no per-point matrix is formed,
+and memory stays linear in the number of points whatever n_max is.  Within
+a block, each consecutive count is the previous row times exp(i theta),
+one complex product per point; the block's first count is the only one
+taken by cos and sin directly, and the next block starts afresh.  The rows
+are held half a block at a time, which sets the channel benchmark's peak
+memory (see _POWER_BLOCK_ELEMENTS).  As n -> infinity the oscillating sums
+average out and each point keeps r r^T (or I for a cycle that is the
+identity).
 
 Both the n-cycle stack (transfer_of_unitaries) and that limit
 (asymptotic_channel) take the cycle unitaries as Cayley-Klein pairs, not a
@@ -46,9 +55,18 @@ from .propagation import cycle_propagators
 from .pulses import EnsembleDistribution, PulseWaveform
 from .su2 import PAULIS, axis_angle
 
-# Counts x points evaluated at once when summing cycle powers (about 8 MB
-# per float array); the count block shrinks as the ensemble grows.
+# Counts x points of one block of cycle powers; the count block shrinks as
+# the ensemble grows, and the recurrence restarts at each block.  The
+# complex rows exp(i n theta) are held half a block at a time (16 of 31
+# counts at 33,621 points, 8.6 MB), which sets the channel benchmark's
+# peak RSS: 78.4 MB, against 82.6 MB for real cos and sin planes of the
+# whole block (8.3 MB each) and 98.8 MB for complex rows of the whole
+# block.
 _POWER_BLOCK_ELEMENTS = 1 << 20
+
+# Row and column indices of the six distinct entries of a symmetric 3x3
+# matrix, i <= j.
+_UPPER = np.triu_indices(3)
 
 # Choi eigenvalues down to -_CP_TOL are rounding, not a channel that fails
 # complete positivity.
@@ -77,27 +95,47 @@ def _embed(block: np.ndarray) -> np.ndarray:
     return out
 
 
+def _outer_products(r: np.ndarray) -> np.ndarray:
+    """(P, 6) distinct entries r_i r_j (i <= j) of each axis's r r^T, in the
+    order of _UPPER (see :func:`_symmetric`)."""
+    return r[:, _UPPER[0]] * r[:, _UPPER[1]]
+
+
+def _symmetric(v: np.ndarray) -> np.ndarray:
+    """(..., 3, 3) symmetric matrices from their (..., 6) distinct entries."""
+    out = np.empty(v.shape[:-1] + (3, 3))
+    out[..., _UPPER[0], _UPPER[1]] = v
+    out[..., _UPPER[1], _UPPER[0]] = v
+    return out
+
+
 def transfer_of_unitaries(U: np.ndarray, weights, n=1) -> np.ndarray:
     """Transfer matrix of a weighted mixture of n-fold unitary conjugations.
 
     Each U_p is a rotation by theta about r, and its n-th power acts on
     Bloch vectors as r r^T + cos(n theta) (I - r r^T) + sin(n theta) [r]x.
-    The weighted 3x3 block is therefore
+    The weighted 3x3 block is therefore, with sums over points,
 
-        sum w r r^T + sum w cos(n theta) (I - r r^T) + sum w sin(n theta) [r]x
+        sum w r r^T + (sum w cos n theta) I - sum w cos(n theta) r r^T
+                    + [c(n)]x,    c(n) = sum w sin(n theta) r,
 
-    where the two oscillating sums are (counts, P) @ (P, 9) products over
-    points, evaluated for blocks of counts so that memory stays O(P).  The
-    identity row and column are exact by construction.
+    ten moments per count: sum w cos n theta, the six distinct entries of
+    sum w cos(n theta) r r^T and the three of c(n).  They come from one
+    product of the rows z^n = exp(i n theta) over points, read as
+    interleaved (cos, sin) reals, with a (2P, 10) matrix of the cycle
+    moments w, w r_i r_j and w r.  No per-point matrix is formed, and
+    memory stays O(P) whatever the counts.  The identity row and column are
+    exact by construction.
 
-    Each block takes cos and sin of its first count directly.  A row whose
-    count is one more than the previous row's comes from that row by angle
-    addition, cos((n + 1) theta) = cos(n theta) cos(theta) - sin(n theta)
-    sin(theta) and likewise for sin, four products instead of two
-    transcendentals per point; any other row is evaluated directly.  The
-    recurrence restarts at every block, so its rounding drift is bounded
-    by the block length, and a scalar n or non-consecutive counts give the
-    bits of direct evaluation.
+    Counts are taken in blocks of _POWER_BLOCK_ELEMENTS // P.  Each block
+    takes cos and sin of its first count directly.  A row whose count is
+    one more than the previous row's is that row times z = exp(i theta),
+    one complex product per point, which is angle addition; any other row
+    is evaluated directly.  The recurrence restarts at every block, so its
+    rounding drift is bounded by the block length, and a scalar n or
+    non-consecutive counts give the bits of direct evaluation.  The rows
+    are held half a block at a time, in one complex buffer, and the
+    recurrence carries on from one half to the next.
 
     Parameters
     ----------
@@ -112,43 +150,45 @@ def transfer_of_unitaries(U: np.ndarray, weights, n=1) -> np.ndarray:
     r, theta = axis_angle(np.reshape(U, (-1, 2)))
     P = theta.shape[0]
     w = np.asarray(weights, dtype=float).reshape(-1)
-    rr = r[:, :, None] * r[:, None, :]
-    cross = np.zeros((P, 3, 3))
-    cross[:, [2, 0, 1], [1, 2, 0]] = r
-    cross[:, [1, 2, 0], [2, 0, 1]] = -r
-    fixed = (w @ rr.reshape(P, 9)).reshape(3, 3)
-    w_cos = w[:, None] * (np.eye(3) - rr).reshape(P, 9)
-    w_sin = w[:, None] * cross.reshape(P, 9)
+    rr = _outer_products(r)
+    # row 2p meets cos(n theta_p) and row 2p + 1 sin(n theta_p)
+    moments = np.zeros((P, 2, 10))
+    moments[:, 0, 0] = w
+    np.multiply(w[:, None], rr, out=moments[:, 0, 1:7])
+    np.multiply(w[:, None], r, out=moments[:, 1, 7:])
+    moments = moments.reshape(2 * P, 10)
 
     counts = np.asarray(n, dtype=float)
     flat = counts.reshape(-1)
-    blocks = np.empty((flat.size, 9))
+    sums = np.empty((flat.size, 10))
     step = max(1, _POWER_BLOCK_ELEMENTS // max(P, 1))
-    # Two buffers, not one of twice the size: freeing a block that large
-    # raises malloc's mmap threshold, and perfbench's channel workload then
-    # peaked at 100 MB of RSS instead of 87.
-    rows = min(step, flat.size)
-    cos_n, sin_n = np.empty((rows, P)), np.empty((rows, P))
+    half = -(-step // 2)
+    rows = np.empty((min(half, flat.size), P), dtype=complex)
     tmp = np.empty(P)
-    cos_1, sin_1 = np.cos(theta), np.sin(theta)
+    z = np.empty(P, dtype=complex)
+    np.cos(theta, out=z.real)
+    np.sin(theta, out=z.imag)
     for i in range(0, flat.size, step):
         block = flat[i:i + step].tolist()
-        c, s = cos_n[:len(block)], sin_n[:len(block)]
-        for j, count in enumerate(block):
-            if j and count == block[j - 1] + 1.0:
-                # (n + 1) theta from n theta by angle addition
-                np.multiply(c[j - 1], cos_1, out=c[j])
-                np.multiply(s[j - 1], sin_1, out=tmp)
-                c[j] -= tmp
-                np.multiply(s[j - 1], cos_1, out=s[j])
-                np.multiply(c[j - 1], sin_1, out=tmp)
-                s[j] += tmp
-            else:
-                np.multiply(count, theta, out=tmp)
-                np.cos(tmp, out=c[j])
-                np.sin(tmp, out=s[j])
-        blocks[i:i + step] = c @ w_cos + s @ w_sin
-    out = _embed(fixed + blocks.reshape(-1, 3, 3))
+        for k in range(0, len(block), half):
+            piece = block[k:k + half]
+            for j, count in enumerate(piece, start=k):
+                row = rows[j - k]
+                if j and count == block[j - 1] + 1.0:
+                    # the previous row is the one before, or the last one
+                    # of the previous half
+                    np.multiply(rows[j - k - 1], z, out=row)
+                else:
+                    np.multiply(count, theta, out=tmp)
+                    np.cos(tmp, out=row.real)
+                    np.sin(tmp, out=row.imag)
+            sums[i + k:i + k + len(piece)] = rows[:len(piece)].view(float) @ moments
+    blocks = _symmetric(w @ rr - sums[:, 1:7])
+    blocks[:, [0, 1, 2], [0, 1, 2]] += sums[:, :1]
+    c = sums[:, 7:]
+    blocks[:, [2, 0, 1], [1, 2, 0]] += c
+    blocks[:, [1, 2, 0], [2, 0, 1]] -= c
+    out = _embed(blocks)
     return out[0] if counts.ndim == 0 else out
 
 
@@ -265,7 +305,7 @@ def asymptotic_channel(U: np.ndarray, weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float).reshape(-1)
     still = theta < 2e-12
     axes = np.where(still[:, None], 0.0, r)
-    block = np.einsum("p,pi,pj->ij", w, axes, axes)
+    block = _symmetric(w @ _outer_products(axes))
     block += w[still].sum() * np.eye(3)
     return _embed(block)
 

@@ -32,19 +32,46 @@ def waveform_to_dict(p: PulseWaveform) -> dict:
     }
 
 
+# A numeric field holds a JSON number: an int or a float, not a bool (which
+# json reads as a subclass of int), a string, null or a container.
+_NUMBER_TYPES = frozenset((int, float))
+_JSON_NAMES = {str: "a string", bool: "a boolean", type(None): "null",
+               list: "an array", dict: "an object"}
+
+
+def _numbers(kind: str, field: str, values: list) -> np.ndarray:
+    """A column of JSON numbers as a float array.
+
+    One set of types per column keeps the check cheap beside the parse.
+    Anything else raises ValueError("malformed <kind> record: <field> ...").
+    """
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        bad = type(next(v for v in values if type(v) not in _NUMBER_TYPES))
+        raise ValueError(f"malformed {kind} record: {field} must be a number, "
+                         f"got {_JSON_NAMES.get(bad, bad.__name__)}")
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError as exc:  # an int beyond the float range
+        raise ValueError(f"malformed {kind} record: {field}: {exc}") from exc
+
+
+def _number(kind: str, field: str, value) -> float:
+    return float(_numbers(kind, field, [value])[0])
+
+
 def waveform_from_dict(data: dict) -> PulseWaveform:
     try:
         steps = data["steps"]
-        return PulseWaveform(
-            dt=float(data["dt_s"]),
-            amplitudes=np.array([s["amp_rad_s"] for s in steps], dtype=float),
-            phases=np.array([s["phase_rad"] for s in steps], dtype=float),
-            a_max=float(data["a_max_rad_s"]),
-            pre_delay=float(data.get("pre_delay_s", 0.0)),
-            post_delay=float(data.get("post_delay_s", 0.0)),
-        )
+        dt = _number("waveform", "dt_s", data["dt_s"])
+        amps = _numbers("waveform", "amp_rad_s", [s["amp_rad_s"] for s in steps])
+        phases = _numbers("waveform", "phase_rad", [s["phase_rad"] for s in steps])
+        a_max = _number("waveform", "a_max_rad_s", data["a_max_rad_s"])
+        pre = _number("waveform", "pre_delay_s", data.get("pre_delay_s", 0.0))
+        post = _number("waveform", "post_delay_s", data.get("post_delay_s", 0.0))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed waveform record: {exc}") from exc
+    return PulseWaveform(dt=dt, amplitudes=amps, phases=phases, a_max=a_max,
+                         pre_delay=pre, post_delay=post)
 
 
 def save_waveform_json(p: PulseWaveform, path) -> None:
@@ -83,9 +110,9 @@ def distribution_to_dict(d: EnsembleDistribution) -> dict:
 def distribution_from_dict(data: dict) -> EnsembleDistribution:
     try:
         pts = data["points"]
-        offsets = np.array([p["offset_hz"] for p in pts], dtype=float) * TWO_PI
-        scales = np.array([p.get("rf_scale", 1.0) for p in pts], dtype=float)
-        weights = np.array([p["weight"] for p in pts], dtype=float)
+        offsets = _numbers("distribution", "offset_hz", [p["offset_hz"] for p in pts]) * TWO_PI
+        scales = _numbers("distribution", "rf_scale", [p.get("rf_scale", 1.0) for p in pts])
+        weights = _numbers("distribution", "weight", [p["weight"] for p in pts])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed distribution record: {exc}") from exc
     return EnsembleDistribution(offsets, scales, weights)

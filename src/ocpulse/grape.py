@@ -227,7 +227,8 @@ def grape_ascend(
 
     Each iteration evaluates the averaged gradient, then probes
     u + eps * g with eps shrinking until the averaged fidelity strictly
-    improves; amplitudes are clipped to a_max after every update, so the
+    improves, so an ascent capped at k iterations takes k gradients;
+    amplitudes are clipped to a_max after every update, so the
     returned waveform always respects the cap.  Each probe leaves its
     prefix products in the ascent's one workspace (:class:`_Workspace`),
     and the gradient at an accepted probe reads them from there before the
@@ -262,7 +263,13 @@ def grape_ascend(
     eps = 0.05 * p0.a_max / gmax if gmax > 0.0 else 1.0
     termination = Termination.MAX_ITERATIONS
 
-    for _ in range(cfg.max_iterations):
+    for iteration in range(cfg.max_iterations):
+        if iteration:
+            # the gradient at the last accepted probe, taken here so that
+            # none is taken after the last iteration
+            fid, grad = _averaged_eval(p, d, target, ws)
+            if not np.all(np.isfinite(grad)):
+                raise RuntimeError("non-finite gradient")
         if fid >= cfg.target_fidelity:
             termination = Termination.TARGET_REACHED
             break
@@ -296,9 +303,6 @@ def grape_ascend(
         if improvement < cfg.improvement_threshold:
             termination = Termination.STALLED
             break
-        fid, grad = _averaged_eval(p, d, target, ws)
-        if not np.all(np.isfinite(grad)):
-            raise RuntimeError("non-finite gradient")
 
     return GrapeReport(
         final_waveform=p,

@@ -117,22 +117,36 @@ def forward_products(steps: np.ndarray, start: np.ndarray, spare=None, scratch=N
     return steps[-1]
 
 
-def ordered_product(steps: np.ndarray, start: np.ndarray) -> np.ndarray:
+def ordered_product(steps: np.ndarray, start: np.ndarray, spare=None, scratch=None) -> np.ndarray:
     """The whole product S_{n-1} ... S_0 start of Cayley-Klein pairs.
 
     A pairwise tree aligned on the last step: each level multiplies
     neighbours from the end and carries an unpaired first element.  That
     groups the factors as the last prefix of :func:`forward_products` does,
-    so the two agree to the bit.  ``steps[0]`` is overwritten.
+    so the two agree to the bit.  The levels alternate between ``steps``,
+    which is overwritten, and ``spare``, a pair buffer of the first level's
+    (n_steps + 1) // 2 rows; ``scratch``, a complex array of that shape
+    without the pair axis, serves :func:`ocpulse.su2.ck_mul`.  Both are
+    allocated when not given.  Returns a view of the product in one of the
+    two buffers (``start`` for an empty sequence).
     """
-    if len(steps) == 0:
+    n = len(steps)
+    if n == 0:
         return start
-    steps[0] = ck_mul(steps[0], start)
-    x = steps
-    while len(x) > 1:
-        odd = len(x) % 2
-        x = np.concatenate((x[:odd], ck_mul(x[odd + 1::2], x[odd::2])))
-    return x[0]
+    level = ((n + 1) // 2,) + steps.shape[1:-1]
+    if spare is None:
+        spare = pair_buffer(level)
+    if scratch is None:
+        scratch = np.empty(level, dtype=complex)
+    ck_mul(steps[0], start, out=spare[0], scratch=scratch[0])
+    steps[0] = spare[0]
+    src, dst = steps, spare
+    while n > 1:
+        odd, m = n % 2, (n + 1) // 2
+        dst[:odd] = src[:odd]
+        ck_mul(src[odd + 1:n:2], src[odd:n:2], out=dst[odd:m], scratch=scratch[:m - odd])
+        src, dst, n = dst, src, m
+    return src[0]
 
 
 def pulse_propagators(p: PulseWaveform | None, offsets, rf_scales) -> np.ndarray:
@@ -140,9 +154,10 @@ def pulse_propagators(p: PulseWaveform | None, offsets, rf_scales) -> np.ndarray
     delays, shape (P, 2).
 
     The ensemble is propagated POINT_CHUNK points at a time, so the step
-    array never exceeds (n_steps, POINT_CHUNK, 2).  Points are independent:
-    each point's result is the same, to the bit, as when it is propagated
-    alone.
+    array never exceeds (n_steps, POINT_CHUNK, 2).  The step array, the
+    tree's spare level and its scratch plane are allocated once per call
+    and every chunk writes into them.  Points are independent: each
+    point's result is the same, to the bit, as when it is propagated alone.
     """
     offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
     rf_scales = np.atleast_1d(np.asarray(rf_scales, dtype=float))
@@ -150,11 +165,17 @@ def pulse_propagators(p: PulseWaveform | None, offsets, rf_scales) -> np.ndarray
         return np.broadcast_to(TARGET_PI_Y[0], offsets.shape + (2,)).copy()
     offsets, rf_scales = np.broadcast_arrays(offsets, rf_scales)
     out = np.empty(offsets.shape + (2,), dtype=complex)
+    width = min(POINT_CHUNK, offsets.shape[0])
+    # a row for the guard product even when the pulse has no steps
+    level = (max(1, (p.n_steps + 1) // 2), width)
+    steps = pair_buffer((p.n_steps, width))
+    spare, scratch = pair_buffer(level), np.empty(level, dtype=complex)
     for chunk in point_chunks(offsets.shape[0]):
         o = offsets[chunk]
-        steps = step_propagators(p, o, rf_scales[chunk])
-        pulse = ordered_product(steps, free_pairs(o, p.pre_delay))
-        out[chunk] = ck_mul(free_pairs(o, p.post_delay), pulse)
+        c = o.shape[0]
+        X = step_propagators(p, o, rf_scales[chunk], out=steps[:, :c])
+        pulse = ordered_product(X, free_pairs(o, p.pre_delay), spare[:, :c], scratch[:, :c])
+        ck_mul(free_pairs(o, p.post_delay), pulse, out=out[chunk], scratch=scratch[0, :c])
     return out
 
 

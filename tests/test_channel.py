@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocpulse import channel
+from ocpulse import channel, fileio
 from ocpulse.channel import (
     asymptotic_channel,
     choi_kraus,
     choi_matrix,
     cycle_time,
     fit_pauli_model,
+    offdiagonal_parts,
     pauli_probabilities,
     superoperator_sequence,
     transfer_of_unitaries,
@@ -19,7 +20,7 @@ from ocpulse.channel import (
 from ocpulse.echo_train import simulate_train
 from ocpulse.propagation import cycle_propagators
 from ocpulse.pulses import EnsembleDistribution, PulseWaveform, hard_pulse
-from ocpulse.su2 import PAULIS, expm_su2
+from ocpulse.su2 import PAULIS, axis_angle, expm_su2
 
 from oracles import rotation_matrices
 
@@ -383,6 +384,57 @@ def test_hard_pulse_fit_overlap_above_universal_floor(hard_channel):
     assert fit.fit_overlap >= 0.99
     assert 0.0 < fit.m_infinity < 1.0
     assert np.isfinite(fit.t2_pulse)
+
+
+@pytest.fixture(scope="module", params=["hard", "oct_rfi", "oct_broadband"])
+def cycle_moments(request, analysis_distribution):
+    """Cycle axes r, angles theta, weights and the n = 1 .. 100 transfer
+    stack of one pulse on the analysis ensemble, with the reference sums
+    over points of cos(n theta) and sin(n theta) taken directly."""
+    d = analysis_distribution
+    p = HARD if request.param == "hard" else fileio.reference_waveform(request.param)
+    U = cycle_propagators(p, TAU, d.offsets, d.rf_scales)
+    r, theta = axis_angle(U)
+    phi = np.arange(1, 101)[:, None] * theta
+    cos, w = np.cos(phi), d.weights
+    return {
+        "r": r, "w": w,
+        "R": transfer_of_unitaries(U, w, np.arange(1, 101)),
+        "cos": cos @ w,
+        "cos_rr": cos @ (w[:, None] * r**2),
+        "c": np.sin(phi) @ (w[:, None] * r),
+    }
+
+
+def test_identity_weight_is_the_mean_cosine_of_the_cycle_angles(cycle_moments):
+    # p_I(n) = (1 + sum w cos n theta) / 2: T2,pulse reads only the spread
+    # of the cycle angles
+    m = cycle_moments
+    p_i = pauli_probabilities(m["R"])[0][:, 0]
+    assert np.max(np.abs(p_i - 0.5 * (1.0 + m["cos"]))) <= 2e-15
+
+
+def test_transfer_diagonal_from_axis_moments(cycle_moments):
+    # diag R_n = sum w r_k^2 + sum w (1 - r_k^2) cos n theta
+    m = cycle_moments
+    fixed = m["w"] @ m["r"]**2
+    want = fixed + m["cos"][:, None] - m["cos_rr"]
+    got = np.diagonal(m["R"], axis1=-2, axis2=-1)[:, 1:]
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_antisymmetric_part_is_the_coherent_vector(cycle_moments):
+    # (R_n - R_n^T)/2 = [c(n)]x with c(n) = sum w sin(n theta) r, and the
+    # coherent residual is its norm, sqrt(2) |c(n)|
+    m = cycle_moments
+    R, c = m["R"], m["c"]
+    anti = 0.5 * (R - np.swapaxes(R, -2, -1))
+    want = np.zeros_like(anti)
+    want[:, [3, 1, 2], [2, 3, 1]] = c
+    want[:, [2, 3, 1], [3, 1, 2]] = -c
+    assert np.max(np.abs(anti - want)) <= 2.5e-16
+    coherent = offdiagonal_parts(R)[0]
+    assert np.max(np.abs(coherent - np.sqrt(2.0) * np.linalg.norm(c, axis=-1))) <= 2.5e-16
 
 
 @pytest.mark.xfail(

@@ -76,6 +76,28 @@ def test_info_reports_a_malformed_record_and_goes_on(tmp_path, capsys, record, p
     assert str(bad) not in captured.out
 
 
+@pytest.mark.parametrize("kind, field, value, name", [
+    ("waveform", "dt_s", "1e-5", "a string"),
+    ("distribution", "offset_hz", "100", "a string"),
+    ("distribution", "offset_hz", True, "a boolean"),
+    ("distribution", "weight", None, "null"),
+])
+def test_a_non_numeric_field_exits_2_with_one_error_line(tmp_path, capsys, kind, field, value, name):
+    # a "1e-5" s step and "100" Hz were once read as numbers, and true as 1 Hz
+    waveform = fileio.waveform_to_dict(hard_pulse(np.pi, np.pi / 2, A_MAX))
+    point = {"offset_hz": 0.0, "rf_scale": 1.0, "weight": 1.0}
+    (waveform if kind == "waveform" else point)[field] = value
+    wf, dist = tmp_path / "p.json", tmp_path / "d.json"
+    wf.write_text(json.dumps(waveform))
+    dist.write_text(json.dumps({"points": [point]}))
+    out = tmp_path / "out"
+    assert main(["analyze-channel", "--pulse", str(wf), "--distribution", str(dist),
+                 "--cycles", "5", "-o", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: malformed {kind} record: {field} must be a number, got {name}"]
+    assert list(out.glob("*")) == []
+
+
 def test_simulate_rejects_an_infinite_guard(tmp_path, capsys):
     # an Infinity guard was once accepted and gave a NaN train.csv
     record = fileio.waveform_to_dict(hard_pulse(np.pi, np.pi / 2, A_MAX))

@@ -92,6 +92,55 @@ def test_distribution_rf_scale_defaults_to_nominal():
         fileio.distribution_from_dict({"points": [{"offset_hz": 0.0}]})
 
 
+WAVEFORM = {"dt_s": 1e-5, "a_max_rad_s": 3e4, "pre_delay_s": 0.0,
+            "steps": [{"amp_rad_s": 100.0, "phase_rad": 0.5}]}
+DISTRIBUTION = {"points": [{"offset_hz": 0.0, "rf_scale": 1.0, "weight": 1.0}]}
+
+
+def _with(record, path, value):
+    """A deep copy of record with the field at path (keys and indices) set."""
+    record = json.loads(json.dumps(record))
+    *parents, last = path
+    node = record
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return record
+
+
+@pytest.mark.parametrize("value, name", [
+    ("100", "a string"), (True, "a boolean"), (None, "null"), ([1.0], "an array"),
+    ({"v": 1.0}, "an object"),
+])
+@pytest.mark.parametrize("kind, record, path", [
+    ("waveform", WAVEFORM, ("dt_s",)),
+    ("waveform", WAVEFORM, ("a_max_rad_s",)),
+    ("waveform", WAVEFORM, ("pre_delay_s",)),
+    ("waveform", WAVEFORM, ("steps", 0, "amp_rad_s")),
+    ("waveform", WAVEFORM, ("steps", 0, "phase_rad")),
+    ("distribution", DISTRIBUTION, ("points", 0, "offset_hz")),
+    ("distribution", DISTRIBUTION, ("points", 0, "rf_scale")),
+    ("distribution", DISTRIBUTION, ("points", 0, "weight")),
+])
+def test_numeric_fields_take_only_json_numbers(kind, record, path, value, name):
+    # "100" was once read as 100, true as 1, null as nan and [1.0] as a
+    # second axis
+    load = fileio.waveform_from_dict if kind == "waveform" else fileio.distribution_from_dict
+    load(record)
+    with pytest.raises(ValueError) as err:
+        load(_with(record, path, value))
+    assert str(err.value) == f"malformed {kind} record: {path[-1]} must be a number, got {name}"
+
+
+def test_numeric_fields_take_ints_and_reject_ints_beyond_floats():
+    p = fileio.waveform_from_dict(_with(WAVEFORM, ("steps", 0, "amp_rad_s"), 100))
+    assert p.amplitudes.tolist() == [100.0]
+    d = fileio.distribution_from_dict(_with(DISTRIBUTION, ("points", 0, "weight"), 1))
+    assert d.weights.tolist() == [1.0]
+    with pytest.raises(ValueError, match="malformed distribution record: offset_hz: int too large"):
+        fileio.distribution_from_dict(_with(DISTRIBUTION, ("points", 0, "offset_hz"), 10**400))
+
+
 def test_write_csv_repr_floats(tmp_path):
     f = tmp_path / "t.csv"
     x = 0.1 + 0.2  # 0.30000000000000004: repr must survive the trip

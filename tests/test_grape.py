@@ -376,3 +376,25 @@ def test_ascent_builds_step_exponentials_once_per_probe(monkeypatch):
     rep = grape_ascend(p0, d, TARGET_PI_Y, cfg)
     assert rep.iterations > 1 and calls["probes"] > rep.iterations
     assert calls["steps"] == (calls["probes"] + 1) * len(point_chunks(d.n_points))
+
+
+def test_a_capped_ascent_takes_one_gradient_per_iteration(monkeypatch):
+    # the starting gradient and one at each accepted probe but the last:
+    # a gradient after the last iteration was once taken and never read
+    p0, d, cfg = _two_chunk_problem(monkeypatch)
+    p, history, steps, termination, _ = _reference_ascent(p0, d, TARGET_PI_Y, cfg)
+    assert termination is Termination.MAX_ITERATIONS
+    calls = []
+    evaluate = grape._averaged_eval
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(grape, "_averaged_eval", counted)
+    rep = grape_ascend(p0, d, TARGET_PI_Y, cfg)
+    assert rep.termination is Termination.MAX_ITERATIONS
+    assert rep.iterations == cfg.max_iterations == len(calls)
+    assert np.array_equal(rep.fidelity_history, history)
+    assert np.array_equal(rep.step_sizes, steps)
+    assert np.array_equal(rep.final_waveform.cartesian_controls(), p.cartesian_controls())

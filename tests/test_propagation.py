@@ -165,6 +165,17 @@ def test_scan_into_caller_buffers_keeps_the_bits(n):
     inter = np.ascontiguousarray(steps[:, chunk])
     assert np.array_equal(prop.forward_products(inter, start[chunk]), total[chunk])
     assert np.array_equal(inter, want[:, chunk])
+    # the tree in the same chunk of a plane-major buffer, with a spare level
+    # and a scratch plane cut from POINT_CHUNK-wide buffers as
+    # pulse_propagators cuts them for a ragged last chunk
+    tree = pair_buffer((n, width))
+    tree[...] = steps
+    level = (max(1, (n + 1) // 2), prop.POINT_CHUNK)
+    spare, scratch = pair_buffer(level), np.empty(level, dtype=complex)
+    got = prop.ordered_product(tree[:, chunk], start[chunk], spare[:, :37], scratch[:, :37])
+    assert np.array_equal(got, prop.ordered_product(steps[:, chunk].copy(), start[chunk]))
+    assert np.array_equal(got, total[chunk])
+    assert np.array_equal(tree[:, :prop.POINT_CHUNK], steps[:, :prop.POINT_CHUNK])
 
 
 def test_step_propagators_into_a_chunk_view_keep_the_bits():
