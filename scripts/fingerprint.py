@@ -57,7 +57,7 @@ def grape_fingerprint():
     """(final fidelity, sha256 of the final controls) of the fixed ascent."""
     d = oc.EnsembleDistribution.product(2 * np.pi * np.linspace(-3.5e3, 3.5e3, 15),
                                         [0.9, 1.0, 1.1])
-    rep = oc.grape_ascend(fixed_start(), d, oc.TARGET_PI_Y, oc.GrapeConfig(max_iterations=25))
+    rep = oc.grape_ascend(fixed_start(), d, oc.GrapeConfig(max_iterations=25))
     return float(rep.fidelity_history[-1]), controls_sha256(rep.final_waveform)
 
 

@@ -34,7 +34,6 @@ def main():
                     help="write into the package data directory instead of --outdir")
     args = ap.parse_args()
 
-    target = metrics.TARGET_PI_Y
     rng = np.random.default_rng(args.seed)
     template = oc.waveform_template(100, 1e-5, 2 * np.pi * 5000,
                                     pre_delay=6e-6, post_delay=6e-6)
@@ -56,7 +55,7 @@ def main():
         return metrics.average_fidelity(w, d10)
 
     best = max(result.rungs, key=lambda r: fixed_band_fid(r.waveform))
-    rep = grape.grape_ascend(best.waveform, d10, target,
+    rep = grape.grape_ascend(best.waveform, d10,
                              grape.GrapeConfig(max_iterations=args.polish_iterations))
     w_broadband = rep.final_waveform
     print(f"broadband: rung {best.index} polished to "

@@ -16,12 +16,12 @@ from .pulses import (
     waveform_template,
 )
 from .propagation import (
+    TARGET_PI_Y,
     bloch_trajectory,
     cycle_propagators,
     pulse_propagators,
 )
 from .metrics import (
-    TARGET_PI_Y,
     CpmgCriteria,
     average_fidelity,
     cpmg_criteria,
@@ -53,7 +53,6 @@ from .channel import (
     pauli_probabilities,
     superoperator_sequence,
 )
-from .su2 import expm_su2
 from .fileio import (
     load_waveform_json,
     reference_waveform,

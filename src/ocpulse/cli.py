@@ -40,7 +40,7 @@ from .fileio import (
 )
 from .grape import GrapeConfig, grape_ascend, multistart_reports, random_waveform
 from .ladder import add_rfi_and_reoptimize, check_rfi_scales, run_ladder, select_best_rung
-from .metrics import TARGET_PI_Y, criteria_sweep
+from .metrics import criteria_sweep
 from .propagation import bloch_trajectory, trajectory_times
 from .pulses import (
     MAX_RANGE_POINTS,
@@ -214,25 +214,29 @@ def cmd_optimize(args, parser) -> int:
         improvement_threshold=args.stall,
     )
     outdir = _outdir(args, parser)
-    duration = args.duration_ms * 1e-3
-    dt = duration / args.steps
-    a_max = args.amax_khz * KHZ
-    guard = args.guard_us * 1e-6
+    if args.init:
+        # the warm start, not the timing flags, sets the grid, the cap and
+        # the guards, so the comb spacing and the manifest come from it
+        p0 = load_waveform_json(args.init)
+        duration = p0.duration
+        pre, post = p0.pre_delay * 1e6, p0.post_delay * 1e6
+        timing = {"duration_ms": duration * 1e3, "steps": p0.n_steps,
+                  "amax_khz": p0.a_max / KHZ, "guard_us": pre if pre == post else [pre, post]}
+    else:
+        # the flags as given, which rebuild this grid to the bit
+        duration = args.duration_ms * 1e-3
+        guard = args.guard_us * 1e-6
+        template = waveform_template(args.steps, duration / args.steps, args.amax_khz * KHZ,
+                                     pre_delay=guard, post_delay=guard)
+        p0 = random_waveform(template, np.random.default_rng(args.seed))
+        timing = {"duration_ms": args.duration_ms, "steps": args.steps,
+                  "amax_khz": args.amax_khz, "guard_us": args.guard_us}
     delta_hz = args.delta_hz if args.delta_hz is not None else 1.0 / (4.0 * duration)
     delta = delta_hz * 2.0 * np.pi
-    template = waveform_template(args.steps, dt, a_max, pre_delay=guard, post_delay=guard)
-
-    if args.init:
-        p0 = load_waveform_json(args.init)
-    else:
-        p0 = random_waveform(template, np.random.default_rng(args.seed))
 
     outputs = []
     params = {
-        "duration_ms": args.duration_ms,
-        "steps": args.steps,
-        "amax_khz": args.amax_khz,
-        "guard_us": args.guard_us,
+        **timing,
         "delta_hz": delta_hz,
         "seed": args.seed,
         "threads": args.threads,
@@ -312,7 +316,7 @@ def cmd_optimize(args, parser) -> int:
             d = load_distribution_json(args.distribution_file)
         if args.multistart is not None:
             reports = multistart_reports(
-                d, TARGET_PI_Y, cfg, args.multistart, args.seed,
+                d, cfg, args.multistart, args.seed,
                 template=template, max_workers=args.threads,
             )
             fids = [float(r.fidelity_history[-1]) for r in reports]
@@ -322,7 +326,7 @@ def cmd_optimize(args, parser) -> int:
             report = reports[int(np.argmax(fids))]
             params["multistart"] = args.multistart
         else:
-            report = grape_ascend(p0, d, TARGET_PI_Y, cfg)
+            report = grape_ascend(p0, d, cfg)
         final_wf, final_d = report.final_waveform, d
         final_fid = float(report.fidelity_history[-1])
         params["final_fidelity"] = final_fid

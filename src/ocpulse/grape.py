@@ -1,19 +1,21 @@
 """Gradient-ascent pulse engineering over a static ensemble.
 
 Controls are the Cartesian pair u1 = A cos(phi), u2 = A sin(phi) per step.
-The objective is the ensemble-averaged trace overlap with a target unitary.
-Its gradient is the first-order GRAPE one (Khaneja et al., JMR 172, 296
-(2005)): it drops the commutator terms of each step's derivative, so its
-error is first order in dt |H|.  It comes from the prefix products X_j of the
-Cayley-Klein steps, one inclusive scan (:func:`propagation.forward_products`)
-per chunk of ensemble points.  A line-search probe runs the same scan and
-leaves its prefixes in the ascent's workspace (:class:`_Workspace`); when
-the probe is accepted, the next gradient starts from them instead of
-building the steps again.  The workspace also holds what is fixed for the
-whole ascent (the free precession of the guards and the inverse target) and
-the chunk-sized buffers that every probe and gradient reuse.  Steps follow
-the averaged gradient with a backtracking line search, so the fidelity
-history is monotone.
+The objective is the ensemble-averaged trace overlap with the pi rotation
+about y, the constant pair :data:`propagation.TARGET_PI_Y`.  Its gradient
+is the first-order GRAPE one (Khaneja et al., JMR 172, 296 (2005)): it
+drops the commutator terms of each step's derivative, so its error is first
+order in dt |H|.  It comes from the prefix products X_j of the Cayley-Klein
+steps, one inclusive scan (:func:`propagation.forward_products`) per chunk
+of ensemble points.  A line-search probe runs the same scan and leaves its
+prefixes in the ascent's workspace (:class:`_Workspace`); when the probe is
+accepted, the next gradient starts from them instead of building the steps
+again.  The workspace also holds what is fixed for the whole ascent (the
+free precession of the guards) and the chunk-sized buffers that every probe
+and gradient reuse; the inverse target is a read-only constant of
+:mod:`ocpulse.propagation`, which :func:`propagation.target_overlaps`
+applies.  Steps follow the averaged gradient with a backtracking line
+search, so the fidelity history is monotone.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from .propagation import (
     free_pairs,
     point_chunks,
     step_propagators,
+    target_overlaps,
 )
-from .su2 import ck_inv, ck_mul, pair_buffer
+from .su2 import ck_mul, pair_buffer
 
 # Line search: the trial step grows by _LS_GROWTH after an accepted probe
 # and shrinks by _LS_SHRINK after a rejected one, with at most
@@ -88,33 +91,26 @@ class GrapeReport:
     termination: Termination
 
 
-def _su2_target(target) -> np.ndarray:
-    """The target with its global phase removed, so that det = 1."""
-    target = np.asarray(target, dtype=complex)
-    return target / np.sqrt(np.linalg.det(target))
-
-
 class _Workspace:
-    """The buffers and ascent-wide invariants of one ensemble, target and
-    pulse timing.
+    """The buffers and ascent-wide invariants of one ensemble and pulse
+    timing.
 
     Per chunk k of points (:func:`propagation.point_chunks`) it holds the
     pre- and post-delay free precession and ``prefixes[k]``, the
-    (n_steps, c, 2) prefix products X_j of ``waveform``; the inverse target
-    is built once.  The spare scan level, the scratch plane and the pairs U
-    and M of a chunk are shared by every chunk of one width (a ragged last
-    chunk has its own), and reused by every probe and gradient.  Pair
-    buffers are plane-major (:func:`ocpulse.su2.pair_buffer`), and each
-    chunk's are whole arrays, so every plane is contiguous.
+    (n_steps, c, 2) prefix products X_j of ``waveform``.  The spare scan
+    level, the scratch plane and the pairs U and M of a chunk are shared by
+    every chunk of one width (a ragged last chunk has its own), and reused
+    by every probe and gradient.  Pair buffers are plane-major
+    (:func:`ocpulse.su2.pair_buffer`), and each chunk's are whole arrays,
+    so every plane is contiguous.
     """
 
-    def __init__(self, p: PulseWaveform, d: EnsembleDistribution, target):
+    def __init__(self, p: PulseWaveform, d: EnsembleDistribution):
         n = p.n_steps
         self.chunks = point_chunks(d.n_points)
         offsets = [d.offsets[c] for c in self.chunks]
         self.pre = [free_pairs(o, p.pre_delay) for o in offsets]
         self.post = [free_pairs(o, p.post_delay) for o in offsets]
-        self.target_inv = ck_inv(target[0])
         self.prefixes = [pair_buffer((n, o.size)) for o in offsets]
         self.waveform = None
         shared = {c: (pair_buffer((n, c)), np.empty((n, c), dtype=complex), pair_buffer((2, c)))
@@ -122,21 +118,13 @@ class _Workspace:
         self.spare, self.scratch, self.ends = zip(*(shared[o.size] for o in offsets))
 
 
-def _overlaps(U, target_inv, out=None, scratch=None):
-    """M = target^dag U per point, from the pair ``target_inv`` of target^dag,
-    and t = Tr(M)/2 = Re a(M), real for an SU(2) target; the fidelity is
-    t^2.  ``out`` and ``scratch`` go to :func:`ocpulse.su2.ck_mul`."""
-    M = ck_mul(target_inv, U, out=out, scratch=scratch)
-    return M, M[..., 0].real
-
-
 def _chunk_overlaps(ws: _Workspace, k: int):
-    """:func:`_overlaps` of chunk k from its last prefix, with the
-    post-delay applied; both products go to ``ws.ends[k]``."""
+    """:func:`propagation.target_overlaps` of chunk k from its last prefix,
+    with the post-delay applied; both products go to ``ws.ends[k]``."""
     U, M = ws.ends[k]
     scratch = ws.scratch[k][0]
     ck_mul(ws.post[k], ws.prefixes[k][-1], out=U, scratch=scratch)
-    return _overlaps(U, ws.target_inv, out=M, scratch=scratch)
+    return target_overlaps(U, out=M, scratch=scratch)
 
 
 def _scan(p: PulseWaveform, d: EnsembleDistribution, ws: _Workspace, k: int):
@@ -148,16 +136,16 @@ def _scan(p: PulseWaveform, d: EnsembleDistribution, ws: _Workspace, k: int):
     return _chunk_overlaps(ws, k)
 
 
-def _ensemble_fidelity(p: PulseWaveform, d: EnsembleDistribution, target, ws=None):
+def _ensemble_fidelity(p: PulseWaveform, d: EnsembleDistribution, ws=None):
     """Averaged fidelity of a waveform without the gradient sweep: the
     line-search probe.
 
     Leaves the prefixes X_j of every chunk in ``ws`` (a :class:`_Workspace`
-    of this ensemble and target, built here when not given), where
+    of this ensemble, built here when not given), where
     :func:`_averaged_eval` of the same waveform finds them.
     """
     if ws is None:
-        ws = _Workspace(p, d, target)
+        ws = _Workspace(p, d)
     t = np.empty(d.n_points)
     for k, chunk in enumerate(ws.chunks):
         t[chunk] = _scan(p, d, ws, k)[1]
@@ -165,12 +153,12 @@ def _ensemble_fidelity(p: PulseWaveform, d: EnsembleDistribution, target, ws=Non
     return float(np.dot(d.weights, t**2))
 
 
-def _fidelity_and_gradients_raw(p: PulseWaveform, d: EnsembleDistribution, target, ws=None):
+def _fidelity_and_gradients_raw(p: PulseWaveform, d: EnsembleDistribution, ws=None):
     """Pointwise fidelities (P,) and first-order gradients (P, N, 2) wrt (u1, u2).
 
-    ``target`` must lie in SU(2).  With X_j the product through step j
-    (pre-delay included) and M = target^dag U_total (post-delay included),
-    t = Tr(M)/2 is real, the fidelity is t^2, and
+    With X_j the product through step j (pre-delay included) and
+    M = TARGET_PI_Y^dag U_total (post-delay included), t = Tr(M)/2 is
+    real, the fidelity is t^2, and
     dF/du_k(j) = dt omega1 t Tr(sigma_k X_j M X_j^dag) / (2i): the k = x, y
     components of X_j M X_j^dag are Im b and Re b of its Cayley-Klein pair.
     When ``ws`` holds the prefixes of this same waveform (a probe left
@@ -180,7 +168,7 @@ def _fidelity_and_gradients_raw(p: PulseWaveform, d: EnsembleDistribution, targe
     alone.
     """
     if ws is None:
-        ws = _Workspace(p, d, target)
+        ws = _Workspace(p, d)
     held = ws.waveform is p
     fids = np.empty(d.n_points)
     grads = np.empty((p.n_steps, d.n_points, 2))
@@ -200,30 +188,27 @@ def _fidelity_and_gradients_raw(p: PulseWaveform, d: EnsembleDistribution, targe
     return fids, grads.transpose(1, 0, 2)
 
 
-def fidelity_and_gradients(p: PulseWaveform, point, target):
-    """Fidelity and (n_steps, 2) gradient wrt (u1, u2) at one ensemble point.
-
-    ``point`` is (delta_omega, omega1_scale); ``target`` is any 2x2 unitary
-    (its global phase does not matter).
-    """
+def fidelity_and_gradients(p: PulseWaveform, point):
+    """Fidelity and (n_steps, 2) gradient wrt (u1, u2) at one ensemble point,
+    ``point`` = (delta_omega, omega1_scale)."""
     delta_omega, omega1_scale = point
     d = EnsembleDistribution.single_point(delta_omega, omega1_scale)
-    fids, grads = _fidelity_and_gradients_raw(p, d, _su2_target(target))
+    fids, grads = _fidelity_and_gradients_raw(p, d)
     return float(fids[0]), grads[0]
 
 
-def _averaged_eval(p: PulseWaveform, d: EnsembleDistribution, target, ws=None):
-    fids, grads = _fidelity_and_gradients_raw(p, d, target, ws)
+def _averaged_eval(p: PulseWaveform, d: EnsembleDistribution, ws=None):
+    fids, grads = _fidelity_and_gradients_raw(p, d, ws)
     return float(np.dot(d.weights, fids)), np.einsum("p,pnk->nk", d.weights, grads)
 
 
 def grape_ascend(
     p0: PulseWaveform,
     d: EnsembleDistribution,
-    target: np.ndarray,
     cfg: GrapeConfig | None = None,
 ) -> GrapeReport:
-    """Maximize the ensemble-averaged fidelity starting from p0.
+    """Maximize the ensemble-averaged fidelity to the pi-about-y target
+    starting from p0.
 
     Each iteration evaluates the averaged gradient, then probes
     u + eps * g with eps shrinking until the averaged fidelity strictly
@@ -248,13 +233,12 @@ def grape_ascend(
     if np.max(p0.amplitudes) > p0.a_max * (1.0 + 1e-12) or np.min(p0.amplitudes) < 0.0:
         raise ValueError("initial amplitudes must lie in [0, a_max]")
 
-    target = _su2_target(target)
     u = p0.cartesian_controls()
     u1, u2 = u[:, 0].copy(), u[:, 1].copy()
     p = p0
-    ws = _Workspace(p0, d, target)
+    ws = _Workspace(p0, d)
 
-    fid, grad = _averaged_eval(p, d, target, ws)
+    fid, grad = _averaged_eval(p, d, ws)
     if not (np.isfinite(fid) and np.all(np.isfinite(grad))):
         raise RuntimeError("non-finite objective at the starting point")
     history = [fid]
@@ -267,7 +251,7 @@ def grape_ascend(
         if iteration:
             # the gradient at the last accepted probe, taken here so that
             # none is taken after the last iteration
-            fid, grad = _averaged_eval(p, d, target, ws)
+            fid, grad = _averaged_eval(p, d, ws)
             if not np.all(np.isfinite(grad)):
                 raise RuntimeError("non-finite gradient")
         if fid >= cfg.target_fidelity:
@@ -281,7 +265,7 @@ def grape_ascend(
             amps = np.minimum(np.hypot(v1, v2), p0.a_max)
             phases = np.arctan2(v2, v1)
             trial = p.with_steps(amps, phases)
-            f_trial = _ensemble_fidelity(trial, d, target, ws)
+            f_trial = _ensemble_fidelity(trial, d, ws)
             if not np.isfinite(f_trial):
                 raise RuntimeError("non-finite fidelity during line search")
             if f_trial > fid:
@@ -324,7 +308,6 @@ def random_waveform(template: PulseWaveform, rng) -> PulseWaveform:
 
 def multistart_reports(
     d: EnsembleDistribution,
-    target: np.ndarray,
     cfg: GrapeConfig | None,
     n_starts: int,
     seed: int,
@@ -345,6 +328,6 @@ def multistart_reports(
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(lambda p0: grape_ascend(p0, d, target, cfg), starts))
-    return [grape_ascend(p0, d, target, cfg) for p0 in starts]
+            return list(pool.map(lambda p0: grape_ascend(p0, d, cfg), starts))
+    return [grape_ascend(p0, d, cfg) for p0 in starts]
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grape import GrapeConfig, GrapeReport, grape_ascend
-from .metrics import TARGET_PI_Y
 from .pulses import (
     EnsembleDistribution, PulseWaveform, check_points, uniform_ladder_distribution,
 )
@@ -97,7 +96,7 @@ def run_ladder(
         d = uniform_ladder_distribution(
             m * delta, delta, jitter_fraction=jitter_fraction, seed=[seed, m]
         )
-        report = grape_ascend(rungs[-1].waveform if rungs else p0, d, TARGET_PI_Y, cfg)
+        report = grape_ascend(rungs[-1].waveform if rungs else p0, d, cfg)
         fid = float(report.fidelity_history[-1])
         rungs.append(LadderRung(m, m * delta, d, report.final_waveform, fid, report))
         if fid < stop_fidelity:
@@ -139,7 +138,7 @@ def add_rfi_and_reoptimize(
         cfg = GrapeConfig(max_iterations=300)
     offsets = list(dict.fromkeys(rung.distribution.offsets.tolist()))
     d = EnsembleDistribution.product(np.asarray(offsets), scales)
-    report = grape_ascend(rung.waveform, d, TARGET_PI_Y, cfg)
+    report = grape_ascend(rung.waveform, d, cfg)
     return d, report.final_waveform, float(report.fidelity_history[-1])
 
 

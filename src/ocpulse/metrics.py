@@ -1,12 +1,14 @@
 """Refocusing-quality metrics of pulse propagators.
 
 The design target throughout is the ideal pi rotation about y,
-exp(-i pi/2 Y).  Fidelity is the optimizer's t^2, t = Re a(V^dag U) for
-Cayley-Klein pairs, equal to the trace overlap |Tr(U V^dag)|^2 / 4, which
-for a rotation by theta about axis r equals sin^2(theta/2) r_y^2.  The
-axis/angle criteria of :func:`cpmg_criteria` take a whole batch of pairs
-in one pass from :func:`ocpulse.su2.axis_angle`; :func:`criteria_sweep`
-applies them to a pulse over an offset x RF-scale grid.
+exp(-i pi/2 Y), the constant pair :data:`propagation.TARGET_PI_Y`.
+Fidelity is the optimizer's t^2, t = Re a(V^dag U) for Cayley-Klein pairs
+(:func:`propagation.target_overlaps`), equal to the trace overlap
+|Tr(U V^dag)|^2 / 4, which for a rotation by theta about axis r equals
+sin^2(theta/2) r_y^2.  The axis/angle criteria of :func:`cpmg_criteria`
+take a whole batch of pairs in one pass from :func:`ocpulse.su2.axis_angle`;
+:func:`criteria_sweep` applies them to a pulse over an offset x RF-scale
+grid.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grape import _overlaps, _su2_target
-from .propagation import TARGET_PI_Y, PulseWaveform, pulse_propagators
+from .propagation import PulseWaveform, pulse_propagators, target_overlaps
 from .pulses import EnsembleDistribution
-from .su2 import Z_AXIS, axis_angle, ck_inv, unitarity_error
+from .su2 import Z_AXIS, axis_angle, unitarity_error
 
 # sin(theta/2) below this leaves the rotation axis numerically undefined.
 _DEGENERATE_SIN = 1e-9
@@ -26,9 +27,7 @@ _DEGENERATE_SIN = 1e-9
 _UNITARITY_TOL = 1e-9
 
 
-def average_fidelity(
-    p: PulseWaveform | None, d: EnsembleDistribution, target: np.ndarray = TARGET_PI_Y
-) -> float:
+def average_fidelity(p: PulseWaveform | None, d: EnsembleDistribution) -> float:
     """Weight-averaged fidelity of a pulse over an ensemble.
 
     The optimizer's own objective, taken from the whole pulse product by the
@@ -37,7 +36,7 @@ def average_fidelity(
     gated fidelity and the one the ascent reports are the same number.
     """
     U = pulse_propagators(p, d.offsets, d.rf_scales)
-    _, t = _overlaps(U, ck_inv(_su2_target(target)[0]))
+    _, t = target_overlaps(U)
     return float(np.dot(d.weights, t**2))
 
 
@@ -67,7 +66,8 @@ def cpmg_criteria(x: np.ndarray) -> CpmgCriteria:
     A good CPMG refocusing pulse needs the rotation axis in the xy plane
     (ideally along y) much more than it needs nutation exactly pi; the
     signed plane angle and the axis-to-y angle separate those failure
-    modes.  The fidelity is the optimizer's, from :func:`grape._overlaps`.
+    modes.  The fidelity is the optimizer's, from
+    :func:`propagation.target_overlaps`.
 
     Raises
     ------
@@ -81,7 +81,7 @@ def cpmg_criteria(x: np.ndarray) -> CpmgCriteria:
         raise ValueError("operator is not unitary within tolerance")
     r, theta = axis_angle(x)
     r = np.where(np.any(r, axis=-1, keepdims=True), r, Z_AXIS)
-    _, t = _overlaps(x, ck_inv(_su2_target(TARGET_PI_Y)[0]))
+    _, t = target_overlaps(x)
     rx, ry, rz = r[..., 0], r[..., 1], r[..., 2]
     # atan2 forms: arcsin/arccos of a unit-vector component near +-1 round
     # every angle below ~1.5e-8 to zero.

@@ -12,7 +12,9 @@ step, tan(h/2), gives both sin h and cos h of h = |omega| dt / 2.  Time
 order follows the physics convention: the propagator of "p1 then p2" is
 U(p2) @ U(p1).  An ideal refocusing pulse is represented by ``None``
 wherever a waveform is accepted; it acts as an instantaneous
-exp(-i pi/2 Y) at every ensemble point.
+exp(-i pi/2 Y) at every ensemble point.  That rotation, the pair
+TARGET_PI_Y, is also the one target of the optimizer and of the fidelity,
+and :func:`target_overlaps` measures pulse propagators against it.
 
 Steps, free precession and pulses are held as Cayley-Klein pairs (a, b),
 the first row of U = [[a, b], [-conj(b), conj(a)]] (see :mod:`ocpulse.su2`),
@@ -34,12 +36,15 @@ from __future__ import annotations
 import numpy as np
 
 from .pulses import PulseWaveform, check_points
-from .su2 import (
-    Y_AXIS, axis_angle, ck_expm_polar, ck_mul, expm_su2, pair_buffer, rotate_vectors,
-)
+from .su2 import axis_angle, ck_expm_polar, ck_inv, ck_mul, pair_buffer, rotate_vectors
 
-# The ideal refocusing pulse, exp(-i pi/2 Y); also the optimizer's target.
-TARGET_PI_Y = expm_su2(Y_AXIS, np.pi)
+# The ideal refocusing pulse, exp(-i pi/2 Y), as its Cayley-Klein pair: the
+# optimizer's one target.  It and the pair of its inverse are read-only, so
+# ascents on threads share them and nothing writable.
+TARGET_PI_Y = ck_expm_polar(np.pi, np.pi / 2, 0.0, 1.0)
+TARGET_PI_Y.flags.writeable = False
+_TARGET_INV = ck_inv(TARGET_PI_Y)
+_TARGET_INV.flags.writeable = False
 
 # Ensemble points propagated together by pulse_propagators and by the
 # optimizer's scans, so memory does not grow with the ensemble.  Every tree or scan
@@ -162,7 +167,7 @@ def pulse_propagators(p: PulseWaveform | None, offsets, rf_scales) -> np.ndarray
     offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
     rf_scales = np.atleast_1d(np.asarray(rf_scales, dtype=float))
     if p is None:
-        return np.broadcast_to(TARGET_PI_Y[0], offsets.shape + (2,)).copy()
+        return np.broadcast_to(TARGET_PI_Y, offsets.shape + (2,)).copy()
     offsets, rf_scales = np.broadcast_arrays(offsets, rf_scales)
     out = np.empty(offsets.shape + (2,), dtype=complex)
     width = min(POINT_CHUNK, offsets.shape[0])
@@ -177,6 +182,15 @@ def pulse_propagators(p: PulseWaveform | None, offsets, rf_scales) -> np.ndarray
         pulse = ordered_product(X, free_pairs(o, p.pre_delay), spare[:, :c], scratch[:, :c])
         ck_mul(free_pairs(o, p.post_delay), pulse, out=out[chunk], scratch=scratch[0, :c])
     return out
+
+
+def target_overlaps(U: np.ndarray, out=None, scratch=None):
+    """M = TARGET_PI_Y^dag U per point of the Cayley-Klein pairs U (..., 2),
+    and t = Tr(M)/2 = Re a(M), real since both lie in SU(2).  The fidelity
+    t^2 is the trace overlap |Tr(U TARGET^dag)|^2 / 4.  ``out`` and
+    ``scratch`` go to :func:`ocpulse.su2.ck_mul`."""
+    M = ck_mul(_TARGET_INV, U, out=out, scratch=scratch)
+    return M, M[..., 0].real
 
 
 def half_cycle_propagators(

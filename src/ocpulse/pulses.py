@@ -106,14 +106,13 @@ def waveform_template(
     a_max: float,
     pre_delay: float = 0.0,
     post_delay: float = 0.0,
-    amplitude: float = 0.0,
-    phase: float = 0.0,
 ) -> PulseWaveform:
-    """Constant waveform fixing the timing grid; useful as an optimizer seed."""
+    """All-zero waveform fixing the timing grid and the amplitude cap, on
+    which :func:`ocpulse.grape.random_waveform` draws a start."""
     return PulseWaveform(
         dt=dt,
-        amplitudes=np.full(n_steps, float(amplitude)),
-        phases=np.full(n_steps, float(phase)),
+        amplitudes=np.zeros(n_steps),
+        phases=np.zeros(n_steps),
         a_max=a_max,
         pre_delay=pre_delay,
         post_delay=post_delay,

@@ -2,19 +2,18 @@
 
 An SU(2) element is stored by its Cayley-Klein pair: the first row (a, b)
 of U = [[a, b], [-conj(b), conj(a)]], shape ``(..., 2)``.  Every helper
-here that takes a rotation takes pairs, batched over leading axes; only
-:func:`expm_su2` (targets and tests) returns a ``(2, 2)`` matrix, which
-:func:`ck_matrix` builds.
+here takes and returns pairs, batched over leading axes; the ``(2, 2)``
+Pauli matrices below serve only the Choi form of a channel.
 
 One formula builds every exponential, :func:`ck_expm_polar`: it takes the
 transverse rate in polar form (amplitude, phase) and works from
 t = tan(h/2), h = |omega| duration / 2, so each element costs one ``tan``
-and no ``sin`` or ``cos``.  :func:`ck_expm` (Cartesian components) and
-:func:`expm_su2` (axis and angle) call it.  A pair's quaternion is
-(Re a, -Im b, -Re b, -Im a); :func:`axis_angle` turns it into the unit
-axis r and angle theta in [0, pi] that the channel, the echo train and
-the refocusing criteria all read.  Powers of a rotation need nothing else:
-U^n is the rotation by n theta about the same axis r
+and no ``sin`` or ``cos``.  The pulse steps and the pi-about-y target
+(:data:`ocpulse.propagation.TARGET_PI_Y`) are both its output.  A pair's
+quaternion is (Re a, -Im b, -Re b, -Im a); :func:`axis_angle` turns it
+into the unit axis r and angle theta in [0, pi] that the channel, the echo
+train and the refocusing criteria all read.  Powers of a rotation need
+nothing else: U^n is the rotation by n theta about the same axis r
 (:func:`rotate_vectors` applies it to Bloch vectors).
 
 The pair buffers that :func:`ck_expm_polar` and :func:`ck_mul` allocate are
@@ -53,52 +52,6 @@ _DEGENERATE_SIN = 1e-12
 # rounds to 1 and k = sin(h)/|omega| to duration/2, their limits, with no
 # 0/0 and no masked divide.
 _RATE_FLOOR = 1e-150
-
-
-def expm_su2(axis, angle: float) -> np.ndarray:
-    """Rotation exp(-i angle/2 n.sigma) about unit axis n.
-
-    Parameters
-    ----------
-    axis : array_like, shape (3,)
-        Rotation axis; normalized internally.
-    angle : float
-        Rotation angle in radians.
-
-    Returns
-    -------
-    (2, 2) complex ndarray.
-    """
-    axis = np.asarray(axis, dtype=float)
-    norm = float(np.linalg.norm(axis))
-    if norm == 0.0:
-        if angle == 0.0:
-            return ID2.copy()
-        raise ValueError("degenerate axis: zero-norm axis with nonzero angle")
-    return ck_matrix(ck_expm(axis * (angle / norm), 1.0))
-
-
-def ck_expm(omega, duration) -> np.ndarray:
-    """Cayley-Klein pairs of exp(-i duration/2 omega.sigma), batched, for
-    omega given by its Cartesian components.
-
-    The transverse part is put in polar form (``hypot``, ``arctan2``) and
-    handed to :func:`ck_expm_polar`, which holds the formula.
-
-    Parameters
-    ----------
-    omega : three array_like components (omega_x, omega_y, omega_z)
-        Rotation rates in rad/s (or plain rotation vectors with
-        ``duration=1``), as a (3, ...) array or a sequence of three arrays
-        that broadcast against each other.
-    duration : float or array_like broadcastable to the components
-
-    Returns
-    -------
-    (..., 2) complex ndarray over the broadcast batch.
-    """
-    wx, wy, wz = (np.asarray(c, dtype=float) for c in omega)
-    return ck_expm_polar(np.hypot(wx, wy), np.arctan2(wy, wx), wz, duration)
 
 
 def pair_buffer(shape) -> np.ndarray:
@@ -214,12 +167,6 @@ def ck_inv(x: np.ndarray) -> np.ndarray:
     return np.stack([x[..., 0].conj(), -x[..., 1]], axis=-1)
 
 
-def ck_matrix(x: np.ndarray) -> np.ndarray:
-    """(..., 2, 2) matrices [[a, b], [-conj(b), conj(a)]] of pairs (..., 2)."""
-    a, b = x[..., 0], x[..., 1]
-    return np.stack([x, np.stack([-b.conj(), a.conj()], axis=-1)], axis=-2)
-
-
 def quaternions(x: np.ndarray) -> np.ndarray:
     """Real unit quaternions (q0, q1, q2, q3) of Cayley-Klein pairs (..., 2).
 
@@ -250,8 +197,8 @@ def axis_angle(x: np.ndarray):
 
     The sign is that of :func:`quaternions`.  Where theta is 0 (the
     identity, or a vector part whose squares underflow, below about 1e-154)
-    the axis is the zero vector.  ``ck_expm(np.moveaxis(r * theta[...,
-    None], -1, 0), n)`` is U^n up to sign.
+    the axis is the zero vector.  U^n is, up to sign, the rotation by
+    n theta about the same r (:func:`rotate_vectors`).
     """
     q = quaternions(x)
     v = q[..., 1:]

@@ -3,14 +3,70 @@
 Each builds its result as (2, 2) or (3, 3) matrices, not through the
 Cayley-Klein pair products, :func:`ocpulse.su2.axis_angle` and Rodrigues'
 formula that the package uses, so agreement with them is a check rather
-than a restatement.
+than a restatement.  The package builds no (2, 2) rotation: :func:`expm_su2`,
+:func:`ck_expm` and :func:`ck_matrix` give the tests that form, from the
+package's one step formula :func:`ocpulse.su2.ck_expm_polar`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ocpulse.su2 import SIGMA_X, SIGMA_Y, Y_AXIS, Z_AXIS, expm_su2, quaternions
+from ocpulse.su2 import (
+    ID2, SIGMA_X, SIGMA_Y, Y_AXIS, Z_AXIS, ck_expm_polar, quaternions,
+)
+
+
+def expm_su2(axis, angle: float) -> np.ndarray:
+    """Rotation exp(-i angle/2 n.sigma) about unit axis n.
+
+    Parameters
+    ----------
+    axis : array_like, shape (3,)
+        Rotation axis; normalized internally.
+    angle : float
+        Rotation angle in radians.
+
+    Returns
+    -------
+    (2, 2) complex ndarray.
+    """
+    axis = np.asarray(axis, dtype=float)
+    norm = float(np.linalg.norm(axis))
+    if norm == 0.0:
+        if angle == 0.0:
+            return ID2.copy()
+        raise ValueError("degenerate axis: zero-norm axis with nonzero angle")
+    return ck_matrix(ck_expm(axis * (angle / norm), 1.0))
+
+
+def ck_expm(omega, duration) -> np.ndarray:
+    """Cayley-Klein pairs of exp(-i duration/2 omega.sigma), batched, for
+    omega given by its Cartesian components.
+
+    The transverse part is put in polar form (``hypot``, ``arctan2``) and
+    handed to :func:`ocpulse.su2.ck_expm_polar`, which holds the formula.
+
+    Parameters
+    ----------
+    omega : three array_like components (omega_x, omega_y, omega_z)
+        Rotation rates in rad/s (or plain rotation vectors with
+        ``duration=1``), as a (3, ...) array or a sequence of three arrays
+        that broadcast against each other.
+    duration : float or array_like broadcastable to the components
+
+    Returns
+    -------
+    (..., 2) complex ndarray over the broadcast batch.
+    """
+    wx, wy, wz = (np.asarray(c, dtype=float) for c in omega)
+    return ck_expm_polar(np.hypot(wx, wy), np.arctan2(wy, wx), wz, duration)
+
+
+def ck_matrix(x: np.ndarray) -> np.ndarray:
+    """(..., 2, 2) matrices [[a, b], [-conj(b), conj(a)]] of pairs (..., 2)."""
+    a, b = x[..., 0], x[..., 1]
+    return np.stack([x, np.stack([-b.conj(), a.conj()], axis=-1)], axis=-2)
 
 
 def trace_overlap(A: np.ndarray, B: np.ndarray):

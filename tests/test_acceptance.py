@@ -12,7 +12,7 @@ import pytest
 
 from ocpulse import channel, grape, ladder
 from ocpulse.echo_train import echo_visibility_sweep
-from ocpulse.metrics import TARGET_PI_Y, average_fidelity
+from ocpulse.metrics import average_fidelity
 from ocpulse.propagation import cycle_propagators, half_cycle_propagators
 from ocpulse.pulses import (
     EnsembleDistribution,
@@ -39,11 +39,11 @@ def _fd_gradient(p, d, h=1e-6):
             um[j, k] -= h
             fp = grape._ensemble_fidelity(
                 p.with_steps(np.hypot(up[:, 0], up[:, 1]), np.arctan2(up[:, 1], up[:, 0])),
-                d, TARGET_PI_Y,
+                d,
             )
             fm = grape._ensemble_fidelity(
                 p.with_steps(np.hypot(um[:, 0], um[:, 1]), np.arctan2(um[:, 1], um[:, 0])),
-                d, TARGET_PI_Y,
+                d,
             )
             g[j, k] = (fp - fm) / (2 * h)
     return g
@@ -58,7 +58,7 @@ def _worst_gradient_error(dt):
                           rng.uniform(0, 2 * np.pi, 20), A_MAX)
         offs = rng.uniform(-2 * np.pi * 1e3, 2 * np.pi * 1e3, 5)
         d = EnsembleDistribution(offs, np.ones(5), np.full(5, 0.2))
-        _, ga = grape._averaged_eval(p, d, TARGET_PI_Y)
+        _, ga = grape._averaged_eval(p, d)
         gf = _fd_gradient(p, d)
         worst = max(worst, np.max(np.abs(ga - gf)) / np.max(np.abs(gf)))
     return worst
@@ -82,7 +82,7 @@ def test_02_on_resonance_ascent_reaches_four_nines_from_any_seed():
     cfg = grape.GrapeConfig(max_iterations=2000, target_fidelity=0.9999)
     for seed in range(10):
         p0 = grape.random_waveform(template, np.random.default_rng(seed))
-        rep = grape.grape_ascend(p0, d, TARGET_PI_Y, cfg)
+        rep = grape.grape_ascend(p0, d, cfg)
         fid = rep.fidelity_history[-1]
         assert fid >= 0.9999, f"seed {seed} stalled at {fid:.6f}"
 
@@ -167,8 +167,7 @@ def test_07_full_pipeline_reproduces_the_packaged_pulse_quality():
         return average_fidelity(w, d)
 
     best = max(result.rungs, key=lambda r: band_fid(r.waveform, d10))
-    rep = grape.grape_ascend(best.waveform, d10, TARGET_PI_Y,
-                             grape.GrapeConfig(max_iterations=4000))
+    rep = grape.grape_ascend(best.waveform, d10, grape.GrapeConfig(max_iterations=4000))
     w_broadband = rep.final_waveform
 
     indices = [r.index for r in result.rungs]

@@ -20,9 +20,9 @@ from ocpulse.channel import (
 from ocpulse.echo_train import simulate_train
 from ocpulse.propagation import cycle_propagators
 from ocpulse.pulses import EnsembleDistribution, PulseWaveform, hard_pulse
-from ocpulse.su2 import PAULIS, axis_angle, expm_su2
+from ocpulse.su2 import PAULIS, axis_angle
 
-from oracles import rotation_matrices
+from oracles import expm_su2, rotation_matrices
 
 A_MAX = 2 * np.pi * 5000.0
 TAU = 1e-3

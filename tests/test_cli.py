@@ -199,6 +199,32 @@ def test_optimize_ladder_smoke(tmp_path):
     assert (out / "waveform.json").exists()
 
 
+def test_optimize_init_takes_its_timing_from_the_waveform(tmp_path):
+    # the comb spacing and the manifest once came from the --duration-ms,
+    # --steps, --amax-khz and --guard-us defaults: rung 1 of this 0.1 ms
+    # pulse sat at +-258 Hz instead of +-2500 Hz
+    init = tmp_path / "init20.json"
+    rng = np.random.default_rng(4)
+    fileio.save_waveform_json(
+        PulseWaveform(5e-6, rng.uniform(0.3, 0.8, 20) * 2 * np.pi * 8e3,
+                      rng.uniform(0, 2 * np.pi, 20), 2 * np.pi * 8e3,
+                      pre_delay=2e-6, post_delay=2e-6),
+        init,
+    )
+    out = tmp_path / "run"
+    assert main(["optimize", "--ladder", "--init", str(init), "--max-iter", "2",
+                 "--max-rungs", "1", "--stop-fidelity", "0.01", "-o", str(out)]) == 0
+    params = json.loads((out / "manifest.json").read_text())["params"]
+    assert params["steps"] == 20
+    assert params["duration_ms"] == pytest.approx(0.1, rel=1e-12)
+    assert params["amax_khz"] == pytest.approx(8.0, rel=1e-12)
+    assert params["guard_us"] == pytest.approx(2.0, rel=1e-12)
+    assert params["delta_hz"] == pytest.approx(2500.0, rel=1e-12)
+    _, rows = read_csv(out / "ladder.csv")
+    assert [row[0] for row in rows] == ["0", "1"]
+    assert float(rows[1][1]) == pytest.approx(2500.0, rel=1e-12)
+
+
 def test_simulate_ideal_train_is_flat(tmp_path):
     out = tmp_path / "train"
     rc = main([

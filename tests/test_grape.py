@@ -12,10 +12,9 @@ from ocpulse.grape import (
     multistart_reports,
     random_waveform,
 )
-from ocpulse.metrics import TARGET_PI_Y, average_fidelity
+from ocpulse.metrics import average_fidelity
 from ocpulse.propagation import POINT_CHUNK, point_chunks
 from ocpulse.pulses import EnsembleDistribution, PulseWaveform, hard_pulse, waveform_template
-from ocpulse.su2 import expm_su2
 
 A_MAX = 2 * np.pi * 5000.0
 
@@ -31,11 +30,11 @@ def finite_difference_gradient(p, d, h=1e-6):
             um[j, k] -= h
             fp = grape._ensemble_fidelity(
                 p.with_steps(np.hypot(up[:, 0], up[:, 1]), np.arctan2(up[:, 1], up[:, 0])),
-                d, TARGET_PI_Y,
+                d,
             )
             fm = grape._ensemble_fidelity(
                 p.with_steps(np.hypot(um[:, 0], um[:, 1]), np.arctan2(um[:, 1], um[:, 0])),
-                d, TARGET_PI_Y,
+                d,
             )
             g[j, k] = (fp - fm) / (2 * h)
     return g
@@ -50,14 +49,14 @@ def test_gradient_matches_finite_differences():
                           rng.uniform(0, 2 * np.pi, 20), A_MAX)
         offs = rng.uniform(-2 * np.pi * 1e3, 2 * np.pi * 1e3, 5)
         d = EnsembleDistribution(offs, np.ones(5), np.full(5, 0.2))
-        _, ga = grape._averaged_eval(p, d, TARGET_PI_Y)
+        _, ga = grape._averaged_eval(p, d)
         gf = finite_difference_gradient(p, d)
         assert np.max(np.abs(ga - gf)) / np.max(np.abs(gf)) < 1e-3
 
 
 def test_single_point_gradient_wrapper():
     p = PulseWaveform(4e-7, np.full(6, 0.5 * A_MAX), np.linspace(0, 1, 6), A_MAX)
-    fid, g = fidelity_and_gradients(p, (2 * np.pi * 500.0, 1.0), TARGET_PI_Y)
+    fid, g = fidelity_and_gradients(p, (2 * np.pi * 500.0, 1.0))
     assert 0.0 <= fid <= 1.0
     assert g.shape == (6, 2)
     d = EnsembleDistribution.single_point(2 * np.pi * 500.0, 1.0)
@@ -67,7 +66,7 @@ def test_single_point_gradient_wrapper():
 
 def test_gradient_vanishes_at_optimum():
     p = hard_pulse(np.pi, np.pi / 2, A_MAX)
-    fid, g = fidelity_and_gradients(p, (0.0, 1.0), TARGET_PI_Y)
+    fid, g = fidelity_and_gradients(p, (0.0, 1.0))
     assert fid == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(g)) < 1e-12
 
@@ -75,7 +74,7 @@ def test_gradient_vanishes_at_optimum():
 def test_ascent_from_optimum_stalls_immediately():
     p = hard_pulse(np.pi, np.pi / 2, A_MAX)
     d = EnsembleDistribution.single_point()
-    rep = grape_ascend(p, d, TARGET_PI_Y, GrapeConfig(target_fidelity=1.0))
+    rep = grape_ascend(p, d, GrapeConfig(target_fidelity=1.0))
     assert rep.iterations == 0
     assert rep.termination in (Termination.STALLED, Termination.TARGET_REACHED)
     assert np.array_equal(rep.final_waveform.amplitudes, p.amplitudes)
@@ -87,7 +86,7 @@ def test_history_monotone_and_aligned():
     tmpl = waveform_template(20, 1e-5, A_MAX)
     p0 = random_waveform(tmpl, rng)
     d = EnsembleDistribution.product(2 * np.pi * np.array([-1e3, 0.0, 1e3]), [1.0])
-    rep = grape_ascend(p0, d, TARGET_PI_Y, GrapeConfig(max_iterations=100))
+    rep = grape_ascend(p0, d, GrapeConfig(max_iterations=100))
     h = rep.fidelity_history
     assert np.all(np.diff(h) > 0.0)  # line search only accepts strict improvement
     assert rep.step_sizes.shape == (rep.iterations,)
@@ -102,7 +101,6 @@ def test_target_reached_on_resonance():
     rep = grape_ascend(
         random_waveform(tmpl, rng),
         EnsembleDistribution.single_point(),
-        TARGET_PI_Y,
         GrapeConfig(target_fidelity=0.9999),
     )
     assert rep.termination is Termination.TARGET_REACHED
@@ -117,7 +115,6 @@ def test_amplitude_cap_binds_when_target_needs_more():
     rep = grape_ascend(
         random_waveform(tmpl, rng),
         EnsembleDistribution.single_point(),
-        TARGET_PI_Y,
         GrapeConfig(max_iterations=300),
     )
     w = rep.final_waveform
@@ -133,8 +130,8 @@ def test_ascent_deterministic():
     p0 = random_waveform(tmpl, rng)
     d = EnsembleDistribution.product(2 * np.pi * np.array([-2e3, 2e3]), [0.95, 1.05])
     cfg = GrapeConfig(max_iterations=60)
-    a = grape_ascend(p0, d, TARGET_PI_Y, cfg)
-    b = grape_ascend(p0, d, TARGET_PI_Y, cfg)
+    a = grape_ascend(p0, d, cfg)
+    b = grape_ascend(p0, d, cfg)
     assert np.array_equal(a.fidelity_history, b.fidelity_history)
     assert np.array_equal(a.final_waveform.amplitudes, b.final_waveform.amplitudes)
     assert np.array_equal(a.final_waveform.phases, b.final_waveform.phases)
@@ -144,10 +141,10 @@ def test_ascent_deterministic():
 def test_start_validation():
     d = EnsembleDistribution.single_point()
     with pytest.raises(ValueError, match="empty"):
-        grape_ascend(PulseWaveform(1e-6, np.zeros(0), np.zeros(0), A_MAX), d, TARGET_PI_Y)
+        grape_ascend(PulseWaveform(1e-6, np.zeros(0), np.zeros(0), A_MAX), d)
     over = PulseWaveform(1e-6, np.array([1.5 * A_MAX]), np.array([0.0]), A_MAX)
     with pytest.raises(ValueError, match="a_max"):
-        grape_ascend(over, d, TARGET_PI_Y)
+        grape_ascend(over, d)
 
 
 def test_config_validation():
@@ -178,10 +175,10 @@ def test_multistart_reproducible():
     d = EnsembleDistribution.single_point()
     cfg = GrapeConfig(max_iterations=30)
     tmpl = waveform_template(10, 1e-5, A_MAX)
-    h1 = _final_fidelities(d, TARGET_PI_Y, cfg, 4, 21, template=tmpl)
-    h2 = _final_fidelities(d, TARGET_PI_Y, cfg, 4, 21, template=tmpl)
+    h1 = _final_fidelities(d, cfg, 4, 21, template=tmpl)
+    h2 = _final_fidelities(d, cfg, 4, 21, template=tmpl)
     assert np.array_equal(h1, h2)
-    h3 = _final_fidelities(d, TARGET_PI_Y, cfg, 4, 22, template=tmpl)
+    h3 = _final_fidelities(d, cfg, 4, 22, template=tmpl)
     assert not np.array_equal(h1, h3)
 
 
@@ -189,10 +186,10 @@ def test_multistart_single_start_matches_direct_ascent():
     d = EnsembleDistribution.single_point()
     cfg = GrapeConfig(max_iterations=30)
     tmpl = waveform_template(10, 1e-5, A_MAX)
-    h = _final_fidelities(d, TARGET_PI_Y, cfg, 1, 5, template=tmpl)
+    h = _final_fidelities(d, cfg, 1, 5, template=tmpl)
     child = np.random.SeedSequence(5).spawn(1)[0]
     p0 = random_waveform(tmpl, np.random.default_rng(child))
-    rep = grape_ascend(p0, d, TARGET_PI_Y, cfg)
+    rep = grape_ascend(p0, d, cfg)
     assert h[0] == pytest.approx(rep.fidelity_history[-1], abs=0)
 
 
@@ -200,37 +197,13 @@ def test_multistart_threaded_matches_serial():
     d = EnsembleDistribution.product(2 * np.pi * np.array([-1e3, 1e3]), [1.0])
     cfg = GrapeConfig(max_iterations=15)
     tmpl = waveform_template(8, 1e-5, A_MAX)
-    serial = multistart_reports(d, TARGET_PI_Y, cfg, 3, 9, template=tmpl)
-    threaded = multistart_reports(d, TARGET_PI_Y, cfg, 3, 9, template=tmpl, max_workers=2)
+    serial = multistart_reports(d, cfg, 3, 9, template=tmpl)
+    threaded = multistart_reports(d, cfg, 3, 9, template=tmpl, max_workers=2)
     for a, b in zip(serial, threaded):
         assert np.array_equal(a.fidelity_history, b.fidelity_history)
         assert np.array_equal(a.final_waveform.amplitudes, b.final_waveform.amplitudes)
     with pytest.raises(ValueError, match="n_starts"):
-        multistart_reports(d, TARGET_PI_Y, cfg, 0, 9, template=tmpl)
-
-
-def test_global_phase_of_target_does_not_matter():
-    # the gradient works in SU(2); a U(2) target is reduced to det = 1 once
-    # at the entry points, so a global phase changes nothing
-    rng = np.random.default_rng(8)
-    p0 = random_waveform(waveform_template(12, 1e-5, A_MAX), rng)
-    d = EnsembleDistribution.product(2 * np.pi * np.array([-2e3, 0.0, 2e3]), [0.9, 1.1])
-    cfg = GrapeConfig(max_iterations=15)
-    results = []
-    for target in (TARGET_PI_Y, 1j * TARGET_PI_Y, -TARGET_PI_Y):
-        f, g = fidelity_and_gradients(p0, (2 * np.pi * 1e3, 1.05), target)
-        results.append((f, g, grape_ascend(p0, d, target, cfg)))
-    f0, g0, r0 = results[0]
-    assert r0.iterations > 0
-    for f, g, r in results[1:]:
-        assert f == pytest.approx(f0, abs=1e-12)
-        assert np.allclose(g, g0, rtol=0, atol=1e-12 * np.max(np.abs(g0)))
-        assert r.iterations == r0.iterations and r.termination == r0.termination
-        assert np.allclose(r.fidelity_history, r0.fidelity_history, rtol=0, atol=1e-12)
-        assert np.allclose(r.step_sizes, r0.step_sizes, rtol=1e-12, atol=0)
-        assert np.allclose(r.final_waveform.amplitudes, r0.final_waveform.amplitudes,
-                           rtol=1e-12, atol=0)
-        assert np.allclose(r.final_waveform.phases, r0.final_waveform.phases, rtol=0, atol=1e-12)
+        multistart_reports(d, cfg, 0, 9, template=tmpl)
 
 
 def _guarded_random_waveform(rng, n_steps):
@@ -247,12 +220,9 @@ def test_probe_fidelity_equals_gradient_fidelity(n_points):
     p = _guarded_random_waveform(rng, 100)
     d = EnsembleDistribution(rng.uniform(-2 * np.pi * 1e4, 2 * np.pi * 1e4, n_points),
                              rng.uniform(0.8, 1.2, n_points), np.full(n_points, 1.0 / n_points))
-    other = expm_su2(rng.normal(size=3), 2.3)
-    for target in (TARGET_PI_Y, other):
-        su2 = grape._su2_target(target)
-        f = grape._averaged_eval(p, d, su2)[0]
-        assert grape._ensemble_fidelity(p, d, su2) == f
-        assert average_fidelity(p, d, target) == f
+    f = grape._averaged_eval(p, d)[0]
+    assert grape._ensemble_fidelity(p, d) == f
+    assert average_fidelity(p, d) == f
 
 
 def test_a_probe_on_a_warmed_workspace_allocates_nothing_step_sized():
@@ -266,18 +236,17 @@ def test_a_probe_on_a_warmed_workspace_allocates_nothing_step_sized():
     n_points = POINT_CHUNK + 37
     d = EnsembleDistribution(rng.uniform(-2 * np.pi * 1e4, 2 * np.pi * 1e4, n_points),
                              rng.uniform(0.8, 1.2, n_points), np.full(n_points, 1.0 / n_points))
-    target = grape._su2_target(TARGET_PI_Y)
-    ws = grape._Workspace(p, d, target)
-    grape._ensemble_fidelity(p, d, target, ws)
+    ws = grape._Workspace(p, d)
+    grape._ensemble_fidelity(p, d, ws)
     trial = p.with_steps(p.amplitudes[::-1].copy(), p.phases)
     tracemalloc.start()
     try:
-        f = grape._ensemble_fidelity(trial, d, target, ws)
+        f = grape._ensemble_fidelity(trial, d, ws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < p.n_steps * POINT_CHUNK * 32
-    assert f == grape._ensemble_fidelity(trial, d, target)
+    assert f == grape._ensemble_fidelity(trial, d)
 
 
 def test_gradient_over_chunks_equals_per_point_evaluation():
@@ -288,10 +257,10 @@ def test_gradient_over_chunks_equals_per_point_evaluation():
     n_points = 5 * POINT_CHUNK // 2
     d = EnsembleDistribution(rng.uniform(-2 * np.pi * 1e4, 2 * np.pi * 1e4, n_points),
                              rng.uniform(0.8, 1.2, n_points), np.full(n_points, 1.0 / n_points))
-    fids, grads = grape._fidelity_and_gradients_raw(p, d, TARGET_PI_Y)
+    fids, grads = grape._fidelity_and_gradients_raw(p, d)
     assert grads.shape == (n_points, 100, 2)
     for k in range(n_points):
-        f, g = fidelity_and_gradients(p, (d.offsets[k], d.rf_scales[k]), TARGET_PI_Y)
+        f, g = fidelity_and_gradients(p, (d.offsets[k], d.rf_scales[k]))
         assert f == fids[k]
         assert np.array_equal(g, grads[k])
 
@@ -309,12 +278,12 @@ def _two_chunk_problem(monkeypatch):
     return p0, d, GrapeConfig(max_iterations=15)
 
 
-def _reference_ascent(p0, d, target, cfg):
+def _reference_ascent(p0, d, cfg):
     """grape_ascend's loop written out, with every gradient evaluated afresh
     and every probe without a prefix buffer; also counts rejected probes."""
     u1, u2 = p0.cartesian_controls().T.copy()
     p = p0
-    fid, grad = grape._averaged_eval(p, d, target)
+    fid, grad = grape._averaged_eval(p, d)
     history, steps, rejected = [fid], [], 0
     eps = 0.05 * p0.a_max / float(np.max(np.abs(grad)))
     termination = Termination.MAX_ITERATIONS
@@ -324,7 +293,7 @@ def _reference_ascent(p0, d, target, cfg):
             v1, v2 = u1 + eps * grad[:, 0], u2 + eps * grad[:, 1]
             amps, phases = np.minimum(np.hypot(v1, v2), p0.a_max), np.arctan2(v2, v1)
             trial = p.with_steps(amps, phases)
-            f_trial = grape._ensemble_fidelity(trial, d, target)
+            f_trial = grape._ensemble_fidelity(trial, d)
             if f_trial > fid:
                 improvement = f_trial - fid
                 u1, u2 = amps * np.cos(phases), amps * np.sin(phases)
@@ -341,7 +310,7 @@ def _reference_ascent(p0, d, target, cfg):
         if improvement < cfg.improvement_threshold:
             termination = Termination.STALLED
             break
-        fid, grad = grape._averaged_eval(p, d, target)
+        fid, grad = grape._averaged_eval(p, d)
     return p, np.asarray(history), np.asarray(steps), termination, rejected
 
 
@@ -349,9 +318,9 @@ def test_ascent_equals_a_loop_that_evaluates_every_gradient_afresh(monkeypatch):
     # the gradient at an accepted probe reuses that probe's prefixes; a
     # stale or mixed-up buffer would move some bit of the report
     p0, d, cfg = _two_chunk_problem(monkeypatch)
-    p, history, steps, termination, rejected = _reference_ascent(p0, d, TARGET_PI_Y, cfg)
+    p, history, steps, termination, rejected = _reference_ascent(p0, d, cfg)
     assert rejected > 0 and len(steps) > 1
-    rep = grape_ascend(p0, d, TARGET_PI_Y, cfg)
+    rep = grape_ascend(p0, d, cfg)
     assert np.array_equal(rep.fidelity_history, history)
     assert np.array_equal(rep.step_sizes, steps)
     assert np.array_equal(rep.final_waveform.amplitudes, p.amplitudes)
@@ -373,7 +342,7 @@ def test_ascent_builds_step_exponentials_once_per_probe(monkeypatch):
 
     monkeypatch.setattr(grape, "step_propagators", counted("steps", grape.step_propagators))
     monkeypatch.setattr(grape, "_ensemble_fidelity", counted("probes", grape._ensemble_fidelity))
-    rep = grape_ascend(p0, d, TARGET_PI_Y, cfg)
+    rep = grape_ascend(p0, d, cfg)
     assert rep.iterations > 1 and calls["probes"] > rep.iterations
     assert calls["steps"] == (calls["probes"] + 1) * len(point_chunks(d.n_points))
 
@@ -382,7 +351,7 @@ def test_a_capped_ascent_takes_one_gradient_per_iteration(monkeypatch):
     # the starting gradient and one at each accepted probe but the last:
     # a gradient after the last iteration was once taken and never read
     p0, d, cfg = _two_chunk_problem(monkeypatch)
-    p, history, steps, termination, _ = _reference_ascent(p0, d, TARGET_PI_Y, cfg)
+    p, history, steps, termination, _ = _reference_ascent(p0, d, cfg)
     assert termination is Termination.MAX_ITERATIONS
     calls = []
     evaluate = grape._averaged_eval
@@ -392,7 +361,7 @@ def test_a_capped_ascent_takes_one_gradient_per_iteration(monkeypatch):
         return evaluate(*args)
 
     monkeypatch.setattr(grape, "_averaged_eval", counted)
-    rep = grape_ascend(p0, d, TARGET_PI_Y, cfg)
+    rep = grape_ascend(p0, d, cfg)
     assert rep.termination is Termination.MAX_ITERATIONS
     assert rep.iterations == cfg.max_iterations == len(calls)
     assert np.array_equal(rep.fidelity_history, history)

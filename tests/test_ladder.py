@@ -11,7 +11,6 @@ from ocpulse.ladder import (
     run_ladder,
     select_best_rung,
 )
-from ocpulse.metrics import TARGET_PI_Y
 from ocpulse.pulses import EnsembleDistribution, hard_pulse, waveform_template
 
 A_MAX = 2 * np.pi * 5000.0
@@ -57,7 +56,7 @@ def test_rungs_warm_start_from_previous_waveform():
         quick_start(), DELTA, cfg=GrapeConfig(max_iterations=60), seed=2, max_rungs=2
     )
     for prev, cur in zip(res.rungs, res.rungs[1:]):
-        f0 = grape._ensemble_fidelity(prev.waveform, cur.distribution, TARGET_PI_Y)
+        f0 = grape._ensemble_fidelity(prev.waveform, cur.distribution)
         assert cur.report.fidelity_history[0] == pytest.approx(f0, abs=1e-12)
         assert cur.avg_fidelity == pytest.approx(cur.report.fidelity_history[-1])
 
@@ -133,7 +132,7 @@ def test_add_rfi_nominal_only_reproduces_plain_ascent():
     d, w, fid = add_rfi_and_reoptimize(rung, (1.0,), cfg)
     assert np.array_equal(d.offsets, rung.distribution.offsets)
     assert np.all(d.rf_scales == 1.0)
-    direct = grape.grape_ascend(rung.waveform, rung.distribution, TARGET_PI_Y, cfg)
+    direct = grape.grape_ascend(rung.waveform, rung.distribution, cfg)
     assert fid == direct.fidelity_history[-1]
     assert np.array_equal(w.amplitudes, direct.final_waveform.amplitudes)
     assert np.array_equal(w.phases, direct.final_waveform.phases)

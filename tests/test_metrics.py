@@ -4,27 +4,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ocpulse import metrics
-from ocpulse.metrics import TARGET_PI_Y, average_fidelity, cpmg_criteria, criteria_sweep
-from ocpulse.propagation import POINT_CHUNK, pulse_propagators
+from ocpulse.metrics import average_fidelity, cpmg_criteria, criteria_sweep
+from ocpulse.propagation import POINT_CHUNK, TARGET_PI_Y, pulse_propagators
 from ocpulse.pulses import EnsembleDistribution, hard_pulse, waveform_template
-from ocpulse.su2 import Z_AXIS, ck_inv, ck_matrix, ck_mul, expm_su2, quaternions
+from ocpulse.su2 import Z_AXIS, ck_inv, ck_mul, quaternions
 
-from oracles import cp_overlap_orders, trace_overlap
+from oracles import ck_matrix, cp_overlap_orders, expm_su2, trace_overlap
 
 A_MAX = 2 * np.pi * 5000.0
+PI_Y = ck_matrix(TARGET_PI_Y)
 
 
 def test_unitary_fidelity_examples():
-    assert trace_overlap(TARGET_PI_Y, TARGET_PI_Y) == pytest.approx(1.0)
-    assert trace_overlap(np.eye(2, dtype=complex), TARGET_PI_Y) == pytest.approx(0.0, abs=1e-15)
+    assert trace_overlap(PI_Y, PI_Y) == pytest.approx(1.0)
+    assert trace_overlap(np.eye(2, dtype=complex), PI_Y) == pytest.approx(0.0, abs=1e-15)
     # rotation by theta about y: fidelity sin^2(theta/2)
     for theta in (0.3, np.pi / 2, 2.8):
-        got = trace_overlap(expm_su2([0, 1, 0], theta), TARGET_PI_Y)
+        got = trace_overlap(expm_su2([0, 1, 0], theta), PI_Y)
         assert got == pytest.approx(np.sin(theta / 2) ** 2, abs=1e-12)
     # tilt the axis: fidelity picks up r_y^2
     axis = np.array([0.6, 0.64, 0.48])
     axis /= np.linalg.norm(axis)
-    got = trace_overlap(expm_su2(axis, 1.9), TARGET_PI_Y)
+    got = trace_overlap(expm_su2(axis, 1.9), PI_Y)
     assert got == pytest.approx(np.sin(0.95) ** 2 * axis[1] ** 2, abs=1e-12)
 
 
@@ -40,7 +41,7 @@ def test_average_fidelity_of_hard_pulse_ensemble():
     p = hard_pulse(np.pi, np.pi / 2, A_MAX)
     d = EnsembleDistribution.product(2 * np.pi * np.array([0.0, 2e3]), [1.0])
     pointwise = [
-        trace_overlap(ck_matrix(pulse_propagators(p, [dw], [s])[0]), TARGET_PI_Y)
+        trace_overlap(ck_matrix(pulse_propagators(p, [dw], [s])[0]), PI_Y)
         for dw, s in zip(d.offsets, d.rf_scales)
     ]
     assert average_fidelity(p, d) == pytest.approx(np.mean(pointwise), abs=1e-12)
@@ -133,7 +134,7 @@ def _pointwise_criteria(u):
     s = np.linalg.norm(q[1:])
     theta = 2.0 * np.arctan2(s, q[0])
     r = Z_AXIS if s == 0.0 else q[1:] / s
-    t = ck_mul(ck_inv(TARGET_PI_Y[0]), u)[0].real
+    t = ck_mul(ck_inv(TARGET_PI_Y), u)[0].real
     return (
         t * t,
         np.arctan2(r[2], np.hypot(r[0], r[1])),

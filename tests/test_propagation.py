@@ -5,11 +5,9 @@ import pytest
 
 from ocpulse import propagation as prop
 from ocpulse.pulses import EnsembleDistribution, PulseWaveform, hard_pulse, waveform_template
-from ocpulse.su2 import (
-    SIGMA_X, SIGMA_Y, SIGMA_Z, ck_expm, ck_matrix, ck_mul, expm_su2, pair_buffer,
-)
+from ocpulse.su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, ck_mul, pair_buffer
 
-from oracles import rotation_matrices
+from oracles import ck_expm, ck_matrix, expm_su2, rotation_matrices
 
 A_MAX = 2 * np.pi * 5000.0
 
@@ -218,11 +216,17 @@ def test_offset_sign_symmetry_for_x_phase_pulses():
 
 
 def test_ideal_pulse_sentinel():
+    # the target pair has the bits, signed zeros included, of the first row
+    # of the matrix exp(-i pi/2 Y), and the ideal pulse is that pair at
+    # every point
+    bits = prop.TARGET_PI_Y.view(np.float64).view(np.uint64)
+    assert prop.TARGET_PI_Y.shape == (2,)
+    assert np.array_equal(bits, expm_su2([0, 1, 0], np.pi)[0].view(np.float64).view(np.uint64))
     offs = 2 * np.pi * np.array([-5e3, 0.0, 1e3])
     u = prop.pulse_propagators(None, offs, np.ones(3))
+    assert u.shape == (3, 2)
     for i in range(3):
-        assert np.array_equal(u[i], prop.TARGET_PI_Y[0])
-    assert np.allclose(prop.TARGET_PI_Y, expm_su2([0, 1, 0], np.pi))
+        assert np.array_equal(u[i].view(np.float64).view(np.uint64), bits)
 
 
 def test_ideal_cycle_is_minus_identity_everywhere():

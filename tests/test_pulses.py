@@ -106,11 +106,12 @@ def test_symmetrized_hard_90_is_the_hard_180():
 
 
 def test_waveform_template():
-    p = waveform_template(10, 2e-6, A_MAX, amplitude=0.3 * A_MAX, phase=1.2)
-    assert p.n_steps == 10
-    assert np.all(p.amplitudes == 0.3 * A_MAX)
-    assert np.all(p.phases == 1.2)
+    p = waveform_template(10, 2e-6, A_MAX, pre_delay=1e-6, post_delay=3e-6)
+    assert p.n_steps == 10 and p.a_max == A_MAX
+    assert np.array_equal(p.amplitudes, np.zeros(10))
+    assert np.array_equal(p.phases, np.zeros(10))
     assert p.duration == pytest.approx(20e-6)
+    assert p.pre_delay == 1e-6 and p.post_delay == 3e-6
 
 
 def test_distribution_validation():

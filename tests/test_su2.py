@@ -16,18 +16,15 @@ from ocpulse.su2 import (
     SIGMA_Y,
     SIGMA_Z,
     axis_angle,
-    ck_expm,
     ck_inv,
-    ck_matrix,
     ck_mul,
-    expm_su2,
     pair_buffer,
     quaternions,
     rotate_vectors,
     unitarity_error,
 )
 
-from oracles import rotation_matrices, trace_overlap
+from oracles import ck_expm, ck_matrix, expm_su2, rotation_matrices, trace_overlap
 
 angles = st.floats(1e-6, 2 * np.pi - 1e-6)
 components = st.floats(-1.0, 1.0)
