@@ -33,6 +33,7 @@ from channel_table import analysis_distribution, fit_for
 import ocpulse as oc
 from ocpulse import channel, fileio, metrics
 from ocpulse.echo_train import echo_visibility_sweep
+from ocpulse.su2 import axis_angle
 
 TAU = 1e-3
 CYCLES = 100
@@ -92,8 +93,9 @@ def main():
         probs[name] = fit.per_cycle_probs
         for field in ("m_infinity", "t2_pulse_cycles", "fit_overlap"):
             print(f"{name} {field} {getattr(fit, field)!r}")
-        U = channel.cycle_propagators(w, TAU, d.offsets, d.rf_scales)
-        print(f"{name} asymptotic_y {float(channel.asymptotic_channel(U, d.weights)[2, 2])!r}")
+        r, theta = axis_angle(channel.cycle_propagators(w, TAU, d.offsets, d.rf_scales))
+        limit = channel.asymptotic_channel(r, theta, d.weights)
+        print(f"{name} asymptotic_y {float(limit[2, 2])!r}")
         if before is not None:
             gap = float(np.max(np.abs(probs[name] - before[name])))
             print(f"{name} max_abs_dprobs {gap!r}")

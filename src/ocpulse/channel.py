@@ -22,23 +22,17 @@ angles (Hurlimann & Griffin, JMR 143, 120 (2000)):
 with c(n) = sum w sin(n theta) r.  Ten numbers per count carry the whole
 channel: p_I(n) = (1 + sum w cos n theta)/2, the diagonal is sum w r_k^2 +
 sum w (1 - r_k^2) cos n theta, and the antisymmetric part, the coherent
-rotation that the Pauli projection drops, is [c(n)]x.  They are matrix
-products over points, of the rows exp(i n theta) of a block of counts
-against the moments w, w r_i r_j and w r: no per-point matrix is formed,
-and memory stays linear in the number of points whatever n_max is.  Within
-a block, each consecutive count is the previous row times exp(i theta),
-one complex product per point; the block's first count is the only one
-taken by cos and sin directly, and the next block starts afresh.  The rows
-are held half a block at a time, which sets the channel benchmark's peak
-memory (see _POWER_BLOCK_ELEMENTS).  As n -> infinity the oscillating sums
+rotation that the Pauli projection drops, is [c(n)]x.  No per-point matrix
+is formed, and memory stays linear in the number of points whatever n_max
+is (see transfer_of_unitaries).  As n -> infinity the oscillating sums
 average out and each point keeps r r^T (or I for a cycle that is the
 identity).
 
 Both the n-cycle stack (transfer_of_unitaries) and that limit
-(asymptotic_channel) take the cycle unitaries as Cayley-Klein pairs, not a
-pulse, and read r and theta from :func:`ocpulse.su2.axis_angle`: a caller
-that needs both, as analyze-channel --asymptotic does, propagates each
-pulse once and hands the same pairs to each.
+(asymptotic_channel) take each point's cycle axis r and angle theta, as
+:func:`ocpulse.su2.axis_angle` returns them from the cycle unitaries: a
+caller that needs both, as analyze-channel --asymptotic does, propagates
+and decomposes each pulse once and hands the same (r, theta) to each.
 
 Channels are plain float arrays: one transfer matrix is (4, 4), and a
 sequence of them is an (n_max, 4, 4) stack whose row n - 1 is the n-cycle
@@ -57,12 +51,10 @@ from .su2 import PAULIS, axis_angle
 
 # Counts x points of one block of cycle powers; the count block shrinks as
 # the ensemble grows, and the recurrence restarts at each block.  The
-# complex rows exp(i n theta) are held half a block at a time (16 of 31
-# counts at 33,621 points, 8.6 MB), which sets the channel benchmark's
-# peak RSS: 78.4 MB, against 82.6 MB for real cos and sin planes of the
-# whole block (8.3 MB each) and 98.8 MB for complex rows of the whole
-# block.
-_POWER_BLOCK_ELEMENTS = 1 << 20
+# block's complex rows exp(i n theta) set the channel benchmark's peak
+# memory: 15 counts at 33,621 points, 8.07 MB.  Twice this would hold 31
+# counts (16.6 MB) and raise the peak by about as much.
+_POWER_BLOCK_ELEMENTS = 1 << 19
 
 # Row and column indices of the six distinct entries of a symmetric 3x3
 # matrix, i <= j.
@@ -109,45 +101,40 @@ def _symmetric(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def transfer_of_unitaries(U: np.ndarray, weights, n=1) -> np.ndarray:
-    """Transfer matrix of a weighted mixture of n-fold unitary conjugations.
+def transfer_of_unitaries(r, theta, weights, n_max: int) -> np.ndarray:
+    """(n_max, 4, 4) transfer matrices of a weighted mixture of n-fold
+    rotations, n = 1 .. n_max (row n - 1 is the n-fold one).
 
-    Each U_p is a rotation by theta about r, and its n-th power acts on
-    Bloch vectors as r r^T + cos(n theta) (I - r r^T) + sin(n theta) [r]x.
-    The weighted 3x3 block is therefore, with sums over points,
-
-        sum w r r^T + (sum w cos n theta) I - sum w cos(n theta) r r^T
-                    + [c(n)]x,    c(n) = sum w sin(n theta) r,
-
-    ten moments per count: sum w cos n theta, the six distinct entries of
-    sum w cos(n theta) r r^T and the three of c(n).  They come from one
-    product of the rows z^n = exp(i n theta) over points, read as
-    interleaved (cos, sin) reals, with a (2P, 10) matrix of the cycle
-    moments w, w r_i r_j and w r.  No per-point matrix is formed, and
-    memory stays O(P) whatever the counts.  The identity row and column are
+    Point p turns by theta_p about the unit axis r_p.  The ten moments per
+    count of the closed form in the module docstring (sum w cos n theta,
+    the six distinct entries of sum w cos(n theta) r r^T and the three of
+    c(n)) come from one product of the rows z^n = exp(i n theta) over
+    points, read as interleaved (cos, sin) reals, with a (2P, 10) matrix of
+    the cycle moments w, w r_i r_j and w r.  No per-point matrix is formed,
+    and memory stays O(P) whatever n_max.  The identity row and column are
     exact by construction.
 
-    Counts are taken in blocks of _POWER_BLOCK_ELEMENTS // P.  Each block
-    takes cos and sin of its first count directly.  A row whose count is
-    one more than the previous row's is that row times z = exp(i theta),
-    one complex product per point, which is angle addition; any other row
-    is evaluated directly.  The recurrence restarts at every block, so its
-    rounding drift is bounded by the block length, and a scalar n or
-    non-consecutive counts give the bits of direct evaluation.  The rows
-    are held half a block at a time, in one complex buffer, and the
-    recurrence carries on from one half to the next.
+    Counts are taken in blocks of _POWER_BLOCK_ELEMENTS // P.  A block's
+    first row is cos and sin of its count directly, and each later row is
+    the previous one times z = exp(i theta), which is angle addition.  The
+    recurrence restarts at every block, so its rounding drift is bounded by
+    the block length.
 
     Parameters
     ----------
-    U : (..., 2) complex ndarray
-        Cayley-Klein pairs of the unitaries, flattened to P points.
+    r : (..., 3) array_like
+        Unit rotation axes, flattened to P points.
+    theta : (...) array_like
+        Rotation angles, one per point.
     weights : (P,) array_like
         Mixture weights, e.g. an EnsembleDistribution's weights.
-    n : int or 1-d sequence of ints
-        Power of each unitary.  A scalar gives a (4, 4) matrix, a sequence
-        of counts a stack (len(n), 4, 4).
+    n_max : int
+        Largest count, at least 1.
     """
-    r, theta = axis_angle(np.reshape(U, (-1, 2)))
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    r = np.reshape(r, (-1, 3))
+    theta = np.reshape(theta, -1)
     P = theta.shape[0]
     w = np.asarray(weights, dtype=float).reshape(-1)
     rr = _outer_products(r)
@@ -158,38 +145,27 @@ def transfer_of_unitaries(U: np.ndarray, weights, n=1) -> np.ndarray:
     np.multiply(w[:, None], r, out=moments[:, 1, 7:])
     moments = moments.reshape(2 * P, 10)
 
-    counts = np.asarray(n, dtype=float)
-    flat = counts.reshape(-1)
-    sums = np.empty((flat.size, 10))
+    sums = np.empty((n_max, 10))
     step = max(1, _POWER_BLOCK_ELEMENTS // max(P, 1))
-    half = -(-step // 2)
-    rows = np.empty((min(half, flat.size), P), dtype=complex)
-    tmp = np.empty(P)
+    rows = np.empty((min(step, n_max), P), dtype=complex)
     z = np.empty(P, dtype=complex)
     np.cos(theta, out=z.real)
     np.sin(theta, out=z.imag)
-    for i in range(0, flat.size, step):
-        block = flat[i:i + step].tolist()
-        for k in range(0, len(block), half):
-            piece = block[k:k + half]
-            for j, count in enumerate(piece, start=k):
-                row = rows[j - k]
-                if j and count == block[j - 1] + 1.0:
-                    # the previous row is the one before, or the last one
-                    # of the previous half
-                    np.multiply(rows[j - k - 1], z, out=row)
-                else:
-                    np.multiply(count, theta, out=tmp)
-                    np.cos(tmp, out=row.real)
-                    np.sin(tmp, out=row.imag)
-            sums[i + k:i + k + len(piece)] = rows[:len(piece)].view(float) @ moments
+    for first in range(0, n_max, step):
+        block = rows[:min(step, n_max - first)]
+        # the first row's phase sits in its imaginary part: no temporary
+        np.multiply(first + 1, theta, out=block[0].imag)
+        np.cos(block[0].imag, out=block[0].real)
+        np.sin(block[0].imag, out=block[0].imag)
+        for j in range(1, len(block)):
+            np.multiply(block[j - 1], z, out=block[j])
+        sums[first:first + len(block)] = block.view(float) @ moments
     blocks = _symmetric(w @ rr - sums[:, 1:7])
     blocks[:, [0, 1, 2], [0, 1, 2]] += sums[:, :1]
     c = sums[:, 7:]
     blocks[:, [2, 0, 1], [1, 2, 0]] += c
     blocks[:, [1, 2, 0], [2, 0, 1]] -= c
-    out = _embed(blocks)
-    return out[0] if counts.ndim == 0 else out
+    return _embed(blocks)
 
 
 def superoperator_sequence(
@@ -198,10 +174,8 @@ def superoperator_sequence(
     """(n_max, 4, 4) transfer matrices of the n-cycle channels, n = 1 ..
     n_max (row n - 1 is the n-cycle channel), from one closed-form
     weighted sum."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     U = cycle_propagators(p, tau, d.offsets, d.rf_scales)
-    return transfer_of_unitaries(U, d.weights, np.arange(1, n_max + 1))
+    return transfer_of_unitaries(*axis_angle(U), d.weights, n_max)
 
 
 def choi_matrix(R: np.ndarray) -> np.ndarray:
@@ -287,21 +261,22 @@ def offdiagonal_parts(R: np.ndarray):
     return coherent, symmetric
 
 
-def asymptotic_channel(U: np.ndarray, weights) -> np.ndarray:
+def asymptotic_channel(r, theta, weights) -> np.ndarray:
     """(4, 4) transfer matrix of the n -> infinity channel of a weighted
-    mixture of cycle unitaries: per point rho -> (rho + (r.sigma) rho
+    mixture of cycle rotations: per point rho -> (rho + (r.sigma) rho
     (r.sigma))/2 with r the cycle rotation axis, then weight averaged.
 
-    U holds the Cayley-Klein pairs (..., 2) of cycle unitaries (e.g. from
-    cycle_propagators), flattened to P points, and weights their (P,)
-    mixture weights, as for transfer_of_unitaries, so the limit and the
-    n-cycle stack can share one propagation.  The per-point Bloch block is the rank-one projector
-    r r^T, the limit of the n-average of the closed form once the cos and
-    sin terms wash out.  A point whose cycle is numerically the identity
-    (theta below 2e-12, e.g. every point of the ideal pulse, whose cycle is
-    -I) has no axis and never dephases, so it contributes the identity.
+    r (..., 3), theta (...) and weights (P,) are as for
+    transfer_of_unitaries, so the limit and the n-cycle stack can share one
+    propagation and one axis-angle decomposition.  The per-point Bloch
+    block is the rank-one projector r r^T, the limit of the n-average of
+    the closed form once the cos and sin terms wash out.  A point whose
+    cycle is numerically the identity (theta below 2e-12, e.g. every point
+    of the ideal pulse, whose cycle is -I) has no axis and never dephases,
+    so it contributes the identity.
     """
-    r, theta = axis_angle(np.reshape(U, (-1, 2)))
+    r = np.reshape(r, (-1, 3))
+    theta = np.reshape(theta, -1)
     w = np.asarray(weights, dtype=float).reshape(-1)
     still = theta < 2e-12
     axes = np.where(still[:, None], 0.0, r)

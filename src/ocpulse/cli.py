@@ -49,7 +49,7 @@ from .pulses import (
     uniform_ladder_distribution,
     waveform_template,
 )
-from .su2 import unitarity_error
+from .su2 import axis_angle, unitarity_error
 
 KHZ = 2.0 * np.pi * 1e3
 OUTDIR_ENV = "OCPULSE_OUTDIR"
@@ -100,9 +100,24 @@ def _check_count(name: str, n: int) -> None:
         raise ValueError(f"{name} {n} is more than the cap of {MAX_RANGE_POINTS}")
 
 
+# optimize's grid flags, unset (None) unless given, and the defaults that
+# a random start takes for them
+_TIMING_DEFAULTS = {"steps": DEFAULT_STEPS, "duration_ms": DEFAULT_DURATION_MS,
+                    "amax_khz": DEFAULT_AMAX_KHZ, "guard_us": DEFAULT_GUARD_US}
+
+
 def _check_optimize_args(args) -> None:
     """Reject optimize sizes that would divide by zero, and flags that the
-    chosen mode would otherwise ignore or replace by a default."""
+    chosen mode would otherwise ignore or replace by a default; then fill
+    in the defaults of the grid flags that were not given."""
+    given = [f"--{name.replace('_', '-')}" for name in _TIMING_DEFAULTS
+             if getattr(args, name) is not None]
+    if args.init and given:
+        raise ValueError(f"{', '.join(given)} cannot be used with --init: the warm-start "
+                         "waveform sets the steps, duration, amplitude cap and guards")
+    for name, default in _TIMING_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     if args.steps < 1:
         raise ValueError(f"--steps must be >= 1, got {args.steps}")
     if not 0.0 < args.duration_ms < np.inf:
@@ -426,11 +441,13 @@ def cmd_analyze(args, parser) -> int:
     )
     d = _build_distribution(args, parser)
     tau = args.tau_ms * 1e-3
-    # One pulse product per pulse: the n-cycle stack and the n -> infinity
-    # limit both come from these cycle unitaries.  Both calls go through the
+    # One pulse product and one axis-angle decomposition per pulse: the
+    # n-cycle stack and the n -> infinity limit both come from these cycle
+    # axes and angles.  The propagators and the stack go through the
     # channel module, where perfbench times them.
     U = channel.cycle_propagators(pulse, tau, d.offsets, d.rf_scales)
-    R = channel.transfer_of_unitaries(U, d.weights, np.arange(1, args.cycles + 1))
+    r, theta = axis_angle(U)
+    R = channel.transfer_of_unitaries(r, theta, d.weights, args.cycles)
     _, residuals = pauli_probabilities(R)
     fit = fit_pauli_model(R, cycle_time(pulse, tau))
     coherent, symmetric = offdiagonal_parts(R)
@@ -445,7 +462,7 @@ def cmd_analyze(args, parser) -> int:
         "cycles": args.cycles, "n_points": d.n_points, "seed": args.seed,
     }
     if args.asymptotic:
-        limit = asymptotic_channel(U, d.weights)
+        limit = asymptotic_channel(r, theta, d.weights)
         gap = float(np.max(np.abs(R[-1] - limit)))
         payload["asymptotic"] = {
             "entries": limit.tolist(),
@@ -565,10 +582,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--threads", type=int, default=os.cpu_count(),
                     help="worker cap for multistart runs")
-    sp.add_argument("--duration-ms", type=float, default=DEFAULT_DURATION_MS)
-    sp.add_argument("--steps", type=int, default=DEFAULT_STEPS)
-    sp.add_argument("--amax-khz", type=float, default=DEFAULT_AMAX_KHZ)
-    sp.add_argument("--guard-us", type=float, default=DEFAULT_GUARD_US)
+    sp.add_argument("--duration-ms", type=float, help=f"default {DEFAULT_DURATION_MS}; not with --init")
+    sp.add_argument("--steps", type=int, help=f"default {DEFAULT_STEPS}; not with --init")
+    sp.add_argument("--amax-khz", type=float, help=f"default {DEFAULT_AMAX_KHZ}; not with --init")
+    sp.add_argument("--guard-us", type=float, help=f"default {DEFAULT_GUARD_US}; not with --init")
     sp.add_argument("--delta-hz", type=float, default=None,
                     help="offset comb spacing; default 1/(4 duration)")
     mode = sp.add_mutually_exclusive_group(required=True)

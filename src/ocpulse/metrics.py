@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .propagation import PulseWaveform, pulse_propagators, target_overlaps
-from .pulses import EnsembleDistribution
+from .pulses import EnsembleDistribution, check_points
 from .su2 import Z_AXIS, axis_angle, unitarity_error
 
 # sin(theta/2) below this leaves the rotation axis numerically undefined.
@@ -72,12 +72,13 @@ def cpmg_criteria(x: np.ndarray) -> CpmgCriteria:
     Raises
     ------
     ValueError
-        If x is not a batch of pairs, or not unitary within 1e-9.
+        If x is not a batch of pairs, or not unitary within 1e-9 (a pair
+        holding NaN is not).
     """
     x = np.asarray(x)
     if x.shape[-1:] != (2,):
         raise ValueError(f"expected (..., 2) Cayley-Klein pairs, got shape {x.shape}")
-    if unitarity_error(x) > _UNITARITY_TOL:
+    if not unitarity_error(x) <= _UNITARITY_TOL:
         raise ValueError("operator is not unitary within tolerance")
     r, theta = axis_angle(x)
     r = np.where(np.any(r, axis=-1, keepdims=True), r, Z_AXIS)
@@ -112,9 +113,10 @@ class CriteriaSweep:
 
 def criteria_sweep(p: PulseWaveform | None, offsets, rf_scales) -> CriteriaSweep:
     """Criteria of the pulse propagator on an (offset x rf_scale) grid;
-    offsets in rad/s."""
+    offsets in rad/s must be finite, RF scales positive and finite."""
     offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
     rf_scales = np.atleast_1d(np.asarray(rf_scales, dtype=float))
+    check_points(offsets, rf_scales)
     grid_off = np.repeat(offsets, rf_scales.size)
     grid_rf = np.tile(rf_scales, offsets.size)
     props = pulse_propagators(p, grid_off, grid_rf)

@@ -1,11 +1,15 @@
 """Reference implementations that the tests check the package against.
 
-Each builds its result as (2, 2) or (3, 3) matrices, not through the
+Most build their result as (2, 2) or (3, 3) matrices, not through the
 Cayley-Klein pair products, :func:`ocpulse.su2.axis_angle` and Rodrigues'
 formula that the package uses, so agreement with them is a check rather
-than a restatement.  The package builds no (2, 2) rotation: :func:`expm_su2`,
-:func:`ck_expm` and :func:`ck_matrix` give the tests that form, from the
-package's one step formula :func:`ocpulse.su2.ck_expm_polar`.
+than a restatement.  The exception is the step exponential: the package
+builds no (2, 2) rotation, and :func:`expm_su2`, :func:`ck_expm` and
+:func:`ck_matrix` give the tests that form *from* the package's one step
+formula :func:`ocpulse.su2.ck_expm_polar`, so they check other code
+against that formula, not the formula itself.  :func:`rotation_matrix` is
+the independent reference for it: cos(angle/2) I - i sin(angle/2) n.sigma
+from the Pauli matrices, with numpy's own cosine and sine.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ocpulse.su2 import (
-    ID2, SIGMA_X, SIGMA_Y, Y_AXIS, Z_AXIS, ck_expm_polar, quaternions,
+    ID2, PAULIS, SIGMA_X, SIGMA_Y, Y_AXIS, Z_AXIS, ck_expm_polar, quaternions,
 )
 
 
@@ -38,6 +42,20 @@ def expm_su2(axis, angle: float) -> np.ndarray:
             return ID2.copy()
         raise ValueError("degenerate axis: zero-norm axis with nonzero angle")
     return ck_matrix(ck_expm(axis * (angle / norm), 1.0))
+
+
+def rotation_matrix(axis, angle: float) -> np.ndarray:
+    """(2, 2) rotation cos(angle/2) I - i sin(angle/2) n.sigma about the
+    unit vector n along ``axis``, written out from the Pauli matrices.
+
+    Unlike :func:`expm_su2` it does not go through
+    :func:`ocpulse.su2.ck_expm_polar`, so it can check that formula.  A
+    zero angle needs a nonzero axis all the same; any one gives I.
+    """
+    n = np.asarray(axis, dtype=float)
+    n = n / np.linalg.norm(n)
+    return (np.cos(0.5 * angle) * PAULIS[0]
+            - 1j * np.sin(0.5 * angle) * np.einsum("k,kij->ij", n, PAULIS[1:]))
 
 
 def ck_expm(omega, duration) -> np.ndarray:

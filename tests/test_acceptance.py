@@ -20,6 +20,7 @@ from ocpulse.pulses import (
     hard_pulse,
     waveform_template,
 )
+from ocpulse.su2 import axis_angle
 
 from oracles import cp_overlap_orders
 
@@ -196,7 +197,7 @@ def test_08_powered_cycles_converge_to_the_asymptotic_channel(
     seq, _ = oct_channel
     d = analysis_distribution
     asym = channel.asymptotic_channel(
-        cycle_propagators(oct_rfi, TAU, d.offsets, d.rf_scales), d.weights)
+        *axis_angle(cycle_propagators(oct_rfi, TAU, d.offsets, d.rf_scales)), d.weights)
     gaps = np.max(np.abs(seq[29:100] - asym), axis=(1, 2))  # rows are n = 30..100
     assert len(gaps) == 71
     assert max(gaps) <= 0.05
@@ -212,7 +213,7 @@ def test_09_cycles_are_powered_per_isochromat_then_averaged():
     got = channel.superoperator_sequence(p, TAU, d, 10)[-1]
 
     U = cycle_propagators(p, TAU, d.offsets, d.rf_scales)
-    R = [channel.transfer_of_unitaries(U[k], [1.0]) for k in range(2)]
+    R = [channel.transfer_of_unitaries(*axis_angle(U[k]), [1.0], 1)[0] for k in range(2)]
     power_then_average = 0.5 * (np.linalg.matrix_power(R[0], 10)
                                 + np.linalg.matrix_power(R[1], 10))
     average_then_power = np.linalg.matrix_power(0.5 * (R[0] + R[1]), 10)
@@ -238,5 +239,5 @@ def test_10_oct_rfi_refocuses_over_98_percent_across_its_band(
     # apart over echoes 1-20) without its (1000, P, 3) Bloch array.
     d = analysis_distribution
     half = half_cycle_propagators(oct_rfi, TAU, d.offsets, d.rf_scales)
-    train = channel.transfer_of_unitaries(half, d.weights, np.arange(1, 1001))[:, 2, 2]
+    train = channel.transfer_of_unitaries(*axis_angle(half), d.weights, 1000)[:, 2, 2]
     assert train.min() >= 0.98, f"echo {train.argmin() + 1}: {train.min():.6f}"

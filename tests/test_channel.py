@@ -48,13 +48,15 @@ def kraus_transfer(pairs):
 
 def test_transfer_of_unitaries_examples():
     # unitaries enter as Cayley-Klein pairs, the first rows of the matrices
-    assert np.allclose(transfer_of_unitaries(np.array([1.0, 0.0]), [1.0]), np.eye(4))
+    # (row 0 of the stack is the one-fold channel)
+    R = transfer_of_unitaries(*axis_angle(np.array([1.0, 0.0])), [1.0], 1)
+    assert R.shape == (1, 4, 4) and np.allclose(R[0], np.eye(4))
     # pi about y flips x and z
-    R = transfer_of_unitaries(expm_su2([0, 1, 0], np.pi)[0], [1.0])
+    R = transfer_of_unitaries(*axis_angle(expm_su2([0, 1, 0], np.pi)[0]), [1.0], 1)[0]
     assert np.allclose(R, np.diag([1.0, -1.0, 1.0, -1.0]), atol=1e-12)
     # equal mixture of identity and pi-about-y kills x and z, keeps y
     U = np.stack([[1.0, 0.0], expm_su2([0, 1, 0], np.pi)[0]])
-    R = transfer_of_unitaries(U, [0.5, 0.5])
+    R = transfer_of_unitaries(*axis_angle(U), [0.5, 0.5], 1)[0]
     assert np.allclose(R, np.diag([1.0, 0.0, 1.0, 0.0]), atol=1e-12)
 
 
@@ -64,7 +66,7 @@ def test_transfer_is_trace_preserving_and_unital():
     U = np.stack([expm_su2(a / np.linalg.norm(a), t)[0]
                   for a, t in zip(axes, rng.uniform(0, np.pi, 6))])
     w = rng.dirichlet(np.ones(6))
-    R = transfer_of_unitaries(U, w)
+    R = transfer_of_unitaries(*axis_angle(U), w, 1)[0]
     assert np.allclose(R[0], [1, 0, 0, 0], atol=1e-14)
     assert np.allclose(R[:, 0], [1, 0, 0, 0], atol=1e-14)
 
@@ -78,11 +80,32 @@ def _explicit_power(U, w, n):
     return sum(wk * np.linalg.matrix_power(Rk, n) for wk, Rk in zip(w, R))
 
 
+def _direct_transfer(r, theta, w, counts):
+    """(len(counts), 4, 4) transfer matrices of the mixture of n-fold
+    rotations, with cos(n theta) and sin(n theta) taken directly for every
+    count: sum w r r^T + (sum w cos n theta) I - sum w cos(n theta) r r^T
+    + [sum w sin(n theta) r]x."""
+    phi = np.asarray(counts, dtype=float)[:, None] * theta
+    cos, sin = np.cos(phi) * w, np.sin(phi) * w
+    rr = r[:, :, None] * r[:, None, :]
+    block = np.einsum("p,pij->ij", w, rr) - np.einsum("np,pij->nij", cos, rr)
+    block[:, [0, 1, 2], [0, 1, 2]] += cos.sum(axis=1)[:, None]
+    c = sin @ r
+    block[:, [2, 0, 1], [1, 2, 0]] += c
+    block[:, [1, 2, 0], [2, 0, 1]] -= c
+    out = np.zeros((len(phi), 4, 4))
+    out[:, 0, 0] = 1.0
+    out[:, 1:, 1:] = block
+    return out
+
+
 def test_transfer_counts_match_single_calls_and_matrix_powers(monkeypatch):
-    # stacked counts against per-count calls and explicit per-point matrix
-    # powers; 18 count x point elements over 6 points make blocks of 3
-    # counts and a ragged last block (the default puts all in one block,
-    # as test_sequence_matches_powered_build covers)
+    # rows of one stack against the last rows of shorter stacks, the
+    # direct cos/sin form and explicit per-point matrix powers; 18 count x
+    # point elements over 6 points make blocks of 3 counts (1-3, 4-6, ...)
+    # and a ragged last block, and each count below starts a block (the
+    # default puts all in one block, as test_sequence_matches_powered_build
+    # covers)
     monkeypatch.setattr(channel, "_POWER_BLOCK_ELEMENTS", 18)
     rng = np.random.default_rng(5)
     random_pulse = PulseWaveform(
@@ -91,40 +114,41 @@ def test_transfer_counts_match_single_calls_and_matrix_powers(monkeypatch):
     counts = np.array([1, 7, 1000, 4096])
     for p in (random_pulse, None, HARD):
         U = cycle_propagators(p, TAU, d.offsets, d.rf_scales)
-        stacked = transfer_of_unitaries(U, d.weights, counts)
-        assert stacked.shape == (4, 4, 4)
-        for n, got in zip(counts, stacked):
-            single = transfer_of_unitaries(U, d.weights, n)
-            assert single.shape == (4, 4)
+        r, theta = axis_angle(U)
+        stacked = transfer_of_unitaries(r, theta, d.weights, 4096)
+        assert stacked.shape == (4096, 4, 4)
+        direct = _direct_transfer(r, theta, d.weights, counts)
+        for n, want in zip(counts, direct):
+            got = stacked[n - 1]
+            single = transfer_of_unitaries(r, theta, d.weights, n)[-1]
             assert np.allclose(got, single, rtol=0.0, atol=1e-15)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-15)
             assert np.allclose(got, _explicit_power(U, d.weights, n), rtol=0.0, atol=1e-11)
 
 
 def test_consecutive_counts_by_angle_addition_match_direct_calls(monkeypatch):
     # counts 1..4096 over 6 points in blocks of 2500 counts: the angle-
     # addition recurrence runs 2499 steps, restarts at 2501 and runs 1595
-    # more.  Each row against its own direct call (a scalar count, always
-    # evaluated by cos and sin).  Measured worst deviation 3.35e-13, at
-    # n = 3343 for the random pulse (3.2e-13 at n = 3647 for the hard
-    # pulse); direct evaluation itself rounds n theta by up to half an ulp,
-    # 9.1e-13 at n = 4096 here.  At the largest accepted --cycles, 100001
-    # consecutive counts in one block over these 6 points deviate by at
-    # most 1.1e-11.
+    # more.  Each row against the direct cos/sin form.  Measured worst
+    # deviation 3.35e-13, at n = 3602 for the random pulse (3.0e-13 at
+    # n = 3775 for the hard pulse); direct evaluation itself rounds
+    # n theta by up to half an ulp, 9.1e-13 at n = 4096 here.  At the
+    # largest accepted --cycles, 100001 consecutive counts in one block over
+    # these 6 points deviate by at most 7.6e-12.
     monkeypatch.setattr(channel, "_POWER_BLOCK_ELEMENTS", 6 * 2500)
     rng = np.random.default_rng(5)
     random_pulse = PulseWaveform(
         1e-5, rng.uniform(0, A_MAX, 10), rng.uniform(0, 2 * np.pi, 10), A_MAX)
     d = EnsembleDistribution.product(2 * np.pi * np.array([-3e3, 0.0, 6e3]), [0.95, 1.0])
-    counts = np.arange(1, 4097)
     for p in (random_pulse, HARD):
-        U = cycle_propagators(p, TAU, d.offsets, d.rf_scales)
-        stacked = transfer_of_unitaries(U, d.weights, counts)
-        single = np.stack([transfer_of_unitaries(U, d.weights, n) for n in counts])
-        assert np.max(np.abs(stacked - single)) <= 4e-13
+        r, theta = axis_angle(cycle_propagators(p, TAU, d.offsets, d.rf_scales))
+        stacked = transfer_of_unitaries(r, theta, d.weights, 4096)
+        direct = _direct_transfer(r, theta, d.weights, np.arange(1, 4097))
+        assert np.max(np.abs(stacked - direct)) <= 4e-13
         # each block starts from a direct evaluation (carried on without
         # the restart, n = 2501 measured 3.9e-14 off)
         for n in (1, 2501):
-            assert np.max(np.abs(stacked[n - 1] - single[n - 1])) <= 1e-15
+            assert np.max(np.abs(stacked[n - 1] - direct[n - 1])) <= 1e-15
 
 
 def test_sequence_matches_powered_build():
@@ -169,6 +193,8 @@ def test_input_validation():
     d = EnsembleDistribution.single_point()
     with pytest.raises(ValueError, match="n_max"):
         superoperator_sequence(HARD, TAU, d, 0)
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        transfer_of_unitaries(np.zeros(3), 0.0, [1.0], 0)
     with pytest.raises(ValueError, match="4, 4"):
         pauli_probabilities(np.eye(3))
     with pytest.raises(ValueError, match="4, 4"):
@@ -176,7 +202,7 @@ def test_input_validation():
 
 
 def test_choi_kraus_unitary_channel():
-    s = transfer_of_unitaries(expm_su2([0.3, 0.8, 0.52], 1.4)[0], [1.0])
+    s = transfer_of_unitaries(*axis_angle(expm_su2([0.3, 0.8, 0.52], 1.4)[0]), [1.0], 1)[0]
     pairs = choi_kraus(s)
     assert len(pairs) == 1
     prob, A = pairs[0]
@@ -261,7 +287,7 @@ def test_asymptotic_channel_pure_y_axis():
     # y, so the asymptotic map projects onto y exactly
     d = EnsembleDistribution.single_point(0.0, 0.9)
     U = cycle_propagators(HARD, TAU, d.offsets, d.rf_scales)
-    s = asymptotic_channel(U, d.weights)
+    s = asymptotic_channel(*axis_angle(U), d.weights)
     assert s.shape == (4, 4)
     assert np.allclose(s, np.diag([1.0, 0.0, 1.0, 0.0]), atol=1e-12)
 
@@ -271,12 +297,13 @@ def test_asymptotic_channel_of_identity_cycles_is_identity():
     # rf 1: such points never dephase, so n -> infinity keeps the identity
     d = EnsembleDistribution.product(2 * np.pi * np.array([-3e3, 0.0, 6e3]), [0.95, 1.0])
     seq = superoperator_sequence(None, TAU, d, 50)
-    asym = asymptotic_channel(cycle_propagators(None, TAU, d.offsets, d.rf_scales), d.weights)
+    asym = asymptotic_channel(
+        *axis_angle(cycle_propagators(None, TAU, d.offsets, d.rf_scales)), d.weights)
     assert np.allclose(asym, np.eye(4), rtol=0.0, atol=1e-15)
     assert np.max(np.abs(seq[-1] - asym)) <= 1e-12
     d1 = EnsembleDistribution.single_point(0.0, 1.0)
     on_resonance = asymptotic_channel(
-        cycle_propagators(HARD, TAU, d1.offsets, d1.rf_scales), d1.weights)
+        *axis_angle(cycle_propagators(HARD, TAU, d1.offsets, d1.rf_scales)), d1.weights)
     assert np.allclose(on_resonance, np.eye(4), rtol=0.0, atol=1e-12)
 
 
@@ -287,7 +314,8 @@ def test_asymptotic_matches_ergodic_mean_single_point():
     d = EnsembleDistribution.single_point(2 * np.pi * 1300.0)
     seq = superoperator_sequence(HARD, TAU, d, 10_000)
     mean = np.mean(seq, axis=0)
-    asym = asymptotic_channel(cycle_propagators(HARD, TAU, d.offsets, d.rf_scales), d.weights)
+    asym = asymptotic_channel(
+        *axis_angle(cycle_propagators(HARD, TAU, d.offsets, d.rf_scales)), d.weights)
     assert np.max(np.abs(mean - asym)) < 0.02
     # while a single late snapshot is still far away
     assert np.max(np.abs(seq[-1] - asym)) > 0.2
@@ -399,7 +427,7 @@ def cycle_moments(request, analysis_distribution):
     cos, w = np.cos(phi), d.weights
     return {
         "r": r, "w": w,
-        "R": transfer_of_unitaries(U, w, np.arange(1, 101)),
+        "R": transfer_of_unitaries(r, theta, w, 100),
         "cos": cos @ w,
         "cos_rr": cos @ (w[:, None] * r**2),
         "c": np.sin(phi) @ (w[:, None] * r),

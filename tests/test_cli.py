@@ -17,12 +17,13 @@ except ModuleNotFoundError:  # Python 3.10: pytest depends on tomli there
 import numpy as np
 import pytest
 
-from ocpulse import fileio, propagation
+from ocpulse import channel, cli, fileio, propagation
 from ocpulse.channel import asymptotic_channel, superoperator_sequence
 from ocpulse.cli import main
 from ocpulse.echo_train import simulate_train
 from ocpulse.propagation import cycle_propagators
 from ocpulse.pulses import EnsembleDistribution, PulseWaveform, hard_pulse
+from ocpulse.su2 import axis_angle
 
 A_MAX = 2 * np.pi * 5000.0
 ROOT = Path(__file__).resolve().parents[1]
@@ -392,25 +393,33 @@ def test_analyze_asymptotic_propagates_each_pulse_once(tmp_path, monkeypatch):
     fileio.save_distribution_json(d, tmp_path / "d.json")
     fileio.save_waveform_json(hard_pulse(np.pi, np.pi / 2, A_MAX), tmp_path / "hard.json")
     calls = []
-    original = propagation.pulse_propagators
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(propagation, "pulse_propagators", counted)
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    # and one axis-angle decomposition, wherever the package looks it up
+    counted(propagation, "pulse_propagators")
+    for module in (cli, channel):
+        counted(module, "axis_angle")
     out = tmp_path / "chan"
     rc = main([
         "analyze-channel", "--pulse", str(tmp_path / "hard.json"), "-o", str(out),
         "--cycles", "5", "--distribution", str(tmp_path / "d.json"), "--asymptotic",
     ])
     assert rc == 0
-    assert len(calls) == 1
+    assert calls == ["pulse_propagators", "axis_angle"]
     asym = json.loads((out / "channel.json").read_text())["asymptotic"]
     # the inputs as the command read them, to the bit
     d = fileio.load_distribution_json(tmp_path / "d.json")
     p = fileio.load_waveform_json(tmp_path / "hard.json")
-    limit = asymptotic_channel(cycle_propagators(p, 1e-3, d.offsets, d.rf_scales), d.weights)
+    limit = asymptotic_channel(
+        *axis_angle(cycle_propagators(p, 1e-3, d.offsets, d.rf_scales)), d.weights)
     assert asym["entries"] == limit.tolist()
     R = superoperator_sequence(p, 1e-3, d, 5)
     assert asym["max_entry_gap_at_n"] == float(np.max(np.abs(R[-1] - limit)))
@@ -597,6 +606,14 @@ MULTISTART_ALONE = "--multistart draws its own starts: it cannot be used with --
     (["--on-resonance", "--multistart", "2", "--init", "start.json"], MULTISTART_ALONE),
     # this one once ran the starts serially without a word
     (["--on-resonance", "--multistart", "2", "--threads", "-5"], "--threads must be >= 1, got -5"),
+    # each of these was once silently replaced by the --init waveform's own
+    (["--ladder", "--init", "start.json", "--steps", "50", "--duration-ms", "3",
+      "--amax-khz", "9", "--guard-us", "1"],
+     "--steps, --duration-ms, --amax-khz, --guard-us cannot be used with --init"),
+    (["--on-resonance", "--init", "start.json", "--amax-khz", "5"],
+     "--amax-khz cannot be used with --init: the warm-start waveform sets"),
+    (["--ladder", "--init", "start.json", "--guard-us", "6", "--steps", "0"],
+     "--steps, --guard-us cannot be used with --init"),
 ])
 def test_optimize_rejects_bad_sizes_at_the_boundary(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

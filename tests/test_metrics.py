@@ -83,6 +83,22 @@ def test_cpmg_criteria_rejects_nonunitary():
         cpmg_criteria(batch)
     with pytest.raises(ValueError, match="shape"):
         cpmg_criteria(np.eye(3, dtype=complex))
+    # a NaN unitarity error is not within tolerance: "> tol" once let it by
+    for bad in ([np.nan, 0.0], [1.0, complex(0.0, np.nan)]):
+        with pytest.raises(ValueError, match="not unitary"):
+            cpmg_criteria(np.array([[1.0, 0.0], bad], dtype=complex))
+
+
+@pytest.mark.parametrize("offsets, rf_scales, message", [
+    # each of these once came out as NaN or as a plausible row
+    ([np.nan], [1.0], "offsets must be finite"),
+    ([0.0, np.inf], [1.0], "offsets must be finite"),
+    ([0.0], [-1.0], "rf_scales must be positive and finite"),
+    ([0.0], [0.9, np.nan], "rf_scales must be positive and finite"),
+])
+def test_criteria_sweep_rejects_bad_points(offsets, rf_scales, message):
+    with pytest.raises(ValueError, match=message):
+        criteria_sweep(hard_pulse(np.pi, np.pi / 2, A_MAX), offsets, rf_scales)
 
 
 def test_cpmg_criteria_resolves_tiny_tilt_from_y():
