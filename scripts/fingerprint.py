@@ -2,9 +2,12 @@
 a change moved no physics number.
 
 For the hard, oct_rfi and oct_broadband pulses on the seed-42 analysis
-ensemble (1601 offsets x 21 RF scales, 100 cycles, tau = 1 ms) prints the
-repr of M_inf, T2,pulse / t_c, the fit overlap and the y entry sum w r_y^2
-of the n -> infinity channel, one value per line.  For oct_rfi on the
+ensemble (1601 random offsets over +-8 kHz x 21 RF scales 0.9-1.1, 100
+cycles, tau = 1 ms) prints the repr of M_inf, T2,pulse / t_c, the fit
+overlap and the y entry sum w r_y^2 of the n -> infinity channel, one value
+per line: the dephasing-channel table of the packaged pulses.  For any
+other pulse, ``ocpulse analyze-channel --distribution FILE`` gives the same
+numbers on a saved ensemble.  For oct_rfi on the
 compare grid (offsets -10:10:0.25 kHz x RF scales 0.9, 0.95, 1.0, 1.05,
 1.1) it adds the mean criteria fidelity and the smallest retained y at
 echo 500, which cover the criteria and the echo train.
@@ -28,19 +31,33 @@ import argparse
 import hashlib
 
 import numpy as np
-from channel_table import analysis_distribution, fit_for
 
 import ocpulse as oc
 from ocpulse import channel, fileio, metrics
 from ocpulse.echo_train import echo_visibility_sweep
 from ocpulse.su2 import axis_angle
 
+KHZ = 2.0 * np.pi * 1e3
 TAU = 1e-3
 CYCLES = 100
 A_MAX = 2 * np.pi * 5000.0
 # the compare command's default sweep grid
-GRID_OFFSETS = (-10.0 + 0.25 * np.arange(81)) * (2 * np.pi * 1e3)
+GRID_OFFSETS = (-10.0 + 0.25 * np.arange(81)) * KHZ
 GRID_RF = [0.9, 0.95, 1.0, 1.05, 1.1]
+
+
+def analysis_distribution(n_offsets=1601, n_scales=21, seed=42):
+    """Offsets drawn uniformly at random (seeded) over +-8 kHz, crossed with
+    RF scales 0.9-1.1: a regular comb aliases against the 2 ms
+    free-precession phase and pollutes the per-cycle ensemble averages."""
+    rng = np.random.default_rng(seed)
+    offsets = np.sort(rng.uniform(-8 * KHZ, 8 * KHZ, n_offsets))
+    return oc.EnsembleDistribution.product(offsets, np.linspace(0.9, 1.1, n_scales))
+
+
+def fit_for(waveform, tau, d, n_cycles):
+    R = channel.superoperator_sequence(waveform, tau, d, n_cycles)
+    return channel.fit_pauli_model(R, channel.cycle_time(waveform, tau))
 
 
 def fixed_start():
@@ -93,14 +110,14 @@ def main():
         probs[name] = fit.per_cycle_probs
         for field in ("m_infinity", "t2_pulse_cycles", "fit_overlap"):
             print(f"{name} {field} {getattr(fit, field)!r}")
-        r, theta = axis_angle(channel.cycle_propagators(w, TAU, d.offsets, d.rf_scales))
+        r, theta = axis_angle(channel.cycle_propagators(w, TAU, d))
         limit = channel.asymptotic_channel(r, theta, d.weights)
         print(f"{name} asymptotic_y {float(limit[2, 2])!r}")
         if before is not None:
             gap = float(np.max(np.abs(probs[name] - before[name])))
             print(f"{name} max_abs_dprobs {gap!r}")
     w = pulses["oct_rfi"]
-    criteria = metrics.criteria_sweep(w, GRID_OFFSETS, GRID_RF).criteria
+    criteria = metrics.criteria_sweep(w, oc.EnsembleDistribution.product(GRID_OFFSETS, GRID_RF))
     print(f"oct_rfi criteria_mean_fidelity {float(np.mean(criteria.fidelity))!r}")
     retained = echo_visibility_sweep(w, TAU, GRID_OFFSETS, GRID_RF, echo_indices=(500,)).retained
     print(f"oct_rfi min_retained_y_echo500 {float(retained.min())!r}")

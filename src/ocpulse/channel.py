@@ -70,13 +70,27 @@ _TAIL_FRACTION = 0.25
 
 
 def _transfer(R, stack: bool = True) -> np.ndarray:
-    """R as a float array, checked to be (..., 4, 4) (one (4, 4) matrix
-    when stack is False)."""
+    """R as a float array, checked to be finite and (..., 4, 4) (one (4, 4)
+    matrix when stack is False)."""
     R = np.asarray(R, dtype=float)
     if (R.shape[-2:] if stack else R.shape) != (4, 4):
         want = "(..., 4, 4)" if stack else "(4, 4)"
         raise ValueError(f"transfer matrix must be {want}, got shape {R.shape}")
+    if not np.isfinite(R).all():
+        raise ValueError("transfer matrix must be finite")
     return R
+
+
+def _rotations(r, theta, weights):
+    """Axes (P, 3), angles (P,) and weights (P,) of a mixture of rotations
+    as float arrays, checked to match in length and to be finite."""
+    r, theta, w = (np.asarray(x, dtype=float) for x in (r, theta, weights))
+    if r.shape[-1:] != (3,) or not r.size == 3 * theta.size == 3 * w.size:
+        raise ValueError(f"need (P, 3) axes, P angles and P weights, got shapes "
+                         f"{r.shape}, {theta.shape} and {w.shape}")
+    if not (np.isfinite(r).all() and np.isfinite(theta).all() and np.isfinite(w).all()):
+        raise ValueError("rotation axes, angles and weights must be finite")
+    return r.reshape(-1, 3), theta.reshape(-1), w.reshape(-1)
 
 
 def _embed(block: np.ndarray) -> np.ndarray:
@@ -127,16 +141,15 @@ def transfer_of_unitaries(r, theta, weights, n_max: int) -> np.ndarray:
     theta : (...) array_like
         Rotation angles, one per point.
     weights : (P,) array_like
-        Mixture weights, e.g. an EnsembleDistribution's weights.
+        Mixture weights, e.g. an EnsembleDistribution's weights.  Axes,
+        angles and weights must be finite and agree in P (ValueError).
     n_max : int
         Largest count, at least 1.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    r = np.reshape(r, (-1, 3))
-    theta = np.reshape(theta, -1)
+    r, theta, w = _rotations(r, theta, weights)
     P = theta.shape[0]
-    w = np.asarray(weights, dtype=float).reshape(-1)
     rr = _outer_products(r)
     # row 2p meets cos(n theta_p) and row 2p + 1 sin(n theta_p)
     moments = np.zeros((P, 2, 10))
@@ -174,7 +187,7 @@ def superoperator_sequence(
     """(n_max, 4, 4) transfer matrices of the n-cycle channels, n = 1 ..
     n_max (row n - 1 is the n-cycle channel), from one closed-form
     weighted sum."""
-    U = cycle_propagators(p, tau, d.offsets, d.rf_scales)
+    U = cycle_propagators(p, tau, d)
     return transfer_of_unitaries(*axis_angle(U), d.weights, n_max)
 
 
@@ -275,9 +288,7 @@ def asymptotic_channel(r, theta, weights) -> np.ndarray:
     of the ideal pulse, whose cycle is -I) has no axis and never dephases,
     so it contributes the identity.
     """
-    r = np.reshape(r, (-1, 3))
-    theta = np.reshape(theta, -1)
-    w = np.asarray(weights, dtype=float).reshape(-1)
+    r, theta, w = _rotations(r, theta, weights)
     still = theta < 2e-12
     axes = np.where(still[:, None], 0.0, r)
     block = _symmetric(w @ _outer_products(axes))

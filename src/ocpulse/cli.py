@@ -201,13 +201,12 @@ def _add_pulse_flags(sp):
     sp.add_argument("--hard-phase-deg", type=float, default=90.0)
 
 
-def _criteria_columns(p, offsets, rf_scales):
-    """The CRITERIA_HEADER columns of a criteria sweep, offset-major."""
-    sweep = criteria_sweep(p, offsets, rf_scales)
-    c = sweep.criteria
+def _criteria_columns(p, d):
+    """The CRITERIA_HEADER columns of a criteria sweep, in d's point order."""
+    c = criteria_sweep(p, d)
     return [
-        sweep.offsets / (2.0 * np.pi),
-        sweep.rf_scales,
+        d.offsets / (2.0 * np.pi),
+        d.rf_scales,
         c.fidelity,
         np.degrees(c.angle_from_xy_plane),
         np.degrees(c.angle_from_y_axis),
@@ -445,7 +444,7 @@ def cmd_analyze(args, parser) -> int:
     # n-cycle stack and the n -> infinity limit both come from these cycle
     # axes and angles.  The propagators and the stack go through the
     # channel module, where perfbench times them.
-    U = channel.cycle_propagators(pulse, tau, d.offsets, d.rf_scales)
+    U = channel.cycle_propagators(pulse, tau, d)
     r, theta = axis_angle(U)
     R = channel.transfer_of_unitaries(r, theta, d.weights, args.cycles)
     _, residuals = pauli_probabilities(R)
@@ -505,7 +504,7 @@ def cmd_compare(args, parser) -> int:
     table = {name: [] for name in ("pulse", "t2_pulse_cycles", "m_infinity", "fit_overlap")}
     means = {name: [] for name in ("pulse", "offset_hz", "fidelity")}
     for label, p in entries:
-        columns = _criteria_columns(p, offsets, args.rf)
+        columns = _criteria_columns(p, d)
         name = f"criteria_{label}.csv"
         write_csv(outdir / name, CRITERIA_HEADER, *columns)
         outputs.append(name)

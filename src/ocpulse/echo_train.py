@@ -7,7 +7,8 @@ averaged only at readout, never at the propagator level.  Each point's
 half cycle is a rotation by theta about an axis r, read from its
 Cayley-Klein pair by :func:`ocpulse.su2.axis_angle`, so its Bloch vector at
 echo k is the input turned by k theta about r (Rodrigues' formula), taken
-in closed form for every echo at once.
+in closed form for every echo at once.  The points are an
+:class:`ocpulse.pulses.EnsembleDistribution`, a product grid for a sweep.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .propagation import half_cycle_propagators, pulse_propagators
-from .pulses import EnsembleDistribution, PulseWaveform, check_points
+from .pulses import EnsembleDistribution, PulseWaveform
 from .su2 import Y_AXIS, Z_AXIS, axis_angle, rotate_vectors
 
 _AXES = {"x": 0, "y": 1, "z": 2}
@@ -70,9 +71,9 @@ def simulate_train(
         raise ValueError(f"input_axis must be one of {sorted(_AXES)}, got {input_axis!r}")
     if n_echoes < 1:
         raise ValueError("n_echoes must be >= 1")
-    r, theta = axis_angle(half_cycle_propagators(p, tau, d.offsets, d.rf_scales))
+    r, theta = axis_angle(half_cycle_propagators(p, tau, d))
     if excitation is not None:
-        u = pulse_propagators(excitation, d.offsets, d.rf_scales)
+        u = pulse_propagators(excitation, d)
         m = rotate_vectors(*axis_angle(u), [1], Z_AXIS)[0]
     else:
         m = np.zeros((d.n_points, 3))
@@ -110,26 +111,22 @@ def echo_visibility_sweep(
 ) -> VisibilitySweep:
     """Echo visibility of a sigma_y input across an offset x RF grid.
 
-    Each grid point evolves independently; only the requested echoes are
-    evaluated.  Offsets in rad/s must be finite, RF scales positive and
-    finite; neither the RF scales nor the echo indices may be empty.
+    The grid is ``EnsembleDistribution.product(offsets, rf_scales)``, which
+    checks the points (offsets in rad/s).  Each grid point evolves
+    independently; only the requested echoes, at least one, are evaluated.
     """
-    offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
-    rf_scales = np.atleast_1d(np.asarray(rf_scales, dtype=float))
-    check_points(offsets, rf_scales)
+    d = EnsembleDistribution.product(offsets, rf_scales)
     echo_indices = tuple(int(k) for k in echo_indices)
-    for name, values in (("rf_scales", rf_scales), ("echo_indices", echo_indices)):
-        if len(values) == 0:
-            raise ValueError(f"{name} must not be empty")
+    if not echo_indices:
+        raise ValueError("echo_indices must not be empty")
     if any(k < 1 for k in echo_indices):
         raise ValueError("echo indices are 1-based and must be >= 1")
-    grid_off = np.repeat(offsets, rf_scales.size)
-    grid_rf = np.tile(rf_scales, offsets.size)
-    r, theta = axis_angle(half_cycle_propagators(p, tau, grid_off, grid_rf))
+    n_rf = np.size(rf_scales)
+    r, theta = axis_angle(half_cycle_propagators(p, tau, d))
     retained = rotate_vectors(r, theta, echo_indices, Y_AXIS)[..., 1].T
     return VisibilitySweep(
-        offsets=offsets,
-        rf_scales=rf_scales,
+        offsets=d.offsets[::n_rf],
+        rf_scales=d.rf_scales[:n_rf],
         echo_indices=echo_indices,
-        retained=retained.reshape(offsets.size, rf_scales.size, len(echo_indices)),
+        retained=retained.reshape(-1, n_rf, len(echo_indices)),
     )

@@ -7,8 +7,8 @@ Fidelity is the optimizer's t^2, t = Re a(V^dag U) for Cayley-Klein pairs
 |Tr(U V^dag)|^2 / 4, which for a rotation by theta about axis r equals
 sin^2(theta/2) r_y^2.  The axis/angle criteria of :func:`cpmg_criteria`
 take a whole batch of pairs in one pass from :func:`ocpulse.su2.axis_angle`;
-:func:`criteria_sweep` applies them to a pulse over an offset x RF-scale
-grid.
+:func:`criteria_sweep` applies them to a pulse at every point of an
+ensemble, such as the grid of ``EnsembleDistribution.product``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .propagation import PulseWaveform, pulse_propagators, target_overlaps
-from .pulses import EnsembleDistribution, check_points
+from .pulses import EnsembleDistribution
 from .su2 import Z_AXIS, axis_angle, unitarity_error
 
 # sin(theta/2) below this leaves the rotation axis numerically undefined.
@@ -35,7 +35,7 @@ def average_fidelity(p: PulseWaveform | None, d: EnsembleDistribution) -> float:
     than the optimizer's prefix scan and gives each point the same bits; so a
     gated fidelity and the one the ascent reports are the same number.
     """
-    U = pulse_propagators(p, d.offsets, d.rf_scales)
+    U = pulse_propagators(p, d)
     _, t = target_overlaps(U)
     return float(np.dot(d.weights, t**2))
 
@@ -57,6 +57,9 @@ class CpmgCriteria:
     nutation_angle: np.ndarray
     fidelity: np.ndarray
     degenerate: np.ndarray
+
+    def __len__(self) -> int:
+        return self.fidelity.size
 
 
 def cpmg_criteria(x: np.ndarray) -> CpmgCriteria:
@@ -95,30 +98,7 @@ def cpmg_criteria(x: np.ndarray) -> CpmgCriteria:
     )
 
 
-@dataclass(frozen=True)
-class CriteriaSweep:
-    """Criteria on an (offset x rf_scale) grid, in offset-major order.
-
-    offsets (rad/s) and rf_scales are the grid coordinates of each point;
-    criteria holds one value per point in every field.
-    """
-
-    offsets: np.ndarray
-    rf_scales: np.ndarray
-    criteria: CpmgCriteria
-
-    def __len__(self) -> int:
-        return self.offsets.size
-
-
-def criteria_sweep(p: PulseWaveform | None, offsets, rf_scales) -> CriteriaSweep:
-    """Criteria of the pulse propagator on an (offset x rf_scale) grid;
-    offsets in rad/s must be finite, RF scales positive and finite."""
-    offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
-    rf_scales = np.atleast_1d(np.asarray(rf_scales, dtype=float))
-    check_points(offsets, rf_scales)
-    grid_off = np.repeat(offsets, rf_scales.size)
-    grid_rf = np.tile(rf_scales, offsets.size)
-    props = pulse_propagators(p, grid_off, grid_rf)
-    return CriteriaSweep(grid_off, grid_rf, cpmg_criteria(props))
-
+def criteria_sweep(p: PulseWaveform | None, d: EnsembleDistribution) -> CpmgCriteria:
+    """Criteria of the pulse propagator at every point of ``d``, in its
+    point order; an offset x RF grid is ``EnsembleDistribution.product``."""
+    return cpmg_criteria(pulse_propagators(p, d))

@@ -25,17 +25,18 @@ for the whole product (the pulse), and :func:`forward_products` an
 inclusive scan for every prefix (the optimizer's probes and gradients, and
 the Bloch trajectory).  Both group the factors
 the same way, so the last prefix equals the tree product to the bit.
-The pulse, half-cycle and cycle propagators are returned as (P, 2) pairs;
-the cycle is the square of the half cycle.  Products run over chunks of
-POINT_CHUNK ensemble points (:func:`point_chunks`), so memory does not grow
-with n_steps x P.
+The pulse, half-cycle and cycle propagators take an EnsembleDistribution
+of P points, checked where it is built, and return (P, 2) pairs; the cycle
+is the square of the half cycle.  Products run over chunks of POINT_CHUNK
+ensemble points (:func:`point_chunks`), so memory does not grow with
+n_steps x P.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .pulses import PulseWaveform, check_points
+from .pulses import EnsembleDistribution, PulseWaveform
 from .su2 import axis_angle, ck_expm_polar, ck_inv, ck_mul, pair_buffer, rotate_vectors
 
 # The ideal refocusing pulse, exp(-i pi/2 Y), as its Cayley-Klein pair: the
@@ -154,9 +155,9 @@ def ordered_product(steps: np.ndarray, start: np.ndarray, spare=None, scratch=No
     return src[0]
 
 
-def pulse_propagators(p: PulseWaveform | None, offsets, rf_scales) -> np.ndarray:
+def pulse_propagators(p: PulseWaveform | None, d: EnsembleDistribution) -> np.ndarray:
     """Cayley-Klein pairs of the total pulse propagators including guard
-    delays, shape (P, 2).
+    delays, one per point of ``d``, shape (P, 2).
 
     The ensemble is propagated POINT_CHUNK points at a time, so the step
     array never exceeds (n_steps, POINT_CHUNK, 2).  The step array, the
@@ -164,21 +165,18 @@ def pulse_propagators(p: PulseWaveform | None, offsets, rf_scales) -> np.ndarray
     and every chunk writes into them.  Points are independent: each
     point's result is the same, to the bit, as when it is propagated alone.
     """
-    offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
-    rf_scales = np.atleast_1d(np.asarray(rf_scales, dtype=float))
     if p is None:
-        return np.broadcast_to(TARGET_PI_Y, offsets.shape + (2,)).copy()
-    offsets, rf_scales = np.broadcast_arrays(offsets, rf_scales)
-    out = np.empty(offsets.shape + (2,), dtype=complex)
-    width = min(POINT_CHUNK, offsets.shape[0])
+        return np.broadcast_to(TARGET_PI_Y, (d.n_points, 2)).copy()
+    out = np.empty((d.n_points, 2), dtype=complex)
+    width = min(POINT_CHUNK, d.n_points)
     # a row for the guard product even when the pulse has no steps
     level = (max(1, (p.n_steps + 1) // 2), width)
     steps = pair_buffer((p.n_steps, width))
     spare, scratch = pair_buffer(level), np.empty(level, dtype=complex)
-    for chunk in point_chunks(offsets.shape[0]):
-        o = offsets[chunk]
+    for chunk in point_chunks(d.n_points):
+        o = d.offsets[chunk]
         c = o.shape[0]
-        X = step_propagators(p, o, rf_scales[chunk], out=steps[:, :c])
+        X = step_propagators(p, o, d.rf_scales[chunk], out=steps[:, :c])
         pulse = ordered_product(X, free_pairs(o, p.pre_delay), spare[:, :c], scratch[:, :c])
         ck_mul(free_pairs(o, p.post_delay), pulse, out=out[chunk], scratch=scratch[0, :c])
     return out
@@ -194,30 +192,29 @@ def target_overlaps(U: np.ndarray, out=None, scratch=None):
 
 
 def half_cycle_propagators(
-    p: PulseWaveform | None, tau: float, offsets, rf_scales
+    p: PulseWaveform | None, tau: float, d: EnsembleDistribution
 ) -> np.ndarray:
     """Cayley-Klein pairs of the echo-to-echo propagators F(tau) U_pulse
-    F(tau), shape (P, 2).
+    F(tau), one per point of ``d``, shape (P, 2).
 
     tau is the free-precession delay between the echo location and the
     pulse edge (guard delays count as part of the pulse).
     """
     if not 0.0 <= tau < np.inf:
         raise ValueError(f"tau must be finite and nonnegative, got {tau}")
-    offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
-    f = free_pairs(offsets, tau)
-    return ck_mul(ck_mul(f, pulse_propagators(p, offsets, rf_scales)), f)
+    f = free_pairs(d.offsets, tau)
+    return ck_mul(ck_mul(f, pulse_propagators(p, d)), f)
 
 
 def cycle_propagators(
-    p: PulseWaveform | None, tau: float, offsets, rf_scales
+    p: PulseWaveform | None, tau: float, d: EnsembleDistribution
 ) -> np.ndarray:
     """Cayley-Klein pairs of the CPMG cycle [tau - pulse - 2 tau - pulse -
     tau] propagators, shape (P, 2): the square of the half cycle, since
     F(tau) F(tau) = F(2 tau).  For an ideal pulse the cycle is -I, to
     rounding, at every offset.
     """
-    h = half_cycle_propagators(p, tau, offsets, rf_scales)
+    h = half_cycle_propagators(p, tau, d)
     return ck_mul(h, h)
 
 
@@ -254,7 +251,7 @@ def bloch_trajectory(
     final row is the image of ``m_in`` under the full pulse propagator and
     the norm is conserved to rounding.
     """
-    check_points(delta_omega, omega1_scale)
+    d = EnsembleDistribution.single_point(delta_omega, omega1_scale)
     m = np.asarray(m_in, dtype=float)
     if m.shape != (3,):
         raise ValueError("m_in must be a 3-vector")
@@ -262,7 +259,7 @@ def bloch_trajectory(
         raise ValueError("m_in must be unit length")
     pre = free_pairs(delta_omega, p.pre_delay)
     post = free_pairs(delta_omega, p.post_delay)
-    steps = step_propagators(p, [delta_omega], [omega1_scale])[:, 0]
+    steps = step_propagators(p, d.offsets, d.rf_scales)[:, 0]
     last = ck_mul(post, forward_products(steps, pre))
     pairs = np.concatenate([[[1.0, 0.0], pre], steps, [last]])
     return rotate_vectors(*axis_angle(pairs), [1], m)[0]

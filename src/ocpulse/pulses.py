@@ -181,16 +181,13 @@ class EnsembleDistribution:
 
     @classmethod
     def product(cls, offsets, rf_scales):
-        """Uniform-weight cross product, offset-major order."""
-        offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
-        rf_scales = np.atleast_1d(np.asarray(rf_scales, dtype=float))
-        n = offsets.size * rf_scales.size
+        """Uniform-weight cross product, offset-major order: the one offset x
+        RF-scale grid of the package."""
+        n_off, n_rf = np.size(offsets), np.size(rf_scales)
+        n = n_off * n_rf
         # with no points the weights are empty, and __post_init__ says so
-        return cls(
-            np.repeat(offsets, rf_scales.size),
-            np.tile(rf_scales, offsets.size),
-            np.full(n, 1.0 / max(n, 1)),
-        )
+        return cls(np.repeat(offsets, n_rf), np.tile(rf_scales, n_off),
+                   np.full(n, 1.0 / max(n, 1)))
 
 
 def uniform_ladder_distribution(

@@ -9,13 +9,16 @@ builds no (2, 2) rotation, and :func:`expm_su2`, :func:`ck_expm` and
 formula :func:`ocpulse.su2.ck_expm_polar`, so they check other code
 against that formula, not the formula itself.  :func:`rotation_matrix` is
 the independent reference for it: cos(angle/2) I - i sin(angle/2) n.sigma
-from the Pauli matrices, with numpy's own cosine and sine.
+from the Pauli matrices, with numpy's own cosine and sine.  :func:`points`
+is no reference: it puts explicit points in the EnsembleDistribution that
+the propagators take.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ocpulse.pulses import EnsembleDistribution
 from ocpulse.su2 import (
     ID2, PAULIS, SIGMA_X, SIGMA_Y, Y_AXIS, Z_AXIS, ck_expm_polar, quaternions,
 )
@@ -142,3 +145,9 @@ def cp_overlap_orders(epsilon: float, delta_omega_tau: float):
     ox = 0.5 * np.trace(SIGMA_X @ U @ SIGMA_X @ Ud).real
     oy = 0.5 * np.trace(SIGMA_Y @ U @ SIGMA_Y @ Ud).real
     return float(ox), float(oy)
+
+
+def points(offsets, rf_scales) -> EnsembleDistribution:
+    """The (offset, RF scale) points, in the order given, with equal weights."""
+    n = np.size(offsets)
+    return EnsembleDistribution(offsets, rf_scales, np.full(n, 1.0 / n))

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -113,7 +114,7 @@ def test_transfer_counts_match_single_calls_and_matrix_powers(monkeypatch):
     d = EnsembleDistribution.product(2 * np.pi * np.array([-3e3, 0.0, 6e3]), [0.95, 1.0])
     counts = np.array([1, 7, 1000, 4096])
     for p in (random_pulse, None, HARD):
-        U = cycle_propagators(p, TAU, d.offsets, d.rf_scales)
+        U = cycle_propagators(p, TAU, d)
         r, theta = axis_angle(U)
         stacked = transfer_of_unitaries(r, theta, d.weights, 4096)
         assert stacked.shape == (4096, 4, 4)
@@ -141,7 +142,7 @@ def test_consecutive_counts_by_angle_addition_match_direct_calls(monkeypatch):
         1e-5, rng.uniform(0, A_MAX, 10), rng.uniform(0, 2 * np.pi, 10), A_MAX)
     d = EnsembleDistribution.product(2 * np.pi * np.array([-3e3, 0.0, 6e3]), [0.95, 1.0])
     for p in (random_pulse, HARD):
-        r, theta = axis_angle(cycle_propagators(p, TAU, d.offsets, d.rf_scales))
+        r, theta = axis_angle(cycle_propagators(p, TAU, d))
         stacked = transfer_of_unitaries(r, theta, d.weights, 4096)
         direct = _direct_transfer(r, theta, d.weights, np.arange(1, 4097))
         assert np.max(np.abs(stacked - direct)) <= 4e-13
@@ -160,7 +161,7 @@ def test_sequence_matches_powered_build():
         1e-5, rng.uniform(0, A_MAX, 10), rng.uniform(0, 2 * np.pi, 10), A_MAX)
     d = EnsembleDistribution.product(2 * np.pi * np.array([-3e3, 0.0, 6e3]), [0.95, 1.0])
     for p in (random_pulse, None, HARD):
-        U = cycle_propagators(p, TAU, d.offsets, d.rf_scales)
+        U = cycle_propagators(p, TAU, d)
         seq = superoperator_sequence(p, TAU, d, 4096)
         assert seq.shape == (4096, 4, 4)
         for n in (1, 7, 1000, 4096):
@@ -286,7 +287,7 @@ def test_asymptotic_channel_pure_y_axis():
     # on resonance at rf 0.9 the cycle is a non-degenerate rotation about
     # y, so the asymptotic map projects onto y exactly
     d = EnsembleDistribution.single_point(0.0, 0.9)
-    U = cycle_propagators(HARD, TAU, d.offsets, d.rf_scales)
+    U = cycle_propagators(HARD, TAU, d)
     s = asymptotic_channel(*axis_angle(U), d.weights)
     assert s.shape == (4, 4)
     assert np.allclose(s, np.diag([1.0, 0.0, 1.0, 0.0]), atol=1e-12)
@@ -297,13 +298,11 @@ def test_asymptotic_channel_of_identity_cycles_is_identity():
     # rf 1: such points never dephase, so n -> infinity keeps the identity
     d = EnsembleDistribution.product(2 * np.pi * np.array([-3e3, 0.0, 6e3]), [0.95, 1.0])
     seq = superoperator_sequence(None, TAU, d, 50)
-    asym = asymptotic_channel(
-        *axis_angle(cycle_propagators(None, TAU, d.offsets, d.rf_scales)), d.weights)
+    asym = asymptotic_channel(*axis_angle(cycle_propagators(None, TAU, d)), d.weights)
     assert np.allclose(asym, np.eye(4), rtol=0.0, atol=1e-15)
     assert np.max(np.abs(seq[-1] - asym)) <= 1e-12
     d1 = EnsembleDistribution.single_point(0.0, 1.0)
-    on_resonance = asymptotic_channel(
-        *axis_angle(cycle_propagators(HARD, TAU, d1.offsets, d1.rf_scales)), d1.weights)
+    on_resonance = asymptotic_channel(*axis_angle(cycle_propagators(HARD, TAU, d1)), d1.weights)
     assert np.allclose(on_resonance, np.eye(4), rtol=0.0, atol=1e-12)
 
 
@@ -314,8 +313,7 @@ def test_asymptotic_matches_ergodic_mean_single_point():
     d = EnsembleDistribution.single_point(2 * np.pi * 1300.0)
     seq = superoperator_sequence(HARD, TAU, d, 10_000)
     mean = np.mean(seq, axis=0)
-    asym = asymptotic_channel(
-        *axis_angle(cycle_propagators(HARD, TAU, d.offsets, d.rf_scales)), d.weights)
+    asym = asymptotic_channel(*axis_angle(cycle_propagators(HARD, TAU, d)), d.weights)
     assert np.max(np.abs(mean - asym)) < 0.02
     # while a single late snapshot is still far away
     assert np.max(np.abs(seq[-1] - asym)) > 0.2
@@ -400,6 +398,41 @@ def test_fit_input_validation():
             fit_pauli_model(depolarizing, t_c)
 
 
+# two cycle rotations, about y and about x
+Y_X_AXES = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda r, theta, w: transfer_of_unitaries(r, theta, w, 5),
+    asymptotic_channel,
+], ids=["transfer", "asymptotic"])
+@pytest.mark.parametrize("r, theta, weights, message", [
+    # each of these once failed inside numpy with a shape message, or with
+    # an IndexError
+    (Y_X_AXES, [0.3, 1.2], [1.0], "need (P, 3) axes, P angles and P weights"),
+    (Y_X_AXES, [0.3], [0.5, 0.5], "need (P, 3) axes, P angles and P weights"),
+    (Y_X_AXES[:, :2], [0.3, 1.2], [0.5, 0.5], "need (P, 3) axes, P angles and P weights"),
+    # and each of these once came out as a NaN or infinite channel, or
+    # (a NaN angle in the limit) as a fully dephased point
+    (Y_X_AXES, [np.nan, 1.2], [0.5, 0.5], "rotation axes, angles and weights must be finite"),
+    ([[np.nan, 1.0, 0.0], [1.0, 0.0, 0.0]], [0.3, 1.2], [0.5, 0.5],
+     "rotation axes, angles and weights must be finite"),
+    (Y_X_AXES, [0.3, 1.2], [0.5, np.inf], "rotation axes, angles and weights must be finite"),
+], ids=["weights-length", "angles-length", "axes-width", "nan-angle", "nan-axis", "inf-weight"])
+def test_channel_rejects_mismatched_or_nonfinite_rotations(build, r, theta, weights, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build(r, theta, weights)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_rejects_a_nonfinite_stack(bad):
+    # a NaN entry once gave an overlap of nan with no error
+    R = np.broadcast_to(np.eye(4), (5, 4, 4)).copy()
+    R[2, 1, 2] = bad
+    with pytest.raises(ValueError, match="transfer matrix must be finite"):
+        fit_pauli_model(R, 4e-3)
+
+
 def test_hard_pulse_m_infinity_matches_train_tail(analysis_distribution, hard_channel):
     _, fit = hard_channel
     train = simulate_train(HARD, TAU, analysis_distribution, "y", n_echoes=200)
@@ -421,7 +454,7 @@ def cycle_moments(request, analysis_distribution):
     over points of cos(n theta) and sin(n theta) taken directly."""
     d = analysis_distribution
     p = HARD if request.param == "hard" else fileio.reference_waveform(request.param)
-    U = cycle_propagators(p, TAU, d.offsets, d.rf_scales)
+    U = cycle_propagators(p, TAU, d)
     r, theta = axis_angle(U)
     phi = np.arange(1, 101)[:, None] * theta
     cos, w = np.cos(phi), d.weights

@@ -418,8 +418,7 @@ def test_analyze_asymptotic_propagates_each_pulse_once(tmp_path, monkeypatch):
     # the inputs as the command read them, to the bit
     d = fileio.load_distribution_json(tmp_path / "d.json")
     p = fileio.load_waveform_json(tmp_path / "hard.json")
-    limit = asymptotic_channel(
-        *axis_angle(cycle_propagators(p, 1e-3, d.offsets, d.rf_scales)), d.weights)
+    limit = asymptotic_channel(*axis_angle(cycle_propagators(p, 1e-3, d)), d.weights)
     assert asym["entries"] == limit.tolist()
     R = superoperator_sequence(p, 1e-3, d, 5)
     assert asym["max_entry_gap_at_n"] == float(np.max(np.abs(R[-1] - limit)))
@@ -551,7 +550,7 @@ def test_bad_distribution_file_is_rejected(tmp_path, capsys):
     (["compare", "--include-hard", "--rf", ","],
      "distribution must contain at least one point"),
     (["simulate", "--pulse", "hard", "--sweep", "--rf", ","],
-     "rf_scales must not be empty"),
+     "distribution must contain at least one point"),
     (["simulate", "--pulse", "hard", "--sweep", "--echo-indices", ","],
      "echo_indices must not be empty"),
     # a nan stall threshold was once accepted, and never stopped a stall
@@ -579,6 +578,9 @@ def test_bad_distribution_file_is_rejected(tmp_path, capsys):
      "guard delays must be finite and nonnegative"),
     (["optimize", "--on-resonance", "--guard-us", "inf"],
      "guard delays must be finite and nonnegative"),
+    # a repeated RF scale once wrote every sweep row twice
+    (["simulate", "--pulse", "hard", "--sweep", "--rf", "1,1"],
+     "duplicate (offset, rf_scale) points"),
 ])
 def test_nonfinite_or_negative_input_fails_at_the_boundary(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

@@ -60,7 +60,7 @@ def test_simulation_is_power_then_average():
         np.array([-300.0, 500.0]) * 2 * np.pi, np.ones(2), np.full(2, 0.5)
     )
     res = simulate_train(HARD, TAU, d, "y", n_echoes=10)
-    rot = rotation_matrices(half_cycle_propagators(HARD, TAU, d.offsets, d.rf_scales))
+    rot = rotation_matrices(half_cycle_propagators(HARD, TAU, d))
     y = np.array([0.0, 1.0, 0.0])
     m0, m1, mavg = y.copy(), y.copy(), y.copy()
     r_avg = 0.5 * (rot[0] + rot[1])
@@ -134,7 +134,7 @@ def test_echo_500_matches_explicit_rotation_loop(pulse):
     }[pulse]
     offsets, scales = np.array([-3.0, 0.0, 1.7]) * KHZ, np.array([0.95, 1.0])
     d = EnsembleDistribution.product(offsets, scales)
-    half = half_cycle_propagators(p, TAU, d.offsets, d.rf_scales)
+    half = half_cycle_propagators(p, TAU, d)
     if pulse == "hard":
         assert abs(quaternions(half[3])[0]) < 1e-12
     rot = rotation_matrices(half)

@@ -41,7 +41,8 @@ def test_average_fidelity_of_hard_pulse_ensemble():
     p = hard_pulse(np.pi, np.pi / 2, A_MAX)
     d = EnsembleDistribution.product(2 * np.pi * np.array([0.0, 2e3]), [1.0])
     pointwise = [
-        trace_overlap(ck_matrix(pulse_propagators(p, [dw], [s])[0]), PI_Y)
+        trace_overlap(ck_matrix(pulse_propagators(p, EnsembleDistribution.single_point(dw, s))[0]),
+                      PI_Y)
         for dw, s in zip(d.offsets, d.rf_scales)
     ]
     assert average_fidelity(p, d) == pytest.approx(np.mean(pointwise), abs=1e-12)
@@ -97,8 +98,10 @@ def test_cpmg_criteria_rejects_nonunitary():
     ([0.0], [0.9, np.nan], "rf_scales must be positive and finite"),
 ])
 def test_criteria_sweep_rejects_bad_points(offsets, rf_scales, message):
+    # the grid is refused where it is built, before any propagation
     with pytest.raises(ValueError, match=message):
-        criteria_sweep(hard_pulse(np.pi, np.pi / 2, A_MAX), offsets, rf_scales)
+        criteria_sweep(hard_pulse(np.pi, np.pi / 2, A_MAX),
+                       EnsembleDistribution.product(offsets, rf_scales))
 
 
 def test_cpmg_criteria_resolves_tiny_tilt_from_y():
@@ -130,15 +133,16 @@ def test_cpmg_criteria_internal_consistency(x, y, z, theta):
 def test_criteria_sweep_order_and_values():
     p = hard_pulse(np.pi, np.pi / 2, A_MAX)
     offs = 2 * np.pi * np.array([-1e3, 1e3])
-    sweep = criteria_sweep(p, offs, [0.9, 1.0])
-    assert len(sweep) == 4
-    assert list(zip(sweep.offsets, sweep.rf_scales)) == [
+    d = EnsembleDistribution.product(offs, [0.9, 1.0])
+    c = criteria_sweep(p, d)
+    assert len(c) == 4
+    assert list(zip(d.offsets, d.rf_scales)) == [
         (offs[0], 0.9), (offs[0], 1.0), (offs[1], 0.9), (offs[1], 1.0)
     ]
-    for i, (dw, s) in enumerate(zip(sweep.offsets, sweep.rf_scales)):
-        expect = cpmg_criteria(pulse_propagators(p, [dw], [s])[0])
-        assert sweep.criteria.fidelity[i] == pytest.approx(expect.fidelity, abs=1e-12)
-        assert sweep.criteria.nutation_angle[i] == pytest.approx(expect.nutation_angle, abs=1e-12)
+    for i, (dw, s) in enumerate(zip(d.offsets, d.rf_scales)):
+        expect = cpmg_criteria(pulse_propagators(p, EnsembleDistribution.single_point(dw, s))[0])
+        assert c.fidelity[i] == pytest.approx(expect.fidelity, abs=1e-12)
+        assert c.nutation_angle[i] == pytest.approx(expect.nutation_angle, abs=1e-12)
 
 
 def _pointwise_criteria(u):
@@ -172,10 +176,10 @@ def test_criteria_sweep_matches_pointwise_criteria_bitwise(pulse):
     }[pulse]
     n_rf = 5
     offs = np.sort(np.append(np.linspace(-2 * np.pi * 1e4, 2 * np.pi * 1e4, POINT_CHUNK // 2), 0.0))
-    sweep = criteria_sweep(p, offs, np.linspace(0.9, 1.1, n_rf))
-    assert len(sweep) == offs.size * n_rf >= 5 * POINT_CHUNK // 2
-    U = pulse_propagators(p, sweep.offsets, sweep.rf_scales)
-    c = sweep.criteria
+    d = EnsembleDistribution.product(offs, np.linspace(0.9, 1.1, n_rf))
+    c = criteria_sweep(p, d)
+    assert len(c) == offs.size * n_rf >= 5 * POINT_CHUNK // 2
+    U = pulse_propagators(p, d)
     got = np.column_stack([c.fidelity, c.angle_from_xy_plane, c.angle_from_y_axis,
                            c.nutation_angle, c.degenerate])
     expect = np.array([_pointwise_criteria(u) for u in U])

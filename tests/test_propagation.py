@@ -7,7 +7,7 @@ from ocpulse import propagation as prop
 from ocpulse.pulses import EnsembleDistribution, PulseWaveform, hard_pulse, waveform_template
 from ocpulse.su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, ck_mul, pair_buffer
 
-from oracles import ck_expm, ck_matrix, expm_su2, rotation_matrices
+from oracles import ck_expm, ck_matrix, expm_su2, points, rotation_matrices
 
 A_MAX = 2 * np.pi * 5000.0
 
@@ -55,10 +55,10 @@ def test_free_propagator_matches_z_rotation():
 
 def test_hard_pulse_propagator_on_resonance():
     p = hard_pulse(np.pi, np.pi / 2, A_MAX)
-    U = ck_matrix(prop.pulse_propagators(p, [0.0], [1.0])[0])
+    U = ck_matrix(prop.pulse_propagators(p, EnsembleDistribution.single_point())[0])
     assert np.allclose(U, expm_su2([0, 1, 0], np.pi), atol=1e-12)
     # half rf amplitude gives half the nutation
-    U = ck_matrix(prop.pulse_propagators(p, [0.0], [0.5])[0])
+    U = ck_matrix(prop.pulse_propagators(p, EnsembleDistribution.single_point(0.0, 0.5))[0])
     assert np.allclose(U, expm_su2([0, 1, 0], np.pi / 2), atol=1e-12)
 
 
@@ -66,7 +66,7 @@ def test_hard_pulse_propagator_off_resonance_closed_form():
     # offset equal to the rf amplitude: effective field along (y+z)/sqrt(2),
     # nutation angle sqrt(2) * pi over the nominal 100 us
     p = hard_pulse(np.pi, np.pi / 2, A_MAX)
-    U = ck_matrix(prop.pulse_propagators(p, [A_MAX], [1.0])[0])
+    U = ck_matrix(prop.pulse_propagators(p, EnsembleDistribution.single_point(A_MAX))[0])
     expect = expm_su2([0, 1 / np.sqrt(2), 1 / np.sqrt(2)], np.sqrt(2) * np.pi)
     assert np.allclose(U, expect, atol=1e-12)
 
@@ -74,7 +74,7 @@ def test_hard_pulse_propagator_off_resonance_closed_form():
 def test_guards_are_free_precession():
     dw = 2 * np.pi * 2000.0
     p = waveform_template(3, 1e-5, A_MAX, pre_delay=4e-5, post_delay=2e-5)  # zero amplitude
-    u = prop.pulse_propagators(p, [dw], [1.0])[0]
+    u = prop.pulse_propagators(p, EnsembleDistribution.single_point(dw))[0]
     assert np.allclose(u, prop.free_pairs(dw, p.total_duration), atol=1e-13)
 
 
@@ -86,7 +86,7 @@ def test_pulse_propagator_is_ordered_step_product():
     )
     offs = np.array([0.0, 2 * np.pi * 3e3, -2 * np.pi * 7e3])
     assert prop.step_propagators(p, offs, np.ones(3)).shape == (6, 3, 2)
-    got = ck_matrix(prop.pulse_propagators(p, offs, np.ones(3)))
+    got = ck_matrix(prop.pulse_propagators(p, points(offs, np.ones(3))))
     for i, dw in enumerate(offs):
         U = expm_su2([0, 0, 1], dw * p.pre_delay)
         for amp, phase in zip(p.amplitudes, p.phases):
@@ -108,7 +108,7 @@ def test_pulse_propagators_chunked_equals_per_slice_product():
     P = 5 * prop.POINT_CHUNK // 2 + 37
     offs = rng.uniform(-2 * np.pi * 1e4, 2 * np.pi * 1e4, P)
     scales = rng.uniform(0.8, 1.2, P)
-    got = prop.pulse_propagators(p, offs, scales)
+    got = prop.pulse_propagators(p, points(offs, scales))
     assert got.shape == (P, 2)
     for i in range(0, P, prop.POINT_CHUNK):
         o, s = offs[i:i + prop.POINT_CHUNK], scales[i:i + prop.POINT_CHUNK]
@@ -117,7 +117,8 @@ def test_pulse_propagators_chunked_equals_per_slice_product():
         whole = ck_mul(post, prop.forward_products(prop.step_propagators(p, o, s), pre))
         assert np.array_equal(got[i:i + prop.POINT_CHUNK], whole)
     for i in (0, prop.POINT_CHUNK, P - 1):
-        assert np.array_equal(got[i], prop.pulse_propagators(p, offs[i:i + 1], scales[i:i + 1])[0])
+        alone = points(offs[i:i + 1], scales[i:i + 1])
+        assert np.array_equal(got[i], prop.pulse_propagators(p, alone)[0])
 
 
 
@@ -199,7 +200,7 @@ def test_pulse_propagators_memory_does_not_grow_with_steps_times_points():
         np.linspace(-2 * np.pi * 8e3, 2 * np.pi * 8e3, 1601), np.linspace(0.9, 1.1, 21))
     tracemalloc.start()
     try:
-        prop.pulse_propagators(p, d.offsets, d.rf_scales)
+        prop.pulse_propagators(p, d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -211,7 +212,7 @@ def test_offset_sign_symmetry_for_x_phase_pulses():
     rng = np.random.default_rng(6)
     p = PulseWaveform(2e-6, rng.uniform(0, A_MAX, 5), np.zeros(5), A_MAX)
     dw = 2 * np.pi * 4.2e3
-    Up, Um = ck_matrix(prop.pulse_propagators(p, [dw, -dw], [1.0, 1.0]))
+    Up, Um = ck_matrix(prop.pulse_propagators(p, points([dw, -dw], [1.0, 1.0])))
     assert np.allclose(Um, SIGMA_X @ Up @ SIGMA_X, atol=1e-12)
 
 
@@ -223,7 +224,7 @@ def test_ideal_pulse_sentinel():
     assert prop.TARGET_PI_Y.shape == (2,)
     assert np.array_equal(bits, expm_su2([0, 1, 0], np.pi)[0].view(np.float64).view(np.uint64))
     offs = 2 * np.pi * np.array([-5e3, 0.0, 1e3])
-    u = prop.pulse_propagators(None, offs, np.ones(3))
+    u = prop.pulse_propagators(None, points(offs, np.ones(3)))
     assert u.shape == (3, 2)
     for i in range(3):
         assert np.array_equal(u[i].view(np.float64).view(np.uint64), bits)
@@ -231,14 +232,14 @@ def test_ideal_pulse_sentinel():
 
 def test_ideal_cycle_is_minus_identity_everywhere():
     offs = 2 * np.pi * np.array([-8e3, -1.3e3, 0.0, 0.4e3, 8e3])
-    C = ck_matrix(prop.cycle_propagators(None, 1e-3, offs, np.ones(5)))
+    C = ck_matrix(prop.cycle_propagators(None, 1e-3, points(offs, np.ones(5))))
     for i in range(5):
         assert np.allclose(C[i], -np.eye(2), atol=1e-12)
 
 
 def test_hard_cycle_on_resonance_is_minus_identity():
     p = hard_pulse(np.pi, np.pi / 2, A_MAX)
-    C = ck_matrix(prop.cycle_propagators(p, 1e-3, [0.0], [1.0])[0])
+    C = ck_matrix(prop.cycle_propagators(p, 1e-3, EnsembleDistribution.single_point())[0])
     assert np.allclose(C, -np.eye(2), atol=1e-12)
 
 
@@ -247,34 +248,35 @@ def test_cycle_is_square_of_half_cycle():
     p = hard_pulse(np.pi, np.pi / 2, A_MAX)
     offs = 2 * np.pi * np.array([-6e3, 1.7e3])
     scales = np.array([1.05, 0.92])
-    half = ck_matrix(prop.half_cycle_propagators(p, 1e-3, offs, scales))
-    full = ck_matrix(prop.cycle_propagators(p, 1e-3, offs, scales))
+    half = ck_matrix(prop.half_cycle_propagators(p, 1e-3, points(offs, scales)))
+    full = ck_matrix(prop.cycle_propagators(p, 1e-3, points(offs, scales)))
     f1, f2 = (ck_matrix(prop.free_pairs(offs, t)) for t in (1e-3, 2e-3))
-    u = ck_matrix(prop.pulse_propagators(p, offs, scales))
+    u = ck_matrix(prop.pulse_propagators(p, points(offs, scales)))
     assert np.allclose(full, f1 @ u @ f2 @ u @ f1, atol=1e-13)
     assert np.allclose(full, half @ half, atol=1e-13)
 
 
 def test_negative_tau_rejected():
     with pytest.raises(ValueError, match="tau"):
-        prop.cycle_propagators(None, -1e-3, [0.0], [1.0])
+        prop.cycle_propagators(None, -1e-3, EnsembleDistribution.single_point())
     with pytest.raises(ValueError, match="tau"):
-        prop.half_cycle_propagators(None, -1e-3, [0.0], [1.0])
+        prop.half_cycle_propagators(None, -1e-3, EnsembleDistribution.single_point())
     # nan < 0 is false, so non-finite values need their own check
     for tau in (np.nan, np.inf):
         with pytest.raises(ValueError, match="tau must be finite"):
-            prop.cycle_propagators(None, tau, [0.0], [1.0])
+            prop.cycle_propagators(None, tau, EnsembleDistribution.single_point())
         with pytest.raises(ValueError, match="tau must be finite"):
-            prop.half_cycle_propagators(None, tau, [0.0], [1.0])
+            prop.half_cycle_propagators(None, tau, EnsembleDistribution.single_point())
 
 
 def test_ensemble_propagators_pointwise():
     p = hard_pulse(np.pi, np.pi / 2, A_MAX)
     d = EnsembleDistribution.product(2 * np.pi * np.array([-2e3, 0.0, 5e3]), [0.9, 1.1])
-    ens = prop.pulse_propagators(p, d.offsets, d.rf_scales)
+    ens = prop.pulse_propagators(p, d)
     assert ens.shape == (6, 2)
     for i, (dw, s) in enumerate(zip(d.offsets, d.rf_scales)):
-        assert np.allclose(ens[i], prop.pulse_propagators(p, [dw], [s])[0], atol=1e-14)
+        alone = EnsembleDistribution.single_point(dw, s)
+        assert np.allclose(ens[i], prop.pulse_propagators(p, alone)[0], atol=1e-14)
 
 
 def test_trajectory_times_layout():
@@ -303,7 +305,7 @@ def test_bloch_trajectory_matches_propagator_endpoint():
     m_in /= np.linalg.norm(m_in)
     dw, s = 2 * np.pi * 3.1e3, 1.07
     traj = prop.bloch_trajectory(p, dw, s, m_in)
-    R = rotation_matrices(prop.pulse_propagators(p, [dw], [s])[0])
+    R = rotation_matrices(prop.pulse_propagators(p, EnsembleDistribution.single_point(dw, s))[0])
     assert np.allclose(traj[-1], R @ m_in, atol=1e-12)
     assert np.allclose(np.linalg.norm(traj, axis=1), 1.0, atol=1e-10)
 

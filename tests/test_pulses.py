@@ -100,8 +100,8 @@ def test_symmetrized_hard_90_is_the_hard_180():
     d = EnsembleDistribution.product(
         2 * np.pi * 1e3 * np.array([-7.0, -2.0, 0.0, 3.3]), [0.9, 1.0, 1.1]
     )
-    Ua = propagation.pulse_propagators(sym, d.offsets, d.rf_scales)
-    Ub = propagation.pulse_propagators(h180, d.offsets, d.rf_scales)
+    Ua = propagation.pulse_propagators(sym, d)
+    Ub = propagation.pulse_propagators(h180, d)
     assert np.allclose(Ua, Ub, atol=1e-13)
 
 

@@ -47,7 +47,8 @@ def test_rfi_axis_stays_near_y_across_band(oct_rfi):
     # the pulse is a universal rotation: the per-offset rotation axis must
     # hug +/-y (axis sign is a branch choice, so fold the angle) and the
     # nutation must stay near pi
-    c = criteria_sweep(oct_rfi, np.linspace(-8 * KHZ, 8 * KHZ, 81), [1.0]).criteria
+    band = EnsembleDistribution.product(np.linspace(-8 * KHZ, 8 * KHZ, 81), [1.0])
+    c = criteria_sweep(oct_rfi, band)
     folded = np.minimum(c.angle_from_y_axis, np.pi - c.angle_from_y_axis)
     assert np.all(np.degrees(folded) <= 15.0)
     assert np.all(np.abs(np.degrees(c.nutation_angle) - 180.0) <= 30.0)

@@ -1,7 +1,6 @@
 """The scripts under scripts/ and the README's Python quick start run end
 to end on the package's public API."""
 
-import csv
 import os
 import re
 import subprocess
@@ -33,22 +32,6 @@ def run_script(name, *args):
     return proc.stdout
 
 
-def test_channel_table(tmp_path):
-    out = tmp_path / "table.csv"
-    run_script("channel_table.py", "--cycles", 3, "--out", out)
-    with open(out, newline="") as fh:
-        rows = {row["pulse"]: row for row in csv.DictReader(fh)}
-    assert list(rows) == ["ideal", "hard", "oct_rfi"]
-    assert rows["ideal"]["t2_cycles"] == "inf"
-    assert float(rows["ideal"]["m_infinity"]) == 1.0
-    for name in ("hard", "oct_rfi"):
-        assert 0.0 < float(rows[name]["t2_cycles"]) < np.inf
-        assert 0.0 < float(rows[name]["m_infinity"]) <= 1.0
-        assert 0.0 < float(rows[name]["fit_overlap"]) <= 1.0
-    # the optimized pulse keeps more magnetization than the hard pulse
-    assert float(rows["oct_rfi"]["m_infinity"]) > float(rows["hard"]["m_infinity"])
-
-
 def test_fingerprint(tmp_path, hard_channel, oct_channel, analysis_distribution, oct_rfi):
     # one run compares with a baseline and saves; the baseline holds the
     # conftest fixtures' probabilities (the same seed-42 ensemble and 100
@@ -76,8 +59,7 @@ def test_fingerprint(tmp_path, hard_channel, oct_channel, analysis_distribution,
         assert values[name, "max_abs_dprobs"] <= 1e-12
     d = analysis_distribution
     for name, w in (("hard", hard_pulse(np.pi, np.pi / 2, 2 * np.pi * 5000)), ("oct_rfi", oct_rfi)):
-        limit = asymptotic_channel(
-            *axis_angle(cycle_propagators(w, 1e-3, d.offsets, d.rf_scales)), d.weights)
+        limit = asymptotic_channel(*axis_angle(cycle_propagators(w, 1e-3, d)), d.weights)
         assert values[name, "asymptotic_y"] == pytest.approx(limit[2, 2], rel=0.0, abs=1e-12)
     # against zeros the gap is the largest probability, p_I at n = 1
     assert 0.9 < values["oct_broadband", "max_abs_dprobs"] <= 1.0
