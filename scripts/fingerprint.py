@@ -55,9 +55,14 @@ def analysis_distribution(n_offsets=1601, n_scales=21, seed=42):
     return oc.EnsembleDistribution.product(offsets, np.linspace(0.9, 1.1, n_scales))
 
 
-def fit_for(waveform, tau, d, n_cycles):
-    R = channel.superoperator_sequence(waveform, tau, d, n_cycles)
-    return channel.fit_pauli_model(R, channel.cycle_time(waveform, tau))
+def channel_for(waveform, tau, d, n_cycles):
+    """The fit of the channels of n = 1 .. n_cycles cycles and the n ->
+    infinity transfer matrix, from one cycle product and one axis-angle
+    decomposition, as ``analyze-channel --asymptotic`` takes them."""
+    r, theta = axis_angle(channel.cycle_propagators(waveform, tau, d))
+    R = channel.transfer_of_unitaries(r, theta, d.weights, n_cycles)
+    fit = channel.fit_pauli_model(R, channel.cycle_time(waveform, tau))
+    return fit, channel.asymptotic_channel(r, theta, d.weights)
 
 
 def fixed_start():
@@ -106,12 +111,10 @@ def main():
     d = analysis_distribution()
     probs = {}
     for name, w in pulses.items():
-        fit = fit_for(w, TAU, d, CYCLES)
+        fit, limit = channel_for(w, TAU, d, CYCLES)
         probs[name] = fit.per_cycle_probs
         for field in ("m_infinity", "t2_pulse_cycles", "fit_overlap"):
             print(f"{name} {field} {getattr(fit, field)!r}")
-        r, theta = axis_angle(channel.cycle_propagators(w, TAU, d))
-        limit = channel.asymptotic_channel(r, theta, d.weights)
         print(f"{name} asymptotic_y {float(limit[2, 2])!r}")
         if before is not None:
             gap = float(np.max(np.abs(probs[name] - before[name])))

@@ -265,9 +265,12 @@ def cmd_optimize(args, parser) -> int:
         rows = []
         hist = report.fidelity_history
         steps = report.step_sizes
+        probes = report.probes.tolist()
         for i, f in enumerate(hist):
+            accepted = 1 <= i <= steps.size
             row = {"iter": i, "fidelity": float(f),
-                   "step_size": float(steps[i - 1]) if 1 <= i <= steps.size else None}
+                   "step_size": float(steps[i - 1]) if accepted else None,
+                   "probes": probes[i - 1] if accepted else None}
             if rung is not None:
                 row = {"rung": rung, **row}
             rows.append(row)

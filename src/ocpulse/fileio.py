@@ -59,6 +59,32 @@ def _number(kind: str, field: str, value) -> float:
     return float(_numbers(kind, field, [value])[0])
 
 
+def _json_objects(objects: list) -> str:
+    """The text of a list of objects of numbers, all with the keys of the
+    first in the same order, as a field of :func:`_record_json`."""
+    if not objects:
+        return "[]"
+    keys = list(objects[0])
+    item = "\n  {" + ",".join(f"\n   {json.dumps(key)}: %s" for key in keys) + "\n  }"
+    # each column's number texts from one call of json's C encoder
+    columns = [json.dumps([obj[key] for obj in objects])[1:-1].split(", ") for key in keys]
+    return "[" + ",".join(item % texts for texts in zip(*columns)) + "\n ]"
+
+
+def _record_json(record: dict) -> str:
+    """``json.dumps(record, indent=1)``, written directly, in less than half
+    the time of json's pure-Python indenting encoder.
+
+    ``record`` is one that :func:`waveform_to_dict` or
+    :func:`distribution_to_dict` builds: an object whose fields are numbers
+    or lists of objects of numbers (:func:`_json_objects`).
+    """
+    fields = (f"\n {json.dumps(key)}: "
+              + (_json_objects(value) if isinstance(value, list) else json.dumps(value))
+              for key, value in record.items())
+    return "{" + ",".join(fields) + "\n}"
+
+
 def waveform_from_dict(data: dict) -> PulseWaveform:
     try:
         steps = data["steps"]
@@ -75,7 +101,7 @@ def waveform_from_dict(data: dict) -> PulseWaveform:
 
 
 def save_waveform_json(p: PulseWaveform, path) -> None:
-    Path(path).write_text(json.dumps(waveform_to_dict(p), indent=1))
+    Path(path).write_text(_record_json(waveform_to_dict(p)))
 
 
 def load_waveform_json(path) -> PulseWaveform:
@@ -119,7 +145,7 @@ def distribution_from_dict(data: dict) -> EnsembleDistribution:
 
 
 def save_distribution_json(d: EnsembleDistribution, path) -> None:
-    Path(path).write_text(json.dumps(distribution_to_dict(d), indent=1))
+    Path(path).write_text(_record_json(distribution_to_dict(d)))
 
 
 def load_distribution_json(path) -> EnsembleDistribution:

@@ -81,12 +81,16 @@ class GrapeReport:
     """Outcome of one ascent run.
 
     fidelity_history[0] is the starting fidelity; one entry follows per
-    accepted iteration, and step_sizes aligns with those accepted steps.
+    accepted iteration, and step_sizes and probes align with those accepted
+    steps: probes[i] counts the line-search probes of iteration i, the
+    accepted one included.  The probes of a line search that finds no
+    improvement (a stall) are in no count.
     """
 
     final_waveform: PulseWaveform
     fidelity_history: np.ndarray
     step_sizes: np.ndarray
+    probes: np.ndarray
     iterations: int
     termination: Termination
 
@@ -239,10 +243,11 @@ def grape_ascend(
     ws = _Workspace(p0, d)
 
     fid, grad = _averaged_eval(p, d, ws)
-    if not (np.isfinite(fid) and np.all(np.isfinite(grad))):
+    if not (np.isfinite(fid) and np.isfinite(grad).all()):
         raise RuntimeError("non-finite objective at the starting point")
     history = [fid]
     accepted_steps: list[float] = []
+    probes: list[int] = []
     gmax = float(np.max(np.abs(grad)))
     eps = 0.05 * p0.a_max / gmax if gmax > 0.0 else 1.0
     termination = Termination.MAX_ITERATIONS
@@ -252,14 +257,14 @@ def grape_ascend(
             # the gradient at the last accepted probe, taken here so that
             # none is taken after the last iteration
             fid, grad = _averaged_eval(p, d, ws)
-            if not np.all(np.isfinite(grad)):
+            if not np.isfinite(grad).all():
                 raise RuntimeError("non-finite gradient")
         if fid >= cfg.target_fidelity:
             termination = Termination.TARGET_REACHED
             break
 
         improvement = None
-        for _probe in range(_LS_MAX_PROBES):
+        for probe in range(_LS_MAX_PROBES):
             v1 = u1 + eps * grad[:, 0]
             v2 = u2 + eps * grad[:, 1]
             amps = np.minimum(np.hypot(v1, v2), p0.a_max)
@@ -274,6 +279,7 @@ def grape_ascend(
                 p = trial
                 fid = f_trial
                 accepted_steps.append(eps)
+                probes.append(probe + 1)
                 eps *= _LS_GROWTH
                 break
             eps *= _LS_SHRINK
@@ -292,6 +298,7 @@ def grape_ascend(
         final_waveform=p,
         fidelity_history=np.asarray(history),
         step_sizes=np.asarray(accepted_steps),
+        probes=np.asarray(probes, dtype=int),
         iterations=len(history) - 1,
         termination=termination,
     )

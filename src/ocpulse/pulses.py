@@ -47,7 +47,7 @@ class PulseWaveform:
             raise ValueError(f"a_max must be positive and finite, got {self.a_max}")
         if not (0.0 <= self.pre_delay < np.inf and 0.0 <= self.post_delay < np.inf):
             raise ValueError("guard delays must be finite and nonnegative")
-        if not (np.all(np.isfinite(amps)) and np.all(np.isfinite(phases))):
+        if not (np.isfinite(amps).all() and np.isfinite(phases).all()):
             raise ValueError("step values must be finite")
         for name, arr in (("amplitudes", amps), ("phases", phases)):
             arr.setflags(write=False)
@@ -122,10 +122,10 @@ def waveform_template(
 def check_points(offsets, rf_scales) -> None:
     """Raise ValueError unless every offset is finite and every RF scale
     positive and finite."""
-    if not np.all(np.isfinite(offsets)):
+    if not np.isfinite(offsets).all():
         raise ValueError("offsets must be finite")
     scales = np.asarray(rf_scales, dtype=float)
-    if not np.all((scales > 0.0) & np.isfinite(scales)):
+    if not ((scales > 0.0) & np.isfinite(scales)).all():
         raise ValueError("rf_scales must be positive and finite")
 
 
@@ -152,14 +152,14 @@ class EnsembleDistribution:
         if offs.shape[0] == 0:
             raise ValueError("distribution must contain at least one point")
         check_points(offs, scales)
-        if not np.all(weights > 0.0):
+        if not (weights > 0.0).all():
             raise ValueError("weights must be strictly positive (and not nan)")
         if abs(weights.sum() - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
         # sorted by (offset, scale), equal points are neighbours; -0.0 == 0.0
         order = np.lexsort((scales, offs))
         so, ss = offs[order], scales[order]
-        if np.any((so[1:] == so[:-1]) & (ss[1:] == ss[:-1])):
+        if ((so[1:] == so[:-1]) & (ss[1:] == ss[:-1])).any():
             raise ValueError("duplicate (offset, rf_scale) points")
         for name, arr in (("offsets", offs), ("rf_scales", scales), ("weights", weights)):
             arr.setflags(write=False)

@@ -23,8 +23,11 @@ contiguous plane.  Shapes and indexing are those of any ``(..., 2)`` array;
 only the strides differ, and every function here takes pairs of any layout.
 Both kernels also write into a caller's buffer, ``out=``, of any layout, and
 :func:`ck_mul` takes a scratch plane; an optimizer that evaluates one
-ensemble thousands of times allocates these once.  No output or scratch
-buffer may share memory with an input.
+ensemble thousands of times allocates these once.  :func:`ck_expm_polar`
+needs no scratch: it works its real intermediates in contiguous planes,
+which it lays in the memory of the output's b plane when that plane is one
+block, as in a plane-major buffer.  It then writes Re a, Im a and b once
+each.  No output or scratch buffer may share memory with an input.
 """
 
 from __future__ import annotations
@@ -93,7 +96,9 @@ def ck_expm_polar(amp, phase, wz, duration, out=None) -> np.ndarray:
         amplitudes are each worked on once per element they hold.
     out : (..., 2) complex ndarray, optional
         Buffer of the broadcast batch's shape to write the pairs to, in any
-        layout; by default a plane-major one is allocated.
+        layout; by default a plane-major one is allocated.  Where its b
+        plane is one contiguous block, t^2, 1 - t^2 and 1 + t^2 are worked
+        in that memory before b is written; otherwise in two new planes.
 
     Returns
     -------
@@ -105,6 +110,13 @@ def ck_expm_polar(amp, phase, wz, duration, out=None) -> np.ndarray:
     if out is None:
         out = pair_buffer(shape)
     a, b = out[..., 0], out[..., 1]
+    # t^2, then 1 - t^2, and 1 + t^2: two contiguous real planes in the
+    # memory of b, which is free until the last product
+    if b.flags.c_contiguous:
+        planes = b.reshape(-1).view(float).reshape(2, *shape)
+    else:
+        planes = np.empty((2, *shape))
+    square, denom = planes[0, ...], planes[1, ...]
     turn = -1j * np.exp(-1j * phase)  # -sin phase - i cos phase
     norm = np.multiply(amp, amp, out=np.empty(np.broadcast(amp, wz).shape))
     norm += wz * wz + _RATE_FLOOR**2
@@ -113,14 +125,12 @@ def ck_expm_polar(amp, phase, wz, duration, out=None) -> np.ndarray:
     t = np.empty(shape)
     np.multiply(norm, 0.25 * duration, out=t)
     np.tan(t, out=t)
-    # 1 - t^2 goes straight into Re a, and Im a holds t^2, then 1 + t^2,
-    # until k wz is written there
-    np.multiply(t, t, out=a.imag)
-    np.subtract(1.0, a.imag, out=a.real)
-    a.imag += 1.0
-    a.real /= a.imag  # cos h
+    np.multiply(t, t, out=square)
+    np.add(square, 1.0, out=denom)
+    np.subtract(1.0, square, out=square)
+    np.divide(square, denom, out=a.real)  # cos h
     t *= 2.0
-    t /= a.imag  # sin h
+    t /= denom  # sin h
     k = np.divide(t, norm, out=t)
     del norm  # before the real x complex product takes its cast buffers
     np.multiply(k, -wz, out=a.imag)

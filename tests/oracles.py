@@ -9,7 +9,9 @@ builds no (2, 2) rotation, and :func:`expm_su2`, :func:`ck_expm` and
 formula :func:`ocpulse.su2.ck_expm_polar`, so they check other code
 against that formula, not the formula itself.  :func:`rotation_matrix` is
 the independent reference for it: cos(angle/2) I - i sin(angle/2) n.sigma
-from the Pauli matrices, with numpy's own cosine and sine.  :func:`points`
+from the Pauli matrices, with numpy's own cosine and sine.
+:func:`ck_expm_polar_strided` is that formula's first implementation, whose
+bits the package's must keep.  :func:`points`
 is no reference: it puts explicit points in the EnsembleDistribution that
 the propagators take.
 """
@@ -20,7 +22,7 @@ import numpy as np
 
 from ocpulse.pulses import EnsembleDistribution
 from ocpulse.su2 import (
-    ID2, PAULIS, SIGMA_X, SIGMA_Y, Y_AXIS, Z_AXIS, ck_expm_polar, quaternions,
+    ID2, PAULIS, SIGMA_X, SIGMA_Y, Y_AXIS, Z_AXIS, ck_expm_polar, pair_buffer, quaternions,
 )
 
 
@@ -82,6 +84,38 @@ def ck_expm(omega, duration) -> np.ndarray:
     """
     wx, wy, wz = (np.asarray(c, dtype=float) for c in omega)
     return ck_expm_polar(np.hypot(wx, wy), np.arctan2(wy, wx), wz, duration)
+
+
+def ck_expm_polar_strided(amp, phase, wz, duration, out=None) -> np.ndarray:
+    """:func:`ocpulse.su2.ck_expm_polar` as it was first written: the same
+    operations in the same order, with t^2, 1 - t^2 and 1 + t^2 held in the
+    real and imaginary parts of the output's a until cos h and k wz are
+    written there.  The package now keeps those planes contiguous; its
+    pairs must carry these bits."""
+    amp, phase, wz, duration = (np.asarray(x, dtype=float) for x in (amp, phase, wz, duration))
+    shape = np.broadcast(amp, phase, wz, duration).shape
+    if out is None:
+        out = pair_buffer(shape)
+    a, b = out[..., 0], out[..., 1]
+    turn = -1j * np.exp(-1j * phase)
+    norm = np.multiply(amp, amp, out=np.empty(np.broadcast(amp, wz).shape))
+    norm += wz * wz + 1e-150**2
+    np.sqrt(norm, out=norm)
+    t = np.empty(shape)
+    np.multiply(norm, 0.25 * duration, out=t)
+    np.tan(t, out=t)
+    np.multiply(t, t, out=a.imag)
+    np.subtract(1.0, a.imag, out=a.real)
+    a.imag += 1.0
+    a.real /= a.imag
+    t *= 2.0
+    t /= a.imag
+    k = np.divide(t, norm, out=t)
+    del norm
+    np.multiply(k, -wz, out=a.imag)
+    k *= amp
+    np.multiply(k, turn, out=b)
+    return out
 
 
 def ck_matrix(x: np.ndarray) -> np.ndarray:

@@ -174,6 +174,9 @@ def test_optimize_on_resonance(tmp_path, capsys):
     assert trace[0]["iter"] == 0 and trace[0]["step_size"] is None
     fids = [t["fidelity"] for t in trace]
     assert fids == sorted(fids)
+    # with the line-search probes of each accepted iteration
+    assert trace[0]["probes"] is None
+    assert all(type(t["probes"]) is int and t["probes"] >= 1 for t in trace[1:])
 
 
 def test_optimize_reproducible_bytes(tmp_path):

@@ -7,7 +7,9 @@ import pytest
 
 from ocpulse import fileio
 from ocpulse.channel import fit_pauli_model
-from ocpulse.pulses import EnsembleDistribution, PulseWaveform, uniform_ladder_distribution
+from ocpulse.pulses import (
+    EnsembleDistribution, PulseWaveform, hard_pulse, uniform_ladder_distribution,
+)
 
 A_MAX = 2 * np.pi * 5000.0
 
@@ -81,6 +83,53 @@ def test_distribution_json_round_trip(tmp_path):
     assert np.allclose(q.offsets, d.offsets, rtol=1e-15)
     assert np.array_equal(q.rf_scales, d.rf_scales)
     assert np.array_equal(q.weights, d.weights)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fileio.reference_waveform("oct_rfi"),
+    lambda: fileio.reference_waveform("oct_broadband"),
+    lambda: hard_pulse(np.pi, np.pi / 2, A_MAX),
+    lambda: PulseWaveform(1e-5, np.zeros(0), np.zeros(0), A_MAX),
+    # -0.0, a subnormal and large values, an int dt and a -0.0 guard
+    lambda: PulseWaveform(1, np.array([-0.0, 5e-324, 1e300, 2.5e-308]),
+                          np.array([0.0, 1e-300, 6.0, np.pi]), 1e300, pre_delay=-0.0),
+    # numpy float64 fields, whose repr is not the text json writes
+    lambda: PulseWaveform(np.float64(1e-5), np.array([1.0]), np.array([2.0]),
+                          np.float64(A_MAX), np.float64(6e-6), np.float64(0.1)),
+], ids=["oct_rfi", "oct_broadband", "hard", "no-steps", "edge-values", "float64-fields"])
+def test_waveform_json_writes_the_bytes_of_json_dumps(tmp_path, make):
+    p = make()
+    f = tmp_path / "w.json"
+    fileio.save_waveform_json(p, f)
+    assert f.read_bytes() == json.dumps(fileio.waveform_to_dict(p), indent=1).encode()
+    q = fileio.load_waveform_json(f)
+    for field in ("dt", "a_max", "pre_delay", "post_delay", "amplitudes", "phases"):
+        assert _bits(getattr(q, field)) == _bits(getattr(p, field)), field
+
+
+@pytest.mark.parametrize("make", [
+    lambda: uniform_ladder_distribution(2 * np.pi * 4e3, 2 * np.pi * 500.0,
+                                        rf_scales=(0.9, 1.0, 1.1), jitter_fraction=0.05, seed=3),
+    lambda: EnsembleDistribution.single_point(),
+    lambda: EnsembleDistribution(np.array([-0.0, 7.5, 1e300, -3.0]),
+                                 np.array([1.0, 5e-324, 1e300, 0.5]), np.full(4, 0.25)),
+    # a record without rf_scale, which loads as nominal RF
+    lambda: fileio.distribution_from_dict(
+        {"points": [{"offset_hz": 0.0, "weight": 0.5}, {"offset_hz": 100, "weight": 0.5}]}),
+], ids=["ladder", "single-point", "edge-values", "no-rf-scale"])
+def test_distribution_json_writes_the_bytes_of_json_dumps(tmp_path, make):
+    d = make()
+    f = tmp_path / "d.json"
+    fileio.save_distribution_json(d, f)
+    assert f.read_bytes() == json.dumps(fileio.distribution_to_dict(d), indent=1).encode()
+    q = fileio.load_distribution_json(f)
+    # offsets are written in Hz, so they come back to within rounding
+    assert np.allclose(q.offsets, d.offsets, rtol=1e-15, atol=0.0)
+    assert _bits(q.rf_scales) == _bits(d.rf_scales) and _bits(q.weights) == _bits(d.weights)
 
 
 def test_distribution_rf_scale_defaults_to_nominal():

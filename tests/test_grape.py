@@ -147,6 +147,34 @@ def test_start_validation():
         grape_ascend(over, d)
 
 
+def test_ascent_stops_on_a_nonfinite_objective_or_gradient(monkeypatch):
+    p0 = random_waveform(waveform_template(10, 1e-5, A_MAX), np.random.default_rng(2))
+    # an offset whose square overflows gives a nan pulse
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError) as err:
+        grape_ascend(p0, EnsembleDistribution.single_point(1e200))
+    assert str(err.value) == "non-finite objective at the starting point"
+    evaluate = grape._averaged_eval
+    evaluations = []
+
+    def poisoned(*args):
+        # a nan in the gradient from the second evaluation on
+        fid, grad = evaluate(*args)
+        evaluations.append(fid)
+        if len(evaluations) > 1:
+            grad[3, 1] = np.nan
+        return fid, grad
+
+    monkeypatch.setattr(grape, "_averaged_eval", poisoned)
+    with pytest.raises(RuntimeError) as err:
+        grape_ascend(p0, EnsembleDistribution.single_point())
+    assert str(err.value) == "non-finite gradient" and len(evaluations) == 2
+    # poisoned from the first evaluation on: the starting gradient
+    evaluations.append(0.0)
+    with pytest.raises(RuntimeError) as err:
+        grape_ascend(p0, EnsembleDistribution.single_point())
+    assert str(err.value) == "non-finite objective at the starting point"
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         GrapeConfig(improvement_threshold=0.0)
@@ -345,6 +373,32 @@ def test_ascent_builds_step_exponentials_once_per_probe(monkeypatch):
     rep = grape_ascend(p0, d, cfg)
     assert rep.iterations > 1 and calls["probes"] > rep.iterations
     assert calls["steps"] == (calls["probes"] + 1) * len(point_chunks(d.n_points))
+
+
+def test_report_counts_the_line_search_probes_of_each_iteration(monkeypatch):
+    # an iteration ends at the first probe that beats the last accepted
+    # fidelity; a capped ascent whose line searches all succeed counts
+    # every probe, the rejected ones of the written-out loop included
+    p0, d, cfg = _two_chunk_problem(monkeypatch)
+    _, _, steps, termination, rejected = _reference_ascent(p0, d, cfg)
+    assert termination is Termination.MAX_ITERATIONS and rejected > 0
+    probed = []
+    probe = grape._ensemble_fidelity
+
+    def recorded(*args):
+        probed.append(probe(*args))
+        return probed[-1]
+
+    monkeypatch.setattr(grape, "_ensemble_fidelity", recorded)
+    rep = grape_ascend(p0, d, cfg)
+    counts, n = [], 0
+    for f in probed:
+        n += 1
+        if f > rep.fidelity_history[len(counts)]:
+            counts.append(n)
+            n = 0
+    assert rep.probes.dtype.kind == "i" and rep.probes.tolist() == counts
+    assert len(counts) == rep.iterations and sum(counts) == len(probed) == rejected + len(steps)
 
 
 def test_a_capped_ascent_takes_one_gradient_per_iteration(monkeypatch):

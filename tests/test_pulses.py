@@ -6,6 +6,7 @@ from ocpulse.pulses import (
     MAX_RANGE_POINTS,
     EnsembleDistribution,
     PulseWaveform,
+    check_points,
     hard_pulse,
     uniform_ladder_distribution,
     waveform_template,
@@ -58,6 +59,32 @@ def test_waveform_validation():
         PulseWaveform(1e-6, np.zeros(3), np.zeros(3), A_MAX, pre_delay=-1e-6)
     with pytest.raises(ValueError, match="finite"):
         PulseWaveform(1e-6, np.array([np.nan]), np.array([0.0]), A_MAX)
+
+
+@pytest.mark.parametrize("amps, phases", [
+    ([np.nan], [0.0]), ([1.0, np.inf], [0.0, 1.0]), ([1.0], [np.nan]), ([1.0, 2.0], [0.0, -np.inf]),
+])
+def test_waveform_rejects_nonfinite_steps(amps, phases):
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError) as err:
+        PulseWaveform(1e-6, np.array(amps), np.array(phases), A_MAX)
+    assert str(err.value) == "step values must be finite"
+
+
+@pytest.mark.parametrize("offsets, rf_scales, message", [
+    (np.nan, [1.0], "offsets must be finite"),
+    ([0.0, -np.inf], [1.0, 1.0], "offsets must be finite"),
+    (0.0, [1.0, np.inf], "rf_scales must be positive and finite"),
+    (0.0, [0.9, -1.1], "rf_scales must be positive and finite"),
+    (0.0, 0.0, "rf_scales must be positive and finite"),
+])
+def test_check_points_takes_scalars_and_sequences(offsets, rf_scales, message):
+    # a scalar offset and a list of scales, as the RF stage of the ladder
+    # passes them
+    check_points(0.0, [0.9, 1.0])
+    check_points(np.zeros(3), 1.0)
+    with pytest.raises(ValueError) as err:
+        check_points(offsets, rf_scales)
+    assert str(err.value) == message
 
 
 def test_waveform_wraps_phases_and_freezes_arrays():

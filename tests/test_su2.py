@@ -25,7 +25,8 @@ from ocpulse.su2 import (
 )
 
 from oracles import (
-    ck_expm, ck_matrix, expm_su2, rotation_matrices, rotation_matrix, trace_overlap,
+    ck_expm, ck_expm_polar_strided, ck_matrix, expm_su2, rotation_matrices, rotation_matrix,
+    trace_overlap,
 )
 
 angles = st.floats(1e-6, 2 * np.pi - 1e-6)
@@ -312,6 +313,51 @@ def test_ck_expm_polar_into_caller_buffers_keeps_the_bits(shape):
         for out in _layouts(np.zeros(shape + (2,), dtype=complex)):
             assert su2.ck_expm_polar(amps, phase, wz, 1e-5, out=out) is out
             assert np.array_equal(out, want)
+
+
+def _out_layouts(shape):
+    """Zeroed pair buffers of a batch shape: interleaved, plane-major and,
+    for a batch with axes, the first chunk of a wider plane-major buffer
+    (whose planes are not one block)."""
+    outs = [np.zeros(shape + (2,), dtype=complex), pair_buffer(shape)]
+    if shape:
+        outs.append(pair_buffer(shape[:-1] + (POINT_CHUNK + 37,))[..., :shape[-1], :])
+    for out in outs[1:]:
+        out[...] = 0.0
+    return outs
+
+
+@pytest.mark.parametrize("amp_shape, phase_shape, wz_shape, duration_shape", [
+    ((), (), (), ()),
+    ((1,), (1,), (1,), ()),
+    ((99, 45), (99, 1), (45,), ()),
+    ((100, 256), (100, 1), (256,), ()),
+    ((7, 1), (1, 5), (), (7, 5)),
+    ((3, 4, 5), (4, 1), (5,), (3, 1, 1)),
+])
+def test_ck_expm_polar_keeps_the_bits_of_the_strided_formula(amp_shape, phase_shape, wz_shape,
+                                                            duration_shape):
+    # the contiguous t^2, 1 - t^2 and 1 + t^2 planes take the same
+    # operations as the strided parts of a did, into every output layout;
+    # zero amplitudes and offsets take the rate floor's limit
+    rng = np.random.default_rng(len(amp_shape) + sum(amp_shape))
+    amp = rng.uniform(0.0, 2 * np.pi * 5500.0, amp_shape)
+    phase = rng.uniform(0.0, 2 * np.pi, phase_shape)
+    wz = rng.uniform(-2 * np.pi * 1e4, 2 * np.pi * 1e4, wz_shape)
+    duration = rng.uniform(1e-6, 1e-3, duration_shape)
+    if amp.size > 1:
+        amp.flat[::3] = 0.0
+    if wz.size > 1:
+        wz.flat[::2] = 0.0
+    shape = np.broadcast(amp, phase, wz, duration).shape
+    want = ck_expm_polar_strided(amp, phase, wz, duration)
+    assert want.shape == shape + (2,)
+    got = su2.ck_expm_polar(amp, phase, wz, duration)
+    assert got.tobytes() == want.tobytes()
+    for out, old in zip(_out_layouts(shape), _out_layouts(shape)):
+        assert su2.ck_expm_polar(amp, phase, wz, duration, out=out) is out
+        assert ck_expm_polar_strided(amp, phase, wz, duration, out=old) is old
+        assert out.tobytes() == old.tobytes() == want.tobytes()
 
 
 def test_axis_angle_power_in_closed_form():
