@@ -10,7 +10,9 @@ other pulse, ``ocpulse analyze-channel --distribution FILE`` gives the same
 numbers on a saved ensemble.  For oct_rfi on the
 compare grid (offsets -10:10:0.25 kHz x RF scales 0.9, 0.95, 1.0, 1.05,
 1.1) it adds the mean criteria fidelity and the smallest retained y at
-echo 500, which cover the criteria and the echo train.
+echo 500, which cover the criteria and the echo train.  Each pulse is
+propagated once per ensemble (``ocpulse.pulse_propagators``), and its pairs
+feed the cycle or the criteria, as the commands take them.
 --save FILE keeps the per-cycle Pauli probabilities; --against FILE adds,
 per pulse, the largest |difference| between this tree's probabilities and
 the saved ones.  Then come the repr of the final fidelity and the sha256 of
@@ -57,9 +59,10 @@ def analysis_distribution(n_offsets=1601, n_scales=21, seed=42):
 
 def channel_for(waveform, tau, d, n_cycles):
     """The fit of the channels of n = 1 .. n_cycles cycles and the n ->
-    infinity transfer matrix, from one cycle product and one axis-angle
-    decomposition, as ``analyze-channel --asymptotic`` takes them."""
-    r, theta = axis_angle(channel.cycle_propagators(waveform, tau, d))
+    infinity transfer matrix, from one pulse product, one cycle and one
+    axis-angle decomposition, as ``analyze-channel --asymptotic`` takes
+    them."""
+    r, theta = axis_angle(channel.cycle_propagators(oc.pulse_propagators(waveform, d), tau, d))
     R = channel.transfer_of_unitaries(r, theta, d.weights, n_cycles)
     fit = channel.fit_pauli_model(R, channel.cycle_time(waveform, tau))
     return fit, channel.asymptotic_channel(r, theta, d.weights)
@@ -120,7 +123,8 @@ def main():
             gap = float(np.max(np.abs(probs[name] - before[name])))
             print(f"{name} max_abs_dprobs {gap!r}")
     w = pulses["oct_rfi"]
-    criteria = metrics.criteria_sweep(w, oc.EnsembleDistribution.product(GRID_OFFSETS, GRID_RF))
+    grid = oc.EnsembleDistribution.product(GRID_OFFSETS, GRID_RF)
+    criteria = metrics.criteria_sweep(oc.pulse_propagators(w, grid))
     print(f"oct_rfi criteria_mean_fidelity {float(np.mean(criteria.fidelity))!r}")
     retained = echo_visibility_sweep(w, TAU, GRID_OFFSETS, GRID_RF, echo_indices=(500,)).retained
     print(f"oct_rfi min_retained_y_echo500 {float(retained.min())!r}")

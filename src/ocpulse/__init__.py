@@ -24,7 +24,6 @@ from .propagation import (
 from .metrics import (
     CpmgCriteria,
     average_fidelity,
-    cpmg_criteria,
     criteria_sweep,
 )
 from .grape import (

@@ -33,6 +33,8 @@ Both the n-cycle stack (transfer_of_unitaries) and that limit
 :func:`ocpulse.su2.axis_angle` returns them from the cycle unitaries: a
 caller that needs both, as analyze-channel --asymptotic does, propagates
 and decomposes each pulse once and hands the same (r, theta) to each.
+superoperator_sequence, like the criteria, takes the pulse pairs of
+:func:`ocpulse.propagation.pulse_propagators`.
 
 Channels are plain float arrays: one transfer matrix is (4, 4), and a
 sequence of them is an (n_max, 4, 4) stack whose row n - 1 is the n-cycle
@@ -83,13 +85,21 @@ def _transfer(R, stack: bool = True) -> np.ndarray:
 
 def _rotations(r, theta, weights):
     """Axes (P, 3), angles (P,) and weights (P,) of a mixture of rotations
-    as float arrays, checked to match in length and to be finite."""
+    as float arrays, checked to be finite with P >= 1, the weights
+    nonnegative with sum 1 within 1e-9 (as an EnsembleDistribution's) and
+    each axis of unit length within 1e-9, or zero (an identity's)."""
     r, theta, w = (np.asarray(x, dtype=float) for x in (r, theta, weights))
-    if r.shape[-1:] != (3,) or not r.size == 3 * theta.size == 3 * w.size:
-        raise ValueError(f"need (P, 3) axes, P angles and P weights, got shapes "
+    if r.shape[-1:] != (3,) or not 0 < r.size == 3 * theta.size == 3 * w.size:
+        raise ValueError(f"need (P, 3) axes, P angles and P weights (P >= 1), got shapes "
                          f"{r.shape}, {theta.shape} and {w.shape}")
     if not (np.isfinite(r).all() and np.isfinite(theta).all() and np.isfinite(w).all()):
         raise ValueError("rotation axes, angles and weights must be finite")
+    if (w < 0.0).any() or abs(w.sum() - 1.0) > 1e-9:
+        raise ValueError(f"weights must be nonnegative and sum to 1, got min {w.min()!r} "
+                         f"and sum {w.sum()!r}")
+    norm = np.linalg.norm(r.reshape(-1, 3), axis=1)
+    if not ((norm == 0.0) | (np.abs(norm - 1.0) <= 1e-9)).all():
+        raise ValueError("rotation axes must be unit vectors or zero")
     return r.reshape(-1, 3), theta.reshape(-1), w.reshape(-1)
 
 
@@ -142,7 +152,8 @@ def transfer_of_unitaries(r, theta, weights, n_max: int) -> np.ndarray:
         Rotation angles, one per point.
     weights : (P,) array_like
         Mixture weights, e.g. an EnsembleDistribution's weights.  Axes,
-        angles and weights must be finite and agree in P (ValueError).
+        angles and weights must be finite and agree in P >= 1, weights
+        nonnegative with sum 1 and axes unit or zero (ValueError).
     n_max : int
         Largest count, at least 1.
     """
@@ -181,14 +192,13 @@ def transfer_of_unitaries(r, theta, weights, n_max: int) -> np.ndarray:
     return _embed(blocks)
 
 
-def superoperator_sequence(
-    p: PulseWaveform | None, tau: float, d: EnsembleDistribution, n_max: int
-) -> np.ndarray:
+def superoperator_sequence(U: np.ndarray, tau: float, d: EnsembleDistribution,
+                           n_max: int) -> np.ndarray:
     """(n_max, 4, 4) transfer matrices of the n-cycle channels, n = 1 ..
-    n_max (row n - 1 is the n-cycle channel), from one closed-form
-    weighted sum."""
-    U = cycle_propagators(p, tau, d)
-    return transfer_of_unitaries(*axis_angle(U), d.weights, n_max)
+    n_max (row n - 1 is the n-cycle channel), of the pulse pairs U =
+    pulse_propagators(p, d), from one closed-form weighted sum."""
+    C = cycle_propagators(U, tau, d)
+    return transfer_of_unitaries(*axis_angle(C), d.weights, n_max)
 
 
 def choi_matrix(R: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, channel
+from . import __version__, channel, propagation
 from .channel import (
     asymptotic_channel,
     cycle_time,
@@ -201,9 +201,9 @@ def _add_pulse_flags(sp):
     sp.add_argument("--hard-phase-deg", type=float, default=90.0)
 
 
-def _criteria_columns(p, d):
-    """The CRITERIA_HEADER columns of a criteria sweep, in d's point order."""
-    c = criteria_sweep(p, d)
+def _criteria_columns(U, d):
+    """The CRITERIA_HEADER columns of the criteria of pulse pairs U over d."""
+    c = criteria_sweep(U)
     return [
         d.offsets / (2.0 * np.pi),
         d.rf_scales,
@@ -445,10 +445,10 @@ def cmd_analyze(args, parser) -> int:
     tau = args.tau_ms * 1e-3
     # One pulse product and one axis-angle decomposition per pulse: the
     # n-cycle stack and the n -> infinity limit both come from these cycle
-    # axes and angles.  The propagators and the stack go through the
-    # channel module, where perfbench times them.
-    U = channel.cycle_propagators(pulse, tau, d)
-    r, theta = axis_angle(U)
+    # axes and angles.  The propagators and the stack go through their
+    # modules, where perfbench times them.
+    C = channel.cycle_propagators(propagation.pulse_propagators(pulse, d), tau, d)
+    r, theta = axis_angle(C)
     R = channel.transfer_of_unitaries(r, theta, d.weights, args.cycles)
     _, residuals = pauli_probabilities(R)
     fit = fit_pauli_model(R, cycle_time(pulse, tau))
@@ -457,7 +457,7 @@ def cmd_analyze(args, parser) -> int:
     payload["offdiag_residual"] = residuals.tolist()
     payload["coherent_residual"] = coherent.tolist()
     payload["symmetric_residual"] = symmetric.tolist()
-    payload["cycle_unitarity_error"] = unitarity_error(U)
+    payload["cycle_unitarity_error"] = unitarity_error(C)
     outputs = ["channel.json"]
     params = {
         "pulse": args.pulse, "label": label, "tau_ms": args.tau_ms,
@@ -507,7 +507,9 @@ def cmd_compare(args, parser) -> int:
     table = {name: [] for name in ("pulse", "t2_pulse_cycles", "m_infinity", "fit_overlap")}
     means = {name: [] for name in ("pulse", "offset_hz", "fidelity")}
     for label, p in entries:
-        columns = _criteria_columns(p, d)
+        # one pulse product feeds both the criteria and the channel stack
+        U = propagation.pulse_propagators(p, d)
+        columns = _criteria_columns(U, d)
         name = f"criteria_{label}.csv"
         write_csv(outdir / name, CRITERIA_HEADER, *columns)
         outputs.append(name)
@@ -515,7 +517,7 @@ def cmd_compare(args, parser) -> int:
         means["pulse"] += [label] * offsets.size
         means["offset_hz"] += (offsets / (2 * np.pi)).tolist()
         means["fidelity"] += [float(row.mean()) for row in fid]
-        R = superoperator_sequence(p, tau, d, args.cycles)
+        R = superoperator_sequence(U, tau, d, args.cycles)
         fit = fit_pauli_model(R, cycle_time(p, tau))
         t2c = fit.t2_pulse_cycles
         table["pulse"].append(label)

@@ -3,8 +3,9 @@
 One echo corresponds to one half cycle tau - pulse - tau; echoes are
 recorded at the end of each half cycle, so echo 2n marks n full cycles.
 Isochromats evolve independently (no relaxation, no diffusion) and are
-averaged only at readout, never at the propagator level.  Each point's
-half cycle is a rotation by theta about an axis r, read from its
+averaged only at readout, never at the propagator level.  The pulse is
+propagated once (:func:`ocpulse.propagation.pulse_propagators`); each
+point's half cycle is a rotation by theta about an axis r, read from its
 Cayley-Klein pair by :func:`ocpulse.su2.axis_angle`, so its Bloch vector at
 echo k is the input turned by k theta about r (Rodrigues' formula), taken
 in closed form for every echo at once.  The points are an
@@ -19,7 +20,7 @@ import numpy as np
 
 from .propagation import half_cycle_propagators, pulse_propagators
 from .pulses import EnsembleDistribution, PulseWaveform
-from .su2 import Y_AXIS, Z_AXIS, axis_angle, rotate_vectors
+from .su2 import Y_AXIS, axis_angle, rotate_vectors
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 
@@ -50,7 +51,6 @@ def simulate_train(
     d: EnsembleDistribution,
     input_axis: str = "y",
     n_echoes: int = 200,
-    excitation: PulseWaveform | None = None,
 ) -> EchoTrainResult:
     """Propagate an echo train and record magnetization at every echo.
 
@@ -63,21 +63,14 @@ def simulate_train(
     input_axis : {"x", "y", "z"}
         Initial magnetization direction; "y" is the CPMG phase, "x" the CP
         phase.
-    excitation : PulseWaveform, optional
-        When given, the initial state is this pulse applied to +z instead
-        of a perfect unit vector along input_axis.
     """
     if input_axis not in _AXES:
         raise ValueError(f"input_axis must be one of {sorted(_AXES)}, got {input_axis!r}")
     if n_echoes < 1:
         raise ValueError("n_echoes must be >= 1")
-    r, theta = axis_angle(half_cycle_propagators(p, tau, d))
-    if excitation is not None:
-        u = pulse_propagators(excitation, d)
-        m = rotate_vectors(*axis_angle(u), [1], Z_AXIS)[0]
-    else:
-        m = np.zeros((d.n_points, 3))
-        m[:, _AXES[input_axis]] = 1.0
+    r, theta = axis_angle(half_cycle_propagators(pulse_propagators(p, d), tau, d))
+    m = np.zeros((d.n_points, 3))
+    m[:, _AXES[input_axis]] = 1.0
     bloch = rotate_vectors(r, theta, np.arange(1, n_echoes + 1), m)
     per_iso = bloch[:, :, _AXES[input_axis]]
     return EchoTrainResult(
@@ -122,7 +115,7 @@ def echo_visibility_sweep(
     if any(k < 1 for k in echo_indices):
         raise ValueError("echo indices are 1-based and must be >= 1")
     n_rf = np.size(rf_scales)
-    r, theta = axis_angle(half_cycle_propagators(p, tau, d))
+    r, theta = axis_angle(half_cycle_propagators(pulse_propagators(p, d), tau, d))
     retained = rotate_vectors(r, theta, echo_indices, Y_AXIS)[..., 1].T
     return VisibilitySweep(
         offsets=d.offsets[::n_rf],

@@ -5,10 +5,10 @@ exp(-i pi/2 Y), the constant pair :data:`propagation.TARGET_PI_Y`.
 Fidelity is the optimizer's t^2, t = Re a(V^dag U) for Cayley-Klein pairs
 (:func:`propagation.target_overlaps`), equal to the trace overlap
 |Tr(U V^dag)|^2 / 4, which for a rotation by theta about axis r equals
-sin^2(theta/2) r_y^2.  The axis/angle criteria of :func:`cpmg_criteria`
-take a whole batch of pairs in one pass from :func:`ocpulse.su2.axis_angle`;
-:func:`criteria_sweep` applies them to a pulse at every point of an
-ensemble, such as the grid of ``EnsembleDistribution.product``.
+sin^2(theta/2) r_y^2.  The axis/angle criteria of :func:`criteria_sweep`
+take a whole batch of pairs, such as ``pulse_propagators(p, d)`` over the
+grid of ``EnsembleDistribution.product``, in one pass from
+:func:`ocpulse.su2.axis_angle`.
 """
 
 from __future__ import annotations
@@ -62,9 +62,10 @@ class CpmgCriteria:
         return self.fidelity.size
 
 
-def cpmg_criteria(x: np.ndarray) -> CpmgCriteria:
+def criteria_sweep(x: np.ndarray) -> CpmgCriteria:
     """Evaluate propagators, as Cayley-Klein pairs (..., 2), against the
-    axis/angle refocusing criteria, all in one batched pass.
+    axis/angle refocusing criteria, all in one batched pass and in the
+    order of the pairs.
 
     A good CPMG refocusing pulse needs the rotation axis in the xy plane
     (ideally along y) much more than it needs nutation exactly pi; the
@@ -96,9 +97,3 @@ def cpmg_criteria(x: np.ndarray) -> CpmgCriteria:
         fidelity=t**2,
         degenerate=np.sin(0.5 * theta) < _DEGENERATE_SIN,
     )
-
-
-def criteria_sweep(p: PulseWaveform | None, d: EnsembleDistribution) -> CpmgCriteria:
-    """Criteria of the pulse propagator at every point of ``d``, in its
-    point order; an offset x RF grid is ``EnsembleDistribution.product``."""
-    return cpmg_criteria(pulse_propagators(p, d))

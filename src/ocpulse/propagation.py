@@ -25,11 +25,12 @@ for the whole product (the pulse), and :func:`forward_products` an
 inclusive scan for every prefix (the optimizer's probes and gradients, and
 the Bloch trajectory).  Both group the factors
 the same way, so the last prefix equals the tree product to the bit.
-The pulse, half-cycle and cycle propagators take an EnsembleDistribution
-of P points, checked where it is built, and return (P, 2) pairs; the cycle
-is the square of the half cycle.  Products run over chunks of POINT_CHUNK
-ensemble points (:func:`point_chunks`), so memory does not grow with
-n_steps x P.
+:func:`pulse_propagators` turns a waveform, or ``None``, into (P, 2) pairs
+over an EnsembleDistribution of P points; the half cycle, the cycle (its
+square), the criteria, the echo train and the channel stack take those
+pairs, so a pulse read two ways is propagated once.  Products run over
+chunks of POINT_CHUNK ensemble points (:func:`point_chunks`), so memory
+does not grow with n_steps x P.
 """
 
 from __future__ import annotations
@@ -191,30 +192,29 @@ def target_overlaps(U: np.ndarray, out=None, scratch=None):
     return M, M[..., 0].real
 
 
-def half_cycle_propagators(
-    p: PulseWaveform | None, tau: float, d: EnsembleDistribution
-) -> np.ndarray:
-    """Cayley-Klein pairs of the echo-to-echo propagators F(tau) U_pulse
-    F(tau), one per point of ``d``, shape (P, 2).
+def half_cycle_propagators(U: np.ndarray, tau: float, d: EnsembleDistribution) -> np.ndarray:
+    """Cayley-Klein pairs of the echo-to-echo propagators F(tau) U F(tau),
+    one per point of ``d``, shape (P, 2), from the pulse pairs U =
+    pulse_propagators(p, d).
 
     tau is the free-precession delay between the echo location and the
     pulse edge (guard delays count as part of the pulse).
     """
     if not 0.0 <= tau < np.inf:
         raise ValueError(f"tau must be finite and nonnegative, got {tau}")
+    if np.shape(U) != (d.n_points, 2):
+        raise ValueError(f"need ({d.n_points}, 2) pulse pairs, one per point, got {np.shape(U)}")
     f = free_pairs(d.offsets, tau)
-    return ck_mul(ck_mul(f, pulse_propagators(p, d)), f)
+    return ck_mul(ck_mul(f, U), f)
 
 
-def cycle_propagators(
-    p: PulseWaveform | None, tau: float, d: EnsembleDistribution
-) -> np.ndarray:
+def cycle_propagators(U: np.ndarray, tau: float, d: EnsembleDistribution) -> np.ndarray:
     """Cayley-Klein pairs of the CPMG cycle [tau - pulse - 2 tau - pulse -
-    tau] propagators, shape (P, 2): the square of the half cycle, since
-    F(tau) F(tau) = F(2 tau).  For an ideal pulse the cycle is -I, to
-    rounding, at every offset.
+    tau] propagators from the pulse pairs U, shape (P, 2): the square of
+    the half cycle, since F(tau) F(tau) = F(2 tau).  For an ideal pulse the
+    cycle is -I, to rounding, at every offset.
     """
-    h = half_cycle_propagators(p, tau, d)
+    h = half_cycle_propagators(U, tau, d)
     return ck_mul(h, h)
 
 

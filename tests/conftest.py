@@ -47,7 +47,7 @@ def analysis_distribution():
 
 
 def _sequence_and_fit(waveform, d, n_cycles=100):
-    R = channel.superoperator_sequence(waveform, TAU, d, n_cycles)
+    R = channel.superoperator_sequence(oc.pulse_propagators(waveform, d), TAU, d, n_cycles)
     fit = channel.fit_pauli_model(R, channel.cycle_time(waveform, TAU))
     return R, fit
 

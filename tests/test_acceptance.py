@@ -13,7 +13,7 @@ import pytest
 from ocpulse import channel, grape, ladder
 from ocpulse.echo_train import echo_visibility_sweep
 from ocpulse.metrics import average_fidelity
-from ocpulse.propagation import cycle_propagators, half_cycle_propagators
+from ocpulse.propagation import cycle_propagators, half_cycle_propagators, pulse_propagators
 from ocpulse.pulses import (
     EnsembleDistribution,
     PulseWaveform,
@@ -196,7 +196,8 @@ def test_08_powered_cycles_converge_to_the_asymptotic_channel(
     # rotation axes (measured worst entry gap 0.016 over n = 30..100)
     seq, _ = oct_channel
     d = analysis_distribution
-    asym = channel.asymptotic_channel(*axis_angle(cycle_propagators(oct_rfi, TAU, d)), d.weights)
+    U = pulse_propagators(oct_rfi, d)
+    asym = channel.asymptotic_channel(*axis_angle(cycle_propagators(U, TAU, d)), d.weights)
     gaps = np.max(np.abs(seq[29:100] - asym), axis=(1, 2))  # rows are n = 30..100
     assert len(gaps) == 71
     assert max(gaps) <= 0.05
@@ -209,9 +210,9 @@ def test_09_cycles_are_powered_per_isochromat_then_averaged():
     d = EnsembleDistribution(np.array([-2 * np.pi * 300.0, 2 * np.pi * 500.0]),
                              np.ones(2), np.array([0.5, 0.5]))
     p = hard_pulse(np.pi, np.pi / 2, A_MAX)
-    got = channel.superoperator_sequence(p, TAU, d, 10)[-1]
+    got = channel.superoperator_sequence(pulse_propagators(p, d), TAU, d, 10)[-1]
 
-    U = cycle_propagators(p, TAU, d)
+    U = cycle_propagators(pulse_propagators(p, d), TAU, d)
     R = [channel.transfer_of_unitaries(*axis_angle(U[k]), [1.0], 1)[0] for k in range(2)]
     power_then_average = 0.5 * (np.linalg.matrix_power(R[0], 10)
                                 + np.linalg.matrix_power(R[1], 10))
@@ -237,6 +238,6 @@ def test_10_oct_rfi_refocuses_over_98_percent_across_its_band(
     # k-fold half-cycle channel: equal to simulate_train's average (7e-15
     # apart over echoes 1-20) without its (1000, P, 3) Bloch array.
     d = analysis_distribution
-    half = half_cycle_propagators(oct_rfi, TAU, d)
+    half = half_cycle_propagators(pulse_propagators(oct_rfi, d), TAU, d)
     train = channel.transfer_of_unitaries(*axis_angle(half), d.weights, 1000)[:, 2, 2]
     assert train.min() >= 0.98, f"echo {train.argmin() + 1}: {train.min():.6f}"

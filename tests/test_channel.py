@@ -19,7 +19,7 @@ from ocpulse.channel import (
     transfer_of_unitaries,
 )
 from ocpulse.echo_train import simulate_train
-from ocpulse.propagation import cycle_propagators
+from ocpulse.propagation import cycle_propagators, pulse_propagators
 from ocpulse.pulses import EnsembleDistribution, PulseWaveform, hard_pulse
 from ocpulse.su2 import PAULIS, axis_angle
 
@@ -114,7 +114,7 @@ def test_transfer_counts_match_single_calls_and_matrix_powers(monkeypatch):
     d = EnsembleDistribution.product(2 * np.pi * np.array([-3e3, 0.0, 6e3]), [0.95, 1.0])
     counts = np.array([1, 7, 1000, 4096])
     for p in (random_pulse, None, HARD):
-        U = cycle_propagators(p, TAU, d)
+        U = cycle_propagators(pulse_propagators(p, d), TAU, d)
         r, theta = axis_angle(U)
         stacked = transfer_of_unitaries(r, theta, d.weights, 4096)
         assert stacked.shape == (4096, 4, 4)
@@ -142,7 +142,7 @@ def test_consecutive_counts_by_angle_addition_match_direct_calls(monkeypatch):
         1e-5, rng.uniform(0, A_MAX, 10), rng.uniform(0, 2 * np.pi, 10), A_MAX)
     d = EnsembleDistribution.product(2 * np.pi * np.array([-3e3, 0.0, 6e3]), [0.95, 1.0])
     for p in (random_pulse, HARD):
-        r, theta = axis_angle(cycle_propagators(p, TAU, d))
+        r, theta = axis_angle(cycle_propagators(pulse_propagators(p, d), TAU, d))
         stacked = transfer_of_unitaries(r, theta, d.weights, 4096)
         direct = _direct_transfer(r, theta, d.weights, np.arange(1, 4097))
         assert np.max(np.abs(stacked - direct)) <= 4e-13
@@ -161,13 +161,14 @@ def test_sequence_matches_powered_build():
         1e-5, rng.uniform(0, A_MAX, 10), rng.uniform(0, 2 * np.pi, 10), A_MAX)
     d = EnsembleDistribution.product(2 * np.pi * np.array([-3e3, 0.0, 6e3]), [0.95, 1.0])
     for p in (random_pulse, None, HARD):
-        U = cycle_propagators(p, TAU, d)
-        seq = superoperator_sequence(p, TAU, d, 4096)
+        pulse = pulse_propagators(p, d)
+        U = cycle_propagators(pulse, TAU, d)
+        seq = superoperator_sequence(pulse, TAU, d, 4096)
         assert seq.shape == (4096, 4, 4)
         for n in (1, 7, 1000, 4096):
             expect = _explicit_power(U, d.weights, n)
             assert np.allclose(seq[n - 1], expect, atol=1e-11)
-            direct = superoperator_sequence(p, TAU, d, n)[-1]
+            direct = superoperator_sequence(pulse, TAU, d, n)[-1]
             assert np.allclose(direct, expect, atol=1e-11)
         if p is None:
             assert np.allclose(seq[-1], np.eye(4), atol=1e-11)
@@ -182,7 +183,7 @@ def test_sequence_memory_stays_linear_in_points():
         np.linspace(-2 * np.pi * 8e3, 2 * np.pi * 8e3, 1601), np.linspace(0.9, 1.1, 21))
     tracemalloc.start()
     try:
-        seq = superoperator_sequence(p, TAU, d, 1000)
+        seq = superoperator_sequence(pulse_propagators(p, d), TAU, d, 1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -193,7 +194,7 @@ def test_sequence_memory_stays_linear_in_points():
 def test_input_validation():
     d = EnsembleDistribution.single_point()
     with pytest.raises(ValueError, match="n_max"):
-        superoperator_sequence(HARD, TAU, d, 0)
+        superoperator_sequence(pulse_propagators(HARD, d), TAU, d, 0)
     with pytest.raises(ValueError, match="n_max must be >= 1"):
         transfer_of_unitaries(np.zeros(3), 0.0, [1.0], 0)
     with pytest.raises(ValueError, match="4, 4"):
@@ -287,7 +288,7 @@ def test_asymptotic_channel_pure_y_axis():
     # on resonance at rf 0.9 the cycle is a non-degenerate rotation about
     # y, so the asymptotic map projects onto y exactly
     d = EnsembleDistribution.single_point(0.0, 0.9)
-    U = cycle_propagators(HARD, TAU, d)
+    U = cycle_propagators(pulse_propagators(HARD, d), TAU, d)
     s = asymptotic_channel(*axis_angle(U), d.weights)
     assert s.shape == (4, 4)
     assert np.allclose(s, np.diag([1.0, 0.0, 1.0, 0.0]), atol=1e-12)
@@ -297,12 +298,14 @@ def test_asymptotic_channel_of_identity_cycles_is_identity():
     # every ideal cycle is -I, and so is the hard pulse's on resonance at
     # rf 1: such points never dephase, so n -> infinity keeps the identity
     d = EnsembleDistribution.product(2 * np.pi * np.array([-3e3, 0.0, 6e3]), [0.95, 1.0])
-    seq = superoperator_sequence(None, TAU, d, 50)
-    asym = asymptotic_channel(*axis_angle(cycle_propagators(None, TAU, d)), d.weights)
+    U = pulse_propagators(None, d)
+    seq = superoperator_sequence(U, TAU, d, 50)
+    asym = asymptotic_channel(*axis_angle(cycle_propagators(U, TAU, d)), d.weights)
     assert np.allclose(asym, np.eye(4), rtol=0.0, atol=1e-15)
     assert np.max(np.abs(seq[-1] - asym)) <= 1e-12
     d1 = EnsembleDistribution.single_point(0.0, 1.0)
-    on_resonance = asymptotic_channel(*axis_angle(cycle_propagators(HARD, TAU, d1)), d1.weights)
+    U1 = pulse_propagators(HARD, d1)
+    on_resonance = asymptotic_channel(*axis_angle(cycle_propagators(U1, TAU, d1)), d1.weights)
     assert np.allclose(on_resonance, np.eye(4), rtol=0.0, atol=1e-12)
 
 
@@ -311,9 +314,10 @@ def test_asymptotic_matches_ergodic_mean_single_point():
     # the asymptotic channel is the n-average, so compare against the
     # running mean of the whole sequence
     d = EnsembleDistribution.single_point(2 * np.pi * 1300.0)
-    seq = superoperator_sequence(HARD, TAU, d, 10_000)
+    U = pulse_propagators(HARD, d)
+    seq = superoperator_sequence(U, TAU, d, 10_000)
     mean = np.mean(seq, axis=0)
-    asym = asymptotic_channel(*axis_angle(cycle_propagators(HARD, TAU, d)), d.weights)
+    asym = asymptotic_channel(*axis_angle(cycle_propagators(U, TAU, d)), d.weights)
     assert np.max(np.abs(mean - asym)) < 0.02
     # while a single late snapshot is still far away
     assert np.max(np.abs(seq[-1] - asym)) > 0.2
@@ -325,7 +329,7 @@ def test_symmetric_offsets_cancel_y_cross_terms():
     d = EnsembleDistribution(
         2 * np.pi * np.array([-2700.0, 2700.0]), np.ones(2), np.full(2, 0.5)
     )
-    R = superoperator_sequence(HARD, TAU, d, 5)[-1]
+    R = superoperator_sequence(pulse_propagators(HARD, d), TAU, d, 5)[-1]
     for i, j in ((1, 2), (2, 1), (2, 3), (3, 2)):
         assert abs(R[i, j]) < 1e-12
     assert abs(R[1, 3]) > 0.5
@@ -418,7 +422,17 @@ Y_X_AXES = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
     ([[np.nan, 1.0, 0.0], [1.0, 0.0, 0.0]], [0.3, 1.2], [0.5, 0.5],
      "rotation axes, angles and weights must be finite"),
     (Y_X_AXES, [0.3, 1.2], [0.5, np.inf], "rotation axes, angles and weights must be finite"),
-], ids=["weights-length", "angles-length", "axes-width", "nan-angle", "nan-axis", "inf-weight"])
+    # and each of these once came out as a map that is no channel: diag(1,
+    # 0, 0, 0) for no points, R_11 = 1.955 at n = 1 for weights (1, 1), and
+    # in the limit R_11 = 1.5 for weights (-0.5, 1.5) and R_22 = 2 for an
+    # axis of length 2
+    (np.zeros((0, 3)), [], [], "need (P, 3) axes, P angles and P weights (P >= 1)"),
+    (Y_X_AXES, [0.3, 1.2], [1.0, 1.0], "weights must be nonnegative and sum to 1"),
+    (Y_X_AXES, [0.3, 1.2], [-0.5, 1.5], "weights must be nonnegative and sum to 1"),
+    ([[0.0, 2.0, 0.0], [1.0, 0.0, 0.0]], [0.3, 1.2], [0.5, 0.5],
+     "rotation axes must be unit vectors or zero"),
+], ids=["weights-length", "angles-length", "axes-width", "nan-angle", "nan-axis", "inf-weight",
+        "empty", "weights-sum", "negative-weight", "long-axis"])
 def test_channel_rejects_mismatched_or_nonfinite_rotations(build, r, theta, weights, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build(r, theta, weights)
@@ -454,7 +468,7 @@ def cycle_moments(request, analysis_distribution):
     over points of cos(n theta) and sin(n theta) taken directly."""
     d = analysis_distribution
     p = HARD if request.param == "hard" else fileio.reference_waveform(request.param)
-    U = cycle_propagators(p, TAU, d)
+    U = cycle_propagators(pulse_propagators(p, d), TAU, d)
     r, theta = axis_angle(U)
     phi = np.arange(1, 101)[:, None] * theta
     cos, w = np.cos(phi), d.weights

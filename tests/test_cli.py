@@ -17,11 +17,11 @@ except ModuleNotFoundError:  # Python 3.10: pytest depends on tomli there
 import numpy as np
 import pytest
 
-from ocpulse import channel, cli, fileio, propagation
+from ocpulse import channel, cli, echo_train, fileio, metrics, propagation
 from ocpulse.channel import asymptotic_channel, superoperator_sequence
 from ocpulse.cli import main
 from ocpulse.echo_train import simulate_train
-from ocpulse.propagation import cycle_propagators
+from ocpulse.propagation import cycle_propagators, pulse_propagators
 from ocpulse.pulses import EnsembleDistribution, PulseWaveform, hard_pulse
 from ocpulse.su2 import axis_angle
 
@@ -375,7 +375,7 @@ def test_analyze_writes_the_offdiagonal_residual(tmp_path):
     residual = np.array(payload["offdiag_residual"])
     assert residual.shape == (5,) and len(payload["probs"]) == 5
     assert np.all(np.isfinite(residual)) and np.all(residual >= 0.0)
-    R = superoperator_sequence(hard_pulse(np.pi, np.pi / 2, A_MAX), 1e-3, d, 5)[2]
+    R = superoperator_sequence(pulse_propagators(hard_pulse(np.pi, np.pi / 2, A_MAX), d), 1e-3, d, 5)[2]
     assert residual[2] == pytest.approx(np.linalg.norm(R - np.diag(np.diag(R))), rel=0.0, abs=1e-14)
     assert residual[2] > 0.01  # the hard pulse's cycles are not Pauli-diagonal
     # the residual splits into a coherent (antisymmetric) and a symmetric
@@ -390,40 +390,63 @@ def test_analyze_writes_the_offdiagonal_residual(tmp_path):
     assert np.isfinite(error) and 0.0 <= error < 1e-12
 
 
-def test_analyze_asymptotic_propagates_each_pulse_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("argv, calls", [
     # the n-cycle stack and the n -> infinity limit share one pulse product
+    # and one axis-angle decomposition
+    (["analyze-channel", "--pulse", "{dir}/hard.json", "--cycles", "5",
+      "--distribution", "{dir}/d.json", "--asymptotic"], ["pulse_propagators", "axis_angle"]),
+    # the criteria and the stack share each pulse's product; the criteria
+    # and the cycle each decompose it
+    (["compare", "{dir}/a.json", "{dir}/b.json", "--include-hard", "--sweep-khz=-2:2:1",
+      "--rf", "0.9,1.05", "--cycles", "5"], ["pulse_propagators", "axis_angle", "axis_angle"] * 3),
+    (["simulate", "--pulse", "{dir}/hard.json", "--train", "--echoes", "4",
+      "--distribution", "{dir}/d.json"], ["pulse_propagators", "axis_angle"]),
+    (["simulate", "--pulse", "{dir}/hard.json", "--sweep", "--offsets-khz=-2:2:1",
+      "--echo-indices", "1,2"], ["pulse_propagators", "axis_angle"]),
+], ids=["analyze-channel-asymptotic", "compare", "simulate-train", "simulate-sweep"])
+def test_command_propagates_each_pulse_once(tmp_path, monkeypatch, argv, calls):
     d = EnsembleDistribution.product(2 * np.pi * np.array([-2.5e3, 300.0, 4e3]), [0.9, 1.05])
     fileio.save_distribution_json(d, tmp_path / "d.json")
-    fileio.save_waveform_json(hard_pulse(np.pi, np.pi / 2, A_MAX), tmp_path / "hard.json")
-    calls = []
+    for name in ("hard", "a", "b"):
+        fileio.save_waveform_json(hard_pulse(np.pi, np.pi / 2, A_MAX), tmp_path / f"{name}.json")
+    seen = []
 
     def counted(module, name):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls.append(name)
+            seen.append(name)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    # and one axis-angle decomposition, wherever the package looks it up
-    counted(propagation, "pulse_propagators")
-    for module in (cli, channel):
+    # wherever the package looks them up
+    for module in (propagation, echo_train, metrics):
+        counted(module, "pulse_propagators")
+    for module in (cli, channel, echo_train, metrics):
         counted(module, "axis_angle")
+    argv = [a.format(dir=tmp_path) for a in argv] + ["-o", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert seen == calls
+
+
+def test_analyze_asymptotic_matches_the_library_to_the_bit(tmp_path):
+    d = EnsembleDistribution.product(2 * np.pi * np.array([-2.5e3, 300.0, 4e3]), [0.9, 1.05])
+    fileio.save_distribution_json(d, tmp_path / "d.json")
+    fileio.save_waveform_json(hard_pulse(np.pi, np.pi / 2, A_MAX), tmp_path / "hard.json")
     out = tmp_path / "chan"
     rc = main([
         "analyze-channel", "--pulse", str(tmp_path / "hard.json"), "-o", str(out),
         "--cycles", "5", "--distribution", str(tmp_path / "d.json"), "--asymptotic",
     ])
     assert rc == 0
-    assert calls == ["pulse_propagators", "axis_angle"]
     asym = json.loads((out / "channel.json").read_text())["asymptotic"]
     # the inputs as the command read them, to the bit
     d = fileio.load_distribution_json(tmp_path / "d.json")
-    p = fileio.load_waveform_json(tmp_path / "hard.json")
-    limit = asymptotic_channel(*axis_angle(cycle_propagators(p, 1e-3, d)), d.weights)
+    U = pulse_propagators(fileio.load_waveform_json(tmp_path / "hard.json"), d)
+    limit = asymptotic_channel(*axis_angle(cycle_propagators(U, 1e-3, d)), d.weights)
     assert asym["entries"] == limit.tolist()
-    R = superoperator_sequence(p, 1e-3, d, 5)
+    R = superoperator_sequence(U, 1e-3, d, 5)
     assert asym["max_entry_gap_at_n"] == float(np.max(np.abs(R[-1] - limit)))
 
 

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ocpulse import metrics
-from ocpulse.metrics import average_fidelity, cpmg_criteria, criteria_sweep
+from ocpulse.metrics import average_fidelity, criteria_sweep
 from ocpulse.propagation import POINT_CHUNK, TARGET_PI_Y, pulse_propagators
 from ocpulse.pulses import EnsembleDistribution, hard_pulse, waveform_template
 from ocpulse.su2 import Z_AXIS, ck_inv, ck_mul, quaternions
@@ -52,20 +52,20 @@ def test_cpmg_criteria_tilted_axis():
     zeta = 0.23
     theta = 2.9
     # propagators enter as Cayley-Klein pairs, the first rows of the matrices
-    c = cpmg_criteria(expm_su2([0.0, np.cos(zeta), np.sin(zeta)], theta)[0])
+    c = criteria_sweep(expm_su2([0.0, np.cos(zeta), np.sin(zeta)], theta)[0])
     assert c.angle_from_xy_plane == pytest.approx(zeta, abs=1e-12)
     assert c.angle_from_y_axis == pytest.approx(zeta, abs=1e-12)
     assert c.nutation_angle == pytest.approx(theta, abs=1e-12)
     assert c.fidelity == pytest.approx(np.sin(theta / 2) ** 2 * np.cos(zeta) ** 2, abs=1e-12)
     assert not c.degenerate
     # tilt below the plane flips the sign of the plane angle only
-    c = cpmg_criteria(expm_su2([0.0, np.cos(zeta), -np.sin(zeta)], theta)[0])
+    c = criteria_sweep(expm_su2([0.0, np.cos(zeta), -np.sin(zeta)], theta)[0])
     assert c.angle_from_xy_plane == pytest.approx(-zeta, abs=1e-12)
     assert c.angle_from_y_axis == pytest.approx(zeta, abs=1e-12)
 
 
 def test_cpmg_criteria_degenerate_identity():
-    c = cpmg_criteria(np.array([1.0, 0.0], dtype=complex))
+    c = criteria_sweep(np.array([1.0, 0.0], dtype=complex))
     assert c.degenerate
     assert c.nutation_angle == pytest.approx(0.0, abs=1e-9)
     assert c.fidelity == pytest.approx(0.0, abs=1e-12)
@@ -77,17 +77,17 @@ def test_cpmg_criteria_degenerate_identity():
 def test_cpmg_criteria_rejects_nonunitary():
     # |a|^2 + |b|^2 = 1.01
     with pytest.raises(ValueError, match="not unitary"):
-        cpmg_criteria(np.array([1.0, 0.1], dtype=complex))
+        criteria_sweep(np.array([1.0, 0.1], dtype=complex))
     # one bad operator in a batch rejects the batch
     batch = np.array([[1.0, 0.0], [1.0, 0.1]], dtype=complex)
     with pytest.raises(ValueError, match="not unitary"):
-        cpmg_criteria(batch)
+        criteria_sweep(batch)
     with pytest.raises(ValueError, match="shape"):
-        cpmg_criteria(np.eye(3, dtype=complex))
+        criteria_sweep(np.eye(3, dtype=complex))
     # a NaN unitarity error is not within tolerance: "> tol" once let it by
     for bad in ([np.nan, 0.0], [1.0, complex(0.0, np.nan)]):
         with pytest.raises(ValueError, match="not unitary"):
-            cpmg_criteria(np.array([[1.0, 0.0], bad], dtype=complex))
+            criteria_sweep(np.array([[1.0, 0.0], bad], dtype=complex))
 
 
 @pytest.mark.parametrize("offsets, rf_scales, message", [
@@ -100,14 +100,14 @@ def test_cpmg_criteria_rejects_nonunitary():
 def test_criteria_sweep_rejects_bad_points(offsets, rf_scales, message):
     # the grid is refused where it is built, before any propagation
     with pytest.raises(ValueError, match=message):
-        criteria_sweep(hard_pulse(np.pi, np.pi / 2, A_MAX),
-                       EnsembleDistribution.product(offsets, rf_scales))
+        criteria_sweep(pulse_propagators(hard_pulse(np.pi, np.pi / 2, A_MAX),
+                                         EnsembleDistribution.product(offsets, rf_scales)))
 
 
 def test_cpmg_criteria_resolves_tiny_tilt_from_y():
     # a 2e-9 rad tilt toward z: both angles must see it, not round it to 0
     zeta = 2e-9
-    c = cpmg_criteria(expm_su2([0.0, np.cos(zeta), np.sin(zeta)], 1.0)[0])
+    c = criteria_sweep(expm_su2([0.0, np.cos(zeta), np.sin(zeta)], 1.0)[0])
     assert c.angle_from_xy_plane == pytest.approx(zeta, rel=1e-6)
     assert c.angle_from_y_axis == pytest.approx(zeta, rel=1e-6)
 
@@ -121,7 +121,7 @@ def test_cpmg_criteria_internal_consistency(x, y, z, theta):
     n = np.linalg.norm(v)
     if n < 1e-3:
         return
-    c = cpmg_criteria(expm_su2(v / n, theta)[0])
+    c = criteria_sweep(expm_su2(v / n, theta)[0])
     # fidelity must decompose into nutation and axis terms
     assert c.fidelity == pytest.approx(
         np.sin(c.nutation_angle / 2) ** 2 * np.cos(c.angle_from_y_axis) ** 2, abs=1e-10
@@ -134,13 +134,13 @@ def test_criteria_sweep_order_and_values():
     p = hard_pulse(np.pi, np.pi / 2, A_MAX)
     offs = 2 * np.pi * np.array([-1e3, 1e3])
     d = EnsembleDistribution.product(offs, [0.9, 1.0])
-    c = criteria_sweep(p, d)
+    c = criteria_sweep(pulse_propagators(p, d))
     assert len(c) == 4
     assert list(zip(d.offsets, d.rf_scales)) == [
         (offs[0], 0.9), (offs[0], 1.0), (offs[1], 0.9), (offs[1], 1.0)
     ]
     for i, (dw, s) in enumerate(zip(d.offsets, d.rf_scales)):
-        expect = cpmg_criteria(pulse_propagators(p, EnsembleDistribution.single_point(dw, s))[0])
+        expect = criteria_sweep(pulse_propagators(p, EnsembleDistribution.single_point(dw, s))[0])
         assert c.fidelity[i] == pytest.approx(expect.fidelity, abs=1e-12)
         assert c.nutation_angle[i] == pytest.approx(expect.nutation_angle, abs=1e-12)
 
@@ -177,9 +177,9 @@ def test_criteria_sweep_matches_pointwise_criteria_bitwise(pulse):
     n_rf = 5
     offs = np.sort(np.append(np.linspace(-2 * np.pi * 1e4, 2 * np.pi * 1e4, POINT_CHUNK // 2), 0.0))
     d = EnsembleDistribution.product(offs, np.linspace(0.9, 1.1, n_rf))
-    c = criteria_sweep(p, d)
-    assert len(c) == offs.size * n_rf >= 5 * POINT_CHUNK // 2
     U = pulse_propagators(p, d)
+    c = criteria_sweep(U)
+    assert len(c) == offs.size * n_rf >= 5 * POINT_CHUNK // 2
     got = np.column_stack([c.fidelity, c.angle_from_xy_plane, c.angle_from_y_axis,
                            c.nutation_angle, c.degenerate])
     expect = np.array([_pointwise_criteria(u) for u in U])

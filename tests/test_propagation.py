@@ -232,14 +232,16 @@ def test_ideal_pulse_sentinel():
 
 def test_ideal_cycle_is_minus_identity_everywhere():
     offs = 2 * np.pi * np.array([-8e3, -1.3e3, 0.0, 0.4e3, 8e3])
-    C = ck_matrix(prop.cycle_propagators(None, 1e-3, points(offs, np.ones(5))))
+    d = points(offs, np.ones(5))
+    C = ck_matrix(prop.cycle_propagators(prop.pulse_propagators(None, d), 1e-3, d))
     for i in range(5):
         assert np.allclose(C[i], -np.eye(2), atol=1e-12)
 
 
 def test_hard_cycle_on_resonance_is_minus_identity():
     p = hard_pulse(np.pi, np.pi / 2, A_MAX)
-    C = ck_matrix(prop.cycle_propagators(p, 1e-3, EnsembleDistribution.single_point())[0])
+    d = EnsembleDistribution.single_point()
+    C = ck_matrix(prop.cycle_propagators(prop.pulse_propagators(p, d), 1e-3, d)[0])
     assert np.allclose(C, -np.eye(2), atol=1e-12)
 
 
@@ -248,25 +250,41 @@ def test_cycle_is_square_of_half_cycle():
     p = hard_pulse(np.pi, np.pi / 2, A_MAX)
     offs = 2 * np.pi * np.array([-6e3, 1.7e3])
     scales = np.array([1.05, 0.92])
-    half = ck_matrix(prop.half_cycle_propagators(p, 1e-3, points(offs, scales)))
-    full = ck_matrix(prop.cycle_propagators(p, 1e-3, points(offs, scales)))
+    d = points(offs, scales)
+    U = prop.pulse_propagators(p, d)
+    half = ck_matrix(prop.half_cycle_propagators(U, 1e-3, d))
+    full = ck_matrix(prop.cycle_propagators(U, 1e-3, d))
     f1, f2 = (ck_matrix(prop.free_pairs(offs, t)) for t in (1e-3, 2e-3))
-    u = ck_matrix(prop.pulse_propagators(p, points(offs, scales)))
+    u = ck_matrix(U)
     assert np.allclose(full, f1 @ u @ f2 @ u @ f1, atol=1e-13)
     assert np.allclose(full, half @ half, atol=1e-13)
 
 
 def test_negative_tau_rejected():
+    d = EnsembleDistribution.single_point()
+    U = prop.pulse_propagators(None, d)
     with pytest.raises(ValueError, match="tau"):
-        prop.cycle_propagators(None, -1e-3, EnsembleDistribution.single_point())
+        prop.cycle_propagators(U, -1e-3, d)
     with pytest.raises(ValueError, match="tau"):
-        prop.half_cycle_propagators(None, -1e-3, EnsembleDistribution.single_point())
+        prop.half_cycle_propagators(U, -1e-3, d)
     # nan < 0 is false, so non-finite values need their own check
     for tau in (np.nan, np.inf):
         with pytest.raises(ValueError, match="tau must be finite"):
-            prop.cycle_propagators(None, tau, EnsembleDistribution.single_point())
+            prop.cycle_propagators(U, tau, d)
         with pytest.raises(ValueError, match="tau must be finite"):
-            prop.half_cycle_propagators(None, tau, EnsembleDistribution.single_point())
+            prop.half_cycle_propagators(U, tau, d)
+
+
+@pytest.mark.parametrize("pick", [
+    lambda U: U[0], lambda U: U[:1], lambda U: np.concatenate([U, U[:1]]), lambda U: U.T,
+], ids=["one-pair", "one-point", "four-points", "transposed"])
+def test_cycle_takes_one_pulse_pair_per_point(pick):
+    # pairs of another ensemble would broadcast against d's free precession
+    d = points(2 * np.pi * np.array([-1e3, 0.0, 2e3]), np.ones(3))
+    U = pick(prop.pulse_propagators(None, d))
+    for build in (prop.half_cycle_propagators, prop.cycle_propagators):
+        with pytest.raises(ValueError, match=r"need \(3, 2\) pulse pairs, one per point"):
+            build(U, 1e-3, d)
 
 
 def test_ensemble_propagators_pointwise():

@@ -10,7 +10,7 @@ import pytest
 
 from ocpulse.echo_train import echo_visibility_sweep
 from ocpulse.metrics import average_fidelity, criteria_sweep
-from ocpulse.propagation import bloch_trajectory, trajectory_times
+from ocpulse.propagation import bloch_trajectory, pulse_propagators, trajectory_times
 from ocpulse.pulses import EnsembleDistribution
 
 KHZ = 2 * np.pi * 1e3
@@ -48,7 +48,7 @@ def test_rfi_axis_stays_near_y_across_band(oct_rfi):
     # hug +/-y (axis sign is a branch choice, so fold the angle) and the
     # nutation must stay near pi
     band = EnsembleDistribution.product(np.linspace(-8 * KHZ, 8 * KHZ, 81), [1.0])
-    c = criteria_sweep(oct_rfi, band)
+    c = criteria_sweep(pulse_propagators(oct_rfi, band))
     folded = np.minimum(c.angle_from_y_axis, np.pi - c.angle_from_y_axis)
     assert np.all(np.degrees(folded) <= 15.0)
     assert np.all(np.abs(np.degrees(c.nutation_angle) - 180.0) <= 30.0)

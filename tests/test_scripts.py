@@ -12,7 +12,7 @@ import pytest
 
 from ocpulse import fileio
 from ocpulse.channel import asymptotic_channel
-from ocpulse.propagation import cycle_propagators
+from ocpulse.propagation import cycle_propagators, pulse_propagators
 from ocpulse.pulses import hard_pulse
 from ocpulse.su2 import axis_angle
 
@@ -59,7 +59,8 @@ def test_fingerprint(tmp_path, hard_channel, oct_channel, analysis_distribution,
         assert values[name, "max_abs_dprobs"] <= 1e-12
     d = analysis_distribution
     for name, w in (("hard", hard_pulse(np.pi, np.pi / 2, 2 * np.pi * 5000)), ("oct_rfi", oct_rfi)):
-        limit = asymptotic_channel(*axis_angle(cycle_propagators(w, 1e-3, d)), d.weights)
+        U = pulse_propagators(w, d)
+        limit = asymptotic_channel(*axis_angle(cycle_propagators(U, 1e-3, d)), d.weights)
         assert values[name, "asymptotic_y"] == pytest.approx(limit[2, 2], rel=0.0, abs=1e-12)
     # against zeros the gap is the largest probability, p_I at n = 1
     assert 0.9 < values["oct_broadband", "max_abs_dprobs"] <= 1.0
