@@ -170,7 +170,7 @@ def transfer_of_unitaries(r, theta, weights, n_max: int) -> np.ndarray:
     moments = moments.reshape(2 * P, 10)
 
     sums = np.empty((n_max, 10))
-    step = max(1, _POWER_BLOCK_ELEMENTS // max(P, 1))
+    step = max(1, _POWER_BLOCK_ELEMENTS // P)
     rows = np.empty((min(step, n_max), P), dtype=complex)
     z = np.empty(P, dtype=complex)
     np.cos(theta, out=z.real)
@@ -359,11 +359,11 @@ def fit_pauli_model(R: np.ndarray, t_c: float) -> PauliChannelFit:
     Notes
     -----
     The asymptotic constants c are the mean probabilities over the last
-    quarter of the cycles (_TAIL_FRACTION, at least one cycle).  The
-    crossing n* solves p_I(n*) = c_i + (1 - c_i)/e by linear interpolation
-    on the simulated samples, anchored at p_I(0) = 1, so the model
-    amplitude at n = 0 is consistent with an initially perfect identity
-    channel.
+    quarter of the cycles (_TAIL_FRACTION; one at least, as n_max >= 3).
+    The crossing n* solves p_I(n*) = c_i + (1 - c_i)/e by linear
+    interpolation on the simulated samples, anchored at p_I(0) = 1, so the
+    model amplitude at n = 0 is consistent with an initially perfect
+    identity channel.
     """
     R = _transfer(R)
     probs, _ = pauli_probabilities(R)
@@ -374,7 +374,7 @@ def fit_pauli_model(R: np.ndarray, t_c: float) -> PauliChannelFit:
     if not 0.0 < t_c < np.inf:
         raise ValueError(f"cycle time must be positive and finite, got {t_c}")
     n_max = probs.shape[0]
-    tail = max(1, int(round(_TAIL_FRACTION * n_max)))
+    tail = int(round(_TAIL_FRACTION * n_max))
     c_i, c_x, c_y, c_z = probs[-tail:].mean(axis=0)
 
     excess0 = 1.0 - c_i
@@ -384,15 +384,12 @@ def fit_pauli_model(R: np.ndarray, t_c: float) -> PauliChannelFit:
     if excess0 <= 1e-12 or below.size == 0:
         n_star = np.inf
     else:
+        # p_I(0) = 1 lies above the target, so k >= 1 and hi > target >= lo
         k = int(below[0])
-        if k == 0:
-            n_star = 0.0
-        else:
-            hi, lo = pi_seq[k - 1], pi_seq[k]
-            frac = (hi - target) / (hi - lo) if hi > lo else 1.0
-            n_star = (k - 1) + frac
+        hi, lo = pi_seq[k - 1], pi_seq[k]
+        n_star = (k - 1) + (hi - target) / (hi - lo)
     t2_cycles = float(n_star)
-    t2 = float(n_star * t_c) if np.isfinite(n_star) else np.inf
+    t2 = float(n_star * t_c)
 
     diag_norms = np.linalg.norm(np.diagonal(R, axis1=-2, axis2=-1), axis=-1)
     overlap = float(np.min(diag_norms / np.linalg.norm(R, axis=(-2, -1))))

@@ -28,7 +28,6 @@ from .channel import (
 )
 from .echo_train import echo_visibility_sweep, simulate_train
 from .fileio import (
-    channel_fit_to_dict,
     distribution_from_dict,
     load_distribution_json,
     load_waveform_json,
@@ -77,7 +76,8 @@ def _ints(text: str) -> list[int]:
 
 
 def _range(text: str) -> np.ndarray:
-    """lo:hi:step, endpoints included (within rounding), at most MAX_RANGE_POINTS."""
+    """lo:hi:step: lo + k step for k = 0, 1, ... while it is at most hi
+    (within 1e-9 of a step), at most MAX_RANGE_POINTS points."""
     try:
         lo, hi, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
@@ -86,12 +86,12 @@ def _range(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"bad range {text!r}: values must be finite")
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"bad range {text!r}")
-    n = (hi - lo) / step + 1
+    n = np.floor((hi - lo) / step + 1e-9) + 1
     if not n <= MAX_RANGE_POINTS:
         raise argparse.ArgumentTypeError(
             f"bad range {text!r}: {n:.3g} points, more than the cap of {MAX_RANGE_POINTS}"
         )
-    return lo + step * np.arange(int(round(n)))
+    return lo + step * np.arange(int(n))
 
 
 def _check_count(name: str, n: int) -> None:
@@ -169,8 +169,8 @@ def _resolve_pulse(spec: str, amax_khz: float, nutation_deg: float, phase_deg: f
     return p, Path(spec).stem
 
 
-def _build_distribution(args, parser) -> EnsembleDistribution:
-    if getattr(args, "distribution", None):
+def _build_distribution(args) -> EnsembleDistribution:
+    if args.distribution:
         return load_distribution_json(args.distribution)
     return uniform_ladder_distribution(
         half_bandwidth=args.halfbw_khz * KHZ,
@@ -384,7 +384,7 @@ def cmd_simulate(args, parser) -> int:
     }
 
     if args.mode == "train":
-        d = _build_distribution(args, parser)
+        d = _build_distribution(args)
         res = simulate_train(pulse, tau, d, input_axis=args.axis, n_echoes=args.echoes)
         n = res.n_echoes
         write_csv(outdir / "train.csv",
@@ -433,6 +433,26 @@ def cmd_simulate(args, parser) -> int:
 
 # ---------------------------------------------------------------- analyze-channel
 
+def channel_fit_to_dict(fit: channel.PauliChannelFit) -> dict:
+    """The fit summary of channel.json; infinite decay times map to null."""
+
+    def _finite(x):
+        return None if not np.isfinite(x) else x
+
+    return {
+        "t2_pulse_s": _finite(fit.t2_pulse),
+        "t2_pulse_cycles": _finite(fit.t2_pulse_cycles),
+        "m_infinity": fit.m_infinity,
+        "cycle_time_s": fit.cycle_time,
+        "fit_overlap": fit.fit_overlap,
+        "c": {"i": fit.c_i, "x": fit.c_x, "y": fit.c_y, "z": fit.c_z},
+        "probs": [
+            [n + 1] + row
+            for n, row in enumerate(fit.per_cycle_probs.tolist())
+        ],
+    }
+
+
 def cmd_analyze(args, parser) -> int:
     if args.cycles < 3:
         parser.error("insufficient samples for fit: need --cycles >= 3")
@@ -441,7 +461,7 @@ def cmd_analyze(args, parser) -> int:
     pulse, label = _resolve_pulse(
         args.pulse, args.amax_khz, args.hard_nutation_deg, args.hard_phase_deg
     )
-    d = _build_distribution(args, parser)
+    d = _build_distribution(args)
     tau = args.tau_ms * 1e-3
     # One pulse product and one axis-angle decomposition per pulse: the
     # n-cycle stack and the n -> infinity limit both come from these cycle
@@ -584,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("optimize", help="design a refocusing pulse")
     sp.add_argument("--outdir", "-o")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=os.cpu_count(),
+    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                     help="worker cap for multistart runs")
     sp.add_argument("--duration-ms", type=float, help=f"default {DEFAULT_DURATION_MS}; not with --init")
     sp.add_argument("--steps", type=int, help=f"default {DEFAULT_STEPS}; not with --init")
@@ -613,7 +633,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--select-floor", type=float, default=0.99)
     sp.add_argument("--rfi", type=_floats, default=None,
                     help="RF scales for a post-ladder robustness re-optimization")
-    sp.set_defaults(func=cmd_optimize)
+    # --distribution-file, the one mode flag that sets no "mode"
+    sp.set_defaults(func=cmd_optimize, mode="distribution")
 
     sp = sub.add_parser("simulate", help="echo trains, sweeps, trajectories")
     sp.add_argument("--outdir", "-o")
@@ -666,8 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "mode", None) is None and args.command == "optimize":
-        args.mode = "distribution"
     try:
         return args.func(args, parser)
     except (OSError, ValueError) as exc:

@@ -34,11 +34,9 @@ class EchoTrainResult:
     weight-averaged input-axis component per echo.
     """
 
-    input_axis: str
     per_isochromat: np.ndarray
     ensemble_average: np.ndarray
     bloch: np.ndarray
-    distribution: EnsembleDistribution
 
     @property
     def n_echoes(self) -> int:
@@ -74,11 +72,9 @@ def simulate_train(
     bloch = rotate_vectors(r, theta, np.arange(1, n_echoes + 1), m)
     per_iso = bloch[:, :, _AXES[input_axis]]
     return EchoTrainResult(
-        input_axis=input_axis,
         per_isochromat=per_iso,
         ensemble_average=per_iso @ d.weights,
         bloch=bloch,
-        distribution=d,
     )
 
 

@@ -13,10 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import PauliChannelFit
-from .pulses import EnsembleDistribution, PulseWaveform
-
-TWO_PI = 2.0 * np.pi
+from .pulses import TWO_PI, EnsembleDistribution, PulseWaveform
 
 
 def waveform_to_dict(p: PulseWaveform) -> dict:
@@ -224,26 +221,6 @@ def write_csv(path, header, *columns) -> None:
             lines = _csv_lines(zip(*block), len(columns))
             lines.append("")
             fh.write("\r\n".join(lines))
-
-
-def channel_fit_to_dict(fit: PauliChannelFit) -> dict:
-    """JSON-safe summary; infinite decay times map to null."""
-
-    def _finite(x):
-        return None if not np.isfinite(x) else x
-
-    return {
-        "t2_pulse_s": _finite(fit.t2_pulse),
-        "t2_pulse_cycles": _finite(fit.t2_pulse_cycles),
-        "m_infinity": fit.m_infinity,
-        "cycle_time_s": fit.cycle_time,
-        "fit_overlap": fit.fit_overlap,
-        "c": {"i": fit.c_i, "x": fit.c_x, "y": fit.c_y, "z": fit.c_z},
-        "probs": [
-            [n + 1] + row
-            for n, row in enumerate(fit.per_cycle_probs.tolist())
-        ],
-    }
 
 
 # Reference pulses shipped with the package (see scripts/run_full_pipeline.py

@@ -140,16 +140,14 @@ def _scan(p: PulseWaveform, d: EnsembleDistribution, ws: _Workspace, k: int):
     return _chunk_overlaps(ws, k)
 
 
-def _ensemble_fidelity(p: PulseWaveform, d: EnsembleDistribution, ws=None):
+def _ensemble_fidelity(p: PulseWaveform, d: EnsembleDistribution, ws: _Workspace):
     """Averaged fidelity of a waveform without the gradient sweep: the
     line-search probe.
 
     Leaves the prefixes X_j of every chunk in ``ws`` (a :class:`_Workspace`
-    of this ensemble, built here when not given), where
-    :func:`_averaged_eval` of the same waveform finds them.
+    of this ensemble), where :func:`_averaged_eval` of the same waveform
+    finds them.
     """
-    if ws is None:
-        ws = _Workspace(p, d)
     t = np.empty(d.n_points)
     for k, chunk in enumerate(ws.chunks):
         t[chunk] = _scan(p, d, ws, k)[1]
@@ -201,7 +199,7 @@ def fidelity_and_gradients(p: PulseWaveform, point):
     return float(fids[0]), grads[0]
 
 
-def _averaged_eval(p: PulseWaveform, d: EnsembleDistribution, ws=None):
+def _averaged_eval(p: PulseWaveform, d: EnsembleDistribution, ws: _Workspace):
     fids, grads = _fidelity_and_gradients_raw(p, d, ws)
     return float(np.dot(d.weights, fids)), np.einsum("p,pnk->nk", d.weights, grads)
 
@@ -209,7 +207,7 @@ def _averaged_eval(p: PulseWaveform, d: EnsembleDistribution, ws=None):
 def grape_ascend(
     p0: PulseWaveform,
     d: EnsembleDistribution,
-    cfg: GrapeConfig | None = None,
+    cfg: GrapeConfig,
 ) -> GrapeReport:
     """Maximize the ensemble-averaged fidelity to the pi-about-y target
     starting from p0.
@@ -230,8 +228,6 @@ def grape_ascend(
     RuntimeError
         On non-finite fidelity or gradient values.
     """
-    if cfg is None:
-        cfg = GrapeConfig()
     if p0.n_steps == 0:
         raise ValueError("cannot optimize an empty waveform")
     if np.max(p0.amplitudes) > p0.a_max * (1.0 + 1e-12) or np.min(p0.amplitudes) < 0.0:
@@ -315,12 +311,12 @@ def random_waveform(template: PulseWaveform, rng) -> PulseWaveform:
 
 def multistart_reports(
     d: EnsembleDistribution,
-    cfg: GrapeConfig | None,
+    cfg: GrapeConfig,
     n_starts: int,
     seed: int,
     *,
     template: PulseWaveform,
-    max_workers: int | None = None,
+    max_workers: int,
 ) -> list[GrapeReport]:
     """Independent ascents from seeded random starts, in start order.
 
@@ -331,7 +327,7 @@ def multistart_reports(
         raise ValueError("n_starts must be >= 1")
     children = np.random.SeedSequence(seed).spawn(n_starts)
     starts = [random_waveform(template, np.random.default_rng(c)) for c in children]
-    if max_workers is not None and max_workers > 1 and n_starts > 1:
+    if max_workers > 1 and n_starts > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=max_workers) as pool:

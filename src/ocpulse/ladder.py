@@ -37,7 +37,7 @@ class LadderRung:
     distribution: EnsembleDistribution
     waveform: PulseWaveform
     avg_fidelity: float
-    report: GrapeReport = field(repr=False, compare=False, default=None)
+    report: GrapeReport = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,9 @@ def run_ladder(
     p0: PulseWaveform,
     delta: float,
     stop_fidelity: float = 0.9,
-    cfg: GrapeConfig | None = None,
-    seed: int = 0,
     *,
+    cfg: GrapeConfig,
+    seed: int = 0,
     jitter_fraction: float = 0.05,
     max_rungs: int = 100,
 ) -> LadderResult:
@@ -73,7 +73,7 @@ def run_ladder(
         The ladder stops after the first rung whose averaged fidelity
         falls below this floor (that rung is still recorded).
     cfg : GrapeConfig
-        Per-rung ascent budget; default caps each rung at 300 iterations.
+        Per-rung ascent budget.
     seed : int
         Drives the per-rung comb jitter; rung m uses child seed (seed, m).
 
@@ -81,8 +81,6 @@ def run_ladder(
     -------
     LadderResult with one LadderRung per optimized comb.
     """
-    if cfg is None:
-        cfg = GrapeConfig(max_iterations=300)
     if not 0.0 < stop_fidelity < 1.0:
         raise ValueError("stop_fidelity must be in (0, 1)")
     if max_rungs < 0:
@@ -112,7 +110,7 @@ def check_rfi_scales(rf_scales) -> np.ndarray:
     check_points(0.0, scales)
     if np.unique(scales).size != scales.size:
         raise ValueError("rf_scales must not repeat a scale")
-    if scales.size == 0 or not np.any(np.abs(scales - 1.0) < 1e-12):
+    if not np.any(np.abs(scales - 1.0) < 1e-12):
         raise ValueError("rf_scales must contain the nominal scale 1.0")
     return scales
 
@@ -120,7 +118,7 @@ def check_rfi_scales(rf_scales) -> np.ndarray:
 def add_rfi_and_reoptimize(
     rung: LadderRung,
     rf_scales,
-    cfg: GrapeConfig | None = None,
+    cfg: GrapeConfig,
 ):
     """Cross a rung's offsets with RF-scale points and re-optimize toward
     the pi-about-y target.
@@ -134,8 +132,6 @@ def add_rfi_and_reoptimize(
     (distribution, waveform, avg_fidelity)
     """
     scales = check_rfi_scales(rf_scales)
-    if cfg is None:
-        cfg = GrapeConfig(max_iterations=300)
     offsets = list(dict.fromkeys(rung.distribution.offsets.tolist()))
     d = EnsembleDistribution.product(np.asarray(offsets), scales)
     report = grape_ascend(rung.waveform, d, cfg)

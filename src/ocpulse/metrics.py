@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagation import PulseWaveform, pulse_propagators, target_overlaps
-from .pulses import EnsembleDistribution
+from .propagation import pulse_propagators, target_overlaps
+from .pulses import EnsembleDistribution, PulseWaveform
 from .su2 import Z_AXIS, axis_angle, unitarity_error
 
 # sin(theta/2) below this leaves the rotation axis numerically undefined.

@@ -124,7 +124,7 @@ def forward_products(steps: np.ndarray, start: np.ndarray, spare=None, scratch=N
     return steps[-1]
 
 
-def ordered_product(steps: np.ndarray, start: np.ndarray, spare=None, scratch=None) -> np.ndarray:
+def ordered_product(steps: np.ndarray, start: np.ndarray, spare, scratch) -> np.ndarray:
     """The whole product S_{n-1} ... S_0 start of Cayley-Klein pairs.
 
     A pairwise tree aligned on the last step: each level multiplies
@@ -133,18 +133,13 @@ def ordered_product(steps: np.ndarray, start: np.ndarray, spare=None, scratch=No
     so the two agree to the bit.  The levels alternate between ``steps``,
     which is overwritten, and ``spare``, a pair buffer of the first level's
     (n_steps + 1) // 2 rows; ``scratch``, a complex array of that shape
-    without the pair axis, serves :func:`ocpulse.su2.ck_mul`.  Both are
-    allocated when not given.  Returns a view of the product in one of the
-    two buffers (``start`` for an empty sequence).
+    without the pair axis, serves :func:`ocpulse.su2.ck_mul`.  Returns a
+    view of the product in one of the two buffers (``start`` for an empty
+    sequence).
     """
     n = len(steps)
     if n == 0:
         return start
-    level = ((n + 1) // 2,) + steps.shape[1:-1]
-    if spare is None:
-        spare = pair_buffer(level)
-    if scratch is None:
-        scratch = np.empty(level, dtype=complex)
     ck_mul(steps[0], start, out=spare[0], scratch=scratch[0])
     steps[0] = spare[0]
     src, dst = steps, spare

@@ -210,6 +210,8 @@ def uniform_ladder_distribution(
     ----------
     half_bandwidth, delta : float
         Angular frequencies, rad/s.
+    rf_scales : sequence of float
+        Crossed with every offset; EnsembleDistribution checks them.
     seed : int or sequence of int
         Feeds ``numpy.random.default_rng``; the comb is reproducible.
 
@@ -224,9 +226,6 @@ def uniform_ladder_distribution(
         raise ValueError(f"half_bandwidth must be nonnegative and finite, got {half_bandwidth}")
     if 0.0 < half_bandwidth < delta:
         raise ValueError("half_bandwidth smaller than the comb spacing delta")
-    scales = np.atleast_1d(np.asarray(rf_scales, dtype=float))
-    if scales.size == 0 or np.any(scales <= 0.0):
-        raise ValueError("rf_scales must be nonempty and positive")
     m = np.floor(half_bandwidth / delta + 1e-9)
     if not 2 * m + 1 <= MAX_RANGE_POINTS:
         raise ValueError(
@@ -236,4 +235,4 @@ def uniform_ladder_distribution(
     base = np.arange(-m, m + 1, dtype=float) * delta
     rng = np.random.default_rng(seed)
     factors = 1.0 + rng.uniform(-jitter_fraction, jitter_fraction, size=base.size)
-    return EnsembleDistribution.product(base * factors, scales)
+    return EnsembleDistribution.product(base * factors, rf_scales)

@@ -33,6 +33,7 @@ def _fd_gradient(p, d, h=1e-6):
     """Central differences on the Cartesian controls through the objective."""
     u = p.cartesian_controls()
     g = np.zeros_like(u)
+    ws = grape._Workspace(p, d)
     for j in range(p.n_steps):
         for k in range(2):
             up, um = u.copy(), u.copy()
@@ -40,11 +41,11 @@ def _fd_gradient(p, d, h=1e-6):
             um[j, k] -= h
             fp = grape._ensemble_fidelity(
                 p.with_steps(np.hypot(up[:, 0], up[:, 1]), np.arctan2(up[:, 1], up[:, 0])),
-                d,
+                d, ws,
             )
             fm = grape._ensemble_fidelity(
                 p.with_steps(np.hypot(um[:, 0], um[:, 1]), np.arctan2(um[:, 1], um[:, 0])),
-                d,
+                d, ws,
             )
             g[j, k] = (fp - fm) / (2 * h)
     return g
@@ -59,7 +60,7 @@ def _worst_gradient_error(dt):
                           rng.uniform(0, 2 * np.pi, 20), A_MAX)
         offs = rng.uniform(-2 * np.pi * 1e3, 2 * np.pi * 1e3, 5)
         d = EnsembleDistribution(offs, np.ones(5), np.full(5, 0.2))
-        _, ga = grape._averaged_eval(p, d)
+        _, ga = grape._averaged_eval(p, d, grape._Workspace(p, d))
         gf = _fd_gradient(p, d)
         worst = max(worst, np.max(np.abs(ga - gf)) / np.max(np.abs(gf)))
     return worst

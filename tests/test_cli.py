@@ -17,12 +17,12 @@ except ModuleNotFoundError:  # Python 3.10: pytest depends on tomli there
 import numpy as np
 import pytest
 
-from ocpulse import channel, cli, echo_train, fileio, metrics, propagation
+from ocpulse import channel, cli, echo_train, fileio, grape, metrics, propagation
 from ocpulse.channel import asymptotic_channel, superoperator_sequence
 from ocpulse.cli import main
 from ocpulse.echo_train import simulate_train
 from ocpulse.propagation import cycle_propagators, pulse_propagators
-from ocpulse.pulses import EnsembleDistribution, PulseWaveform, hard_pulse
+from ocpulse.pulses import EnsembleDistribution, PulseWaveform, hard_pulse, waveform_template
 from ocpulse.su2 import axis_angle
 
 A_MAX = 2 * np.pi * 5000.0
@@ -58,6 +58,14 @@ def test_info_describes_files(tmp_path, capsys):
         assert f"{path}: unrecognized JSON payload" in captured.out
     assert "waveform, 1 steps" in captured.out
     assert "unreadable" in captured.err
+
+
+def test_info_describes_a_distribution_file(tmp_path, capsys):
+    d = EnsembleDistribution.product(2 * np.pi * np.array([-250.0, 0.0, 750.0]), [1.1, 0.9])
+    fileio.save_distribution_json(d, tmp_path / "d.json")
+    assert main(["info", str(tmp_path / "d.json")]) == 0
+    assert (f"{tmp_path / 'd.json'}: distribution, 6 points, offsets -250.0..750.0 Hz, "
+            "RF scales [0.9, 1.1]") in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("record, problem", [
@@ -227,6 +235,58 @@ def test_optimize_init_takes_its_timing_from_the_waveform(tmp_path):
     _, rows = read_csv(out / "ladder.csv")
     assert [row[0] for row in rows] == ["0", "1"]
     assert float(rows[1][1]) == pytest.approx(2500.0, rel=1e-12)
+
+
+def test_optimize_over_a_distribution_file(tmp_path):
+    # no mode flag: --distribution-file sets the "distribution" mode
+    d = EnsembleDistribution.product(2 * np.pi * np.array([-500.0, 0.0, 500.0]), [0.9, 1.1])
+    fileio.save_distribution_json(d, tmp_path / "d.json")
+    out = tmp_path / "run"
+    assert main(["optimize", "--distribution-file", str(tmp_path / "d.json"), "--steps", "10",
+                 "--max-iter", "5", "-o", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["params"]["mode"] == "distribution"
+    assert sorted(manifest["outputs"]) == ["distribution.json", "trace.jsonl", "waveform.csv",
+                                           "waveform.json"]
+    assert fileio.load_distribution_json(out / "distribution.json").points() == d.points()
+    p = fileio.load_waveform_json(out / "waveform.json")
+    assert metrics.average_fidelity(p, d) == manifest["params"]["final_fidelity"]
+
+
+def test_optimize_multistart_keeps_the_best_start(tmp_path):
+    out = tmp_path / "run"
+    assert main(["optimize", "--on-resonance", "--multistart", "3", "--threads", "2",
+                 "--steps", "10", "--max-iter", "5", "--seed", "4", "-o", str(out)]) == 0
+    header, rows = read_csv(out / "histogram.csv")
+    assert header == ["rank", "fidelity"] and [r[0] for r in rows] == ["0", "1", "2"]
+    fids = [float(r[1]) for r in rows]
+    assert fids == sorted(fids)
+    d = EnsembleDistribution.single_point()
+    # the grid of the timing defaults, as optimize builds it
+    guard = cli.DEFAULT_GUARD_US * 1e-6
+    template = waveform_template(10, cli.DEFAULT_DURATION_MS * 1e-3 / 10,
+                                 cli.DEFAULT_AMAX_KHZ * cli.KHZ, pre_delay=guard, post_delay=guard)
+    reports = grape.multistart_reports(d, grape.GrapeConfig(max_iterations=5), 3, 4,
+                                       template=template, max_workers=1)
+    assert sorted(float(r.fidelity_history[-1]) for r in reports) == fids
+    best = max(reports, key=lambda r: r.fidelity_history[-1]).final_waveform
+    fileio.save_waveform_json(best, tmp_path / "best.json")
+    assert (out / "waveform.json").read_bytes() == (tmp_path / "best.json").read_bytes()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["params"]["multistart"] == 3 and manifest["params"]["final_fidelity"] == fids[-1]
+    assert "histogram.csv" in manifest["outputs"]
+
+
+def test_a_runtime_error_exits_1_as_a_numerical_failure(tmp_path, capsys):
+    # an offset whose square overflows gives a nan objective
+    fileio.save_distribution_json(EnsembleDistribution.single_point(1e200),
+                                  tmp_path / "d.json")
+    with np.errstate(all="ignore"):
+        rc = main(["optimize", "--distribution-file", str(tmp_path / "d.json"),
+                   "--steps", "10", "-o", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: non-finite objective at the starting point"]
 
 
 def test_simulate_ideal_train_is_flat(tmp_path):
@@ -607,6 +667,11 @@ def test_bad_distribution_file_is_rejected(tmp_path, capsys):
     # a repeated RF scale once wrote every sweep row twice
     (["simulate", "--pulse", "hard", "--sweep", "--rf", "1,1"],
      "duplicate (offset, rf_scale) points"),
+    # the built comb once had a message of its own for these, unlike compare
+    (["analyze-channel", "--pulse", "hard", "--rf", ","],
+     "distribution must contain at least one point"),
+    (["analyze-channel", "--pulse", "hard", "--rf=-1"],
+     "rf_scales must be positive and finite"),
 ])
 def test_nonfinite_or_negative_input_fails_at_the_boundary(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
@@ -655,6 +720,44 @@ def test_bad_range_argument(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--include-hard", "-o", str(tmp_path), "--sweep-khz", "2:1:1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("spec, n", [
+    # the count was once rounded: -10:10:3 ran on to 11 and 0:1:0.4 to 1.2
+    ("-10:10:3", 7), ("0:1:0.4", 3), ("0:0.3:0.1", 4), ("1:1:5", 1),
+    # the command defaults and the benchmark's ranges keep their counts
+    ("-10:10:0.1", 201), ("-10:10:0.25", 81), ("-2:2:0.5", 9),
+])
+def test_a_range_ends_at_or_before_hi(spec, n):
+    lo, _, step = map(float, spec.split(":"))
+    assert np.array_equal(cli._range(spec), lo + step * np.arange(n))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--pulse", "hard", "--sweep", "--rf", "1,x"], "bad float list '1,x'"),
+    (["simulate", "--pulse", "hard", "--sweep", "--echo-indices", "1,2.5"],
+     "bad int list '1,2.5'"),
+    (["simulate", "--pulse", "hard", "--sweep", "--offsets-khz=1:2"],
+     "bad range '1:2', want lo:hi:step"),
+    (["compare", "--include-hard", "--sweep-khz", "a:1:1"], "bad range 'a:1:1', want lo:hi:step"),
+])
+def test_a_bad_list_or_range_is_a_usage_error(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "-o", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_distribution_file_that_is_not_json_is_rejected(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("offset_hz,weight\n0,1\n")
+    rc = main(["analyze-channel", "--pulse", "hard", "--distribution", str(bad),
+               "--cycles", "3", "-o", str(tmp_path / "out")])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: not valid JSON:")
+    assert not (tmp_path / "out" / "channel.json").exists()
 
 
 @pytest.mark.parametrize("spec, message", [

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ocpulse import fileio
+from ocpulse import cli, fileio
 from ocpulse.channel import fit_pauli_model
 from ocpulse.pulses import (
     EnsembleDistribution, PulseWaveform, hard_pulse, uniform_ladder_distribution,
@@ -291,7 +291,7 @@ def test_write_csv_memory_is_bounded_by_the_block(tmp_path):
 def test_channel_fit_json_inf_becomes_null():
     identity = np.broadcast_to(np.eye(4), (5, 4, 4))
     fit = fit_pauli_model(identity, 4e-3)  # never decays: infinite t2
-    d = fileio.channel_fit_to_dict(fit)
+    d = cli.channel_fit_to_dict(fit)
     assert d["t2_pulse_s"] is None
     assert d["t2_pulse_cycles"] is None
     assert d["m_infinity"] == pytest.approx(1.0)

@@ -23,6 +23,7 @@ def finite_difference_gradient(p, d, h=1e-6):
     """Central differences on the Cartesian controls through the public objective."""
     u = p.cartesian_controls()
     g = np.zeros_like(u)
+    ws = grape._Workspace(p, d)
     for j in range(p.n_steps):
         for k in range(2):
             up, um = u.copy(), u.copy()
@@ -30,11 +31,11 @@ def finite_difference_gradient(p, d, h=1e-6):
             um[j, k] -= h
             fp = grape._ensemble_fidelity(
                 p.with_steps(np.hypot(up[:, 0], up[:, 1]), np.arctan2(up[:, 1], up[:, 0])),
-                d,
+                d, ws,
             )
             fm = grape._ensemble_fidelity(
                 p.with_steps(np.hypot(um[:, 0], um[:, 1]), np.arctan2(um[:, 1], um[:, 0])),
-                d,
+                d, ws,
             )
             g[j, k] = (fp - fm) / (2 * h)
     return g
@@ -49,7 +50,7 @@ def test_gradient_matches_finite_differences():
                           rng.uniform(0, 2 * np.pi, 20), A_MAX)
         offs = rng.uniform(-2 * np.pi * 1e3, 2 * np.pi * 1e3, 5)
         d = EnsembleDistribution(offs, np.ones(5), np.full(5, 0.2))
-        _, ga = grape._averaged_eval(p, d)
+        _, ga = grape._averaged_eval(p, d, grape._Workspace(p, d))
         gf = finite_difference_gradient(p, d)
         assert np.max(np.abs(ga - gf)) / np.max(np.abs(gf)) < 1e-3
 
@@ -141,17 +142,17 @@ def test_ascent_deterministic():
 def test_start_validation():
     d = EnsembleDistribution.single_point()
     with pytest.raises(ValueError, match="empty"):
-        grape_ascend(PulseWaveform(1e-6, np.zeros(0), np.zeros(0), A_MAX), d)
+        grape_ascend(PulseWaveform(1e-6, np.zeros(0), np.zeros(0), A_MAX), d, GrapeConfig())
     over = PulseWaveform(1e-6, np.array([1.5 * A_MAX]), np.array([0.0]), A_MAX)
     with pytest.raises(ValueError, match="a_max"):
-        grape_ascend(over, d)
+        grape_ascend(over, d, GrapeConfig())
 
 
 def test_ascent_stops_on_a_nonfinite_objective_or_gradient(monkeypatch):
     p0 = random_waveform(waveform_template(10, 1e-5, A_MAX), np.random.default_rng(2))
     # an offset whose square overflows gives a nan pulse
     with np.errstate(all="ignore"), pytest.raises(RuntimeError) as err:
-        grape_ascend(p0, EnsembleDistribution.single_point(1e200))
+        grape_ascend(p0, EnsembleDistribution.single_point(1e200), GrapeConfig())
     assert str(err.value) == "non-finite objective at the starting point"
     evaluate = grape._averaged_eval
     evaluations = []
@@ -166,13 +167,41 @@ def test_ascent_stops_on_a_nonfinite_objective_or_gradient(monkeypatch):
 
     monkeypatch.setattr(grape, "_averaged_eval", poisoned)
     with pytest.raises(RuntimeError) as err:
-        grape_ascend(p0, EnsembleDistribution.single_point())
+        grape_ascend(p0, EnsembleDistribution.single_point(), GrapeConfig())
     assert str(err.value) == "non-finite gradient" and len(evaluations) == 2
     # poisoned from the first evaluation on: the starting gradient
     evaluations.append(0.0)
     with pytest.raises(RuntimeError) as err:
-        grape_ascend(p0, EnsembleDistribution.single_point())
+        grape_ascend(p0, EnsembleDistribution.single_point(), GrapeConfig())
     assert str(err.value) == "non-finite objective at the starting point"
+    # a finite start whose first probe is nan
+    monkeypatch.setattr(grape, "_averaged_eval", evaluate)
+    monkeypatch.setattr(grape, "_ensemble_fidelity", lambda *args: np.nan)
+    with pytest.raises(RuntimeError) as err:
+        grape_ascend(p0, EnsembleDistribution.single_point(), GrapeConfig())
+    assert str(err.value) == "non-finite fidelity during line search"
+
+
+def test_a_line_search_that_never_improves_stalls_with_no_probe_counted(monkeypatch):
+    # the hard pulse sits at its amplitude cap, and at RF scale 0.9 no
+    # probe along the gradient beats its starting fidelity
+    probe = grape._ensemble_fidelity
+    probed = []
+
+    def recorded(*args):
+        probed.append(probe(*args))
+        return probed[-1]
+
+    monkeypatch.setattr(grape, "_ensemble_fidelity", recorded)
+    p0 = hard_pulse(np.pi, np.pi / 2, A_MAX)
+    rep = grape_ascend(p0, EnsembleDistribution.single_point(0.0, 0.9), GrapeConfig())
+    assert rep.termination is Termination.STALLED and rep.iterations == 0
+    assert len(probed) == grape._LS_MAX_PROBES
+    assert all(f <= rep.fidelity_history[0] for f in probed)
+    assert rep.probes.tolist() == [] and rep.step_sizes.tolist() == []
+    # a 0.9 pi turn about y: t = cos(0.05 pi)
+    assert rep.fidelity_history.tolist() == pytest.approx([np.cos(0.05 * np.pi) ** 2], abs=1e-15)
+    assert rep.final_waveform is p0
 
 
 def test_config_validation():
@@ -203,10 +232,10 @@ def test_multistart_reproducible():
     d = EnsembleDistribution.single_point()
     cfg = GrapeConfig(max_iterations=30)
     tmpl = waveform_template(10, 1e-5, A_MAX)
-    h1 = _final_fidelities(d, cfg, 4, 21, template=tmpl)
-    h2 = _final_fidelities(d, cfg, 4, 21, template=tmpl)
+    h1 = _final_fidelities(d, cfg, 4, 21, template=tmpl, max_workers=1)
+    h2 = _final_fidelities(d, cfg, 4, 21, template=tmpl, max_workers=1)
     assert np.array_equal(h1, h2)
-    h3 = _final_fidelities(d, cfg, 4, 22, template=tmpl)
+    h3 = _final_fidelities(d, cfg, 4, 22, template=tmpl, max_workers=1)
     assert not np.array_equal(h1, h3)
 
 
@@ -214,7 +243,7 @@ def test_multistart_single_start_matches_direct_ascent():
     d = EnsembleDistribution.single_point()
     cfg = GrapeConfig(max_iterations=30)
     tmpl = waveform_template(10, 1e-5, A_MAX)
-    h = _final_fidelities(d, cfg, 1, 5, template=tmpl)
+    h = _final_fidelities(d, cfg, 1, 5, template=tmpl, max_workers=1)
     child = np.random.SeedSequence(5).spawn(1)[0]
     p0 = random_waveform(tmpl, np.random.default_rng(child))
     rep = grape_ascend(p0, d, cfg)
@@ -225,13 +254,13 @@ def test_multistart_threaded_matches_serial():
     d = EnsembleDistribution.product(2 * np.pi * np.array([-1e3, 1e3]), [1.0])
     cfg = GrapeConfig(max_iterations=15)
     tmpl = waveform_template(8, 1e-5, A_MAX)
-    serial = multistart_reports(d, cfg, 3, 9, template=tmpl)
+    serial = multistart_reports(d, cfg, 3, 9, template=tmpl, max_workers=1)
     threaded = multistart_reports(d, cfg, 3, 9, template=tmpl, max_workers=2)
     for a, b in zip(serial, threaded):
         assert np.array_equal(a.fidelity_history, b.fidelity_history)
         assert np.array_equal(a.final_waveform.amplitudes, b.final_waveform.amplitudes)
     with pytest.raises(ValueError, match="n_starts"):
-        multistart_reports(d, cfg, 0, 9, template=tmpl)
+        multistart_reports(d, cfg, 0, 9, template=tmpl, max_workers=1)
 
 
 def _guarded_random_waveform(rng, n_steps):
@@ -248,8 +277,8 @@ def test_probe_fidelity_equals_gradient_fidelity(n_points):
     p = _guarded_random_waveform(rng, 100)
     d = EnsembleDistribution(rng.uniform(-2 * np.pi * 1e4, 2 * np.pi * 1e4, n_points),
                              rng.uniform(0.8, 1.2, n_points), np.full(n_points, 1.0 / n_points))
-    f = grape._averaged_eval(p, d)[0]
-    assert grape._ensemble_fidelity(p, d) == f
+    f = grape._averaged_eval(p, d, grape._Workspace(p, d))[0]
+    assert grape._ensemble_fidelity(p, d, grape._Workspace(p, d)) == f
     assert average_fidelity(p, d) == f
 
 
@@ -274,7 +303,7 @@ def test_a_probe_on_a_warmed_workspace_allocates_nothing_step_sized():
     finally:
         tracemalloc.stop()
     assert peak < p.n_steps * POINT_CHUNK * 32
-    assert f == grape._ensemble_fidelity(trial, d)
+    assert f == grape._ensemble_fidelity(trial, d, grape._Workspace(trial, d))
 
 
 def test_gradient_over_chunks_equals_per_point_evaluation():
@@ -308,10 +337,10 @@ def _two_chunk_problem(monkeypatch):
 
 def _reference_ascent(p0, d, cfg):
     """grape_ascend's loop written out, with every gradient evaluated afresh
-    and every probe without a prefix buffer; also counts rejected probes."""
+    and every probe in a fresh workspace; also counts rejected probes."""
     u1, u2 = p0.cartesian_controls().T.copy()
     p = p0
-    fid, grad = grape._averaged_eval(p, d)
+    fid, grad = grape._averaged_eval(p, d, grape._Workspace(p, d))
     history, steps, rejected = [fid], [], 0
     eps = 0.05 * p0.a_max / float(np.max(np.abs(grad)))
     termination = Termination.MAX_ITERATIONS
@@ -321,7 +350,7 @@ def _reference_ascent(p0, d, cfg):
             v1, v2 = u1 + eps * grad[:, 0], u2 + eps * grad[:, 1]
             amps, phases = np.minimum(np.hypot(v1, v2), p0.a_max), np.arctan2(v2, v1)
             trial = p.with_steps(amps, phases)
-            f_trial = grape._ensemble_fidelity(trial, d)
+            f_trial = grape._ensemble_fidelity(trial, d, grape._Workspace(trial, d))
             if f_trial > fid:
                 improvement = f_trial - fid
                 u1, u2 = amps * np.cos(phases), amps * np.sin(phases)
@@ -338,7 +367,7 @@ def _reference_ascent(p0, d, cfg):
         if improvement < cfg.improvement_threshold:
             termination = Termination.STALLED
             break
-        fid, grad = grape._averaged_eval(p, d)
+        fid, grad = grape._averaged_eval(p, d, grape._Workspace(p, d))
     return p, np.asarray(history), np.asarray(steps), termination, rejected
 
 

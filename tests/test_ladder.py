@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ocpulse import grape, ladder
-from ocpulse.grape import GrapeConfig, random_waveform
+from ocpulse.grape import GrapeConfig, GrapeReport, Termination, random_waveform
 from ocpulse.ladder import (
     LadderResult,
     LadderRung,
@@ -56,7 +56,8 @@ def test_rungs_warm_start_from_previous_waveform():
         quick_start(), DELTA, cfg=GrapeConfig(max_iterations=60), seed=2, max_rungs=2
     )
     for prev, cur in zip(res.rungs, res.rungs[1:]):
-        f0 = grape._ensemble_fidelity(prev.waveform, cur.distribution)
+        f0 = grape._ensemble_fidelity(prev.waveform, cur.distribution,
+                                      grape._Workspace(prev.waveform, cur.distribution))
         assert cur.report.fidelity_history[0] == pytest.approx(f0, abs=1e-12)
         assert cur.avg_fidelity == pytest.approx(cur.report.fidelity_history[-1])
 
@@ -95,9 +96,9 @@ def test_ladder_validation(monkeypatch):
     monkeypatch.setattr(ladder, "grape_ascend", counting_ascend)
     cfg = GrapeConfig(max_iterations=5)
     with pytest.raises(ValueError, match="stop_fidelity"):
-        run_ladder(quick_start(), DELTA, stop_fidelity=1.0)
+        run_ladder(quick_start(), DELTA, stop_fidelity=1.0, cfg=cfg)
     with pytest.raises(ValueError, match="max_rungs"):
-        run_ladder(quick_start(), DELTA, max_rungs=-1)
+        run_ladder(quick_start(), DELTA, cfg=cfg, max_rungs=-1)
     with pytest.raises(ValueError, match="jitter_fraction"):
         run_ladder(quick_start(), DELTA, cfg=cfg, jitter_fraction=0.6)
     with pytest.raises(ValueError, match="delta"):
@@ -108,7 +109,9 @@ def test_ladder_validation(monkeypatch):
 def _toy_result(fids):
     w = hard_pulse(np.pi, np.pi / 2, A_MAX)
     rungs = tuple(
-        LadderRung(i, i * DELTA, EnsembleDistribution.single_point(float(i)), w, f)
+        LadderRung(i, i * DELTA, EnsembleDistribution.single_point(float(i)), w, f,
+                   GrapeReport(w, np.array([f]), np.zeros(0), np.zeros(0, dtype=int), 0,
+                               Termination.STALLED))
         for i, f in enumerate(fids)
     )
     return LadderResult(rungs, LadderStop.MAX_RUNGS)
@@ -153,4 +156,4 @@ def test_add_rfi_widens_ensemble():
 def test_add_rfi_requires_nominal_scale():
     res = run_ladder(quick_start(), DELTA, cfg=GrapeConfig(max_iterations=10), max_rungs=0)
     with pytest.raises(ValueError, match="1.0"):
-        add_rfi_and_reoptimize(res.rungs[0], (0.9, 1.1))
+        add_rfi_and_reoptimize(res.rungs[0], (0.9, 1.1), GrapeConfig())

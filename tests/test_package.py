@@ -5,10 +5,12 @@ as an attribute, from the program: the package itself (``__init__.py``
 aside, since an export is not a use), ``scripts/`` and ``perfbench/``.
 Each of its defaulted parameters must be passed, by keyword or by
 position, by some call in the program: an option that no caller sets is
-dead.  Reference implementations that only the tests need live in
-``tests/oracles.py``.  No module of the package reaches for an underscore
-name of another: what two modules share is public in one of them.  Each
-module uses every name it imports.
+dead.  A parameter that defaults to None must be left out by some program
+call: one that every caller passes is required.  Reference
+implementations that only the tests need live in ``tests/oracles.py``.
+No module of the package reaches for an underscore name of another: what
+two modules share is public in one of them.  Each module uses every name
+it imports.
 """
 
 import ast
@@ -86,15 +88,15 @@ def test_no_module_takes_a_private_name_of_another():
 
 
 def _defaulted_parameters(f):
-    """(name, position) of each parameter of ``f`` that has a default; the
-    position is None for a keyword-only parameter."""
+    """(name, position, default) of each parameter of ``f`` that has a
+    default; the position is None for a keyword-only parameter."""
     positional = f.args.posonlyargs + f.args.args
     first = len(positional) - len(f.args.defaults)
-    for i, arg in enumerate(positional[first:], start=first):
-        yield arg.arg, i
+    for i, (arg, default) in enumerate(zip(positional[first:], f.args.defaults), start=first):
+        yield arg.arg, i, default
     for arg, default in zip(f.args.kwonlyargs, f.args.kw_defaults):
         if default is not None:
-            yield arg.arg, None
+            yield arg.arg, None, default
 
 
 def _set_parameters(call):
@@ -108,20 +110,40 @@ def _set_parameters(call):
                                    or (position is not None and position < n_positional))
 
 
-def test_every_defaulted_parameter_is_set_by_a_program_caller():
+def _program_calls():
+    """Called name -> a :func:`_set_parameters` predicate per program call."""
     calls = {}
     for path in _program_sources():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
                 name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
                 calls.setdefault(name, []).append(_set_parameters(node))
+    return calls
+
+
+def test_every_defaulted_parameter_is_set_by_a_program_caller():
+    calls = _program_calls()
     unset = [
         f"{module}: {f.name}: {name}"
         for module, f in _package_functions()
-        for name, position in _defaulted_parameters(f)
+        for name, position, _ in _defaulted_parameters(f)
         if not any(sets(name, position) for sets in calls.get(f.name, []))
     ]
     assert sorted(unset) == []
+
+
+def test_no_none_default_is_passed_by_every_program_call():
+    # the dual: a None default that every caller overrides guards a branch
+    # that only the tests take, so the parameter is required
+    calls = _program_calls()
+    always_set = [
+        f"{module}: {f.name}: {name}"
+        for module, f in _package_functions()
+        for name, position, default in _defaulted_parameters(f)
+        if isinstance(default, ast.Constant) and default.value is None and f.name in calls
+        and all(sets(name, position) for sets in calls[f.name])
+    ]
+    assert sorted(always_set) == []
 
 
 def _unused_imports(path):

@@ -121,6 +121,11 @@ def test_pulse_propagators_chunked_equals_per_slice_product():
         assert np.array_equal(got[i], prop.pulse_propagators(p, alone)[0])
 
 
+def _tree_buffers(steps):
+    """A spare level and a scratch plane for the ordered product of ``steps``."""
+    level = ((len(steps) + 1) // 2,) + steps.shape[1:-1]
+    return pair_buffer(level), np.empty(level, dtype=complex)
+
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 100, 101, 201])
 def test_forward_products_are_the_ordered_prefixes(n):
@@ -136,7 +141,7 @@ def test_forward_products_are_the_ordered_prefixes(n):
         X = ck_matrix(steps[j]) @ X
         assert np.allclose(ck_matrix(prefixes[j]), X, rtol=0, atol=1e-14)
     assert np.allclose(ck_matrix(total), X, rtol=0, atol=1e-14)
-    assert np.array_equal(prop.ordered_product(steps.copy(), start), total)
+    assert np.array_equal(prop.ordered_product(steps.copy(), start, *_tree_buffers(steps)), total)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 100, 101])
@@ -151,7 +156,7 @@ def test_scan_into_caller_buffers_keeps_the_bits(n):
     start = ck_expm(rng.normal(size=(3, width)), 0.4)
     want = steps.copy()
     total = prop.forward_products(want, start)
-    assert np.array_equal(prop.ordered_product(steps.copy(), start), total)
+    assert np.array_equal(prop.ordered_product(steps.copy(), start, *_tree_buffers(steps)), total)
     chunk = slice(prop.POINT_CHUNK, width)
     X = pair_buffer((n, width))
     X[...] = steps
@@ -172,7 +177,8 @@ def test_scan_into_caller_buffers_keeps_the_bits(n):
     level = (max(1, (n + 1) // 2), prop.POINT_CHUNK)
     spare, scratch = pair_buffer(level), np.empty(level, dtype=complex)
     got = prop.ordered_product(tree[:, chunk], start[chunk], spare[:, :37], scratch[:, :37])
-    assert np.array_equal(got, prop.ordered_product(steps[:, chunk].copy(), start[chunk]))
+    alone = steps[:, chunk].copy()
+    assert np.array_equal(got, prop.ordered_product(alone, start[chunk], *_tree_buffers(alone)))
     assert np.array_equal(got, total[chunk])
     assert np.array_equal(tree[:, :prop.POINT_CHUNK], steps[:, :prop.POINT_CHUNK])
 

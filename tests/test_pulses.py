@@ -241,5 +241,5 @@ def test_uniform_ladder_errors():
     for half_bandwidth in (50001 * khz, 1e9 * khz):
         with pytest.raises(ValueError, match="more than the cap of 100001"):
             uniform_ladder_distribution(half_bandwidth, khz)
-    with pytest.raises(ValueError, match="rf_scales"):
+    with pytest.raises(ValueError, match="distribution must contain at least one point"):
         uniform_ladder_distribution(khz, khz, rf_scales=())
