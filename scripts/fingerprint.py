@@ -15,9 +15,11 @@ propagated once per ensemble (``ocpulse.pulse_propagators``), and its pairs
 feed the cycle or the criteria, as the commands take them.
 --save FILE keeps the per-cycle Pauli probabilities; --against FILE adds,
 per pulse, the largest |difference| between this tree's probabilities and
-the saved ones.  Then come the repr of the final fidelity and the sha256 of
-the final Cartesian controls of a fixed, seeded 25-iteration ascent on a
-45-point comb (15 offsets over +-3.5 kHz x RF scales 0.9, 1.0, 1.1), and
+the saved ones.  Then come the repr of the final fidelity, the sha256 of
+the final Cartesian controls, the iterations and the total line-search
+probes of a fixed, seeded 25-iteration ascent on a 45-point comb (15
+offsets over +-3.5 kHz x RF scales 0.9, 1.0, 1.1), so that a change of line
+search shows in the diff, and
 last the sha256 of the final controls of a fixed, seeded ladder from the
 same start, which covers the optimizer on small batches: three rungs of 25
 iterations on the 1-, 3- and 5-point combs, then the last comb crossed with
@@ -80,11 +82,10 @@ def controls_sha256(p):
 
 
 def grape_fingerprint():
-    """(final fidelity, sha256 of the final controls) of the fixed ascent."""
+    """The report of the fixed ascent."""
     d = oc.EnsembleDistribution.product(2 * np.pi * np.linspace(-3.5e3, 3.5e3, 15),
                                         [0.9, 1.0, 1.1])
-    rep = oc.grape_ascend(fixed_start(), d, oc.GrapeConfig(max_iterations=25))
-    return float(rep.fidelity_history[-1]), controls_sha256(rep.final_waveform)
+    return oc.grape_ascend(fixed_start(), d, oc.GrapeConfig(max_iterations=25))
 
 
 def ladder_fingerprint():
@@ -130,9 +131,11 @@ def main():
     print(f"oct_rfi min_retained_y_echo500 {float(retained.min())!r}")
     if args.save:
         np.savez(args.save, **probs)
-    fidelity, sha = grape_fingerprint()
-    print(f"grape final_fidelity {fidelity!r}")
-    print(f"grape controls_sha256 {sha}")
+    rep = grape_fingerprint()
+    print(f"grape final_fidelity {float(rep.fidelity_history[-1])!r}")
+    print(f"grape controls_sha256 {controls_sha256(rep.final_waveform)}")
+    print(f"grape iterations {rep.iterations}")
+    print(f"grape probes {int(rep.probes.sum())}")
     print(f"ladder controls_sha256 {ladder_fingerprint()}")
 
 

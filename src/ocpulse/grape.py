@@ -14,8 +14,12 @@ again.  The workspace also holds what is fixed for the whole ascent (the
 free precession of the guards) and the chunk-sized buffers that every probe
 and gradient reuse; the inverse target is a read-only constant of
 :mod:`ocpulse.propagation`, which :func:`propagation.target_overlaps`
-applies.  Steps follow the averaged gradient with a backtracking line
-search, so the fidelity history is monotone.
+applies.  Steps follow a projected L-BFGS direction over the Cartesian
+controls (Nocedal & Wright, Numerical Optimization, ch. 7; for quasi-Newton
+GRAPE, de Fouquieres et al., JMR 212, 412 (2011)), with a halving line
+search that accepts only a strict improvement, so the fidelity history is
+monotone.  Each trial's amplitudes are clipped to the cap, so the cap is
+kept by projection onto the disc hypot(u1, u2) <= a_max.
 """
 
 from __future__ import annotations
@@ -35,12 +39,12 @@ from .propagation import (
 )
 from .su2 import ck_mul, pair_buffer
 
-# Line search: the trial step grows by _LS_GROWTH after an accepted probe
-# and shrinks by _LS_SHRINK after a rejected one, with at most
-# _LS_MAX_PROBES probes per iteration.
-_LS_GROWTH = 1.5
+# Line search: the trial step is halved (_LS_SHRINK) after each rejected
+# probe, with at most _LS_MAX_PROBES probes per search; the L-BFGS
+# direction uses the last _LBFGS_MEMORY pairs.
 _LS_SHRINK = 0.5
 _LS_MAX_PROBES = 20
+_LBFGS_MEMORY = 8
 
 
 class Termination(enum.Enum):
@@ -53,11 +57,15 @@ class Termination(enum.Enum):
 class GrapeConfig:
     """Ascent budget and stopping rules.
 
-    Iterations stop at target_fidelity, on an improvement below
-    improvement_threshold (stall), or at max_iterations.  The line search
-    has no settings: its first trial step moves the largest control by 5%
-    of the amplitude cap, and later steps follow _LS_GROWTH, _LS_SHRINK
-    and _LS_MAX_PROBES.
+    Iterations stop at target_fidelity, on a line search with no
+    improvement or a gradient-direction step that improves by less than
+    improvement_threshold (stall), or at max_iterations.  A quasi-Newton
+    step below improvement_threshold does not stall: it drops the L-BFGS
+    pairs, and the next iteration steps along the gradient.  The search
+    has no settings: a gradient-direction step moves the largest control
+    by 5% of the amplitude cap, a quasi-Newton step starts at the full
+    L-BFGS step, and each is halved (_LS_SHRINK) up to _LS_MAX_PROBES
+    times; the L-BFGS memory is _LBFGS_MEMORY pairs.
     """
 
     improvement_threshold: float = 1e-7
@@ -82,9 +90,11 @@ class GrapeReport:
 
     fidelity_history[0] is the starting fidelity; one entry follows per
     accepted iteration, and step_sizes and probes align with those accepted
-    steps: probes[i] counts the line-search probes of iteration i, the
-    accepted one included.  The probes of a line search that finds no
-    improvement (a stall) are in no count.
+    steps: step_sizes[i] is the Euclidean norm of the change of the
+    Cartesian controls (u1, u2) in iteration i, in rad/s, and probes[i]
+    counts its line-search probes, the accepted one included and those of a
+    failed quasi-Newton search before it too.  The probes of an iteration
+    that finds no improvement (a stall) are in no count.
     """
 
     final_waveform: PulseWaveform
@@ -155,7 +165,7 @@ def _ensemble_fidelity(p: PulseWaveform, d: EnsembleDistribution, ws: _Workspace
     return float(np.dot(d.weights, t**2))
 
 
-def _fidelity_and_gradients_raw(p: PulseWaveform, d: EnsembleDistribution, ws=None):
+def _fidelity_and_gradients_raw(p: PulseWaveform, d: EnsembleDistribution, ws: _Workspace):
     """Pointwise fidelities (P,) and first-order gradients (P, N, 2) wrt (u1, u2).
 
     With X_j the product through step j (pre-delay included) and
@@ -163,14 +173,13 @@ def _fidelity_and_gradients_raw(p: PulseWaveform, d: EnsembleDistribution, ws=No
     real, the fidelity is t^2, and
     dF/du_k(j) = dt omega1 t Tr(sigma_k X_j M X_j^dag) / (2i): the k = x, y
     components of X_j M X_j^dag are Im b and Re b of its Cayley-Klein pair.
-    When ``ws`` holds the prefixes of this same waveform (a probe left
-    them, :func:`_ensemble_fidelity`), the steps are not built again.
+    ``ws`` is a :class:`_Workspace` of this ensemble; when it holds the
+    prefixes of this same waveform (a probe left them,
+    :func:`_ensemble_fidelity`), the steps are not built again.
     Points are taken in the chunks of :func:`propagation.point_chunks`;
     each point's result is the same, to the bit, as when it is evaluated
     alone.
     """
-    if ws is None:
-        ws = _Workspace(p, d)
     held = ws.waveform is p
     fids = np.empty(d.n_points)
     grads = np.empty((p.n_steps, d.n_points, 2))
@@ -195,13 +204,48 @@ def fidelity_and_gradients(p: PulseWaveform, point):
     ``point`` = (delta_omega, omega1_scale)."""
     delta_omega, omega1_scale = point
     d = EnsembleDistribution.single_point(delta_omega, omega1_scale)
-    fids, grads = _fidelity_and_gradients_raw(p, d)
+    fids, grads = _fidelity_and_gradients_raw(p, d, _Workspace(p, d))
     return float(fids[0]), grads[0]
 
 
 def _averaged_eval(p: PulseWaveform, d: EnsembleDistribution, ws: _Workspace):
     fids, grads = _fidelity_and_gradients_raw(p, d, ws)
     return float(np.dot(d.weights, fids)), np.einsum("p,pnk->nk", d.weights, grads)
+
+
+def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:
+    """H g by the two-loop recursion (Nocedal & Wright, Algorithm 7.4) over
+    the flat (s, y, 1 / s.y) pairs, oldest first, with the initial inverse
+    Hessian s.y / y.y of the newest pair."""
+    q = grad.ravel().copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ q))
+        q -= alphas[-1] * y
+    s, y, rho = pairs[-1]
+    q *= 1.0 / (rho * (y @ y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * (y @ q)) * s
+    return q.reshape(grad.shape)
+
+
+def _line_search(p: PulseWaveform, u: np.ndarray, step: np.ndarray, fid: float,
+                 d: EnsembleDistribution, ws: _Workspace):
+    """Probes u + step, then halves the step, up to _LS_MAX_PROBES times,
+    each trial's amplitudes clipped to a_max.  Returns (probes taken, the
+    first trial waveform whose fidelity strictly beats fid, its fidelity),
+    or (_LS_MAX_PROBES, None, None) when no trial does."""
+    for probe in range(1, _LS_MAX_PROBES + 1):
+        v = u + step
+        trial = p.with_steps(np.minimum(np.hypot(v[:, 0], v[:, 1]), p.a_max),
+                             np.arctan2(v[:, 1], v[:, 0]))
+        f_trial = _ensemble_fidelity(trial, d, ws)
+        if not np.isfinite(f_trial):
+            raise RuntimeError("non-finite fidelity during line search")
+        if f_trial > fid:
+            return probe, trial, f_trial
+        step = step * _LS_SHRINK
+    return _LS_MAX_PROBES, None, None
 
 
 def grape_ascend(
@@ -212,14 +256,24 @@ def grape_ascend(
     """Maximize the ensemble-averaged fidelity to the pi-about-y target
     starting from p0.
 
-    Each iteration evaluates the averaged gradient, then probes
-    u + eps * g with eps shrinking until the averaged fidelity strictly
-    improves, so an ascent capped at k iterations takes k gradients;
-    amplitudes are clipped to a_max after every update, so the
-    returned waveform always respects the cap.  Each probe leaves its
-    prefix products in the ascent's one workspace (:class:`_Workspace`),
-    and the gradient at an accepted probe reads them from there before the
-    next probe overwrites them.  Deterministic: identical inputs give an identical report.
+    Each iteration evaluates the averaged gradient g and searches along a
+    projected L-BFGS direction over the Cartesian controls: the two-loop
+    recursion over the last _LBFGS_MEMORY pairs (s, y), s the accepted
+    step of the clipped controls and y = g_old - g_new, kept only when
+    s.y > 1e-10 |s||y|.  With no pairs the direction is the gradient step
+    eps * g, eps = 0.05 a_max / max|g|, which moves the largest control
+    by 5% of the cap.  The search (:func:`_line_search`) accepts the first
+    strict improvement, so the fidelity history is monotone and an ascent
+    capped at k iterations takes k gradients.  Amplitudes are clipped to
+    a_max in every trial, so the returned waveform respects the cap.  Two
+    safeguards keep the quasi-Newton steps honest: a quasi-Newton search
+    that finds no improvement (the cap can turn its step away from ascent)
+    drops the pairs and searches once along eps * g, and a quasi-Newton
+    step that improves by less than improvement_threshold drops the pairs
+    instead of stopping.  Each probe leaves its prefix products in the
+    ascent's one workspace (:class:`_Workspace`), and the gradient at an
+    accepted probe reads them from there before the next probe overwrites
+    them.  Deterministic: identical inputs give an identical report.
 
     Raises
     ------
@@ -234,7 +288,6 @@ def grape_ascend(
         raise ValueError("initial amplitudes must lie in [0, a_max]")
 
     u = p0.cartesian_controls()
-    u1, u2 = u[:, 0].copy(), u[:, 1].copy()
     p = p0
     ws = _Workspace(p0, d)
 
@@ -244,8 +297,10 @@ def grape_ascend(
     history = [fid]
     accepted_steps: list[float] = []
     probes: list[int] = []
-    gmax = float(np.max(np.abs(grad)))
-    eps = 0.05 * p0.a_max / gmax if gmax > 0.0 else 1.0
+    pairs: list = []
+    # the controls and gradient at the start of the last accepted step,
+    # from which the next gradient forms a pair; None after a reset
+    last = None
     termination = Termination.MAX_ITERATIONS
 
     for iteration in range(cfg.max_iterations):
@@ -255,40 +310,42 @@ def grape_ascend(
             fid, grad = _averaged_eval(p, d, ws)
             if not np.isfinite(grad).all():
                 raise RuntimeError("non-finite gradient")
+            if last is not None:
+                s, y = (u - last[0]).ravel(), (last[1] - grad).ravel()
+                sy = float(s @ y)
+                if sy > 1e-10 * np.sqrt((s @ s) * (y @ y)):
+                    pairs = [*pairs, (s, y, 1.0 / sy)][-_LBFGS_MEMORY:]
         if fid >= cfg.target_fidelity:
             termination = Termination.TARGET_REACHED
             break
 
-        improvement = None
-        for probe in range(_LS_MAX_PROBES):
-            v1 = u1 + eps * grad[:, 0]
-            v2 = u2 + eps * grad[:, 1]
-            amps = np.minimum(np.hypot(v1, v2), p0.a_max)
-            phases = np.arctan2(v2, v1)
-            trial = p.with_steps(amps, phases)
-            f_trial = _ensemble_fidelity(trial, d, ws)
-            if not np.isfinite(f_trial):
-                raise RuntimeError("non-finite fidelity during line search")
-            if f_trial > fid:
-                improvement = f_trial - fid
-                u1, u2 = amps * np.cos(phases), amps * np.sin(phases)
-                p = trial
-                fid = f_trial
-                accepted_steps.append(eps)
-                probes.append(probe + 1)
-                eps *= _LS_GROWTH
-                break
-            eps *= _LS_SHRINK
-        if improvement is None:
+        gmax = float(np.max(np.abs(grad)))
+        gradient_step = (0.05 * p0.a_max / gmax if gmax > 0.0 else 1.0) * grad
+        quasi = bool(pairs)
+        n, trial, f_trial = _line_search(
+            p, u, _lbfgs_direction(grad, pairs) if quasi else gradient_step, fid, d, ws)
+        if trial is None and quasi:
+            pairs, quasi = [], False
+            extra, trial, f_trial = _line_search(p, u, gradient_step, fid, d, ws)
+            n += extra
+        if trial is None:
             termination = Termination.STALLED
             break
+        improvement = f_trial - fid
+        last = (u, grad)
+        u = trial.cartesian_controls()
+        p, fid = trial, f_trial
+        accepted_steps.append(float(np.linalg.norm(u - last[0])))
+        probes.append(n)
         history.append(fid)
         if fid >= cfg.target_fidelity:
             termination = Termination.TARGET_REACHED
             break
         if improvement < cfg.improvement_threshold:
-            termination = Termination.STALLED
-            break
+            if not quasi:
+                termination = Termination.STALLED
+                break
+            pairs, last = [], None
 
     return GrapeReport(
         final_waveform=p,

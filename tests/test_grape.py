@@ -72,6 +72,23 @@ def test_gradient_vanishes_at_optimum():
     assert np.max(np.abs(g)) < 1e-12
 
 
+def test_lbfgs_direction_meets_the_secant_equation_of_its_newest_pair():
+    # H y = s for the newest pair (Nocedal & Wright, eq. 6.17), whatever the
+    # older pairs; on a quadratic with gradient -A u, y = A s, and H g is an
+    # ascent direction
+    rng = np.random.default_rng(4)
+    B = rng.normal(size=(12, 12))
+    A = B @ B.T + 12 * np.eye(12)
+    pairs = []
+    for _ in range(grape._LBFGS_MEMORY):
+        s = rng.normal(size=12)
+        pairs.append((s, A @ s, 1.0 / (s @ A @ s)))
+    s, y, _ = pairs[-1]
+    assert np.allclose(grape._lbfgs_direction(y.reshape(6, 2), pairs).ravel(), s, rtol=1e-12)
+    g = rng.normal(size=(6, 2))
+    assert g.ravel() @ grape._lbfgs_direction(g, pairs).ravel() > 0.0
+
+
 def test_ascent_from_optimum_stalls_immediately():
     p = hard_pulse(np.pi, np.pi / 2, A_MAX)
     d = EnsembleDistribution.single_point()
@@ -314,7 +331,7 @@ def test_gradient_over_chunks_equals_per_point_evaluation():
     n_points = 5 * POINT_CHUNK // 2
     d = EnsembleDistribution(rng.uniform(-2 * np.pi * 1e4, 2 * np.pi * 1e4, n_points),
                              rng.uniform(0.8, 1.2, n_points), np.full(n_points, 1.0 / n_points))
-    fids, grads = grape._fidelity_and_gradients_raw(p, d)
+    fids, grads = grape._fidelity_and_gradients_raw(p, d, grape._Workspace(p, d))
     assert grads.shape == (n_points, 100, 2)
     for k in range(n_points):
         f, g = fidelity_and_gradients(p, (d.offsets[k], d.rf_scales[k]))
@@ -322,61 +339,82 @@ def test_gradient_over_chunks_equals_per_point_evaluation():
         assert np.array_equal(g, grads[k])
 
 
-def _two_chunk_problem(monkeypatch):
+def _two_chunk_problem():
     # POINT_CHUNK + 37 points, so the prefix buffer is taken in two strided
-    # chunks; a step growth of 4 overshoots often enough that probes are
-    # rejected
-    monkeypatch.setattr(grape, "_LS_GROWTH", 4.0)
+    # chunks; over this budget probes are rejected, and each safeguard of
+    # the quasi-Newton ascent runs (_reference_ascent counts them)
     rng = np.random.default_rng(31)
     n_points = POINT_CHUNK + 37
     d = EnsembleDistribution(rng.uniform(-2 * np.pi * 6e3, 2 * np.pi * 6e3, n_points),
                              rng.uniform(0.9, 1.1, n_points), np.full(n_points, 1.0 / n_points))
     p0 = random_waveform(waveform_template(40, 1e-5, A_MAX, pre_delay=6e-6, post_delay=6e-6), rng)
-    return p0, d, GrapeConfig(max_iterations=15)
+    return p0, d, GrapeConfig(max_iterations=30)
 
 
 def _reference_ascent(p0, d, cfg):
     """grape_ascend's loop written out, with every gradient evaluated afresh
-    and every probe in a fresh workspace; also counts rejected probes."""
-    u1, u2 = p0.cartesian_controls().T.copy()
+    and every probe in a fresh workspace.  Also counts rejected probes and
+    the iterations that took each safeguard: a failed quasi-Newton search
+    ("failed") and a quasi-Newton step below the improvement threshold
+    ("small")."""
+    u = p0.cartesian_controls()
     p = p0
     fid, grad = grape._averaged_eval(p, d, grape._Workspace(p, d))
     history, steps, rejected = [fid], [], 0
-    eps = 0.05 * p0.a_max / float(np.max(np.abs(grad)))
+    safeguards = {"failed": 0, "small": 0}
+    pairs, last = [], None
     termination = Termination.MAX_ITERATIONS
     for _ in range(cfg.max_iterations):
-        improvement = None
-        for _probe in range(grape._LS_MAX_PROBES):
-            v1, v2 = u1 + eps * grad[:, 0], u2 + eps * grad[:, 1]
-            amps, phases = np.minimum(np.hypot(v1, v2), p0.a_max), np.arctan2(v2, v1)
-            trial = p.with_steps(amps, phases)
-            f_trial = grape._ensemble_fidelity(trial, d, grape._Workspace(trial, d))
-            if f_trial > fid:
-                improvement = f_trial - fid
-                u1, u2 = amps * np.cos(phases), amps * np.sin(phases)
-                p, fid = trial, f_trial
-                steps.append(eps)
-                eps *= grape._LS_GROWTH
+        gradient_step = 0.05 * p0.a_max / float(np.max(np.abs(grad))) * grad
+        searches = [grape._lbfgs_direction(grad, pairs), gradient_step] if pairs else [gradient_step]
+        trial = None
+        for step in searches:
+            for _probe in range(grape._LS_MAX_PROBES):
+                v = u + step
+                candidate = p.with_steps(np.minimum(np.hypot(v[:, 0], v[:, 1]), p0.a_max),
+                                         np.arctan2(v[:, 1], v[:, 0]))
+                f_trial = grape._ensemble_fidelity(candidate, d, grape._Workspace(candidate, d))
+                if f_trial > fid:
+                    trial = candidate
+                    break
+                rejected += 1
+                step = step * grape._LS_SHRINK
+            if trial is not None:
                 break
-            rejected += 1
-            eps *= grape._LS_SHRINK
-        if improvement is None:
+            if pairs:
+                safeguards["failed"] += 1
+                pairs = []
+        if trial is None:
             termination = Termination.STALLED
             break
+        quasi = bool(pairs)
+        improvement = f_trial - fid
+        last = (u, grad)
+        u = trial.cartesian_controls()
+        p, fid = trial, f_trial
+        steps.append(np.linalg.norm(u - last[0]))
         history.append(fid)
         if improvement < cfg.improvement_threshold:
-            termination = Termination.STALLED
-            break
+            if not quasi:
+                termination = Termination.STALLED
+                break
+            safeguards["small"] += 1
+            pairs, last = [], None
         fid, grad = grape._averaged_eval(p, d, grape._Workspace(p, d))
-    return p, np.asarray(history), np.asarray(steps), termination, rejected
+        if last is not None:
+            s, y = (u - last[0]).ravel(), (last[1] - grad).ravel()
+            if s @ y > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+                pairs = [*pairs, (s, y, 1.0 / (s @ y))][-grape._LBFGS_MEMORY:]
+    return p, np.asarray(history), np.asarray(steps), termination, rejected, safeguards
 
 
-def test_ascent_equals_a_loop_that_evaluates_every_gradient_afresh(monkeypatch):
+def test_ascent_equals_a_loop_that_evaluates_every_gradient_afresh():
     # the gradient at an accepted probe reuses that probe's prefixes; a
     # stale or mixed-up buffer would move some bit of the report
-    p0, d, cfg = _two_chunk_problem(monkeypatch)
-    p, history, steps, termination, rejected = _reference_ascent(p0, d, cfg)
+    p0, d, cfg = _two_chunk_problem()
+    p, history, steps, termination, rejected, safeguards = _reference_ascent(p0, d, cfg)
     assert rejected > 0 and len(steps) > 1
+    assert safeguards["failed"] > 0 and safeguards["small"] > 0
     rep = grape_ascend(p0, d, cfg)
     assert np.array_equal(rep.fidelity_history, history)
     assert np.array_equal(rep.step_sizes, steps)
@@ -388,7 +426,7 @@ def test_ascent_equals_a_loop_that_evaluates_every_gradient_afresh(monkeypatch):
 def test_ascent_builds_step_exponentials_once_per_probe(monkeypatch):
     # one build per chunk for the starting gradient and per probe; the
     # gradient at an accepted probe builds none
-    p0, d, cfg = _two_chunk_problem(monkeypatch)
+    p0, d, cfg = _two_chunk_problem()
     calls = {"steps": 0, "probes": 0}
 
     def counted(name, fn):
@@ -407,10 +445,13 @@ def test_ascent_builds_step_exponentials_once_per_probe(monkeypatch):
 def test_report_counts_the_line_search_probes_of_each_iteration(monkeypatch):
     # an iteration ends at the first probe that beats the last accepted
     # fidelity; a capped ascent whose line searches all succeed counts
-    # every probe, the rejected ones of the written-out loop included
-    p0, d, cfg = _two_chunk_problem(monkeypatch)
-    _, _, steps, termination, rejected = _reference_ascent(p0, d, cfg)
+    # every probe, the rejected ones of the written-out loop included, and
+    # those of a failed quasi-Newton search in the iteration that follows
+    # it with a gradient search
+    p0, d, cfg = _two_chunk_problem()
+    _, _, steps, termination, rejected, safeguards = _reference_ascent(p0, d, cfg)
     assert termination is Termination.MAX_ITERATIONS and rejected > 0
+    assert safeguards["failed"] > 0
     probed = []
     probe = grape._ensemble_fidelity
 
@@ -428,13 +469,14 @@ def test_report_counts_the_line_search_probes_of_each_iteration(monkeypatch):
             n = 0
     assert rep.probes.dtype.kind == "i" and rep.probes.tolist() == counts
     assert len(counts) == rep.iterations and sum(counts) == len(probed) == rejected + len(steps)
+    assert max(counts) > grape._LS_MAX_PROBES
 
 
 def test_a_capped_ascent_takes_one_gradient_per_iteration(monkeypatch):
     # the starting gradient and one at each accepted probe but the last:
     # a gradient after the last iteration was once taken and never read
-    p0, d, cfg = _two_chunk_problem(monkeypatch)
-    p, history, steps, termination, _ = _reference_ascent(p0, d, cfg)
+    p0, d, cfg = _two_chunk_problem()
+    p, history, steps, termination, _, _ = _reference_ascent(p0, d, cfg)
     assert termination is Termination.MAX_ITERATIONS
     calls = []
     evaluate = grape._averaged_eval
@@ -450,3 +492,64 @@ def test_a_capped_ascent_takes_one_gradient_per_iteration(monkeypatch):
     assert np.array_equal(rep.fidelity_history, history)
     assert np.array_equal(rep.step_sizes, steps)
     assert np.array_equal(rep.final_waveform.cartesian_controls(), p.cartesian_controls())
+
+
+def _recorded_ascent(monkeypatch, p0, d, cfg):
+    """grape_ascend with the waveform and gradient of every iteration and
+    the waveform of every probe recorded."""
+    gradients, probes = [], []
+    evaluate, probe = grape._averaged_eval, grape._ensemble_fidelity
+
+    def gradient(p, *args):
+        fid, grad = evaluate(p, *args)
+        gradients.append((p, grad))
+        return fid, grad
+
+    def probed(trial, *args):
+        probes.append(trial)
+        return probe(trial, *args)
+
+    monkeypatch.setattr(grape, "_averaged_eval", gradient)
+    monkeypatch.setattr(grape, "_ensemble_fidelity", probed)
+    return grape_ascend(p0, d, cfg), gradients, probes
+
+
+def _gradient_step(p, grad):
+    """The clipped waveform of the gradient step eps * g from p."""
+    v = p.cartesian_controls() + 0.05 * p.a_max / np.max(np.abs(grad)) * grad
+    return p.with_steps(np.minimum(np.hypot(v[:, 0], v[:, 1]), p.a_max), np.arctan2(v[:, 1], v[:, 0]))
+
+
+def test_a_failed_quasi_newton_search_falls_back_to_the_gradient_step(monkeypatch):
+    # on this problem the amplitude cap turns a quasi-Newton step away from
+    # ascent: its search fails, the pairs are dropped, and the iteration
+    # goes on with one search along eps * g instead of stalling
+    p0, d, cfg = _two_chunk_problem()
+    rep, gradients, probes = _recorded_ascent(monkeypatch, p0, d, cfg)
+    assert rep.termination is Termination.MAX_ITERATIONS
+    starts = np.concatenate(([0], np.cumsum(rep.probes)))
+    failed = np.flatnonzero(rep.probes > grape._LS_MAX_PROBES)
+    assert failed.size > 0
+    for i in failed:
+        p, grad = gradients[i]
+        fallback = probes[starts[i] + grape._LS_MAX_PROBES]
+        assert np.array_equal(fallback.cartesian_controls(), _gradient_step(p, grad).cartesian_controls())
+        # the next iteration starts from one pair again: a quasi-Newton step
+        assert not np.array_equal(probes[starts[i + 1]].cartesian_controls(),
+                                  _gradient_step(*gradients[i + 1]).cartesian_controls())
+
+
+def test_a_small_quasi_newton_step_drops_the_pairs_instead_of_stalling(monkeypatch):
+    # a quasi-Newton step below the improvement threshold does not end the
+    # ascent; the next iteration searches along eps * g, and only a small
+    # gradient step would stall
+    p0, d, cfg = _two_chunk_problem()
+    rep, gradients, probes = _recorded_ascent(monkeypatch, p0, d, cfg)
+    assert rep.termination is Termination.MAX_ITERATIONS
+    starts = np.concatenate(([0], np.cumsum(rep.probes)))
+    small = np.flatnonzero(np.diff(rep.fidelity_history) < cfg.improvement_threshold)
+    assert small.size > 0
+    for i in small:
+        first = probes[starts[i + 1]]
+        assert np.array_equal(first.cartesian_controls(),
+                              _gradient_step(*gradients[i + 1]).cartesian_controls())

@@ -157,3 +157,17 @@ def test_add_rfi_requires_nominal_scale():
     res = run_ladder(quick_start(), DELTA, cfg=GrapeConfig(max_iterations=10), max_rungs=0)
     with pytest.raises(ValueError, match="1.0"):
         add_rfi_and_reoptimize(res.rungs[0], (0.9, 1.1), GrapeConfig())
+
+
+def test_fixed_ladder_reaches_a_higher_fidelity_at_the_same_budget():
+    # scripts/fingerprint.py's fixed ladder: 100 steps of 10 us from
+    # default_rng(0), three 25-iteration rungs on 250 Hz combs, then RF
+    # scales 0.9, 1.0, 1.1 and 25 more.  The quasi-Newton ascent ends at
+    # 0.992927; the grow/shrink gradient search it replaced ended at 0.976045.
+    template = waveform_template(100, 1e-5, A_MAX, pre_delay=6e-6, post_delay=6e-6)
+    cfg = GrapeConfig(max_iterations=25)
+    res = run_ladder(random_waveform(template, np.random.default_rng(0)), 2 * np.pi * 250.0,
+                     stop_fidelity=0.01, cfg=cfg, seed=0, max_rungs=2)
+    assert [r.report.iterations for r in res.rungs[1:]] == [25, 25]
+    _, _, fidelity = add_rfi_and_reoptimize(res.rungs[-1], [0.9, 1.0, 1.1], cfg)
+    assert fidelity >= 0.99

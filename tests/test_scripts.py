@@ -45,11 +45,12 @@ def test_fingerprint(tmp_path, hard_channel, oct_channel, analysis_distribution,
         name, field, value = line.split()
         values[name, field] = value if field == "controls_sha256" else float(value)
     # 3 pulses x 4 channel numbers, 3 probability gaps, 2 oct_rfi lines on
-    # the compare grid, 2 optimizer lines and the ladder line
-    assert len(values) == 20
+    # the compare grid, 4 optimizer lines and the ladder line
+    assert len(values) == 22
     assert 0.0 < values["oct_rfi", "criteria_mean_fidelity"] <= 1.0
     assert -1.0 <= values["oct_rfi", "min_retained_y_echo500"] <= 1.0
     assert 0.0 < values["grape", "final_fidelity"] < 1.0
+    assert values["grape", "iterations"] == 25 and values["grape", "probes"] >= 25
     assert re.fullmatch("[0-9a-f]{64}", values["grape", "controls_sha256"])
     assert re.fullmatch("[0-9a-f]{64}", values["ladder", "controls_sha256"])
     assert values["ladder", "controls_sha256"] != values["grape", "controls_sha256"]
