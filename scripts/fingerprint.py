@@ -13,22 +13,27 @@ compare grid (offsets -10:10:0.25 kHz x RF scales 0.9, 0.95, 1.0, 1.05,
 echo 500, which cover the criteria and the echo train.  Each pulse is
 propagated once per ensemble (``ocpulse.pulse_propagators``), and its pairs
 feed the cycle or the criteria, as the commands take them.
---save FILE keeps the per-cycle Pauli probabilities; --against FILE adds,
-per pulse, the largest |difference| between this tree's probabilities and
-the saved ones.  Then come the repr of the final fidelity, the sha256 of
-the final Cartesian controls, the iterations and the total line-search
-probes of a fixed, seeded 25-iteration ascent on a 45-point comb (15
-offsets over +-3.5 kHz x RF scales 0.9, 1.0, 1.1), so that a change of line
-search shows in the diff, and
-last the sha256 of the final controls of a fixed, seeded ladder from the
-same start, which covers the optimizer on small batches: three rungs of 25
-iterations on the 1-, 3- and 5-point combs, then the last comb crossed with
-RF scales 0.9, 1.0, 1.1 and re-optimized for 25 iterations.  Every line
-reads ``name field value``.  Run it at the parent and at the change,
-and diff:
+Then come the repr of the final fidelity, the sha256 of the final
+Cartesian controls, the iterations and the total line-search probes of a
+fixed, seeded 25-iteration ascent on a 45-point comb (15 offsets over
++-3.5 kHz x RF scales 0.9, 1.0, 1.1), so that a change of line search
+shows in the diff, and last the sha256 of the final controls of a fixed,
+seeded ladder from the same start, which covers the optimizer on small
+batches: three rungs of 25 iterations on the 1-, 3- and 5-point combs,
+then the last comb crossed with RF scales 0.9, 1.0, 1.1 and re-optimized
+for 25 iterations.
 
-    python scripts/fingerprint.py --save parent.npz > parent.txt   # parent
-    python scripts/fingerprint.py --against parent.npz > change.txt  # change
+--save FILE keeps the per-cycle Pauli probabilities and every number
+printed but the probability gaps.  --against FILE adds, per pulse, the
+largest |difference| between this tree's probabilities and the saved ones
+(``max_abs_dprobs``), and after each number that the file holds, its
+|change| from the saved one.  Every line reads ``name field value``, or
+``name field value change``.  Save at the parent (this script with the
+parent's package on PYTHONPATH) and compare at the change; the last column
+then quotes each move:
+
+    PYTHONPATH=parent/src python scripts/fingerprint.py --save parent.npz
+    python scripts/fingerprint.py --against parent.npz
 """
 
 import argparse
@@ -112,31 +117,42 @@ def main():
         "oct_broadband": fileio.reference_waveform("oct_broadband"),
     }
     before = np.load(args.against) if args.against else None
+    saved = {}
+
+    def number(name, field, value):
+        """Prints one number, kept for --save under "name field", with its
+        |change| from the --against file when that holds it."""
+        key = f"{name} {field}"
+        saved[key] = value
+        if before is not None and key in before.files:
+            print(f"{key} {value!r} {abs(value - before[key].item())!r}")
+        else:
+            print(f"{key} {value!r}")
+
     d = analysis_distribution()
-    probs = {}
     for name, w in pulses.items():
         fit, limit = channel_for(w, TAU, d, CYCLES)
-        probs[name] = fit.per_cycle_probs
+        saved[name] = fit.per_cycle_probs
         for field in ("m_infinity", "t2_pulse_cycles", "fit_overlap"):
-            print(f"{name} {field} {getattr(fit, field)!r}")
-        print(f"{name} asymptotic_y {float(limit[2, 2])!r}")
+            number(name, field, getattr(fit, field))
+        number(name, "asymptotic_y", float(limit[2, 2]))
         if before is not None:
-            gap = float(np.max(np.abs(probs[name] - before[name])))
+            gap = float(np.max(np.abs(fit.per_cycle_probs - before[name])))
             print(f"{name} max_abs_dprobs {gap!r}")
     w = pulses["oct_rfi"]
     grid = oc.EnsembleDistribution.product(GRID_OFFSETS, GRID_RF)
     criteria = metrics.criteria_sweep(oc.pulse_propagators(w, grid))
-    print(f"oct_rfi criteria_mean_fidelity {float(np.mean(criteria.fidelity))!r}")
+    number("oct_rfi", "criteria_mean_fidelity", float(np.mean(criteria.fidelity)))
     retained = echo_visibility_sweep(w, TAU, GRID_OFFSETS, GRID_RF, echo_indices=(500,)).retained
-    print(f"oct_rfi min_retained_y_echo500 {float(retained.min())!r}")
-    if args.save:
-        np.savez(args.save, **probs)
+    number("oct_rfi", "min_retained_y_echo500", float(retained.min()))
     rep = grape_fingerprint()
-    print(f"grape final_fidelity {float(rep.fidelity_history[-1])!r}")
+    number("grape", "final_fidelity", float(rep.fidelity_history[-1]))
     print(f"grape controls_sha256 {controls_sha256(rep.final_waveform)}")
-    print(f"grape iterations {rep.iterations}")
-    print(f"grape probes {int(rep.probes.sum())}")
+    number("grape", "iterations", rep.iterations)
+    number("grape", "probes", int(rep.probes.sum()))
     print(f"ladder controls_sha256 {ladder_fingerprint()}")
+    if args.save:
+        np.savez(args.save, **saved)
 
 
 if __name__ == "__main__":

@@ -43,6 +43,7 @@ channel.  The Pauli projection and the fit take the whole stack at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,10 @@ from .su2 import PAULIS, axis_angle
 # memory: 15 counts at 33,621 points, 8.07 MB.  Twice this would hold 31
 # counts (16.6 MB) and raise the peak by about as much.
 _POWER_BLOCK_ELEMENTS = 1 << 19
+
+# Most counts in one BLAS product of the rows with the moments (BLAS may sum
+# products of two heights in two orders; see transfer_of_unitaries).
+_PRODUCT_ROWS = 16
 
 # Row and column indices of the six distinct entries of a symmetric 3x3
 # matrix, i <= j.
@@ -142,7 +147,9 @@ def transfer_of_unitaries(r, theta, weights, n_max: int) -> np.ndarray:
     first row is cos and sin of its count directly, and each later row is
     the previous one times z = exp(i theta), which is angle addition.  The
     recurrence restarts at every block, so its rounding drift is bounded by
-    the block length.
+    the block length.  Every product has one height, at most _PRODUCT_ROWS
+    counts; the last is padded with recurrence rows that are dropped, so
+    row n has the same bits whatever n_max.
 
     Parameters
     ----------
@@ -171,19 +178,23 @@ def transfer_of_unitaries(r, theta, weights, n_max: int) -> np.ndarray:
 
     sums = np.empty((n_max, 10))
     step = max(1, _POWER_BLOCK_ELEMENTS // P)
-    rows = np.empty((min(step, n_max), P), dtype=complex)
+    # the fewest products of one height that cover a block
+    height = math.ceil(step / math.ceil(step / _PRODUCT_ROWS))
+    rows = np.empty((math.ceil(min(step, n_max) / height) * height, P), dtype=complex)
     z = np.empty(P, dtype=complex)
     np.cos(theta, out=z.real)
     np.sin(theta, out=z.imag)
     for first in range(0, n_max, step):
-        block = rows[:min(step, n_max - first)]
+        count = min(step, n_max - first)
+        block = rows[:math.ceil(count / height) * height]
         # the first row's phase sits in its imaginary part: no temporary
         np.multiply(first + 1, theta, out=block[0].imag)
         np.cos(block[0].imag, out=block[0].real)
         np.sin(block[0].imag, out=block[0].imag)
         for j in range(1, len(block)):
             np.multiply(block[j - 1], z, out=block[j])
-        sums[first:first + len(block)] = block.view(float) @ moments
+        products = block.view(float).reshape(-1, height, 2 * P) @ moments
+        sums[first:first + count] = products.reshape(-1, 10)[:count]
     blocks = _symmetric(w @ rr - sums[:, 1:7])
     blocks[:, [0, 1, 2], [0, 1, 2]] += sums[:, :1]
     c = sums[:, 7:]

@@ -6,12 +6,12 @@ about y, the constant pair :data:`propagation.TARGET_PI_Y`.  Its gradient
 is the first-order GRAPE one (Khaneja et al., JMR 172, 296 (2005)): it
 drops the commutator terms of each step's derivative, so its error is first
 order in dt |H|.  It comes from the prefix products X_j of the Cayley-Klein
-steps, one inclusive scan (:func:`propagation.forward_products`) per chunk
-of ensemble points.  A line-search probe runs the same scan and leaves its
-prefixes in the ascent's workspace (:class:`_Workspace`); when the probe is
-accepted, the next gradient starts from them instead of building the steps
-again.  The workspace also holds what is fixed for the whole ascent (the
-free precession of the guards) and the chunk-sized buffers that every probe
+rows of :func:`propagation.step_propagators`, the guards being the first and
+last rows, by one inclusive scan (:func:`propagation.forward_products`) per
+chunk of ensemble points.  A line-search probe runs the same scan and leaves
+its prefixes in the ascent's workspace (:class:`_Workspace`); when the probe
+is accepted, the next gradient starts from them instead of building the
+steps again.  The workspace holds the chunk-sized buffers that every probe
 and gradient reuse; the inverse target is a read-only constant of
 :mod:`ocpulse.propagation`, which :func:`propagation.target_overlaps`
 applies.  Steps follow a projected L-BFGS direction over the Cartesian
@@ -30,13 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pulses import EnsembleDistribution, PulseWaveform
-from .propagation import (
-    forward_products,
-    free_pairs,
-    point_chunks,
-    step_propagators,
-    target_overlaps,
-)
+from .propagation import forward_products, point_chunks, step_propagators, target_overlaps
 from .su2 import ck_mul, pair_buffer
 
 # Line search: the trial step is halved (_LS_SHRINK) after each rejected
@@ -106,47 +100,41 @@ class GrapeReport:
 
 
 class _Workspace:
-    """The buffers and ascent-wide invariants of one ensemble and pulse
-    timing.
+    """The buffers of one ensemble and pulse length.
 
-    Per chunk k of points (:func:`propagation.point_chunks`) it holds the
-    pre- and post-delay free precession and ``prefixes[k]``, the
-    (n_steps, c, 2) prefix products X_j of ``waveform``.  The spare scan
-    level, the scratch plane and the pairs U and M of a chunk are shared by
-    every chunk of one width (a ragged last chunk has its own), and reused
-    by every probe and gradient.  Pair buffers are plane-major
+    Per chunk k of points (:func:`propagation.point_chunks`) it holds
+    ``prefixes[k]``, the (n_steps + 2, c, 2) prefix products of
+    ``waveform``, guards included.  The spare scan level, the scratch plane
+    and the overlap pairs M of a chunk are shared by every chunk of one
+    width (a ragged last chunk has its own), and reused by every probe and
+    gradient.  Pair buffers are plane-major
     (:func:`ocpulse.su2.pair_buffer`), and each chunk's are whole arrays,
     so every plane is contiguous.
     """
 
     def __init__(self, p: PulseWaveform, d: EnsembleDistribution):
-        n = p.n_steps
+        rows = p.n_steps + 2
         self.chunks = point_chunks(d.n_points)
-        offsets = [d.offsets[c] for c in self.chunks]
-        self.pre = [free_pairs(o, p.pre_delay) for o in offsets]
-        self.post = [free_pairs(o, p.post_delay) for o in offsets]
-        self.prefixes = [pair_buffer((n, o.size)) for o in offsets]
+        widths = [d.offsets[c].size for c in self.chunks]
+        self.prefixes = [pair_buffer((rows, c)) for c in widths]
         self.waveform = None
-        shared = {c: (pair_buffer((n, c)), np.empty((n, c), dtype=complex), pair_buffer((2, c)))
-                  for c in {o.size for o in offsets}}
-        self.spare, self.scratch, self.ends = zip(*(shared[o.size] for o in offsets))
+        shared = {c: (pair_buffer((rows, c)), np.empty((rows, c), dtype=complex), pair_buffer((c,)))
+                  for c in set(widths)}
+        self.spare, self.scratch, self.overlaps = zip(*(shared[c] for c in widths))
 
 
 def _chunk_overlaps(ws: _Workspace, k: int):
     """:func:`propagation.target_overlaps` of chunk k from its last prefix,
-    with the post-delay applied; both products go to ``ws.ends[k]``."""
-    U, M = ws.ends[k]
-    scratch = ws.scratch[k][0]
-    ck_mul(ws.post[k], ws.prefixes[k][-1], out=U, scratch=scratch)
-    return target_overlaps(U, out=M, scratch=scratch)
+    the whole pulse; M goes to ``ws.overlaps[k]``."""
+    return target_overlaps(ws.prefixes[k][-1], out=ws.overlaps[k], scratch=ws.scratch[k][0])
 
 
 def _scan(p: PulseWaveform, d: EnsembleDistribution, ws: _Workspace, k: int):
-    """Fills ``ws.prefixes[k]`` with the prefixes X_j of chunk k and
-    returns (M, t) of the whole pulse (see :func:`_chunk_overlaps`)."""
+    """Fills ``ws.prefixes[k]`` with the prefixes of chunk k and returns
+    (M, t) of the whole pulse (see :func:`_chunk_overlaps`)."""
     chunk = ws.chunks[k]
     X = step_propagators(p, d.offsets[chunk], d.rf_scales[chunk], out=ws.prefixes[k])
-    forward_products(X, ws.pre[k], ws.spare[k], ws.scratch[k])
+    forward_products(X, ws.spare[k], ws.scratch[k])
     return _chunk_overlaps(ws, k)
 
 
@@ -168,9 +156,9 @@ def _ensemble_fidelity(p: PulseWaveform, d: EnsembleDistribution, ws: _Workspace
 def _fidelity_and_gradients_raw(p: PulseWaveform, d: EnsembleDistribution, ws: _Workspace):
     """Pointwise fidelities (P,) and first-order gradients (P, N, 2) wrt (u1, u2).
 
-    With X_j the product through step j (pre-delay included) and
-    M = TARGET_PI_Y^dag U_total (post-delay included), t = Tr(M)/2 is
-    real, the fidelity is t^2, and
+    With X_j the product through step j (pre-delay included), prefix row
+    j + 1, and M = TARGET_PI_Y^dag U_total, U_total the last prefix row
+    (post-delay included), t = Tr(M)/2 is real, the fidelity is t^2, and
     dF/du_k(j) = dt omega1 t Tr(sigma_k X_j M X_j^dag) / (2i): the k = x, y
     components of X_j M X_j^dag are Im b and Re b of its Cayley-Klein pair.
     ``ws`` is a :class:`_Workspace` of this ensemble; when it holds the
@@ -181,15 +169,16 @@ def _fidelity_and_gradients_raw(p: PulseWaveform, d: EnsembleDistribution, ws: _
     alone.
     """
     held = ws.waveform is p
+    n = p.n_steps
     fids = np.empty(d.n_points)
-    grads = np.empty((p.n_steps, d.n_points, 2))
+    grads = np.empty((n, d.n_points, 2))
     for k, chunk in enumerate(ws.chunks):
         M, t = _chunk_overlaps(ws, k) if held else _scan(p, d, ws, k)
-        X = ws.prefixes[k]
+        X = ws.prefixes[k][1:-1]
         # b of (X_j M) X_j^dag is the one part of that product the gradient
         # needs; the b plane of X_j M is free once its product is taken
-        XM = ck_mul(X, M, out=ws.spare[k], scratch=ws.scratch[k])
-        b = np.multiply(XM[..., 1], X[..., 0], out=ws.scratch[k])
+        XM = ck_mul(X, M, out=ws.spare[k][:n], scratch=ws.scratch[k][:n])
+        b = np.multiply(XM[..., 1], X[..., 0], out=ws.scratch[k][:n])
         b -= np.multiply(XM[..., 0], X[..., 1], out=XM[..., 1])
         w = p.dt * d.rf_scales[chunk] * t
         np.multiply(t, t, out=fids[chunk])

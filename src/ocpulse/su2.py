@@ -8,8 +8,9 @@ Pauli matrices below serve only the Choi form of a channel.
 One formula builds every exponential, :func:`ck_expm_polar`: it takes the
 transverse rate in polar form (amplitude, phase) and works from
 t = tan(h/2), h = |omega| duration / 2, so each element costs one ``tan``
-and no ``sin`` or ``cos``.  The pulse steps and the pi-about-y target
-(:data:`ocpulse.propagation.TARGET_PI_Y`) are both its output.  A pair's
+and no ``sin`` or ``cos``.  Its outputs are the pulse steps, the guard
+delays and the half cycle's free precession F(tau) (both with zero drive),
+and the pi-about-y target (:data:`ocpulse.propagation.TARGET_PI_Y`).  A pair's
 quaternion is (Re a, -Im b, -Re b, -Im a); :func:`axis_angle` turns it
 into the unit axis r and angle theta in [0, pi] that the channel, the echo
 train and the refocusing criteria all read.  Powers of a rotation need
@@ -22,8 +23,8 @@ plane-major (:func:`pair_buffer`): a ``(2, ...)`` complex array seen as
 contiguous plane.  Shapes and indexing are those of any ``(..., 2)`` array;
 only the strides differ, and every function here takes pairs of any layout.
 Both kernels also write into a caller's buffer, ``out=``, of any layout, and
-:func:`ck_mul` takes a scratch plane; an optimizer that evaluates one
-ensemble thousands of times allocates these once.  :func:`ck_expm_polar`
+:func:`ck_mul` takes the caller's scratch plane; an optimizer that evaluates
+one ensemble thousands of times allocates these once.  :func:`ck_expm_polar`
 needs no scratch: it works its real intermediates in contiguous planes,
 which it lays in the memory of the output's b plane when that plane is one
 block, as in a plane-major buffer.  It then writes Re a, Im a and b once
@@ -139,7 +140,7 @@ def ck_expm_polar(amp, phase, wz, duration, out=None) -> np.ndarray:
     return out
 
 
-def ck_mul(x: np.ndarray, y: np.ndarray, out=None, scratch=None) -> np.ndarray:
+def ck_mul(x: np.ndarray, y: np.ndarray, out=None, *, scratch) -> np.ndarray:
     """Cayley-Klein pair of the product x @ y, elementwise over the batch.
 
     Each element's bits do not depend on the batch size, shape, strides or
@@ -152,23 +153,22 @@ def ck_mul(x: np.ndarray, y: np.ndarray, out=None, scratch=None) -> np.ndarray:
     wait in the output plane that the next product overwrites.
 
     ``out``, a (..., 2) buffer of the broadcast batch's shape, and
-    ``scratch``, a complex array of that batch shape, may be given in any
-    layout; by default a plane-major ``out`` and a scratch plane are
-    allocated.  Neither may share memory with x or y.  Returns ``out``.
+    ``scratch``, a complex array of that batch shape, may be in any layout;
+    by default a plane-major ``out`` is allocated.  Neither may share
+    memory with x or y.  Returns ``out``.
     """
     xa, xb, ya, yb = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
     if out is None:
         out = pair_buffer(np.broadcast(xa, ya).shape)
     a, b = out[..., 0], out[..., 1]
-    t = np.empty(a.shape, dtype=complex) if scratch is None else scratch
     np.conjugate(yb, out=a)
-    np.multiply(xb, a, out=t)
+    np.multiply(xb, a, out=scratch)
     np.multiply(xa, ya, out=a)
-    a -= t
+    a -= scratch
     np.conjugate(ya, out=b)
-    np.multiply(xb, b, out=t)
+    np.multiply(xb, b, out=scratch)
     np.multiply(xa, yb, out=b)
-    b += t
+    b += scratch
     return out
 
 

@@ -13,7 +13,8 @@ from the Pauli matrices, with numpy's own cosine and sine.
 :func:`ck_expm_polar_strided` is that formula's first implementation, whose
 bits the package's must keep.  :func:`points`
 is no reference: it puts explicit points in the EnsembleDistribution that
-the propagators take.
+the propagators take.  Nor is :func:`ck_product`, which calls
+:func:`ocpulse.su2.ck_mul` with a scratch plane of its own.
 """
 
 from __future__ import annotations
@@ -22,8 +23,15 @@ import numpy as np
 
 from ocpulse.pulses import EnsembleDistribution
 from ocpulse.su2 import (
-    ID2, PAULIS, SIGMA_X, SIGMA_Y, Y_AXIS, Z_AXIS, ck_expm_polar, pair_buffer, quaternions,
+    ID2, PAULIS, SIGMA_X, SIGMA_Y, Y_AXIS, Z_AXIS, ck_expm_polar, ck_mul, pair_buffer,
+    quaternions,
 )
+
+
+def ck_product(x, y, out=None) -> np.ndarray:
+    """ck_mul(x, y, out) with a fresh scratch plane of the batch shape."""
+    batch = np.broadcast_shapes(np.shape(x)[:-1], np.shape(y)[:-1])
+    return ck_mul(x, y, out=out, scratch=np.empty(batch, dtype=complex))
 
 
 def expm_su2(axis, angle: float) -> np.ndarray:

@@ -87,14 +87,36 @@ def _direct_transfer(r, theta, w, counts):
     count: sum w r r^T + (sum w cos n theta) I - sum w cos(n theta) r r^T
     + [sum w sin(n theta) r]x."""
     phi = np.asarray(counts, dtype=float)[:, None] * theta
-    cos, sin = np.cos(phi) * w, np.sin(phi) * w
+    return _transfer_of_turns(r, np.cos(phi), np.sin(phi), w)
+
+
+def _exact_angle_transfer(r, theta, w, counts):
+    """:func:`_direct_transfer` with n theta formed without rounding, for
+    counts up to 4096: the Veltkamp split theta = hi + lo leaves 40
+    significant bits in hi and 12 in lo, so n hi and n lo are exact
+    doubles, and cos and sin of n theta come from them by angle addition.
+    On the pulses below this agrees with a long-double evaluation to
+    3.1e-16, where the float64 product n theta is 2.9e-13 off it."""
+    scaled = theta * (2.0**13 + 1.0)
+    hi = scaled - (scaled - theta)
+    n = np.asarray(counts, dtype=float)[:, None]
+    a, b = n * hi, n * (theta - hi)
+    cos = np.cos(a) * np.cos(b) - np.sin(a) * np.sin(b)
+    sin = np.sin(a) * np.cos(b) + np.cos(a) * np.sin(b)
+    return _transfer_of_turns(r, cos, sin, w)
+
+
+def _transfer_of_turns(r, cos, sin, w):
+    """The transfer matrices of :func:`_direct_transfer` from the (counts,
+    P) cosines and sines of the turns n theta."""
+    cos, sin = cos * w, sin * w
     rr = r[:, :, None] * r[:, None, :]
     block = np.einsum("p,pij->ij", w, rr) - np.einsum("np,pij->nij", cos, rr)
     block[:, [0, 1, 2], [0, 1, 2]] += cos.sum(axis=1)[:, None]
     c = sin @ r
     block[:, [2, 0, 1], [1, 2, 0]] += c
     block[:, [1, 2, 0], [2, 0, 1]] -= c
-    out = np.zeros((len(phi), 4, 4))
+    out = np.zeros((len(cos), 4, 4))
     out[:, 0, 0] = 1.0
     out[:, 1:, 1:] = block
     return out
@@ -122,7 +144,7 @@ def test_transfer_counts_match_single_calls_and_matrix_powers(monkeypatch):
         for n, want in zip(counts, direct):
             got = stacked[n - 1]
             single = transfer_of_unitaries(r, theta, d.weights, n)[-1]
-            assert np.allclose(got, single, rtol=0.0, atol=1e-15)
+            assert np.array_equal(got, single)
             assert np.allclose(got, want, rtol=0.0, atol=1e-15)
             assert np.allclose(got, _explicit_power(U, d.weights, n), rtol=0.0, atol=1e-11)
 
@@ -130,12 +152,14 @@ def test_transfer_counts_match_single_calls_and_matrix_powers(monkeypatch):
 def test_consecutive_counts_by_angle_addition_match_direct_calls(monkeypatch):
     # counts 1..4096 over 6 points in blocks of 2500 counts: the angle-
     # addition recurrence runs 2499 steps, restarts at 2501 and runs 1595
-    # more.  Each row against the direct cos/sin form.  Measured worst
-    # deviation 3.35e-13, at n = 3602 for the random pulse (3.0e-13 at
-    # n = 3775 for the hard pulse); direct evaluation itself rounds
-    # n theta by up to half an ulp, 9.1e-13 at n = 4096 here.  At the
-    # largest accepted --cycles, 100001 consecutive counts in one block over
-    # these 6 points deviate by at most 7.6e-12.
+    # more.  Each row against cos and sin of n theta formed exactly
+    # (_exact_angle_transfer), so the bound measures the recurrence and not
+    # the rounding of n theta in the reference, which alone moves the float64
+    # direct form by up to 2.9e-13 here.  Measured worst deviation 1.59e-13,
+    # at n = 2522 for the random pulse (8.5e-14 at n = 2389 for the hard
+    # pulse).  At the largest accepted --cycles, 100001 consecutive counts in
+    # one block over these 6 points deviate from the direct form by at most
+    # 7.6e-12.
     monkeypatch.setattr(channel, "_POWER_BLOCK_ELEMENTS", 6 * 2500)
     rng = np.random.default_rng(5)
     random_pulse = PulseWaveform(
@@ -144,10 +168,12 @@ def test_consecutive_counts_by_angle_addition_match_direct_calls(monkeypatch):
     for p in (random_pulse, HARD):
         r, theta = axis_angle(cycle_propagators(pulse_propagators(p, d), TAU, d))
         stacked = transfer_of_unitaries(r, theta, d.weights, 4096)
-        direct = _direct_transfer(r, theta, d.weights, np.arange(1, 4097))
-        assert np.max(np.abs(stacked - direct)) <= 4e-13
+        counts = np.arange(1, 4097)
+        exact = _exact_angle_transfer(r, theta, d.weights, counts)
+        assert np.max(np.abs(stacked - exact)) <= 4e-13
         # each block starts from a direct evaluation (carried on without
         # the restart, n = 2501 measured 3.9e-14 off)
+        direct = _direct_transfer(r, theta, d.weights, counts)
         for n in (1, 2501):
             assert np.max(np.abs(stacked[n - 1] - direct[n - 1])) <= 1e-15
 

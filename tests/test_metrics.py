@@ -7,9 +7,9 @@ from ocpulse import metrics
 from ocpulse.metrics import average_fidelity, criteria_sweep
 from ocpulse.propagation import POINT_CHUNK, TARGET_PI_Y, pulse_propagators
 from ocpulse.pulses import EnsembleDistribution, hard_pulse, waveform_template
-from ocpulse.su2 import Z_AXIS, ck_inv, ck_mul, quaternions
+from ocpulse.su2 import Z_AXIS, ck_inv, quaternions
 
-from oracles import ck_matrix, cp_overlap_orders, expm_su2, trace_overlap
+from oracles import ck_matrix, ck_product, cp_overlap_orders, expm_su2, trace_overlap
 
 A_MAX = 2 * np.pi * 5000.0
 PI_Y = ck_matrix(TARGET_PI_Y)
@@ -154,7 +154,7 @@ def _pointwise_criteria(u):
     s = np.linalg.norm(q[1:])
     theta = 2.0 * np.arctan2(s, q[0])
     r = Z_AXIS if s == 0.0 else q[1:] / s
-    t = ck_mul(ck_inv(TARGET_PI_Y), u)[0].real
+    t = ck_product(ck_inv(TARGET_PI_Y), u)[0].real
     return (
         t * t,
         np.arctan2(r[2], np.hypot(r[0], r[1])),

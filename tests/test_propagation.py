@@ -5,9 +5,9 @@ import pytest
 
 from ocpulse import propagation as prop
 from ocpulse.pulses import EnsembleDistribution, PulseWaveform, hard_pulse, waveform_template
-from ocpulse.su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, ck_mul, pair_buffer
+from ocpulse.su2 import SIGMA_X, SIGMA_Y, SIGMA_Z, ck_expm_polar, pair_buffer
 
-from oracles import ck_expm, ck_matrix, expm_su2, points, rotation_matrices
+from oracles import ck_expm, ck_matrix, ck_product, expm_su2, points, rotation_matrices
 
 A_MAX = 2 * np.pi * 5000.0
 
@@ -33,24 +33,24 @@ def test_step_propagators_match_hamiltonian_exponential():
     ]
     for amp, phase, dw, scale, H in cases:
         p = PulseWaveform(dt, [amp], [phase], A_MAX)
-        pair = prop.step_propagators(p, [dw], [scale])
-        assert pair.shape == (1, 1, 2)
+        pair = prop.step_propagators(p, [dw], [scale])[1]
         U = _expm_hamiltonian(H, dt)
         # Cayley-Klein storage: the pair is the first row of the SU(2) step
-        assert np.allclose(pair[0, 0], U[0], atol=1e-14)
+        assert np.allclose(pair[0], U[0], atol=1e-14)
         assert np.allclose(U[1], [-np.conj(U[0, 1]), np.conj(U[0, 0])], atol=1e-14)
 
 
 def test_free_propagator_matches_z_rotation():
+    # free precession is the zero-drive exponential: a turn by dw t about z
     dw = 2 * np.pi * 1234.0
     t = 3.7e-4
-    assert np.allclose(
-        ck_matrix(prop.free_pairs(dw, t)), expm_su2([0, 0, 1], dw * t), atol=1e-14
-    )
-    batch = ck_matrix(prop.free_pairs([0.0, dw, -dw], t))
+    for w in (0.0, dw, -dw):
+        assert np.allclose(ck_matrix(ck_expm_polar(0.0, 0.0, w, t)),
+                           expm_su2([0, 0, 1], w * t), rtol=0.0, atol=1e-14)
+    batch = ck_matrix(ck_expm_polar(0.0, 0.0, [0.0, dw, -dw], t))
     assert batch.shape == (3, 2, 2)
-    assert np.allclose(batch[0], np.eye(2))
-    assert np.allclose(batch[2], batch[1].conj())
+    assert np.array_equal(batch[0], np.eye(2))
+    assert np.array_equal(batch[2], batch[1].conj())
 
 
 def test_hard_pulse_propagator_on_resonance():
@@ -72,10 +72,51 @@ def test_hard_pulse_propagator_off_resonance_closed_form():
 
 
 def test_guards_are_free_precession():
+    # the first and last step rows are the zero-drive exponentials of the
+    # guard delays, whatever the drive and RF scale of the steps
+    rng = np.random.default_rng(4)
     dw = 2 * np.pi * 2000.0
-    p = waveform_template(3, 1e-5, A_MAX, pre_delay=4e-5, post_delay=2e-5)  # zero amplitude
+    p = PulseWaveform(1e-5, rng.uniform(0, A_MAX, 3), rng.uniform(0, 2 * np.pi, 3), A_MAX,
+                      pre_delay=4e-5, post_delay=2e-5)
+    offs = np.array([0.0, dw, -dw])
+    X = prop.step_propagators(p, offs, [1.0, 0.9, 1.1])
+    for row, t in ((0, p.pre_delay), (-1, p.post_delay)):
+        assert np.array_equal(X[row], ck_expm_polar(0.0, 0.0, offs, t))
+        for i, w in enumerate(offs):
+            assert np.allclose(ck_matrix(X[row, i]), expm_su2([0, 0, 1], w * t),
+                               rtol=0.0, atol=1e-14)
+    # a zero-amplitude waveform precesses freely for its whole duration
+    p = waveform_template(3, 1e-5, A_MAX, pre_delay=4e-5, post_delay=2e-5)
     u = prop.pulse_propagators(p, EnsembleDistribution.single_point(dw))[0]
-    assert np.allclose(u, prop.free_pairs(dw, p.total_duration), atol=1e-13)
+    assert np.allclose(ck_matrix(u), expm_su2([0, 0, 1], dw * p.total_duration), atol=1e-13)
+
+
+def test_a_zero_length_guard_is_the_identity_pair():
+    # so a pulse without guards keeps the bits of its steps alone: the
+    # one-step hard pulse is its step row
+    p = hard_pulse(np.pi, np.pi / 2, A_MAX)
+    offs = 2 * np.pi * np.array([-3e3, 0.0, 5e3])
+    d = points(offs, [0.9, 1.0, 1.1])
+    X = prop.step_propagators(p, offs, d.rf_scales)
+    for row in (0, -1):
+        assert np.array_equal(X[row, :, 0].real, np.ones(3))
+        assert not X[row, :, 0].imag.any() and not X[row, :, 1].any()
+    assert np.array_equal(prop.pulse_propagators(p, d), X[1])
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_step_array_has_a_guard_row_at_each_end(n):
+    # (n_steps + 2, P, 2), and the step rows keep the bits of the step
+    # exponentials taken without guards
+    rng = np.random.default_rng(n)
+    p = PulseWaveform(2e-6, rng.uniform(0, A_MAX, n), rng.uniform(0, 2 * np.pi, n), A_MAX,
+                      pre_delay=1e-5, post_delay=3e-5)
+    offs = 2 * np.pi * np.array([-3e3, 0.0, 5e3, 8e3])
+    scales = np.array([0.9, 1.0, 1.1, 1.2])
+    X = prop.step_propagators(p, offs, scales)
+    assert X.shape == (n + 2, 4, 2)
+    steps = ck_expm_polar(p.amplitudes[:, None] * scales, p.phases[:, None], offs, p.dt)
+    assert np.array_equal(X[1:-1], steps)
 
 
 def test_pulse_propagator_is_ordered_step_product():
@@ -85,7 +126,7 @@ def test_pulse_propagator_is_ordered_step_product():
         pre_delay=1e-5, post_delay=3e-5,
     )
     offs = np.array([0.0, 2 * np.pi * 3e3, -2 * np.pi * 7e3])
-    assert prop.step_propagators(p, offs, np.ones(3)).shape == (6, 3, 2)
+    assert prop.step_propagators(p, offs, np.ones(3)).shape == (8, 3, 2)
     got = ck_matrix(prop.pulse_propagators(p, points(offs, np.ones(3))))
     for i, dw in enumerate(offs):
         U = expm_su2([0, 0, 1], dw * p.pre_delay)
@@ -112,9 +153,7 @@ def test_pulse_propagators_chunked_equals_per_slice_product():
     assert got.shape == (P, 2)
     for i in range(0, P, prop.POINT_CHUNK):
         o, s = offs[i:i + prop.POINT_CHUNK], scales[i:i + prop.POINT_CHUNK]
-        pre = prop.free_pairs(o, p.pre_delay)
-        post = prop.free_pairs(o, p.post_delay)
-        whole = ck_mul(post, prop.forward_products(prop.step_propagators(p, o, s), pre))
+        whole = prop.forward_products(prop.step_propagators(p, o, s))
         assert np.array_equal(got[i:i + prop.POINT_CHUNK], whole)
     for i in (0, prop.POINT_CHUNK, P - 1):
         alone = points(offs[i:i + 1], scales[i:i + 1])
@@ -129,56 +168,55 @@ def _tree_buffers(steps):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 100, 101, 201])
 def test_forward_products_are_the_ordered_prefixes(n):
-    # the scan's prefix j is S_j ... S_0 start, as a plain matmul loop gives
-    # it, and its last prefix is the pairwise tree's product to the bit
+    # n steps between two guard rows, as step_propagators lays them out:
+    # the scan's prefix j is S_j ... S_0, as a plain matmul loop gives it,
+    # and its last prefix is the pairwise tree's product to the bit
     rng = np.random.default_rng(n)
-    steps = ck_expm(np.moveaxis(rng.normal(size=(n, 3, 3)), -1, 0), 0.7)
-    start = ck_expm(rng.normal(size=(3, 3)).T, 0.4)
+    steps = ck_expm(np.moveaxis(rng.normal(size=(n + 2, 3, 3)), -1, 0), 0.7)
     prefixes = steps.copy()
-    total = prop.forward_products(prefixes, start)
-    X = ck_matrix(start)
-    for j in range(n):
+    total = prop.forward_products(prefixes)
+    X = np.eye(2)
+    for j in range(n + 2):
         X = ck_matrix(steps[j]) @ X
         assert np.allclose(ck_matrix(prefixes[j]), X, rtol=0, atol=1e-14)
     assert np.allclose(ck_matrix(total), X, rtol=0, atol=1e-14)
-    assert np.array_equal(prop.ordered_product(steps.copy(), start, *_tree_buffers(steps)), total)
+    assert np.array_equal(prop.ordered_product(steps.copy(), *_tree_buffers(steps)), total)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 100, 101])
 def test_scan_into_caller_buffers_keeps_the_bits(n):
     # the second chunk of a plane-major buffer POINT_CHUNK + 37 points wide,
-    # scanned with a chunk-wide spare level and scratch plane, holds the
-    # prefixes of the allocating scan, and its last prefix is the pairwise
-    # tree's product to the bit
+    # n steps between two guard rows, scanned with a chunk-wide spare level
+    # and scratch plane, holds the prefixes of the allocating scan, and its
+    # last prefix is the pairwise tree's product to the bit
     rng = np.random.default_rng(n + 1)
-    width = prop.POINT_CHUNK + 37
-    steps = ck_expm(np.moveaxis(rng.normal(size=(n, width, 3)), -1, 0), 0.7)
-    start = ck_expm(rng.normal(size=(3, width)), 0.4)
+    width, rows = prop.POINT_CHUNK + 37, n + 2
+    steps = ck_expm(np.moveaxis(rng.normal(size=(rows, width, 3)), -1, 0), 0.7)
     want = steps.copy()
-    total = prop.forward_products(want, start)
-    assert np.array_equal(prop.ordered_product(steps.copy(), start, *_tree_buffers(steps)), total)
+    total = prop.forward_products(want)
+    assert np.array_equal(prop.ordered_product(steps.copy(), *_tree_buffers(steps)), total)
     chunk = slice(prop.POINT_CHUNK, width)
-    X = pair_buffer((n, width))
+    X = pair_buffer((rows, width))
     X[...] = steps
-    last = prop.forward_products(X[:, chunk], start[chunk], pair_buffer((n, 37)),
-                                 np.empty((n, 37), dtype=complex))
+    last = prop.forward_products(X[:, chunk], pair_buffer((rows, 37)),
+                                 np.empty((rows, 37), dtype=complex))
     assert np.array_equal(X[:, chunk], want[:, chunk])
     assert np.array_equal(X[:, :prop.POINT_CHUNK], steps[:, :prop.POINT_CHUNK])
     assert np.array_equal(last, total[chunk])
     # prefixes left in an interleaved buffer equal them too
     inter = np.ascontiguousarray(steps[:, chunk])
-    assert np.array_equal(prop.forward_products(inter, start[chunk]), total[chunk])
+    assert np.array_equal(prop.forward_products(inter), total[chunk])
     assert np.array_equal(inter, want[:, chunk])
     # the tree in the same chunk of a plane-major buffer, with a spare level
     # and a scratch plane cut from POINT_CHUNK-wide buffers as
     # pulse_propagators cuts them for a ragged last chunk
-    tree = pair_buffer((n, width))
+    tree = pair_buffer((rows, width))
     tree[...] = steps
-    level = (max(1, (n + 1) // 2), prop.POINT_CHUNK)
+    level = ((rows + 1) // 2, prop.POINT_CHUNK)
     spare, scratch = pair_buffer(level), np.empty(level, dtype=complex)
-    got = prop.ordered_product(tree[:, chunk], start[chunk], spare[:, :37], scratch[:, :37])
+    got = prop.ordered_product(tree[:, chunk], spare[:, :37], scratch[:, :37])
     alone = steps[:, chunk].copy()
-    assert np.array_equal(got, prop.ordered_product(alone, start[chunk], *_tree_buffers(alone)))
+    assert np.array_equal(got, prop.ordered_product(alone, *_tree_buffers(alone)))
     assert np.array_equal(got, total[chunk])
     assert np.array_equal(tree[:, :prop.POINT_CHUNK], steps[:, :prop.POINT_CHUNK])
 
@@ -190,7 +228,7 @@ def test_step_propagators_into_a_chunk_view_keep_the_bits():
     offs = rng.uniform(-2 * np.pi * 1e4, 2 * np.pi * 1e4, width)
     scales = rng.uniform(0.8, 1.2, width)
     want = prop.step_propagators(p, offs, scales)
-    X = pair_buffer((100, width))
+    X = pair_buffer((102, width))
     for chunk in prop.point_chunks(width):
         got = prop.step_propagators(p, offs[chunk], scales[chunk], out=X[:, chunk])
         assert np.shares_memory(got, X)
@@ -260,10 +298,23 @@ def test_cycle_is_square_of_half_cycle():
     U = prop.pulse_propagators(p, d)
     half = ck_matrix(prop.half_cycle_propagators(U, 1e-3, d))
     full = ck_matrix(prop.cycle_propagators(U, 1e-3, d))
-    f1, f2 = (ck_matrix(prop.free_pairs(offs, t)) for t in (1e-3, 2e-3))
+    f1, f2 = (np.array([expm_su2([0, 0, 1], w * t) for w in offs]) for t in (1e-3, 2e-3))
     u = ck_matrix(U)
     assert np.allclose(full, f1 @ u @ f2 @ u @ f1, atol=1e-13)
     assert np.allclose(full, half @ half, atol=1e-13)
+
+
+def test_half_cycle_and_cycle_keep_the_bits_of_allocating_products():
+    # one scratch plane and buffers reused between the products change no bit
+    rng = np.random.default_rng(12)
+    p = PulseWaveform(2e-6, rng.uniform(0, A_MAX, 9), rng.uniform(0, 2 * np.pi, 9), A_MAX,
+                      pre_delay=1e-5, post_delay=3e-5)
+    d = points(rng.uniform(-2 * np.pi * 1e4, 2 * np.pi * 1e4, 300), rng.uniform(0.8, 1.2, 300))
+    U = prop.pulse_propagators(p, d)
+    f = ck_expm_polar(0.0, 0.0, d.offsets, 1e-3)
+    half = ck_product(ck_product(f, U), f)
+    assert np.array_equal(prop.half_cycle_propagators(U, 1e-3, d), half)
+    assert np.array_equal(prop.cycle_propagators(U, 1e-3, d), ck_product(half, half))
 
 
 def test_negative_tau_rejected():

@@ -35,15 +35,23 @@ def run_script(name, *args):
 def test_fingerprint(tmp_path, hard_channel, oct_channel, analysis_distribution, oct_rfi):
     # one run compares with a baseline and saves; the baseline holds the
     # conftest fixtures' probabilities (the same seed-42 ensemble and 100
-    # cycles) for hard and oct_rfi, and zeros for oct_broadband
+    # cycles) for hard and oct_rfi, and zeros for oct_broadband, and two
+    # numbers: the fixture's hard M_inf and 20 grape iterations
     base, saved = tmp_path / "base.npz", tmp_path / "saved.npz"
     np.savez(base, hard=hard_channel[1].per_cycle_probs,
-             oct_rfi=oct_channel[1].per_cycle_probs, oct_broadband=np.zeros((100, 4)))
+             oct_rfi=oct_channel[1].per_cycle_probs, oct_broadband=np.zeros((100, 4)),
+             **{"hard m_infinity": hard_channel[1].m_infinity, "grape iterations": 20})
     out = run_script("fingerprint.py", "--against", base, "--save", saved)
-    values = {}
+    values, changes = {}, {}
     for line in out.splitlines():
-        name, field, value = line.split()
+        name, field, value, *change = line.split()
         values[name, field] = value if field == "controls_sha256" else float(value)
+        if change:
+            changes[name, field] = float(*change)
+    # a number that the baseline holds is followed by its |change|
+    assert sorted(changes) == [("grape", "iterations"), ("hard", "m_infinity")]
+    assert changes["grape", "iterations"] == 5.0
+    assert changes["hard", "m_infinity"] <= 1e-12
     # 3 pulses x 4 channel numbers, 3 probability gaps, 2 oct_rfi lines on
     # the compare grid, 4 optimizer lines and the ladder line
     assert len(values) == 22
@@ -65,9 +73,15 @@ def test_fingerprint(tmp_path, hard_channel, oct_channel, analysis_distribution,
         assert values[name, "asymptotic_y"] == pytest.approx(limit[2, 2], rel=0.0, abs=1e-12)
     # against zeros the gap is the largest probability, p_I at n = 1
     assert 0.9 < values["oct_broadband", "max_abs_dprobs"] <= 1.0
+    # the save holds the probabilities and every printed number but the
+    # gaps, which are themselves differences, and the hashes
+    numbers = {f"{name} {field}": value for (name, field), value in values.items()
+               if field not in ("max_abs_dprobs", "controls_sha256")}
     with np.load(saved) as got:
-        assert sorted(got.files) == ["hard", "oct_broadband", "oct_rfi"]
+        assert sorted(got.files) == sorted(["hard", "oct_broadband", "oct_rfi", *numbers])
         assert np.allclose(got["hard"], hard_channel[1].per_cycle_probs, rtol=0.0, atol=1e-12)
+        for key, value in numbers.items():
+            assert got[key].item() == value
 
 
 def test_readme_quick_start(capsys):

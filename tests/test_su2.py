@@ -25,8 +25,8 @@ from ocpulse.su2 import (
 )
 
 from oracles import (
-    ck_expm, ck_expm_polar_strided, ck_matrix, expm_su2, rotation_matrices, rotation_matrix,
-    trace_overlap,
+    ck_expm, ck_expm_polar_strided, ck_matrix, ck_product, expm_su2, rotation_matrices,
+    rotation_matrix, trace_overlap,
 )
 
 angles = st.floats(1e-6, 2 * np.pi - 1e-6)
@@ -230,7 +230,7 @@ def test_long_products_stay_unitary():
     step = expm_su2(rng.normal(size=3), 0.013)[0]
     for _ in range(100):
         for _ in range(1000):
-            U = ck_mul(step, U)
+            U = ck_product(step, U)
     assert unitarity_error(U) < 1e-10
 
 
@@ -240,7 +240,7 @@ def test_cayley_klein_pairs_multiply_like_matrices():
     y = ck_expm(rng.normal(size=(4, 3)).T, 1.3)
     X, Y = ck_matrix(x), ck_matrix(y)
     assert np.array_equal(X[:, 0, :], x)
-    assert np.allclose(ck_matrix(ck_mul(x, y)), X @ Y, atol=1e-14)
+    assert np.allclose(ck_matrix(ck_product(x, y)), X @ Y, atol=1e-14)
     assert np.allclose(ck_matrix(ck_inv(x)), X.conj().swapaxes(-1, -2), atol=1e-15)
     assert np.allclose(np.linalg.det(X), 1.0, atol=1e-14)
 
@@ -252,13 +252,13 @@ def test_ck_mul_rounding_does_not_depend_on_batch_size():
     rng = np.random.default_rng(11)
     x = ck_expm(rng.normal(size=(20000, 3)).T, 1.0)
     y = ck_expm(rng.normal(size=(20000, 3)).T, 1.0)
-    whole = ck_mul(x, y)
-    sliced = [ck_mul(x[i:i + 100], y[i:i + 100]) for i in range(0, 20000, 100)]
+    whole = ck_product(x, y)
+    sliced = [ck_product(x[i:i + 100], y[i:i + 100]) for i in range(0, 20000, 100)]
     assert np.array_equal(np.concatenate(sliced), whole)
     # a batch of one and a lone pair take the same bits too
     for i in range(100):
-        assert np.array_equal(ck_mul(x[i:i + 1], y[i:i + 1])[0], whole[i])
-        assert np.array_equal(ck_mul(x[i], y[i]), whole[i])
+        assert np.array_equal(ck_product(x[i:i + 1], y[i:i + 1])[0], whole[i])
+        assert np.array_equal(ck_product(x[i], y[i]), whole[i])
 
 
 KERNEL_SHAPES = [(1,), (99, 1), (99, 45), (100, 256)]
@@ -275,8 +275,11 @@ def _layouts(pairs):
 
 
 def _scratches(shape):
+    """A scratch plane interleaved with another, contiguous, and as the
+    first chunk of one POINT_CHUNK + 37 points wide."""
     wide = np.empty(shape[:-1] + (POINT_CHUNK + 37,), dtype=complex)
-    return [None, np.empty(shape, dtype=complex), wide[..., :shape[-1]]]
+    return [np.empty(shape + (2,), dtype=complex)[..., 0], np.empty(shape, dtype=complex),
+            wide[..., :shape[-1]]]
 
 
 @pytest.mark.parametrize("shape", KERNEL_SHAPES)
@@ -286,18 +289,18 @@ def test_ck_mul_into_caller_buffers_keeps_the_bits(shape):
     rng = np.random.default_rng(shape[0] * shape[-1])
     x = np.ascontiguousarray(ck_expm(rng.normal(size=(3, *shape)), 0.7))
     y = np.ascontiguousarray(ck_expm(rng.normal(size=(3, *shape)), 1.3))
-    want = ck_mul(x, y)
+    want = ck_product(x, y)
     for i, (xs, ys) in enumerate(itertools.product(_layouts(x), _layouts(y))):
-        assert np.array_equal(ck_mul(xs, ys), want)
+        assert np.array_equal(ck_product(xs, ys), want)
         scratches = _scratches(shape)
         scratches = scratches[i % 3:] + scratches[:i % 3]
         for out, scratch in zip(_layouts(np.zeros(shape + (2,), dtype=complex)), scratches):
             assert ck_mul(xs, ys, out=out, scratch=scratch) is out
             assert np.array_equal(out, want)
     # a right factor broadcast over the leading axis, as the gradient's M is
-    want = ck_mul(x, y[0])
+    want = ck_product(x, y[0])
     for out in _layouts(np.zeros(shape + (2,), dtype=complex)):
-        assert np.array_equal(ck_mul(x, _layouts(y)[2][0], out=out), want)
+        assert np.array_equal(ck_product(x, _layouts(y)[2][0], out=out), want)
 
 
 @pytest.mark.parametrize("shape", KERNEL_SHAPES)
