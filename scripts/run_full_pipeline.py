@@ -6,8 +6,11 @@ it there, and separately re-optimizes the 8 kHz rung over +/-10% RF
 scatter.  With --install the two waveforms replace the JSON files under
 src/ocpulse/data/; otherwise they land in --outdir.
 
-Takes a couple of minutes on a laptop.  The run is fully seeded; the
-shipped pulses came from the defaults below.
+Takes a couple of minutes on a laptop.  The run is fully seeded.  The
+shipped pulses came from the defaults below under an earlier ascent, before
+it took L-BFGS directions and before the guard delays became step rows
+(which moves its path in the last bits), so a rerun today designs other
+pulses, not the shipped ones bit for bit.
 """
 
 import argparse

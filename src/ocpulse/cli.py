@@ -133,6 +133,8 @@ def _check_optimize_args(args) -> None:
         if args.mode != "ladder":
             raise ValueError("--rfi re-optimizes the selected ladder rung: it needs --ladder")
         check_rfi_scales(args.rfi)
+    if args.delta_hz is not None and args.mode != "ladder":
+        raise ValueError("--delta-hz spaces the ladder's offset comb: it needs --ladder")
     if not np.isfinite(args.select_floor):
         raise ValueError(f"--select-floor must be finite, got {args.select_floor}")
 

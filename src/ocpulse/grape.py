@@ -8,18 +8,20 @@ drops the commutator terms of each step's derivative, so its error is first
 order in dt |H|.  It comes from the prefix products X_j of the Cayley-Klein
 rows of :func:`propagation.step_propagators`, the guards being the first and
 last rows, by one inclusive scan (:func:`propagation.forward_products`) per
-chunk of ensemble points.  A line-search probe runs the same scan and leaves
-its prefixes in the ascent's workspace (:class:`_Workspace`); when the probe
-is accepted, the next gradient starts from them instead of building the
-steps again.  The workspace holds the chunk-sized buffers that every probe
-and gradient reuse; the inverse target is a read-only constant of
-:mod:`ocpulse.propagation`, which :func:`propagation.target_overlaps`
-applies.  Steps follow a projected L-BFGS direction over the Cartesian
-controls (Nocedal & Wright, Numerical Optimization, ch. 7; for quasi-Newton
-GRAPE, de Fouquieres et al., JMR 212, 412 (2011)), with a halving line
-search that accepts only a strict improvement, so the fidelity history is
-monotone.  Each trial's amplitudes are clipped to the cap, so the cap is
-kept by projection onto the disc hypot(u1, u2) <= a_max.
+chunk of ensemble points, and from the overlap pairs M = TARGET^dag U of the
+whole pulse and their overlaps t (:func:`propagation.target_overlaps`; the
+inverse target is a read-only constant of :mod:`ocpulse.propagation`).  One
+scan (:func:`_scan`) serves the line-search probe and the gradient: it
+leaves the prefixes, M and t in the ascent's workspace (:class:`_Workspace`),
+so the gradient at an accepted probe reads them there and runs no scan of
+its own.  The workspace's one spare scan level and scratch plane, sliced to
+each chunk, serve every chunk, probe and gradient.  Steps follow a
+projected L-BFGS direction over the Cartesian controls (Nocedal & Wright,
+Numerical Optimization, ch. 7; for quasi-Newton GRAPE, de Fouquieres et
+al., JMR 212, 412 (2011)), with a halving line search that accepts only a
+strict improvement, so the fidelity history is monotone.  Each trial's
+amplitudes are clipped to the cap, so the cap is kept by projection onto
+the disc hypot(u1, u2) <= a_max.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pulses import EnsembleDistribution, PulseWaveform
-from .propagation import forward_products, point_chunks, step_propagators, target_overlaps
+from .propagation import (POINT_CHUNK, forward_products, point_chunks, step_propagators,
+                          target_overlaps)
 from .su2 import ck_mul, pair_buffer
 
 # Line search: the trial step is halved (_LS_SHRINK) after each rejected
@@ -102,104 +105,93 @@ class GrapeReport:
 class _Workspace:
     """The buffers of one ensemble and pulse length.
 
-    Per chunk k of points (:func:`propagation.point_chunks`) it holds
-    ``prefixes[k]``, the (n_steps + 2, c, 2) prefix products of
-    ``waveform``, guards included.  The spare scan level, the scratch plane
-    and the overlap pairs M of a chunk are shared by every chunk of one
-    width (a ragged last chunk has its own), and reused by every probe and
-    gradient.  Pair buffers are plane-major
-    (:func:`ocpulse.su2.pair_buffer`), and each chunk's are whole arrays,
-    so every plane is contiguous.
+    A scan (:func:`_scan`) of ``waveform`` leaves in it everything the
+    gradient reads: per chunk k of points (:func:`propagation.point_chunks`)
+    ``prefixes[k]``, the (n_steps + 2, c, 2) prefix products, guards
+    included, and over all P points the overlap pairs M =
+    TARGET_PI_Y^dag U_total in ``overlaps`` and their overlaps t = Re a(M)
+    in ``t``, both sliced by chunk.  One spare scan level and one scratch
+    plane of min(POINT_CHUNK, P) columns serve every chunk, probe and
+    gradient; the gradient overwrites them and nothing else.  Chunk k takes
+    them as ``levels[k]``, the first (n_steps + 2) c elements of each plane
+    seen as (n_steps + 2, c), so a ragged chunk's planes are contiguous too:
+    strided [:, :c] columns took a scan over twice as long.  Pair buffers are
+    plane-major (:func:`ocpulse.su2.pair_buffer`).
     """
 
     def __init__(self, p: PulseWaveform, d: EnsembleDistribution):
-        rows = p.n_steps + 2
+        rows, width = p.n_steps + 2, min(POINT_CHUNK, d.n_points)
         self.chunks = point_chunks(d.n_points)
         widths = [d.offsets[c].size for c in self.chunks]
         self.prefixes = [pair_buffer((rows, c)) for c in widths]
+        spare, scratch = pair_buffer((rows * width,)), np.empty(rows * width, dtype=complex)
+        self.levels = [(spare[:rows * c].reshape(rows, c, 2), scratch[:rows * c].reshape(rows, c))
+                       for c in widths]
+        self.overlaps = pair_buffer((d.n_points,))
+        self.t = self.overlaps[:, 0].real
         self.waveform = None
-        shared = {c: (pair_buffer((rows, c)), np.empty((rows, c), dtype=complex), pair_buffer((c,)))
-                  for c in set(widths)}
-        self.spare, self.scratch, self.overlaps = zip(*(shared[c] for c in widths))
 
 
-def _chunk_overlaps(ws: _Workspace, k: int):
-    """:func:`propagation.target_overlaps` of chunk k from its last prefix,
-    the whole pulse; M goes to ``ws.overlaps[k]``."""
-    return target_overlaps(ws.prefixes[k][-1], out=ws.overlaps[k], scratch=ws.scratch[k][0])
-
-
-def _scan(p: PulseWaveform, d: EnsembleDistribution, ws: _Workspace, k: int):
-    """Fills ``ws.prefixes[k]`` with the prefixes of chunk k and returns
-    (M, t) of the whole pulse (see :func:`_chunk_overlaps`)."""
-    chunk = ws.chunks[k]
-    X = step_propagators(p, d.offsets[chunk], d.rf_scales[chunk], out=ws.prefixes[k])
-    forward_products(X, ws.spare[k], ws.scratch[k])
-    return _chunk_overlaps(ws, k)
+def _scan(p: PulseWaveform, d: EnsembleDistribution, ws: _Workspace):
+    """Fills ``ws`` with the prefixes, M and t of waveform p, chunk by chunk
+    (:func:`propagation.forward_products`, then
+    :func:`propagation.target_overlaps` of the last prefix, the whole
+    pulse)."""
+    for chunk, X, (spare, scratch) in zip(ws.chunks, ws.prefixes, ws.levels):
+        step_propagators(p, d.offsets[chunk], d.rf_scales[chunk], out=X)
+        forward_products(X, spare, scratch)
+        target_overlaps(X[-1], out=ws.overlaps[chunk], scratch=scratch[0])
+    ws.waveform = p
 
 
 def _ensemble_fidelity(p: PulseWaveform, d: EnsembleDistribution, ws: _Workspace):
-    """Averaged fidelity of a waveform without the gradient sweep: the
-    line-search probe.
+    """Averaged fidelity sum w t^2 of a waveform without the gradient sweep:
+    the line-search probe.
 
-    Leaves the prefixes X_j of every chunk in ``ws`` (a :class:`_Workspace`
-    of this ensemble), where :func:`_averaged_eval` of the same waveform
-    finds them.
+    Leaves the scan of p in ``ws`` (a :class:`_Workspace` of this
+    ensemble), where :func:`_averaged_eval` of the same waveform finds it.
     """
-    t = np.empty(d.n_points)
-    for k, chunk in enumerate(ws.chunks):
-        t[chunk] = _scan(p, d, ws, k)[1]
-    ws.waveform = p
-    return float(np.dot(d.weights, t**2))
+    _scan(p, d, ws)
+    return float(np.dot(d.weights, ws.t**2))
 
 
-def _fidelity_and_gradients_raw(p: PulseWaveform, d: EnsembleDistribution, ws: _Workspace):
-    """Pointwise fidelities (P,) and first-order gradients (P, N, 2) wrt (u1, u2).
+def _averaged_eval(p: PulseWaveform, d: EnsembleDistribution, ws: _Workspace):
+    """Averaged fidelity and first-order (n_steps, 2) gradient wrt (u1, u2).
 
     With X_j the product through step j (pre-delay included), prefix row
     j + 1, and M = TARGET_PI_Y^dag U_total, U_total the last prefix row
     (post-delay included), t = Tr(M)/2 is real, the fidelity is t^2, and
     dF/du_k(j) = dt omega1 t Tr(sigma_k X_j M X_j^dag) / (2i): the k = x, y
     components of X_j M X_j^dag are Im b and Re b of its Cayley-Klein pair.
-    ``ws`` is a :class:`_Workspace` of this ensemble; when it holds the
-    prefixes of this same waveform (a probe left them,
-    :func:`_ensemble_fidelity`), the steps are not built again.
-    Points are taken in the chunks of :func:`propagation.point_chunks`;
-    each point's result is the same, to the bit, as when it is evaluated
-    alone.
+    ``ws`` is a :class:`_Workspace` of this ensemble; the scan runs only
+    when it holds another waveform than p (a probe of p leaves its own).
+    Each chunk's per-point products are weighted and summed by one einsum,
+    so each point's products carry the bits of that point evaluated alone.
     """
-    held = ws.waveform is p
+    if ws.waveform is not p:
+        _scan(p, d, ws)
     n = p.n_steps
-    fids = np.empty(d.n_points)
-    grads = np.empty((n, d.n_points, 2))
-    for k, chunk in enumerate(ws.chunks):
-        M, t = _chunk_overlaps(ws, k) if held else _scan(p, d, ws, k)
-        X = ws.prefixes[k][1:-1]
+    grad = np.zeros((n, 2))
+    for chunk, prefixes, (spare, scratch) in zip(ws.chunks, ws.prefixes, ws.levels):
+        X, M, t = prefixes[1:-1], ws.overlaps[chunk], ws.t[chunk]
         # b of (X_j M) X_j^dag is the one part of that product the gradient
         # needs; the b plane of X_j M is free once its product is taken
-        XM = ck_mul(X, M, out=ws.spare[k][:n], scratch=ws.scratch[k][:n])
-        b = np.multiply(XM[..., 1], X[..., 0], out=ws.scratch[k][:n])
+        XM = ck_mul(X, M, out=spare[:n], scratch=scratch[:n])
+        b = np.multiply(XM[..., 1], X[..., 0], out=scratch[:n])
         b -= np.multiply(XM[..., 0], X[..., 1], out=XM[..., 1])
         w = p.dt * d.rf_scales[chunk] * t
-        np.multiply(t, t, out=fids[chunk])
-        np.multiply(w, b.imag, out=grads[:, chunk, 0])
-        np.multiply(w, b.real, out=grads[:, chunk, 1])
-    ws.waveform = p
-    return fids, grads.transpose(1, 0, 2)
+        g = np.empty((n, t.size, 2))
+        np.multiply(w, b.imag, out=g[..., 0])
+        np.multiply(w, b.real, out=g[..., 1])
+        grad += np.einsum("p,npk->nk", d.weights[chunk], g)
+    return float(np.dot(d.weights, ws.t**2)), grad
 
 
 def fidelity_and_gradients(p: PulseWaveform, point):
     """Fidelity and (n_steps, 2) gradient wrt (u1, u2) at one ensemble point,
     ``point`` = (delta_omega, omega1_scale)."""
-    delta_omega, omega1_scale = point
-    d = EnsembleDistribution.single_point(delta_omega, omega1_scale)
-    fids, grads = _fidelity_and_gradients_raw(p, d, _Workspace(p, d))
-    return float(fids[0]), grads[0]
-
-
-def _averaged_eval(p: PulseWaveform, d: EnsembleDistribution, ws: _Workspace):
-    fids, grads = _fidelity_and_gradients_raw(p, d, ws)
-    return float(np.dot(d.weights, fids)), np.einsum("p,pnk->nk", d.weights, grads)
+    d = EnsembleDistribution.single_point(*point)
+    return _averaged_eval(p, d, _Workspace(p, d))
 
 
 def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:
@@ -259,8 +251,8 @@ def grape_ascend(
     that finds no improvement (the cap can turn its step away from ascent)
     drops the pairs and searches once along eps * g, and a quasi-Newton
     step that improves by less than improvement_threshold drops the pairs
-    instead of stopping.  Each probe leaves its prefix products in the
-    ascent's one workspace (:class:`_Workspace`), and the gradient at an
+    instead of stopping.  Each probe leaves its prefix products, M and t in
+    the ascent's one workspace (:class:`_Workspace`), and the gradient at an
     accepted probe reads them from there before the next probe overwrites
     them.  Deterministic: identical inputs give an identical report.
 

@@ -685,6 +685,7 @@ def test_nonfinite_or_negative_input_fails_at_the_boundary(tmp_path, capsys, arg
 
 
 MULTISTART_ALONE = "--multistart draws its own starts: it cannot be used with --ladder or --init"
+DELTA_NEEDS_LADDER = "--delta-hz spaces the ladder's offset comb: it needs --ladder"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -707,6 +708,9 @@ MULTISTART_ALONE = "--multistart draws its own starts: it cannot be used with --
      "--amax-khz cannot be used with --init: the warm-start waveform sets"),
     (["--ladder", "--init", "start.json", "--guard-us", "6", "--steps", "0"],
      "--steps, --guard-us cannot be used with --init"),
+    # each of these was once silently ignored, and NaN went into manifest.json
+    (["--on-resonance", "--delta-hz", "nan"], DELTA_NEEDS_LADDER),
+    (["--distribution-file", "comb.json", "--delta-hz", "-5"], DELTA_NEEDS_LADDER),
 ])
 def test_optimize_rejects_bad_sizes_at_the_boundary(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

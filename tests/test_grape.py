@@ -285,7 +285,7 @@ def _guarded_random_waveform(rng, n_steps):
                          A_MAX, pre_delay=6e-6, post_delay=1e-5)
 
 
-@pytest.mark.parametrize("n_points", [1, 45, POINT_CHUNK + 37])
+@pytest.mark.parametrize("n_points", [1, 45, POINT_CHUNK + 37, 2 * POINT_CHUNK + 37])
 def test_probe_fidelity_equals_gradient_fidelity(n_points):
     # the line search compares a probe against the fidelity of the last
     # gradient evaluation, and average_fidelity (the pairwise tree) gates
@@ -324,19 +324,31 @@ def test_a_probe_on_a_warmed_workspace_allocates_nothing_step_sized():
 
 
 def test_gradient_over_chunks_equals_per_point_evaluation():
-    # 2.5 chunks: every point's fidelity and gradient carry the bits of that
-    # point evaluated alone
+    # 2.5 chunks: two full ones, which share the spare level and scratch
+    # plane, and a ragged one.  Every point's fidelity carries the bits of
+    # that point evaluated alone, and the gradient is the weighted sum of
+    # the per-point gradients; a chunk whose overlaps M were overwritten by
+    # a later chunk's scan would move it far beyond 1e-14
     rng = np.random.default_rng(12)
     p = _guarded_random_waveform(rng, 100)
     n_points = 5 * POINT_CHUNK // 2
+    weights = rng.uniform(0.5, 1.5, n_points)
     d = EnsembleDistribution(rng.uniform(-2 * np.pi * 1e4, 2 * np.pi * 1e4, n_points),
-                             rng.uniform(0.8, 1.2, n_points), np.full(n_points, 1.0 / n_points))
-    fids, grads = grape._fidelity_and_gradients_raw(p, d, grape._Workspace(p, d))
-    assert grads.shape == (n_points, 100, 2)
-    for k in range(n_points):
-        f, g = fidelity_and_gradients(p, (d.offsets[k], d.rf_scales[k]))
-        assert f == fids[k]
-        assert np.array_equal(g, grads[k])
+                             rng.uniform(0.8, 1.2, n_points), weights / weights.sum())
+    ws = grape._Workspace(p, d)
+    _, grad = grape._averaged_eval(p, d, ws)
+    alone = [fidelity_and_gradients(p, (d.offsets[k], d.rf_scales[k])) for k in range(n_points)]
+    assert np.array_equal(ws.t**2, [f for f, _ in alone])
+    # (n_steps, P, 2), the layout of each chunk's per-point products
+    per_point = np.stack([g for _, g in alone], axis=1)
+    expected = np.einsum("p,npk->nk", d.weights, per_point)
+    assert np.max(np.abs(grad - expected)) < 1e-14 * np.max(np.abs(expected))
+    # on one chunk the sum is that one einsum, to the bit
+    head = slice(0, POINT_CHUNK)
+    d1 = EnsembleDistribution(d.offsets[head], d.rf_scales[head],
+                              weights[head] / weights[head].sum())
+    _, grad1 = grape._averaged_eval(p, d1, grape._Workspace(p, d1))
+    assert np.array_equal(grad1, np.einsum("p,npk->nk", d1.weights, per_point[:, head]))
 
 
 def _two_chunk_problem():
