@@ -247,13 +247,10 @@ def cmd_optimize(args, parser) -> int:
         p0 = random_waveform(template, np.random.default_rng(args.seed))
         timing = {"duration_ms": args.duration_ms, "steps": args.steps,
                   "amax_khz": args.amax_khz, "guard_us": args.guard_us}
-    delta_hz = args.delta_hz if args.delta_hz is not None else 1.0 / (4.0 * duration)
-    delta = delta_hz * 2.0 * np.pi
 
     outputs = []
     params = {
         **timing,
-        "delta_hz": delta_hz,
         "seed": args.seed,
         "threads": args.threads,
         "mode": args.mode,
@@ -279,9 +276,10 @@ def cmd_optimize(args, parser) -> int:
         return rows
 
     if args.mode == "ladder":
+        delta_hz = args.delta_hz if args.delta_hz is not None else 1.0 / (4.0 * duration)
         result = run_ladder(
             p0,
-            delta,
+            delta_hz * 2.0 * np.pi,
             stop_fidelity=args.stop_fidelity,
             cfg=cfg,
             seed=args.seed,
@@ -289,6 +287,7 @@ def cmd_optimize(args, parser) -> int:
             max_rungs=args.max_rungs,
         )
         params.update(
+            delta_hz=delta_hz,
             stop_fidelity=args.stop_fidelity,
             jitter=args.jitter,
             max_rungs=args.max_rungs,

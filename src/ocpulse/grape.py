@@ -14,14 +14,14 @@ inverse target is a read-only constant of :mod:`ocpulse.propagation`).  One
 scan (:func:`_scan`) serves the line-search probe and the gradient: it
 leaves the prefixes, M and t in the ascent's workspace (:class:`_Workspace`),
 so the gradient at an accepted probe reads them there and runs no scan of
-its own.  The workspace's one spare scan level and scratch plane, sliced to
-each chunk, serve every chunk, probe and gradient.  Steps follow a
-projected L-BFGS direction over the Cartesian controls (Nocedal & Wright,
-Numerical Optimization, ch. 7; for quasi-Newton GRAPE, de Fouquieres et
-al., JMR 212, 412 (2011)), with a halving line search that accepts only a
-strict improvement, so the fidelity history is monotone.  Each trial's
-amplitudes are clipped to the cap, so the cap is kept by projection onto
-the disc hypot(u1, u2) <= a_max.
+its own.  The workspace's one spare scan level and scratch plane, cut into
+contiguous per-chunk views by :func:`propagation.chunk_buffers`, serve every
+chunk, probe and gradient.  Steps follow a projected L-BFGS direction over
+the Cartesian controls (Nocedal & Wright, Numerical Optimization, ch. 7;
+for quasi-Newton GRAPE, de Fouquieres et al., JMR 212, 412 (2011)), with a
+halving line search that accepts only a strict improvement, so the
+fidelity history is monotone.  Each trial's amplitudes are clipped to the
+cap, so the cap is kept by projection onto the disc hypot(u1, u2) <= a_max.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pulses import EnsembleDistribution, PulseWaveform
-from .propagation import (POINT_CHUNK, forward_products, point_chunks, step_propagators,
-                          target_overlaps)
+from .propagation import chunk_buffers, forward_products, step_propagators, target_overlaps
 from .su2 import ck_mul, pair_buffer
 
 # Line search: the trial step is halved (_LS_SHRINK) after each rejected
@@ -106,27 +105,19 @@ class _Workspace:
     """The buffers of one ensemble and pulse length.
 
     A scan (:func:`_scan`) of ``waveform`` leaves in it everything the
-    gradient reads: per chunk k of points (:func:`propagation.point_chunks`)
-    ``prefixes[k]``, the (n_steps + 2, c, 2) prefix products, guards
-    included, and over all P points the overlap pairs M =
-    TARGET_PI_Y^dag U_total in ``overlaps`` and their overlaps t = Re a(M)
-    in ``t``, both sliced by chunk.  One spare scan level and one scratch
-    plane of min(POINT_CHUNK, P) columns serve every chunk, probe and
-    gradient; the gradient overwrites them and nothing else.  Chunk k takes
-    them as ``levels[k]``, the first (n_steps + 2) c elements of each plane
-    seen as (n_steps + 2, c), so a ragged chunk's planes are contiguous too:
-    strided [:, :c] columns took a scan over twice as long.  Pair buffers are
-    plane-major (:func:`ocpulse.su2.pair_buffer`).
+    gradient reads: per chunk k of points ``prefixes[k]``, the
+    (n_steps + 2, c, 2) prefix products, guards included, and over all P
+    points the overlap pairs M = TARGET_PI_Y^dag U_total in ``overlaps``
+    and their overlaps t = Re a(M) in ``t``, both sliced by chunk.
+    ``levels[k]`` is chunk k of :func:`propagation.chunk_buffers`: its
+    points, and a spare scan level and a scratch plane that every chunk,
+    probe and gradient shares; the gradient overwrites them and nothing
+    else.  Pair buffers are plane-major (:func:`ocpulse.su2.pair_buffer`).
     """
 
     def __init__(self, p: PulseWaveform, d: EnsembleDistribution):
-        rows, width = p.n_steps + 2, min(POINT_CHUNK, d.n_points)
-        self.chunks = point_chunks(d.n_points)
-        widths = [d.offsets[c].size for c in self.chunks]
-        self.prefixes = [pair_buffer((rows, c)) for c in widths]
-        spare, scratch = pair_buffer((rows * width,)), np.empty(rows * width, dtype=complex)
-        self.levels = [(spare[:rows * c].reshape(rows, c, 2), scratch[:rows * c].reshape(rows, c))
-                       for c in widths]
+        self.levels = chunk_buffers(p.n_steps + 2, d.n_points)
+        self.prefixes = [pair_buffer(spare.shape[:-1]) for _, spare, _ in self.levels]
         self.overlaps = pair_buffer((d.n_points,))
         self.t = self.overlaps[:, 0].real
         self.waveform = None
@@ -137,7 +128,7 @@ def _scan(p: PulseWaveform, d: EnsembleDistribution, ws: _Workspace):
     (:func:`propagation.forward_products`, then
     :func:`propagation.target_overlaps` of the last prefix, the whole
     pulse)."""
-    for chunk, X, (spare, scratch) in zip(ws.chunks, ws.prefixes, ws.levels):
+    for X, (chunk, spare, scratch) in zip(ws.prefixes, ws.levels):
         step_propagators(p, d.offsets[chunk], d.rf_scales[chunk], out=X)
         forward_products(X, spare, scratch)
         target_overlaps(X[-1], out=ws.overlaps[chunk], scratch=scratch[0])
@@ -172,7 +163,7 @@ def _averaged_eval(p: PulseWaveform, d: EnsembleDistribution, ws: _Workspace):
         _scan(p, d, ws)
     n = p.n_steps
     grad = np.zeros((n, 2))
-    for chunk, prefixes, (spare, scratch) in zip(ws.chunks, ws.prefixes, ws.levels):
+    for prefixes, (chunk, spare, scratch) in zip(ws.prefixes, ws.levels):
         X, M, t = prefixes[1:-1], ws.overlaps[chunk], ws.t[chunk]
         # b of (X_j M) X_j^dag is the one part of that product the gradient
         # needs; the b plane of X_j M is free once its product is taken

@@ -21,8 +21,6 @@ from .propagation import pulse_propagators, target_overlaps
 from .pulses import EnsembleDistribution, PulseWaveform
 from .su2 import Z_AXIS, axis_angle, unitarity_error
 
-# sin(theta/2) below this leaves the rotation axis numerically undefined.
-_DEGENERATE_SIN = 1e-9
 # Largest | |a|^2 + |b|^2 - 1 | accepted as a propagator.
 _UNITARITY_TOL = 1e-9
 
@@ -47,16 +45,14 @@ class CpmgCriteria:
     Each field has the batch shape of the propagators.  angle_from_xy_plane
     is signed, positive when the rotation axis tilts toward +z;
     angle_from_y_axis is the unsigned angle between the axis and +y;
-    nutation_angle is the canonical rotation angle in [0, pi].
-    ``degenerate`` flags nutation ~ 0, where the axis (and hence the angles)
-    carry no information; the axis of an identity is taken as z.
+    nutation_angle is the canonical rotation angle in [0, pi].  The axis
+    of an identity is taken as z.
     """
 
     angle_from_xy_plane: np.ndarray
     angle_from_y_axis: np.ndarray
     nutation_angle: np.ndarray
     fidelity: np.ndarray
-    degenerate: np.ndarray
 
     def __len__(self) -> int:
         return self.fidelity.size
@@ -95,5 +91,4 @@ def criteria_sweep(x: np.ndarray) -> CpmgCriteria:
         angle_from_y_axis=np.arctan2(np.hypot(rx, rz), ry),
         nutation_angle=theta,
         fidelity=t**2,
-        degenerate=np.sin(0.5 * theta) < _DEGENERATE_SIN,
     )

@@ -31,8 +31,11 @@ product to the bit.
 over an EnsembleDistribution of P points; the half cycle, the cycle (its
 square), the criteria, the echo train and the channel stack take those
 pairs, so a pulse read two ways is propagated once.  Products run over
-chunks of POINT_CHUNK ensemble points (:func:`point_chunks`), so memory
-does not grow with n_steps x P.
+chunks of POINT_CHUNK ensemble points, so memory does not grow with
+n_steps x P, and :func:`chunk_buffers` is their one layout: contiguous
+per-chunk views of one pair buffer and one plane, which
+:func:`pulse_propagators` and the optimizer's workspace
+(:class:`ocpulse.grape._Workspace`) both cut their chunks from.
 """
 
 from __future__ import annotations
@@ -62,9 +65,21 @@ _TARGET_INV.flags.writeable = False
 POINT_CHUNK = 256
 
 
-def point_chunks(n_points: int) -> list[slice]:
-    """Consecutive slices of at most POINT_CHUNK ensemble points."""
-    return [slice(i, i + POINT_CHUNK) for i in range(0, n_points, POINT_CHUNK)]
+def chunk_buffers(rows: int, n_points: int) -> list:
+    """The one chunk layout of the batched products: per run of at most
+    POINT_CHUNK consecutive points of ``n_points``, (points, pairs, plane).
+
+    ``points`` is the slice of those c points, ``pairs`` a (rows, c, 2)
+    plane-major pair view and ``plane`` a (rows, c) complex plane.  Every
+    chunk's views are cut from the front of one pair buffer and one plane
+    of rows x min(POINT_CHUNK, n_points) elements, so a ragged chunk's
+    planes are contiguous too, and the chunks share that memory.
+    """
+    width = rows * min(POINT_CHUNK, n_points)
+    pairs, plane = pair_buffer((width,)), np.empty(width, dtype=complex)
+    return [(slice(i, i + c), pairs[:rows * c].reshape(rows, c, 2),
+             plane[:rows * c].reshape(rows, c))
+            for i in range(0, n_points, POINT_CHUNK) for c in [min(POINT_CHUNK, n_points - i)]]
 
 
 def step_propagators(p: PulseWaveform, offsets, rf_scales, out=None) -> np.ndarray:
@@ -86,7 +101,7 @@ def step_propagators(p: PulseWaveform, offsets, rf_scales, out=None) -> np.ndarr
     return ck_expm_polar(amps, phases, offsets, durations, out=out)
 
 
-def forward_products(steps: np.ndarray, spare=None, scratch=None) -> np.ndarray:
+def forward_products(steps: np.ndarray, spare, scratch) -> np.ndarray:
     """Running products X_j = S_j ... S_0 of Cayley-Klein pairs, in place.
 
     ``steps`` (n, ..., 2), n >= 1, is overwritten so that steps[j] holds
@@ -95,14 +110,10 @@ def forward_products(steps: np.ndarray, spare=None, scratch=None) -> np.ndarray:
     between ``steps`` and ``spare``, a pair buffer of the same shape, and
     the result is copied back once if it ends in ``spare``.  ``scratch``, a
     complex array of the shape of ``steps[..., 0]``, serves
-    :func:`ocpulse.su2.ck_mul`.  Both are allocated when not given.
-    Returns the whole product, equal to :func:`ordered_product` to the bit.
+    :func:`ocpulse.su2.ck_mul`.  Returns the whole product, equal to
+    :func:`ordered_product` to the bit.
     """
     n = len(steps)
-    if spare is None:
-        spare = pair_buffer(steps.shape[:-1])
-    if scratch is None:
-        scratch = np.empty(steps.shape[:-1], dtype=complex)
     src, dst = steps, spare
     d = 1
     while d < n:
@@ -142,23 +153,21 @@ def pulse_propagators(p: PulseWaveform | None, d: EnsembleDistribution) -> np.nd
     delays, one per point of ``d``, shape (P, 2).
 
     The ensemble is propagated POINT_CHUNK points at a time, so the step
-    array never exceeds (n_steps + 2, POINT_CHUNK, 2).  The step array, the
-    tree's spare level and its scratch plane are allocated once per call
-    and every chunk writes into them.  Points are independent: each
-    point's result is the same, to the bit, as when it is propagated alone.
+    array never exceeds (n_steps + 2, POINT_CHUNK, 2).  Each chunk writes
+    its steps into the pairs of one :func:`chunk_buffers` layout and takes
+    the tree's spare level and scratch plane from another, of
+    (n_steps + 3) // 2 rows; both are allocated once per call.  Points are
+    independent: each point's result is the same, to the bit, as when it is
+    propagated alone.
     """
     if p is None:
         return np.broadcast_to(TARGET_PI_Y, (d.n_points, 2)).copy()
     out = np.empty((d.n_points, 2), dtype=complex)
-    width = min(POINT_CHUNK, d.n_points)
-    level = ((p.n_steps + 3) // 2, width)
-    steps = pair_buffer((p.n_steps + 2, width))
-    spare, scratch = pair_buffer(level), np.empty(level, dtype=complex)
-    for chunk in point_chunks(d.n_points):
-        o = d.offsets[chunk]
-        c = o.shape[0]
-        X = step_propagators(p, o, d.rf_scales[chunk], out=steps[:, :c])
-        out[chunk] = ordered_product(X, spare[:, :c], scratch[:, :c])
+    steps = chunk_buffers(p.n_steps + 2, d.n_points)
+    levels = chunk_buffers((p.n_steps + 3) // 2, d.n_points)
+    for (points, X, _), (_, spare, scratch) in zip(steps, levels):
+        step_propagators(p, d.offsets[points], d.rf_scales[points], out=X)
+        out[points] = ordered_product(X, spare, scratch)
     return out
 
 
@@ -250,7 +259,8 @@ def bloch_trajectory(
         raise ValueError("m_in must be a 3-vector")
     if abs(np.linalg.norm(m) - 1.0) > 1e-9:
         raise ValueError("m_in must be unit length")
-    prefixes = step_propagators(p, d.offsets, d.rf_scales)[:, 0]
-    forward_products(prefixes)
-    pairs = np.concatenate([[[1.0, 0.0]], prefixes])
+    [(_, spare, scratch)] = chunk_buffers(p.n_steps + 2, 1)
+    prefixes = step_propagators(p, d.offsets, d.rf_scales)
+    forward_products(prefixes, spare, scratch)
+    pairs = np.concatenate([[[1.0, 0.0]], prefixes[:, 0]])
     return rotate_vectors(*axis_angle(pairs), [1], m)[0]

@@ -21,14 +21,15 @@ The pair buffers that :func:`ck_expm_polar` and :func:`ck_mul` allocate are
 plane-major (:func:`pair_buffer`): a ``(2, ...)`` complex array seen as
 ``(..., 2)`` through ``np.moveaxis``, so that a and b are each one
 contiguous plane.  Shapes and indexing are those of any ``(..., 2)`` array;
-only the strides differ, and every function here takes pairs of any layout.
-Both kernels also write into a caller's buffer, ``out=``, of any layout, and
-:func:`ck_mul` takes the caller's scratch plane; an optimizer that evaluates
-one ensemble thousands of times allocates these once.  :func:`ck_expm_polar`
-needs no scratch: it works its real intermediates in contiguous planes,
-which it lays in the memory of the output's b plane when that plane is one
-block, as in a plane-major buffer.  It then writes Re a, Im a and b once
-each.  No output or scratch buffer may share memory with an input.
+only the strides differ.  Both kernels also write into a caller's buffer,
+``out=``, and :func:`ck_mul` takes the caller's scratch plane; an optimizer
+that evaluates one ensemble thousands of times allocates these once.
+:func:`ck_mul` takes operands, output and scratch of any layout.
+:func:`ck_expm_polar` needs no scratch: it works its real intermediates in
+the memory of the output's b plane, so its ``out`` must be plane-major with
+a contiguous b plane, a :func:`pair_buffer` or a chunk view of
+:func:`ocpulse.propagation.chunk_buffers`.  It then writes Re a, Im a and b
+once each.  No output or scratch buffer may share memory with an input.
 """
 
 from __future__ import annotations
@@ -96,10 +97,12 @@ def ck_expm_polar(amp, phase, wz, duration, out=None) -> np.ndarray:
         per-step drive terms and the per-step phases under per-point
         amplitudes are each worked on once per element they hold.
     out : (..., 2) complex ndarray, optional
-        Buffer of the broadcast batch's shape to write the pairs to, in any
-        layout; by default a plane-major one is allocated.  Where its b
-        plane is one contiguous block, t^2, 1 - t^2 and 1 + t^2 are worked
-        in that memory before b is written; otherwise in two new planes.
+        Plane-major buffer of the broadcast batch's shape to write the
+        pairs to, whose b plane is one C-contiguous block: a
+        :func:`pair_buffer` or a chunk view of
+        :func:`ocpulse.propagation.chunk_buffers`.  t^2, 1 - t^2 and
+        1 + t^2 are worked in the memory of that plane before b is
+        written.  By default a :func:`pair_buffer` is allocated.
 
     Returns
     -------
@@ -113,10 +116,7 @@ def ck_expm_polar(amp, phase, wz, duration, out=None) -> np.ndarray:
     a, b = out[..., 0], out[..., 1]
     # t^2, then 1 - t^2, and 1 + t^2: two contiguous real planes in the
     # memory of b, which is free until the last product
-    if b.flags.c_contiguous:
-        planes = b.reshape(-1).view(float).reshape(2, *shape)
-    else:
-        planes = np.empty((2, *shape))
+    planes = b.reshape(-1).view(float).reshape(2, *shape)
     square, denom = planes[0, ...], planes[1, ...]
     turn = -1j * np.exp(-1j * phase)  # -sin phase - i cos phase
     norm = np.multiply(amp, amp, out=np.empty(np.broadcast(amp, wz).shape))

@@ -171,6 +171,8 @@ def test_optimize_on_resonance(tmp_path, capsys):
     assert manifest["command"] == "optimize"
     assert manifest["params"]["final_fidelity"] >= 0.9999
     assert manifest["params"]["termination"] == "target_reached"
+    # only the ladder spaces an offset comb
+    assert "delta_hz" not in manifest["params"]
     assert "waveform.json" in manifest["outputs"]
     p = fileio.load_waveform_json(out / "waveform.json")
     assert p.n_steps == 20

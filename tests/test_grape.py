@@ -13,7 +13,7 @@ from ocpulse.grape import (
     random_waveform,
 )
 from ocpulse.metrics import average_fidelity
-from ocpulse.propagation import POINT_CHUNK, point_chunks
+from ocpulse.propagation import POINT_CHUNK, chunk_buffers
 from ocpulse.pulses import EnsembleDistribution, PulseWaveform, hard_pulse, waveform_template
 
 A_MAX = 2 * np.pi * 5000.0
@@ -451,7 +451,7 @@ def test_ascent_builds_step_exponentials_once_per_probe(monkeypatch):
     monkeypatch.setattr(grape, "_ensemble_fidelity", counted("probes", grape._ensemble_fidelity))
     rep = grape_ascend(p0, d, cfg)
     assert rep.iterations > 1 and calls["probes"] > rep.iterations
-    assert calls["steps"] == (calls["probes"] + 1) * len(point_chunks(d.n_points))
+    assert calls["steps"] == (calls["probes"] + 1) * len(chunk_buffers(1, d.n_points))
 
 
 def test_report_counts_the_line_search_probes_of_each_iteration(monkeypatch):

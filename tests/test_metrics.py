@@ -57,7 +57,6 @@ def test_cpmg_criteria_tilted_axis():
     assert c.angle_from_y_axis == pytest.approx(zeta, abs=1e-12)
     assert c.nutation_angle == pytest.approx(theta, abs=1e-12)
     assert c.fidelity == pytest.approx(np.sin(theta / 2) ** 2 * np.cos(zeta) ** 2, abs=1e-12)
-    assert not c.degenerate
     # tilt below the plane flips the sign of the plane angle only
     c = criteria_sweep(expm_su2([0.0, np.cos(zeta), -np.sin(zeta)], theta)[0])
     assert c.angle_from_xy_plane == pytest.approx(-zeta, abs=1e-12)
@@ -66,7 +65,6 @@ def test_cpmg_criteria_tilted_axis():
 
 def test_cpmg_criteria_degenerate_identity():
     c = criteria_sweep(np.array([1.0, 0.0], dtype=complex))
-    assert c.degenerate
     assert c.nutation_angle == pytest.approx(0.0, abs=1e-9)
     assert c.fidelity == pytest.approx(0.0, abs=1e-12)
     # the identity has no axis; z stands in, a right angle from plane and y
@@ -160,7 +158,6 @@ def _pointwise_criteria(u):
         np.arctan2(r[2], np.hypot(r[0], r[1])),
         np.arctan2(np.hypot(r[0], r[2]), r[1]),
         theta,
-        np.sin(0.5 * theta) < 1e-9,
     )
 
 
@@ -181,11 +178,11 @@ def test_criteria_sweep_matches_pointwise_criteria_bitwise(pulse):
     c = criteria_sweep(U)
     assert len(c) == offs.size * n_rf >= 5 * POINT_CHUNK // 2
     got = np.column_stack([c.fidelity, c.angle_from_xy_plane, c.angle_from_y_axis,
-                           c.nutation_angle, c.degenerate])
+                           c.nutation_angle])
     expect = np.array([_pointwise_criteria(u) for u in U])
     assert np.array_equal(got, expect)
     if pulse == "zero":
-        assert np.count_nonzero(c.degenerate) == n_rf
+        assert np.count_nonzero(c.nutation_angle == 0.0) == n_rf
 
 
 def test_cp_overlap_perfect_pulse():

@@ -10,7 +10,8 @@ call: one that every caller passes is required.  Reference
 implementations that only the tests need live in ``tests/oracles.py``.
 No module of the package reaches for an underscore name of another: what
 two modules share is public in one of them.  Each module uses every name
-it imports.
+it imports, and every field of a package dataclass is read by the program:
+a result field that nothing reads is dead.
 """
 
 import ast
@@ -165,3 +166,25 @@ def test_every_imported_name_is_used():
     found = sorted(f"{path.name}: {name}" for path in PACKAGE.glob("*.py")
                    if path.name != "__init__.py" for name in _unused_imports(path))
     assert found == []
+
+
+def _dataclass_fields():
+    """(module file name, class name, field name) of each annotated field of
+    a package ``@dataclass``."""
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    (d.func if isinstance(d, ast.Call) else d).id == "dataclass"
+                    for d in node.decorator_list if isinstance(d, (ast.Name, ast.Call))):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        yield path.name, node.name, item.target.id
+
+
+def test_every_dataclass_field_is_read_by_the_program():
+    read = {node.attr for path in _program_sources()
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = sorted(f"{module}: {cls}: {name}" for module, cls, name in _dataclass_fields()
+                    if name not in read)
+    assert unread == []

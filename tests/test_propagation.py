@@ -153,7 +153,8 @@ def test_pulse_propagators_chunked_equals_per_slice_product():
     assert got.shape == (P, 2)
     for i in range(0, P, prop.POINT_CHUNK):
         o, s = offs[i:i + prop.POINT_CHUNK], scales[i:i + prop.POINT_CHUNK]
-        whole = prop.forward_products(prop.step_propagators(p, o, s))
+        steps = prop.step_propagators(p, o, s)
+        whole = prop.forward_products(steps, *_scan_buffers(steps))
         assert np.array_equal(got[i:i + prop.POINT_CHUNK], whole)
     for i in (0, prop.POINT_CHUNK, P - 1):
         alone = points(offs[i:i + 1], scales[i:i + 1])
@@ -166,6 +167,11 @@ def _tree_buffers(steps):
     return pair_buffer(level), np.empty(level, dtype=complex)
 
 
+def _scan_buffers(steps):
+    """A spare level and a scratch plane for the scan of ``steps``."""
+    return pair_buffer(steps.shape[:-1]), np.empty(steps.shape[:-1], dtype=complex)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 100, 101, 201])
 def test_forward_products_are_the_ordered_prefixes(n):
     # n steps between two guard rows, as step_propagators lays them out:
@@ -174,7 +180,7 @@ def test_forward_products_are_the_ordered_prefixes(n):
     rng = np.random.default_rng(n)
     steps = ck_expm(np.moveaxis(rng.normal(size=(n + 2, 3, 3)), -1, 0), 0.7)
     prefixes = steps.copy()
-    total = prop.forward_products(prefixes)
+    total = prop.forward_products(prefixes, *_scan_buffers(steps))
     X = np.eye(2)
     for j in range(n + 2):
         X = ck_matrix(steps[j]) @ X
@@ -185,40 +191,37 @@ def test_forward_products_are_the_ordered_prefixes(n):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 100, 101])
 def test_scan_into_caller_buffers_keeps_the_bits(n):
-    # the second chunk of a plane-major buffer POINT_CHUNK + 37 points wide,
-    # n steps between two guard rows, scanned with a chunk-wide spare level
-    # and scratch plane, holds the prefixes of the allocating scan, and its
-    # last prefix is the pairwise tree's product to the bit
+    # the ragged last chunk of POINT_CHUNK + 37 points, n steps between two
+    # guard rows, scanned in the views that chunk_buffers cuts for it (as
+    # the optimizer's workspace scans it), holds the prefixes of the
+    # interleaved scan, and its last prefix is the pairwise tree's product
+    # to the bit
     rng = np.random.default_rng(n + 1)
     width, rows = prop.POINT_CHUNK + 37, n + 2
     steps = ck_expm(np.moveaxis(rng.normal(size=(rows, width, 3)), -1, 0), 0.7)
     want = steps.copy()
-    total = prop.forward_products(want)
+    total = prop.forward_products(want, *_scan_buffers(steps))
     assert np.array_equal(prop.ordered_product(steps.copy(), *_tree_buffers(steps)), total)
-    chunk = slice(prop.POINT_CHUNK, width)
-    X = pair_buffer((rows, width))
-    X[...] = steps
-    last = prop.forward_products(X[:, chunk], pair_buffer((rows, 37)),
-                                 np.empty((rows, 37), dtype=complex))
-    assert np.array_equal(X[:, chunk], want[:, chunk])
-    assert np.array_equal(X[:, :prop.POINT_CHUNK], steps[:, :prop.POINT_CHUNK])
+    chunk, X, scratch = prop.chunk_buffers(rows, width)[-1]
+    assert chunk == slice(prop.POINT_CHUNK, width) and X.shape == (rows, 37, 2)
+    X[...] = steps[:, chunk]
+    _, spare, _ = prop.chunk_buffers(rows, width)[-1]
+    last = prop.forward_products(X, spare, scratch)
+    assert np.array_equal(X, want[:, chunk])
     assert np.array_equal(last, total[chunk])
     # prefixes left in an interleaved buffer equal them too
     inter = np.ascontiguousarray(steps[:, chunk])
-    assert np.array_equal(prop.forward_products(inter), total[chunk])
+    assert np.array_equal(prop.forward_products(inter, *_scan_buffers(inter)), total[chunk])
     assert np.array_equal(inter, want[:, chunk])
-    # the tree in the same chunk of a plane-major buffer, with a spare level
-    # and a scratch plane cut from POINT_CHUNK-wide buffers as
-    # pulse_propagators cuts them for a ragged last chunk
-    tree = pair_buffer((rows, width))
-    tree[...] = steps
-    level = ((rows + 1) // 2, prop.POINT_CHUNK)
-    spare, scratch = pair_buffer(level), np.empty(level, dtype=complex)
-    got = prop.ordered_product(tree[:, chunk], spare[:, :37], scratch[:, :37])
+    # the tree in the same ragged chunk view, with a spare level and a
+    # scratch plane cut as pulse_propagators cuts them
+    _, tree, _ = prop.chunk_buffers(rows, width)[-1]
+    tree[...] = steps[:, chunk]
+    _, spare, scratch = prop.chunk_buffers((rows + 1) // 2, width)[-1]
+    got = prop.ordered_product(tree, spare, scratch)
     alone = steps[:, chunk].copy()
     assert np.array_equal(got, prop.ordered_product(alone, *_tree_buffers(alone)))
     assert np.array_equal(got, total[chunk])
-    assert np.array_equal(tree[:, :prop.POINT_CHUNK], steps[:, :prop.POINT_CHUNK])
 
 
 def test_step_propagators_into_a_chunk_view_keep_the_bits():
@@ -228,11 +231,42 @@ def test_step_propagators_into_a_chunk_view_keep_the_bits():
     offs = rng.uniform(-2 * np.pi * 1e4, 2 * np.pi * 1e4, width)
     scales = rng.uniform(0.8, 1.2, width)
     want = prop.step_propagators(p, offs, scales)
-    X = pair_buffer((102, width))
-    for chunk in prop.point_chunks(width):
-        got = prop.step_propagators(p, offs[chunk], scales[chunk], out=X[:, chunk])
-        assert np.shares_memory(got, X)
-    assert np.array_equal(X, want)
+    for chunk, X, _ in prop.chunk_buffers(102, width):
+        assert prop.step_propagators(p, offs[chunk], scales[chunk], out=X) is X
+        assert np.array_equal(X, want[:, chunk])
+
+
+@pytest.mark.parametrize("P", [1, 45, prop.POINT_CHUNK, prop.POINT_CHUNK + 37,
+                               5 * prop.POINT_CHUNK // 2 + 37])
+def test_chunk_buffers_tile_the_points_in_contiguous_views(P):
+    rows = 7
+    chunks = prop.chunk_buffers(rows, P)
+    assert [i for points, _, _ in chunks for i in range(P)[points]] == list(range(P))
+    for points, pairs, plane in chunks:
+        c = len(range(P)[points])
+        assert 1 <= c <= prop.POINT_CHUNK
+        assert pairs.shape == (rows, c, 2) and plane.shape == (rows, c)
+        assert pairs[..., 0].flags.c_contiguous and pairs[..., 1].flags.c_contiguous
+        assert plane.flags.c_contiguous and not np.shares_memory(pairs, plane)
+
+
+def test_pulse_propagators_step_arrays_are_contiguous_in_a_ragged_chunk(monkeypatch):
+    # the ragged last chunk's step array is a contiguous view too, not
+    # strided columns of a full chunk's buffer
+    rng = np.random.default_rng(18)
+    p = PulseWaveform(1e-5, rng.uniform(0, A_MAX, 20), rng.uniform(0, 2 * np.pi, 20), A_MAX)
+    P = prop.POINT_CHUNK + 37
+    offs = rng.uniform(-2 * np.pi * 1e4, 2 * np.pi * 1e4, P)
+    outs, original = [], prop.step_propagators
+
+    def recorded(p, offsets, rf_scales, out):
+        outs.append(out)
+        return original(p, offsets, rf_scales, out=out)
+
+    monkeypatch.setattr(prop, "step_propagators", recorded)
+    prop.pulse_propagators(p, points(offs, np.ones(P)))
+    assert [out.shape for out in outs] == [(22, prop.POINT_CHUNK, 2), (22, 37, 2)]
+    assert all(out[..., k].flags.c_contiguous for out in outs for k in (0, 1))
 
 
 def test_pulse_propagators_memory_does_not_grow_with_steps_times_points():

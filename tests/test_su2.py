@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocpulse import su2
-from ocpulse.propagation import POINT_CHUNK, TARGET_PI_Y, step_propagators
+from ocpulse.propagation import POINT_CHUNK, TARGET_PI_Y, chunk_buffers, step_propagators
 from ocpulse.pulses import PulseWaveform
 from ocpulse.su2 import (
     ID2,
@@ -313,19 +313,22 @@ def test_ck_expm_polar_into_caller_buffers_keeps_the_bits(shape):
     wide = np.empty(shape[:-1] + (POINT_CHUNK + 37,))[..., :shape[-1]]
     wide[...] = amp
     for amps in (amp, wide):
-        for out in _layouts(np.zeros(shape + (2,), dtype=complex)):
+        for out in _out_layouts(shape):
             assert su2.ck_expm_polar(amps, phase, wz, 1e-5, out=out) is out
             assert np.array_equal(out, want)
 
 
 def _out_layouts(shape):
-    """Zeroed pair buffers of a batch shape: interleaved, plane-major and,
-    for a batch with axes, the first chunk of a wider plane-major buffer
-    (whose planes are not one block)."""
-    outs = [np.zeros(shape + (2,), dtype=complex), pair_buffer(shape)]
+    """Zeroed pair buffers of a batch shape in the layouts the program
+    writes steps to: a pair buffer and, for a batch with axes, the last
+    chunk view that chunk_buffers cuts from POINT_CHUNK + c points, c the
+    last axis (ragged unless c is POINT_CHUNK)."""
+    outs = [pair_buffer(shape)]
     if shape:
-        outs.append(pair_buffer(shape[:-1] + (POINT_CHUNK + 37,))[..., :shape[-1], :])
-    for out in outs[1:]:
+        _, pairs, _ = chunk_buffers(math.prod(shape[:-1]), POINT_CHUNK + shape[-1])[-1]
+        outs.append(pairs.reshape(shape + (2,)))
+        assert np.shares_memory(outs[-1], pairs)
+    for out in outs:
         out[...] = 0.0
     return outs
 
@@ -341,7 +344,7 @@ def _out_layouts(shape):
 def test_ck_expm_polar_keeps_the_bits_of_the_strided_formula(amp_shape, phase_shape, wz_shape,
                                                             duration_shape):
     # the contiguous t^2, 1 - t^2 and 1 + t^2 planes take the same
-    # operations as the strided parts of a did, into every output layout;
+    # operations as the strided parts of a did, into both output layouts;
     # zero amplitudes and offsets take the rate floor's limit
     rng = np.random.default_rng(len(amp_shape) + sum(amp_shape))
     amp = rng.uniform(0.0, 2 * np.pi * 5500.0, amp_shape)
